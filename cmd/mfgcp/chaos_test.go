@@ -252,7 +252,13 @@ func TestServeKillRestartChaos(t *testing.T) {
 		if !bytes.Equal(solveBodyWithoutSource(t, data), solveBodyWithoutSource(t, want[i])) {
 			t.Errorf("replay solve %d: equilibrium differs from pre-kill response:\n%s\nvs\n%s", i, data, want[i])
 		}
-		if resp.Header.Get("X-Mfgcp-Cache") == "store" {
+		var sr struct {
+			Source string `json:"source"`
+		}
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatalf("replay solve %d: decode: %v", i, err)
+		}
+		if sr.Source == "store" {
 			storeHits++
 		}
 	}

@@ -39,8 +39,7 @@ func marketCmd(args []string) (retErr error) {
 	requesters := fs.Int("requesters", 0, "requester population J (0 = homogeneous demand)")
 	exact := fs.Bool("exact-interference", false, "pairwise SINR instead of the mean-field rate")
 	scheme := fs.String("scheme", "", "PDE time integrator: implicit (default) or explicit")
-	kernelWorkers := fs.Int("kernel-workers", 0, "parallel PDE line-sweep workers per equilibrium solve (0 or 1 is serial)")
-	precision := fs.String("precision", "", "PDE kernel precision: float64 (default) or float32 (fast path, implicit scheme only)")
+	kf := addKernelFlags(fs)
 	eqCache := fs.Int("eq-cache", 0, "equilibrium cache capacity across epochs (0 = off)")
 	checkpoint := fs.String("checkpoint", "", "directory for atomic epoch-boundary snapshots (empty = off)")
 	ckEvery := fs.Int("checkpoint-every", 1, "snapshot after every N-th epoch")
@@ -108,16 +107,7 @@ func marketCmd(args []string) (retErr error) {
 	if *scheme != "" {
 		opts = append(opts, mfgcp.WithScheme(*scheme))
 	}
-	if set["kernel-workers"] || set["precision"] {
-		kc := cfg.Solver.Kernel
-		if set["kernel-workers"] {
-			kc.Workers = *kernelWorkers
-		}
-		if set["precision"] {
-			kc.Precision = *precision
-		}
-		opts = append(opts, mfgcp.WithKernel(kc.Workers, kc.Precision))
-	}
+	cfg.Solver.Kernel = kf.merge(set, cfg.Solver.Kernel)
 	if *configPath == "" || set["checkpoint"] || set["checkpoint-every"] || set["resume"] {
 		opts = append(opts, mfgcp.WithCheckpoint(mfgcp.MarketCheckpointConfig{
 			Dir: *checkpoint, Every: *ckEvery, Resume: *resume,

@@ -74,8 +74,7 @@ func precomputeCmd(args []string) (retErr error) {
 	nq := fs.Int("nq", 0, "q-grid nodes (0 keeps the default)")
 	steps := fs.Int("steps", 0, "time steps (0 keeps the default)")
 	scheme := fs.String("scheme", "", "PDE time integrator: implicit (default) or explicit")
-	kernelWorkers := fs.Int("kernel-workers", 0, "parallel PDE line-sweep workers per solve (0 or 1 is serial)")
-	precision := fs.String("precision", "", "PDE kernel precision: float64 (default) or float32 (fast path, implicit scheme only)")
+	kf := addKernelFlags(fs)
 	of := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -130,12 +129,7 @@ func precomputeCmd(args []string) (retErr error) {
 	if set["scheme"] {
 		solver.Scheme = *scheme
 	}
-	if set["kernel-workers"] {
-		solver.Kernel.Workers = *kernelWorkers
-	}
-	if set["precision"] {
-		solver.Kernel.Precision = *precision
-	}
+	solver.Kernel = kf.merge(set, solver.Kernel)
 	// A table must not carry a surrogate reference of its own: the solves
 	// behind it are the ground truth the bounds are measured against.
 	solver.Surrogate = engine.SurrogateConfig{}

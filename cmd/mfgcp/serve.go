@@ -45,8 +45,7 @@ func serveCmd(args []string) (retErr error) {
 	configPath := fs.String("config", "", "JSON defaults for Params/Solver (same shape as a /v1/solve body)")
 	surrogatePath := fs.String("surrogate", "", "precomputed surrogate table (see mfgcp precompute); in-region solves answer from it as tier 0")
 	surrogateMaxBound := fs.Float64("surrogate-max-bound", 0, "reject surrogate answers whose declared error bound exceeds this (0 = any in-region bound)")
-	kernelWorkers := fs.Int("kernel-workers", 0, "parallel PDE line-sweep workers per solve (0 or 1 is serial)")
-	precision := fs.String("precision", "", "PDE kernel precision: float64 (default) or float32 (fast path, implicit scheme only)")
+	kf := addKernelFlags(fs)
 	peers := fs.String("peers", "", "comma-separated fleet member base URLs (including this replica); enables consistent-hash routing and peer cache-fill")
 	advertise := fs.String("advertise", "", "this replica's own base URL as it appears in -peers (default http://<addr>)")
 	peerTimeout := fs.Duration("peer-timeout", 10*time.Second, "peer cache-fill round-trip bound; an expired fill degrades to a local solve")
@@ -93,16 +92,9 @@ func serveCmd(args []string) (retErr error) {
 			return fmt.Errorf("-config %s: a Workload section is per-request; the daemon config takes Params and Solver only", *configPath)
 		}
 	}
-	// Kernel flags win over the -config file; the daemon's solves then run
-	// with this kernel by default (per-request Solver sections may still
-	// override it).
+	// Explicit flags win over the -config file.
 	set := setFlags(fs)
-	if set["kernel-workers"] {
-		solver.Kernel.Workers = *kernelWorkers
-	}
-	if set["precision"] {
-		solver.Kernel.Precision = *precision
-	}
+	solver.Kernel = kf.merge(set, solver.Kernel)
 	if set["surrogate"] {
 		solver.Surrogate.Path = *surrogatePath
 	}

@@ -49,8 +49,7 @@ func solveCmd(args []string) (retErr error) {
 	steps := fs.Int("steps", 0, "time steps (0 keeps the default)")
 	noShare := fs.Bool("no-share", false, "solve the MFG baseline without peer sharing")
 	scheme := fs.String("scheme", "", "PDE time integrator: implicit (default) or explicit")
-	kernelWorkers := fs.Int("kernel-workers", 0, "parallel PDE line-sweep workers (0 or 1 is serial; results are identical at any count)")
-	precision := fs.String("precision", "", "PDE kernel precision: float64 (default) or float32 (fast path, implicit scheme only)")
+	kf := addKernelFlags(fs)
 	surrogatePath := fs.String("surrogate", "", "precomputed surrogate table (see mfgcp precompute); in-region workloads answer by interpolation")
 	surrogateMaxBound := fs.Float64("surrogate-max-bound", 0, "reject surrogate answers whose declared error bound exceeds this (0 = any in-region bound)")
 	csvDir := fs.String("csv", "", "write strategy/density/price CSVs into this directory")
@@ -127,16 +126,7 @@ func solveCmd(args []string) (retErr error) {
 	if *scheme != "" {
 		opts = append(opts, mfgcp.WithScheme(*scheme))
 	}
-	if set["kernel-workers"] || set["precision"] {
-		kc := cfg.Kernel
-		if set["kernel-workers"] {
-			kc.Workers = *kernelWorkers
-		}
-		if set["precision"] {
-			kc.Precision = *precision
-		}
-		opts = append(opts, mfgcp.WithKernel(kc.Workers, kc.Precision))
-	}
+	cfg.Kernel = kf.merge(set, cfg.Kernel)
 	if set["surrogate"] || set["surrogate-max-bound"] {
 		sc := cfg.Surrogate
 		if set["surrogate"] {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 		cfg.Epochs = 2
 		cfg.StepsPerEpoch = 25
 		cfg.Seed = 11
-		res, err := mfgcp.RunMarket(cfg)
+		res, err := mfgcp.RunMarketContext(context.Background(), cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", pol.Name(), err)
 		}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/mec"
-	"repro/internal/pde"
 )
 
 // Workload is the per-epoch, per-content demand descriptor. See
@@ -30,14 +29,18 @@ type Workload = engine.Workload
 // engine.Config.
 type Config = engine.Config
 
-// KernelConfig tunes how the PDE sweeps execute (parallel line-sweep
-// workers, opt-in float32 fast path). See pde.KernelConfig.
-type KernelConfig = pde.KernelConfig
+// KernelConfig is the retired PDE kernel tuning block. See
+// engine.KernelConfig.
+//
+// Deprecated: the fields are validated and otherwise ignored.
+type KernelConfig = engine.KernelConfig
 
 // Kernel precision names accepted by KernelConfig.Precision.
+//
+// Deprecated: every precision runs the float64 kernel.
 const (
-	PrecisionFloat64 = pde.PrecisionFloat64
-	PrecisionFloat32 = pde.PrecisionFloat32
+	PrecisionFloat64 = engine.PrecisionFloat64
+	PrecisionFloat32 = engine.PrecisionFloat32
 )
 
 // SurrogateConfig points a solve at a precomputed surrogate table and bounds

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/pde"
 )
 
 // CacheKey builds the canonical lookup key of one equilibrium computation:
@@ -68,15 +67,9 @@ func CacheKey(cfg Config, w Workload) string {
 	} else {
 		fmt.Fprintf(&b, "Scheme=%q;", cfg.Scheme)
 	}
-	// Kernel precision changes the computed solution and must separate keys;
-	// "" and "float64" are the same bit-exact default path and keep the
-	// historical encoding (no field emitted). Workers are deliberately
-	// excluded: the line-sweep partition is invisible in the results. The
-	// Surrogate routing config is likewise excluded — it decides which tier
-	// answers, never what the equilibrium is.
-	if cfg.Kernel.Precision != "" && cfg.Kernel.Precision != pde.PrecisionFloat64 {
-		fmt.Fprintf(&b, "Prec=%s;", cfg.Kernel.Precision)
-	}
+	// The deprecated Kernel block changes nothing and the Surrogate routing
+	// config decides which tier answers, never what the equilibrium is, so
+	// neither is part of the key.
 	// Initial density override: quantised content hash (nil means the
 	// Section-V default, which the params above already determine).
 	if cfg.InitLambda != nil {

@@ -102,14 +102,11 @@ type Config struct {
 	// configurations working.
 	Scheme string
 
-	// Kernel tunes how the PDE sweeps execute: Workers bounds the parallel
-	// line-sweep fan-out (partitioning is invisible in the results — the
-	// default float64 path is bit-exact at every worker count), Precision
-	// opts into the float32 fast kernel (implicit scheme only; changes the
-	// computed solution within single-precision tolerance, so it separates
-	// cache keys while Workers does not). The zero value is the serial
-	// float64 kernel.
-	Kernel pde.KernelConfig
+	// Kernel is validated and otherwise ignored: every solve runs the one
+	// serial float64 kernel.
+	//
+	// Deprecated: see KernelConfig.
+	Kernel KernelConfig
 
 	// ShareEnabled distinguishes MFG-CP (true) from the MFG baseline
 	// without peer sharing (false).
@@ -143,6 +140,51 @@ type Config struct {
 	// no-op: library users and tests opt in explicitly, and the hot loops pay
 	// nothing by default. The field is dropped from serialised archives.
 	Obs obs.Recorder
+}
+
+// KernelConfig is the deprecated PDE kernel block: Workers was the line-sweep
+// worker count and Precision the kernel scalar type. The PDE layer has one
+// serial float64 kernel, so the block is validated exactly as before and
+// otherwise ignored, which keeps its promises: results were bit-exact at
+// every worker count, and float32 promised agreement with float64 within
+// 1e-5.
+//
+// Deprecated: the fields change nothing; the type is removed two releases
+// after its deprecation (DESIGN.md §10.2).
+type KernelConfig struct {
+	// Workers must be ≥ 0.
+	Workers int
+	// Precision must be "", PrecisionFloat64 or PrecisionFloat32, and
+	// PrecisionFloat32 requires the implicit scheme.
+	Precision string
+}
+
+// Kernel precision names accepted by KernelConfig.Precision.
+//
+// Deprecated: every precision runs the float64 kernel.
+const (
+	PrecisionFloat64 = "float64"
+	PrecisionFloat32 = "float32"
+)
+
+// Validate rejects what the retired kernels rejected, with the same
+// messages: negative workers, an unknown precision, and float32 with any
+// scheme but the implicit one.
+func (kc KernelConfig) Validate(st pde.Stepping) error {
+	if kc.Workers < 0 {
+		return fmt.Errorf("pde: kernel workers must be ≥ 0, got %d", kc.Workers)
+	}
+	switch kc.Precision {
+	case "", PrecisionFloat64:
+	case PrecisionFloat32:
+		if st != pde.Implicit {
+			return errors.New("core: the float32 kernel supports the implicit scheme only")
+		}
+	default:
+		return fmt.Errorf("pde: unknown kernel precision %q (want %q or %q)",
+			kc.Precision, PrecisionFloat64, PrecisionFloat32)
+	}
+	return nil
 }
 
 // SurrogateConfig routes solves at a precomputed equilibrium table. The zero
@@ -211,11 +253,8 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	if err := c.Kernel.Validate(); err != nil {
+	if err := c.Kernel.Validate(sch.Stepping()); err != nil {
 		return err
-	}
-	if c.Kernel.Precision == pde.PrecisionFloat32 && sch.Stepping() != pde.Implicit {
-		return errors.New("core: the float32 kernel supports the implicit scheme only")
 	}
 	return c.Surrogate.Validate()
 }

@@ -34,7 +34,7 @@ type configJSON struct {
 	FPKForm        int
 	Stepping       int
 	Scheme         string
-	Kernel         pde.KernelConfig
+	Kernel         KernelConfig
 	Surrogate      SurrogateConfig
 	ShareEnabled   bool
 	InitLambda     []float64 `json:",omitempty"`

@@ -9,8 +9,11 @@ import (
 	"repro/internal/pde"
 )
 
-// kernelConfig returns a configuration whose grid is large enough to engage
-// the parallel line-sweep phases (see pde's engagement thresholds).
+// The deprecated Kernel block is validated and otherwise ignored. The tests
+// here pin both halves: validation rejects what it always rejected, and no
+// accepted value changes a solve, its cache key or its allocations.
+
+// kernelConfig returns a configuration on a larger grid than the golden one.
 func kernelConfig() (Config, Workload) {
 	cfg := DefaultConfig(mec.Default())
 	cfg.NH = 41
@@ -19,36 +22,33 @@ func kernelConfig() (Config, Workload) {
 	return cfg, Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
 }
 
-// TestGoldenEquivalenceParallelKernel extends the refactor guard to the
-// parallel kernel: with sweep workers enabled, the engine must still
-// reproduce the pre-refactor equilibrium bit-for-bit — the line-sweep
-// partition is invisible in the results.
+// TestGoldenEquivalenceParallelKernel: a Workers value from the retired
+// line-sweep fan-out still reproduces the golden equilibrium bit-for-bit.
 func TestGoldenEquivalenceParallelKernel(t *testing.T) {
 	g := loadGolden(t)
 	cfg, w := goldenConfig(g)
-	cfg.Kernel = pde.KernelConfig{Workers: 4}
+	cfg.Kernel = KernelConfig{Workers: 4}
 	eq, err := Solve(cfg, w)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
 	const tol = 1e-12
 	if d := maxAbsDiff(t, "V0", eq.HJB.V[0], g.V0); d > tol {
-		t.Errorf("parallel kernel: V(0,·) differs by %g (> %g)", d, tol)
+		t.Errorf("workers=4: V(0,·) differs by %g (> %g)", d, tol)
 	}
 	if d := maxAbsDiff(t, "X0", eq.HJB.X[0], g.X0); d > tol {
-		t.Errorf("parallel kernel: x*(0,·) differs by %g (> %g)", d, tol)
+		t.Errorf("workers=4: x*(0,·) differs by %g (> %g)", d, tol)
 	}
 	if d := maxAbsDiff(t, "LambdaT", eq.FPK.Lambda[g.Steps], g.LambdaT); d > tol {
-		t.Errorf("parallel kernel: λ(T,·) differs by %g (> %g)", d, tol)
+		t.Errorf("workers=4: λ(T,·) differs by %g (> %g)", d, tol)
 	}
 	if eq.Iterations != g.Iterations {
-		t.Errorf("parallel kernel: iterations %d, golden %d", eq.Iterations, g.Iterations)
+		t.Errorf("workers=4: iterations %d, golden %d", eq.Iterations, g.Iterations)
 	}
 }
 
-// TestKernelWorkersBitExactOnLargeGrid runs the worker-count invariance on a
-// grid big enough that every parallel phase actually engages (the golden grid
-// sits below the engagement thresholds).
+// TestKernelWorkersBitExactOnLargeGrid: Workers stays bit-exact at every
+// count on a grid larger than the golden one.
 func TestKernelWorkersBitExactOnLargeGrid(t *testing.T) {
 	cfg, w := kernelConfig()
 	ref, err := Solve(cfg, w)
@@ -79,13 +79,12 @@ func TestKernelWorkersBitExactOnLargeGrid(t *testing.T) {
 	}
 }
 
-// TestSessionZeroAllocParallelKernel pins the zero-allocation contract for
-// the parallel and float32 kernels: once warmed up, one best-response
-// iteration must not allocate regardless of the kernel configuration.
+// TestSessionZeroAllocParallelKernel: no accepted kernel configuration costs
+// the steady-state iteration an allocation.
 func TestSessionZeroAllocParallelKernel(t *testing.T) {
-	for _, kc := range []pde.KernelConfig{
+	for _, kc := range []KernelConfig{
 		{Workers: 4},
-		{Workers: 2, Precision: pde.PrecisionFloat32},
+		{Workers: 2, Precision: PrecisionFloat32},
 	} {
 		t.Run(fmt.Sprintf("workers=%d,precision=%s", kc.Workers, kc.Precision), func(t *testing.T) {
 			cfg, w := kernelConfig()
@@ -114,12 +113,11 @@ func TestSessionZeroAllocParallelKernel(t *testing.T) {
 	}
 }
 
-// TestFloat32KernelSolves: the opt-in fast path must converge to an
-// equilibrium on the standard configuration. The accuracy contract against
-// the float64 solution lives in the verify layer's precision harness.
+// TestFloat32KernelSolves: the float32 precision is still accepted with the
+// implicit scheme, and the solve converges.
 func TestFloat32KernelSolves(t *testing.T) {
 	cfg, w := smallConfig()
-	cfg.Kernel.Precision = pde.PrecisionFloat32
+	cfg.Kernel.Precision = PrecisionFloat32
 	eq, err := Solve(cfg, w)
 	if err != nil {
 		t.Fatalf("float32 solve: %v", err)
@@ -129,9 +127,38 @@ func TestFloat32KernelSolves(t *testing.T) {
 	}
 }
 
-// TestKernelConfigValidation: bad kernel configurations are rejected at
-// config time, including the float32+explicit combination the pde layer
-// would reject at solve time.
+// TestKernelConfigValidate: KernelConfig.Validate, the only reader of the
+// deprecated fields, accepts every value it always accepted and rejects
+// negative workers, unknown precisions and float32 off the implicit scheme.
+func TestKernelConfigValidate(t *testing.T) {
+	good := []KernelConfig{
+		{},
+		{Workers: 8},
+		{Workers: 1 << 20},
+		{Precision: PrecisionFloat64},
+		{Workers: 2, Precision: PrecisionFloat32},
+	}
+	for _, kc := range good {
+		if err := kc.Validate(pde.Implicit); err != nil {
+			t.Errorf("Validate(%+v): %v", kc, err)
+		}
+	}
+	if err := (KernelConfig{Workers: -1}).Validate(pde.Implicit); err == nil {
+		t.Error("negative workers accepted")
+	}
+	if err := (KernelConfig{Precision: "float16"}).Validate(pde.Implicit); err == nil {
+		t.Error("unknown precision accepted")
+	}
+	if err := (KernelConfig{Precision: PrecisionFloat32}).Validate(pde.Explicit); err == nil {
+		t.Error("float32 with the explicit scheme accepted")
+	}
+	if err := (KernelConfig{Precision: PrecisionFloat64}).Validate(pde.Explicit); err != nil {
+		t.Errorf("float64 with the explicit scheme rejected: %v", err)
+	}
+}
+
+// TestKernelConfigValidation: Config.Validate still rejects a bad kernel
+// block at config time.
 func TestKernelConfigValidation(t *testing.T) {
 	cfg, _ := smallConfig()
 	cfg.Kernel.Workers = -1
@@ -145,31 +172,31 @@ func TestKernelConfigValidation(t *testing.T) {
 	}
 	cfg, _ = smallConfig()
 	cfg.Scheme = "explicit"
-	cfg.Kernel.Precision = pde.PrecisionFloat32
+	cfg.Kernel.Precision = PrecisionFloat32
 	if err := cfg.Validate(); err == nil {
 		t.Error("float32 + explicit scheme accepted")
 	}
 }
 
-// TestCacheKeyKernel: precision changes the computed solution and must
-// separate cache keys; the worker count never changes results and must not.
+// TestCacheKeyKernel: no kernel setting changes the cache key. Keys stored
+// under the retired "Prec=float32" segment are never produced again.
 func TestCacheKeyKernel(t *testing.T) {
 	cfg, w := smallConfig()
 	base := CacheKey(cfg, w)
 
 	cfg.Kernel.Workers = 8
 	if CacheKey(cfg, w) != base {
-		t.Error("worker count changed the cache key; partitioning is result-invisible")
+		t.Error("worker count changed the cache key")
 	}
 	cfg.Kernel.Workers = 0
 
-	cfg.Kernel.Precision = pde.PrecisionFloat64
+	cfg.Kernel.Precision = PrecisionFloat64
 	if CacheKey(cfg, w) != base {
 		t.Error(`explicit "float64" precision changed the cache key; it is the default path`)
 	}
-	cfg.Kernel.Precision = pde.PrecisionFloat32
-	if CacheKey(cfg, w) == base {
-		t.Error("float32 precision did not change the cache key")
+	cfg.Kernel.Precision = PrecisionFloat32
+	if CacheKey(cfg, w) != base {
+		t.Error("float32 precision changed the cache key; it runs the float64 kernel")
 	}
 }
 
@@ -177,7 +204,7 @@ func TestCacheKeyKernel(t *testing.T) {
 // codec, merges onto defaults, and rejects unknown keys inside it.
 func TestKernelConfigJSON(t *testing.T) {
 	cfg, _ := smallConfig()
-	cfg.Kernel = pde.KernelConfig{Workers: 4, Precision: pde.PrecisionFloat32}
+	cfg.Kernel = KernelConfig{Workers: 4, Precision: PrecisionFloat32}
 	raw, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -202,30 +229,4 @@ func TestKernelConfigJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"Kernel":{"Threads":2}}`), &bad); err == nil {
 		t.Error("unknown kernel key accepted")
 	}
-}
-
-// BenchmarkEngineSolveColdKernel measures a full cold equilibrium solve on a
-// sweep-heavy grid across kernel configurations. The batched h-sweeps carry
-// the speedup on small machines; worker scaling shows on multi-core hosts.
-func BenchmarkEngineSolveColdKernel(b *testing.B) {
-	cfg, w := kernelConfig()
-	run := func(b *testing.B, kc pde.KernelConfig) {
-		c := cfg
-		c.Kernel = kc
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := Solve(c, w); err != nil {
-				b.Fatalf("Solve: %v", err)
-			}
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			run(b, pde.KernelConfig{Workers: workers})
-		})
-	}
-	b.Run("float32", func(b *testing.B) {
-		run(b, pde.KernelConfig{Workers: 4, Precision: pde.PrecisionFloat32})
-	})
 }

@@ -89,7 +89,7 @@ func NewSession(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws, err := pde.NewWorkspaceKernel(g, cfg.Kernel)
+	ws, err := pde.NewWorkspace(g)
 	if err != nil {
 		return nil, err
 	}
@@ -371,11 +371,6 @@ func (s *Session) SolveContext(ctx context.Context, w Workload, warm *Equilibriu
 	// sweep times and fixed-point iteration count of this solve land in it.
 	s.trace = obs.ReqTraceFrom(ctx)
 	defer func() { s.trace = nil }()
-	if s.trace != nil {
-		// Per-request parallelism attribution: how many sweep workers this
-		// solve's PDE kernels ran with.
-		s.trace.Count("kernel_workers", int64(s.ws.Workers()))
-	}
 	if err := s.begin(w, warm); err != nil {
 		return nil, err
 	}

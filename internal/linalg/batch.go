@@ -11,9 +11,7 @@ import (
 // sweep instead of once per line, and the interleaved substitution walks the
 // flattened field with unit stride.
 //
-// The type is generic over the kernel precisions: TridiagBatch[float64] is
-// the default bit-exact path, TridiagBatch[float32] the opt-in fast path.
-// Usage: fill A, B and C (same layout as Tridiag: A[0] and C[n-1] ignored),
+// The type parameter admits only float64 (see Float). Usage: fill A, B and C (same layout as Tridiag: A[0] and C[n-1] ignored),
 // call Factorize, then any number of Solve / SolveInterleaved calls. Writing
 // to the diagonals does not invalidate the factorisation automatically —
 // callers re-run Factorize after changing coefficients.
@@ -76,15 +74,6 @@ func (t *TridiagBatch[T]) Solve(dst, rhs []T) error {
 // per-system arithmetic is identical to Solve, so the results are
 // bit-identical to m scalar solves.
 func (t *TridiagBatch[T]) SolveInterleaved(x []T, m int) error {
-	return t.SolveInterleavedRange(x, m, 0, m)
-}
-
-// SolveInterleavedRange is SolveInterleaved restricted to systems [jlo, jhi)
-// of the m interleaved right-hand sides — the partition unit of parallel
-// sweeps: disjoint column ranges touch disjoint elements of x, so workers
-// solving different ranges never race, and the per-system operations do not
-// depend on the partition.
-func (t *TridiagBatch[T]) SolveInterleavedRange(x []T, m, jlo, jhi int) error {
 	n := t.N()
 	if !t.factored {
 		return fmt.Errorf("linalg: TridiagBatch.SolveInterleaved before Factorize")
@@ -92,46 +81,6 @@ func (t *TridiagBatch[T]) SolveInterleavedRange(x []T, m, jlo, jhi int) error {
 	if m < 0 || len(x) != n*m {
 		return fmt.Errorf("%w: system %d × batch %d, field %d", ErrDimensionMismatch, n, m, len(x))
 	}
-	if jlo < 0 || jhi > m || jlo > jhi {
-		return fmt.Errorf("%w: batch range [%d,%d) outside [0,%d)", ErrDimensionMismatch, jlo, jhi, m)
-	}
-	if jlo == jhi {
-		return nil
-	}
-	if jlo == 0 && jhi == m {
-		thomasSolveInterleaved(t.A, t.cp, t.beta, x, m)
-		return nil
-	}
-	thomasSolveInterleavedRange(t.A, t.cp, t.beta, x, m, jlo, jhi)
+	thomasSolveInterleaved(t.A, t.cp, t.beta, x, m)
 	return nil
-}
-
-// thomasSolveInterleavedRange is thomasSolveInterleaved over the column
-// subrange [jlo, jhi): identical per-element operations, strided row access.
-func thomasSolveInterleavedRange[T Float](a, cp, beta []T, x []T, m, jlo, jhi int) {
-	n := len(beta)
-	if n == 0 {
-		return
-	}
-	row0 := x[jlo:jhi]
-	piv := beta[0]
-	for j := range row0 {
-		row0[j] /= piv
-	}
-	for i := 1; i < n; i++ {
-		ai, bi := a[i], beta[i]
-		prev := x[(i-1)*m+jlo : (i-1)*m+jhi]
-		row := x[i*m+jlo : i*m+jhi]
-		for j := range row {
-			row[j] = (row[j] - ai*prev[j]) / bi
-		}
-	}
-	for i := n - 2; i >= 0; i-- {
-		ci := cp[i]
-		next := x[(i+1)*m+jlo : (i+1)*m+jhi]
-		row := x[i*m+jlo : i*m+jhi]
-		for j := range row {
-			row[j] -= ci * next[j]
-		}
-	}
 }

@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -78,42 +77,6 @@ func TestTridiagBatchBitEqualsScalarSolves(t *testing.T) {
 	}
 }
 
-// Property: solving a column subrange touches exactly that subrange and
-// produces the same bits as the full interleaved solve.
-func TestTridiagBatchRangePartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(20)
-		m := 2 + rng.Intn(13)
-		tri := randomDominantTridiag(rng, n)
-		bat := loadBatch(tri)
-		if err := bat.Factorize(); err != nil {
-			t.Fatalf("Factorize: %v", err)
-		}
-		field := make([]float64, n*m)
-		for i := range field {
-			field[i] = rng.NormFloat64()
-		}
-		full := append([]float64(nil), field...)
-		if err := bat.SolveInterleaved(full, m); err != nil {
-			t.Fatalf("SolveInterleaved: %v", err)
-		}
-		// Partition [0,m) into three chunks solved separately.
-		cut1, cut2 := m/3, 2*m/3
-		parts := append([]float64(nil), field...)
-		for _, r := range [][2]int{{0, cut1}, {cut1, cut2}, {cut2, m}} {
-			if err := bat.SolveInterleavedRange(parts, m, r[0], r[1]); err != nil {
-				t.Fatalf("SolveInterleavedRange(%v): %v", r, err)
-			}
-		}
-		for i := range parts {
-			if parts[i] != full[i] {
-				t.Fatalf("trial %d: partitioned solve differs at %d", trial, i)
-			}
-		}
-	}
-}
-
 // Tridiag.Factorize + repeated SolveFactored is bit-identical to repeated
 // Solve, and mutating helpers invalidate the factorisation.
 func TestTridiagSolveFactoredReuse(t *testing.T) {
@@ -161,46 +124,6 @@ func TestTridiagSolveFactoredReuse(t *testing.T) {
 	}
 }
 
-// The float32 instantiation solves well-conditioned systems to float32
-// accuracy (sanity for the fast path; accuracy vs float64 is pinned by the
-// verify-layer differential harness).
-func TestTridiagBatchFloat32(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	n, m := 40, 8
-	tri := randomDominantTridiag(rng, n)
-	bat64 := loadBatch(tri)
-	bat32 := NewTridiagBatch[float32](n)
-	for i := 0; i < n; i++ {
-		bat32.A[i] = float32(tri.A[i])
-		bat32.B[i] = float32(tri.B[i])
-		bat32.C[i] = float32(tri.C[i])
-	}
-	if err := bat64.Factorize(); err != nil {
-		t.Fatalf("float64 Factorize: %v", err)
-	}
-	if err := bat32.Factorize(); err != nil {
-		t.Fatalf("float32 Factorize: %v", err)
-	}
-	f64 := make([]float64, n*m)
-	f32 := make([]float32, n*m)
-	for i := range f64 {
-		f64[i] = rng.NormFloat64()
-		f32[i] = float32(f64[i])
-	}
-	if err := bat64.SolveInterleaved(f64, m); err != nil {
-		t.Fatalf("float64 solve: %v", err)
-	}
-	if err := bat32.SolveInterleaved(f32, m); err != nil {
-		t.Fatalf("float32 solve: %v", err)
-	}
-	for i := range f64 {
-		diff := math.Abs(f64[i] - float64(f32[i]))
-		if diff > 1e-4*(1+math.Abs(f64[i])) {
-			t.Fatalf("float32 solution off at %d: %g vs %g", i, f32[i], f64[i])
-		}
-	}
-}
-
 func TestTridiagBatchErrors(t *testing.T) {
 	bat := NewTridiagBatch[float64](3)
 	if err := bat.Factorize(); !errors.Is(err, ErrSingular) {
@@ -218,12 +141,6 @@ func TestTridiagBatchErrors(t *testing.T) {
 	}
 	if err := bat.SolveInterleaved(make([]float64, 7), 2); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("wrong field size should mismatch, got %v", err)
-	}
-	if err := bat.SolveInterleavedRange(make([]float64, 6), 2, 1, 3); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("out-of-bounds range should mismatch, got %v", err)
-	}
-	if err := bat.SolveInterleavedRange(make([]float64, 6), 2, 1, 1); err != nil {
-		t.Errorf("empty range should be a no-op, got %v", err)
 	}
 	if err := bat.SolveInterleaved(nil, 0); err != nil {
 		t.Errorf("zero-width batch should be a no-op, got %v", err)

@@ -1,9 +1,7 @@
 package linalg
 
-// This file is the generic scalar core of the tridiagonal kernels: the Thomas
-// factorisation and substitution passes, written once over a Float type
-// parameter so the same code instantiates at float64 (the default, bit-exact
-// solver path) and float32 (the opt-in fast path, half the memory traffic).
+// This file is the scalar core of the tridiagonal kernels: the Thomas
+// factorisation and substitution passes.
 //
 // The split into factorise + substitute is the seam the batched solver builds
 // on: one sweep of the operator-split PDE schemes solves many lines against
@@ -13,24 +11,17 @@ package linalg
 // so a factor-then-substitute solve is bit-identical to the historical fused
 // Solve at float64.
 
-// Float is the scalar type set of the tridiagonal kernels.
+// Float is the scalar type set of the tridiagonal kernels. It admits only
+// float64; the kernels keep their type parameter so that existing
+// instantiations such as NewTridiagBatch[float64] still compile.
 type Float interface {
-	~float32 | ~float64
+	~float64
 }
 
-// tinyPivot is the zero-pivot threshold of the Thomas factorisation at each
-// precision: far below any diagonally-dominant system the PDE schemes
-// assemble, far above the smallest normal magnitude so the comparison itself
-// stays exact.
-func tinyPivot[T Float]() T {
-	var t T
-	switch any(t).(type) {
-	case float32:
-		return T(1e-30)
-	default:
-		return T(1e-300)
-	}
-}
+// tinyPivot is the zero-pivot threshold of the Thomas factorisation: far
+// below any diagonally-dominant system the PDE schemes assemble, far above
+// the smallest normal magnitude so the comparison itself stays exact.
+const tinyPivot = 1e-300
 
 func absT[T Float](x T) T {
 	if x < 0 {
@@ -48,16 +39,15 @@ func thomasFactor[T Float](a, b, c, cp, beta []T) int {
 	if n == 0 {
 		return -1
 	}
-	tiny := tinyPivot[T]()
 	piv := b[0]
-	if absT(piv) < tiny {
+	if absT(piv) < tinyPivot {
 		return 0
 	}
 	beta[0] = piv
 	cp[0] = c[0] / piv
 	for i := 1; i < n; i++ {
 		piv = b[i] - a[i]*cp[i-1]
-		if absT(piv) < tiny {
+		if absT(piv) < tinyPivot {
 			return i
 		}
 		beta[i] = piv
@@ -93,7 +83,7 @@ func thomasSolve[T Float](a, cp, beta, dp, dst, rhs []T) {
 //
 // Each system undergoes exactly the per-element operations of thomasSolve
 // (forward: (rhs − a·prev)/beta, backward: dp − cp·next), so the result is
-// bit-identical to m scalar solves at either precision.
+// bit-identical to m scalar solves.
 func thomasSolveInterleaved[T Float](a, cp, beta []T, x []T, m int) {
 	n := len(beta)
 	if n == 0 || m == 0 {

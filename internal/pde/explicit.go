@@ -35,7 +35,7 @@ func (e *ErrCFLViolation) Error() string {
 // explicitForwardConservative advances one explicit conservative FV sweep
 // with the same flux discretisation as the implicit variant. It returns the
 // worst CFL ratio encountered (diagonal positivity of the update matrix).
-func (s *sweeper[T]) explicitForwardConservative(dt, dx, diff T) float64 {
+func (s *sweeper) explicitForwardConservative(dt, dx, diff float64) float64 {
 	n := s.n
 	r := dt / dx
 	dd := diff / dx
@@ -53,7 +53,7 @@ func (s *sweeper[T]) explicitForwardConservative(dt, dx, diff T) float64 {
 		s.sol[i] = s.rhs[i] - r*(flux[i+1]-flux[i])
 		// Stability: the coefficient of λ_i in the explicit update must stay
 		// non-negative: 1 − r(|b_up⁺| + |b_lo⁻| + faces·dd) ≥ 0.
-		var drain T
+		var drain float64
 		if i < n-1 {
 			bFace := 0.5 * (s.b[i] + s.b[i+1])
 			drain += posPart(bFace) + dd
@@ -62,7 +62,7 @@ func (s *sweeper[T]) explicitForwardConservative(dt, dx, diff T) float64 {
 			bFace := 0.5 * (s.b[i-1] + s.b[i])
 			drain += -negPart(bFace) + dd
 		}
-		if ratio := float64(r) * float64(drain); ratio > worst {
+		if ratio := r * drain; ratio > worst {
 			worst = ratio
 		}
 	}
@@ -72,7 +72,7 @@ func (s *sweeper[T]) explicitForwardConservative(dt, dx, diff T) float64 {
 // explicitBackwardValue advances one explicit sweep of the backward value
 // update V_new = V_old + dt·(b·∂V + D·∂²V) with upwind differences, returning
 // the worst CFL ratio.
-func (s *sweeper[T]) explicitBackwardValue(dt, dx, diff T) float64 {
+func (s *sweeper) explicitBackwardValue(dt, dx, diff float64) float64 {
 	n := s.n
 	dd := diff / (dx * dx)
 	worst := 0.0
@@ -87,14 +87,14 @@ func (s *sweeper[T]) explicitBackwardValue(dt, dx, diff T) float64 {
 		if i < n-1 {
 			vp = s.rhs[i+1]
 		}
-		var adv T
+		var adv float64
 		if b >= 0 {
 			adv = b * (vp - s.rhs[i]) / dx
 		} else {
 			adv = b * (s.rhs[i] - vm) / dx
 		}
 		s.sol[i] = s.rhs[i] + dt*(adv+dd*(vp-2*s.rhs[i]+vm))
-		if ratio := float64(dt) * (float64(absT(b))/float64(dx) + 2*float64(dd)); ratio > worst {
+		if ratio := dt * (math.Abs(b)/dx + 2*dd); ratio > worst {
 			worst = ratio
 		}
 	}

@@ -173,9 +173,6 @@ func SolveFPKInto(ws *Workspace, sch Scheme, p *FPKProblem, lambda0 []float64, s
 	if sch.Stepping() == Explicit && p.Form != Conservative {
 		return errors.New("pde: SolveFPKInto: the explicit integrator supports the conservative form only")
 	}
-	if ws.kc.float32Enabled() && sch.Stepping() != Implicit {
-		return errors.New("pde: the float32 kernel supports the implicit scheme only")
-	}
 	g := p.Grid
 	if err := checkField("initial density", lambda0, g.Size()); err != nil {
 		return err
@@ -195,9 +192,6 @@ func SolveFPKInto(ws *Workspace, sch Scheme, p *FPKProblem, lambda0 []float64, s
 	nh, nq := g.H.N, g.Q.N
 	steps := p.Time.Steps
 	cell := g.CellArea()
-
-	ws.startWorkers()
-	defer ws.stopWorkers()
 
 	rec := obs.OrNop(p.Obs)
 	span := rec.Start("pde.fpk.solve")

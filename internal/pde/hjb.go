@@ -18,11 +18,7 @@ import (
 // where the control x* is eliminated through its closed-form maximiser
 // (Theorem 1) evaluated from the current ∂qV estimate. All time-dependent
 // model data (price, mean peer cache, workload) is supplied through the
-// callbacks, which the MFG layer closes over the mean-field estimator. When
-// the workspace is configured with kernel workers > 1, the callbacks are
-// invoked concurrently from multiple goroutines within one step: they must be
-// pure functions of their arguments and any state they read must not change
-// during a solve (the engine's closures satisfy this).
+// callbacks, which the MFG layer closes over the mean-field estimator.
 type HJBProblem struct {
 	Grid grid.Grid2D
 	Time grid.TimeMesh
@@ -180,18 +176,12 @@ func SolveHJBInto(ws *Workspace, sch Scheme, p *HJBProblem, sol *HJBSolution) er
 		return fmt.Errorf("pde: SolveHJBInto: workspace sized for %dx%d, problem grid is %dx%d",
 			ws.g.H.N, ws.g.Q.N, g.H.N, g.Q.N)
 	}
-	if ws.kc.float32Enabled() && sch.Stepping() != Implicit {
-		return errors.New("pde: the float32 kernel supports the implicit scheme only")
-	}
 	if !sol.sized(g, p.Time) {
 		return errors.New("pde: SolveHJBInto: solution holder does not match the problem mesh (use NewHJBSolution)")
 	}
 	nh, nq := g.H.N, g.Q.N
 	steps := p.Time.Steps
 	dt := p.Time.Dt()
-
-	ws.startWorkers()
-	defer ws.stopWorkers()
 
 	rec := obs.OrNop(p.Obs)
 	span := rec.Start("pde.hjb.solve")
@@ -212,21 +202,19 @@ func SolveHJBInto(ws *Workspace, sch Scheme, p *HJBProblem, sol *HJBSolution) er
 		t := p.Time.At(n)
 		vNext := sol.V[n+1]
 
-		// 1. Closed-form control from ∂qV at the later time level, evaluated
-		// per h-row across the sweep workers.
+		// 1. Closed-form control from ∂qV at the later time level, and
+		// 2. the explicit source W = V^{n+1} + dt·U(t, x*, ·).
 		if err := numerics.GradientQ(g, ws.grad, vNext); err != nil {
 			return err
 		}
 		x := sol.X[n]
-		ws.ctlTask = controlTask{p: p, g: g, t: t, x: x, grad: ws.grad}
-		if err := ws.runParallel(&ws.ctlTask, nh, nq, parallelMinLineElems); err != nil {
-			return err
-		}
-
-		// 2. Explicit source: W = V^{n+1} + dt·U(t, x*, ·), same partition.
-		ws.srcTask = sourceTask{p: p, g: g, t: t, dt: dt, x: x, vNext: vNext, work: ws.work}
-		if err := ws.runParallel(&ws.srcTask, nh, nq, parallelMinLineElems); err != nil {
-			return err
+		for i := 0; i < nh; i++ {
+			h := g.H.At(i)
+			for j := 0; j < nq; j++ {
+				idx, q := g.Idx(i, j), g.Q.At(j)
+				x[idx] = numerics.Clamp01(p.Control(t, h, q, ws.grad[idx]))
+				ws.work[idx] = vNext[idx] + dt*p.Running(t, x[idx], h, q)
+			}
 		}
 
 		// 3–4. Scheme-split sweeps in h (in place on work) then q (into V[n]).
@@ -236,54 +224,11 @@ func SolveHJBInto(ws *Workspace, sch Scheme, p *HJBProblem, sol *HJBSolution) er
 	}
 	copy(sol.X[steps], sol.X[steps-1])
 	rec.Add("pde.hjb.solves", 1)
-	rec.Add("pde.kernel.workers", float64(ws.workers))
 	rec.Add("pde.hjb.steps", float64(steps))
 	if rec.Enabled() {
 		span.End(slog.Int("steps", steps), slog.Int("nh", nh), slog.Int("nq", nq))
 	} else {
 		span.End()
-	}
-	return nil
-}
-
-// controlTask evaluates the closed-form control over h-row ranges: every
-// element is an independent pure-callback evaluation, so rows partition
-// freely across the sweep workers without changing any value.
-type controlTask struct {
-	p       *HJBProblem
-	g       grid.Grid2D
-	t       float64
-	x, grad []float64
-}
-
-func (tk *controlTask) run(_, lo, hi int) error {
-	g := tk.g
-	for i := lo; i < hi; i++ {
-		h := g.H.At(i)
-		for j := 0; j < g.Q.N; j++ {
-			idx := g.Idx(i, j)
-			tk.x[idx] = numerics.Clamp01(tk.p.Control(tk.t, h, g.Q.At(j), tk.grad[idx]))
-		}
-	}
-	return nil
-}
-
-// sourceTask evaluates the explicit running-utility source over h-row ranges.
-type sourceTask struct {
-	p              *HJBProblem
-	g              grid.Grid2D
-	t, dt          float64
-	x, vNext, work []float64
-}
-
-func (tk *sourceTask) run(_, lo, hi int) error {
-	g := tk.g
-	for i := lo; i < hi; i++ {
-		h := g.H.At(i)
-		for j := 0; j < g.Q.N; j++ {
-			idx := g.Idx(i, j)
-			tk.work[idx] = tk.vNext[idx] + tk.dt*tk.p.Running(tk.t, tk.x[idx], h, g.Q.At(j))
-		}
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package pde
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/grid"
@@ -12,110 +11,46 @@ import (
 )
 
 // Workspace owns every reusable buffer the operator-split integrators need on
-// one grid resolution: the shared batched h-line system, per-worker sweepers
-// for the line-dependent phases, the gradient/source scratch fields and, when
-// the float32 fast path is enabled, the single-precision mirrors. A Workspace
-// is created once per solver session and reused across time steps,
-// best-response iterations and repeated solves, so the steady-state iteration
-// loop of the engine performs no heap allocations. A Workspace is not safe
-// for concurrent use; parallel solvers hold one each (the bounded sweep
-// workers inside one Workspace are coordinated internally).
+// one grid resolution: the shared batched h-line system, the line sweepers
+// and the gradient/source scratch fields. A Workspace is created once per
+// solver session and reused across time steps, best-response iterations and
+// repeated solves, so the steady-state iteration loop of the engine performs
+// no heap allocations. A Workspace is not safe for concurrent use; parallel
+// solvers hold one each.
 type Workspace struct {
-	g       grid.Grid2D
-	kc      KernelConfig
-	workers int
+	g grid.Grid2D
 
 	batH *linalg.TridiagBatch[float64] // shared-coefficient implicit h-phase
 	bH   []float64                     // h-drift cache, len nh
-	swH  []*sweeper[float64]           // per-worker h-line sweepers (explicit path)
-	swQ  []*sweeper[float64]           // per-worker q-line sweepers
-
-	batH32 *linalg.TridiagBatch[float32] // float32 fast path (nil unless enabled)
-	bH32   []float32
-	swQ32  []*sweeper[float32]
-	f32    []float32 // field-size conversion scratch
+	swH  *sweeper                      // h-line sweeper (explicit path)
+	swQ  *sweeper                      // q-line sweeper
 
 	grad []float64 // ∂qV estimate feeding the closed-form control
 	work []float64 // explicit-source scratch W = V^{n+1} + dt·U
-
-	// sweep-worker coordination (see kernel.go)
-	jobs   chan kernelJob
-	wg     sync.WaitGroup
-	errs   []error
-	active bool
-	loop   func() // hoisted workerLoop method value (see startWorkers)
-
-	// persistent task frames, so dispatching a phase allocates nothing
-	batTask   hBatchTask[float64]
-	batTask32 hBatchTask[float32]
-	hxbTask   hExplicitBackwardTask
-	hxfTask   hExplicitForwardTask
-	qbTask    qBackwardTask[float64]
-	qbTask32  qBackwardTask[float32]
-	qfTask    qForwardTask[float64]
-	qfTask32  qForwardTask[float32]
-	ctlTask   controlTask
-	srcTask   sourceTask
 }
 
-// NewWorkspace validates the grid and allocates all sweep buffers for the
-// default kernel (serial, float64).
+// NewWorkspace validates the grid and allocates all sweep buffers.
 func NewWorkspace(g grid.Grid2D) (*Workspace, error) {
-	return NewWorkspaceKernel(g, KernelConfig{})
-}
-
-// NewWorkspaceKernel validates the grid and kernel configuration and
-// allocates all sweep buffers, including the per-worker scratch and — when
-// the float32 fast path is selected — the single-precision mirrors.
-func NewWorkspaceKernel(g grid.Grid2D, kc KernelConfig) (*Workspace, error) {
 	if err := g.H.Validate(); err != nil {
 		return nil, fmt.Errorf("pde: workspace H axis: %w", err)
 	}
 	if err := g.Q.Validate(); err != nil {
 		return nil, fmt.Errorf("pde: workspace Q axis: %w", err)
 	}
-	if err := kc.Validate(); err != nil {
-		return nil, err
-	}
 	nh, nq := g.H.N, g.Q.N
-	workers := kc.effectiveWorkers()
-	ws := &Workspace{
-		g:       g,
-		kc:      kc,
-		workers: workers,
-		batH:    linalg.NewTridiagBatch[float64](nh),
-		bH:      make([]float64, nh),
-		swH:     make([]*sweeper[float64], workers),
-		swQ:     make([]*sweeper[float64], workers),
-		grad:    g.NewField(),
-		work:    g.NewField(),
-		errs:    make([]error, workers),
-	}
-	for w := range ws.swH {
-		ws.swH[w] = newSweeper[float64](nh)
-		ws.swQ[w] = newSweeper[float64](nq)
-	}
-	if kc.float32Enabled() {
-		ws.batH32 = linalg.NewTridiagBatch[float32](nh)
-		ws.bH32 = make([]float32, nh)
-		ws.swQ32 = make([]*sweeper[float32], workers)
-		for w := range ws.swQ32 {
-			ws.swQ32[w] = newSweeper[float32](nq)
-		}
-		ws.f32 = make([]float32, g.Size())
-	}
-	return ws, nil
+	return &Workspace{
+		g:    g,
+		batH: linalg.NewTridiagBatch[float64](nh),
+		bH:   make([]float64, nh),
+		swH:  newSweeper(nh),
+		swQ:  newSweeper(nq),
+		grad: g.NewField(),
+		work: g.NewField(),
+	}, nil
 }
 
 // Grid returns the grid the workspace was sized for.
 func (w *Workspace) Grid() grid.Grid2D { return w.g }
-
-// Kernel returns the kernel configuration the workspace was built with.
-func (w *Workspace) Kernel() KernelConfig { return w.kc }
-
-// Workers returns the effective sweep-worker count the workspace resolved
-// from its kernel configuration (≥ 1).
-func (w *Workspace) Workers() int { return w.workers }
 
 // fits reports whether the workspace matches the given grid resolution.
 func (w *Workspace) fits(g grid.Grid2D) bool {
@@ -150,185 +85,15 @@ type Scheme interface {
 	Order() int
 }
 
-// backwardKernel / forwardKernel advance one 1-D sweep on a loaded sweeper
-// (rhs and b filled) at the kernel precision. steps is the time-step count,
-// used by the explicit kernels to phrase their CFL diagnostics.
-type backwardKernel[T linalg.Float] func(s *sweeper[T], dt, dx, diff T, steps int) error
-type forwardKernel[T linalg.Float] func(s *sweeper[T], form FPKForm, dt, dx, diff T, steps int) error
-
-func implicitBackward[T linalg.Float](s *sweeper[T], dt, dx, diff T, _ int) error {
-	return s.solveBackwardValue(dt, dx, diff)
-}
-
-func explicitBackward[T linalg.Float](s *sweeper[T], dt, dx, diff T, steps int) error {
-	return cflError(s.explicitBackwardValue(dt, dx, diff), steps)
-}
-
-func implicitForward[T linalg.Float](s *sweeper[T], form FPKForm, dt, dx, diff T, _ int) error {
-	if form == Conservative {
-		return s.solveForwardConservative(dt, dx, diff)
-	}
-	return s.solveForwardAdvective(dt, dx, diff)
-}
-
-func explicitForward[T linalg.Float](s *sweeper[T], _ FPKForm, dt, dx, diff T, steps int) error {
-	return cflError(s.explicitForwardConservative(dt, dx, diff), steps)
-}
-
-// hBatchTask substitutes interleaved column ranges of the field through the
-// shared h-line factorisation, in place — columns are disjoint, so workers
-// never overlap.
-type hBatchTask[T linalg.Float] struct {
-	bat   *linalg.TridiagBatch[T]
-	field []T
-	m     int
-}
-
-func (tk *hBatchTask[T]) run(_, lo, hi int) error {
-	return tk.bat.SolveInterleavedRange(tk.field, tk.m, lo, hi)
-}
-
-// hExplicitBackwardTask runs explicit backward h-line sweeps over column
-// ranges, gathering each strided column through the worker's sweeper. The
-// shared h-drifts must be preloaded into every worker sweeper's b.
-type hExplicitBackwardTask struct {
-	sws          []*sweeper[float64]
-	field        []float64 // in place
-	nh, nq       int
-	t            float64
-	dt, dx, diff float64
-	steps        int
-}
-
-func (tk *hExplicitBackwardTask) run(w, lo, hi int) error {
-	sw := tk.sws[w]
-	for j := lo; j < hi; j++ {
-		gatherT(sw.rhs, tk.field, j, tk.nq, tk.nh)
-		if err := cflError(sw.explicitBackwardValue(tk.dt, tk.dx, tk.diff), tk.steps); err != nil {
-			return fmt.Errorf("pde: HJB h-sweep at t=%.4g, column %d: %w", tk.t, j, err)
-		}
-		scatterT(tk.field, sw.sol, j, tk.nq, tk.nh)
-	}
-	return nil
-}
-
-// hExplicitForwardTask is the forward (FPK) counterpart of
-// hExplicitBackwardTask.
-type hExplicitForwardTask struct {
-	sws          []*sweeper[float64]
-	field        []float64 // in place
-	nh, nq       int
-	t            float64
-	dt, dx, diff float64
-	steps        int
-}
-
-func (tk *hExplicitForwardTask) run(w, lo, hi int) error {
-	sw := tk.sws[w]
-	for j := lo; j < hi; j++ {
-		gatherT(sw.rhs, tk.field, j, tk.nq, tk.nh)
-		if err := cflError(sw.explicitForwardConservative(tk.dt, tk.dx, tk.diff), tk.steps); err != nil {
-			return fmt.Errorf("pde: FPK h-sweep at t=%.4g, column %d: %w", tk.t, j, err)
-		}
-		scatterT(tk.field, sw.sol, j, tk.nq, tk.nh)
-	}
-	return nil
-}
-
-// qBackwardTask runs backward q-line sweeps over row ranges: each row loads
-// its own drifts from the frozen control field, so rows are solved
-// independently on per-worker sweepers. Rows of src and dst are disjoint per
-// worker.
-type qBackwardTask[T linalg.Float] struct {
-	sws          []*sweeper[T]
-	p            *HJBProblem
-	t            float64
-	x, src, dst  []float64
-	nq           int
-	dt, dx, diff T
-	steps        int
-	kern         backwardKernel[T]
-}
-
-func (tk *qBackwardTask[T]) run(w, lo, hi int) error {
-	sw := tk.sws[w]
-	for i := lo; i < hi; i++ {
-		start := i * tk.nq
-		gatherT(sw.rhs, tk.src, start, 1, tk.nq)
-		for j := 0; j < tk.nq; j++ {
-			sw.b[j] = T(tk.p.DriftQ(tk.t, tk.x[start+j]))
-		}
-		if err := tk.kern(sw, tk.dt, tk.dx, tk.diff, tk.steps); err != nil {
-			return fmt.Errorf("pde: HJB q-sweep at t=%.4g, row %d: %w", tk.t, i, err)
-		}
-		scatterT(tk.dst, sw.sol, start, 1, tk.nq)
-	}
-	return nil
-}
-
-// qForwardTask is the forward (FPK) counterpart of qBackwardTask, in place on
-// lambda.
-type qForwardTask[T linalg.Float] struct {
-	sws          []*sweeper[T]
-	p            *FPKProblem
-	t            float64
-	lambda       []float64
-	nq           int
-	dt, dx, diff T
-	steps        int
-	kern         forwardKernel[T]
-}
-
-func (tk *qForwardTask[T]) run(w, lo, hi int) error {
-	sw := tk.sws[w]
-	g := tk.p.Grid
-	for i := lo; i < hi; i++ {
-		h := g.H.At(i)
-		start := i * tk.nq
-		gatherT(sw.rhs, tk.lambda, start, 1, tk.nq)
-		for j := 0; j < tk.nq; j++ {
-			sw.b[j] = T(tk.p.DriftQ(tk.t, h, g.Q.At(j)))
-		}
-		if err := tk.kern(sw, tk.p.Form, tk.dt, tk.dx, tk.diff, tk.steps); err != nil {
-			return fmt.Errorf("pde: FPK q-sweep at t=%.4g, row %d: %w", tk.t, i, err)
-		}
-		scatterT(tk.lambda, sw.sol, start, 1, tk.nq)
-	}
-	return nil
-}
-
 // hPhaseImplicit runs the batched implicit h-phase in place on the field: the
 // h-drift depends on (t, h) only, so every column shares one coefficient set,
 // which is assembled and factorised once; the interleaved substitution then
-// runs directly on the flattened field (unit stride, no gather/scatter),
-// partitioned across the sweep workers. On the float32 path the field is
-// converted through the single-precision scratch around the solve.
+// runs directly on the flattened field (unit stride, no gather/scatter).
 func (ws *Workspace) hPhaseImplicit(field []float64, kind hAssembly, dt, dx, diff float64) error {
-	nh, nq := ws.g.H.N, ws.g.Q.N
-	if ws.kc.float32Enabled() {
-		for i := range ws.bH32 {
-			ws.bH32[i] = float32(ws.bH[i])
-		}
-		if err := assembleH(ws.batH32, ws.bH32, kind, float32(dt), float32(dx), float32(diff)); err != nil {
-			return err
-		}
-		for k, v := range field {
-			ws.f32[k] = float32(v)
-		}
-		ws.batTask32 = hBatchTask[float32]{bat: ws.batH32, field: ws.f32, m: nq}
-		if err := ws.runParallel(&ws.batTask32, nq, nh, parallelMinBatchElems); err != nil {
-			return err
-		}
-		for k, v := range ws.f32 {
-			field[k] = float64(v)
-		}
-		return nil
-	}
 	if err := assembleH(ws.batH, ws.bH, kind, dt, dx, diff); err != nil {
 		return err
 	}
-	ws.batTask = hBatchTask[float64]{bat: ws.batH, field: field, m: nq}
-	return ws.runParallel(&ws.batTask, nq, nh, parallelMinBatchElems)
+	return ws.batH.SolveInterleaved(field, ws.g.Q.N)
 }
 
 // loadHDrift caches the h-drifts at the current time level, shared by every
@@ -342,9 +107,9 @@ func (ws *Workspace) loadHDrift(t float64, driftH func(t, h float64) float64) {
 // stepBackward runs the Lie-split backward sweeps shared by every scheme:
 // first every q-column in h (stride nq, in place on src), then every h-row in
 // q (stride 1, src → dst). The implicit h-phase is batched (one factorisation
-// for all columns); the remaining line phases are partitioned across the
-// sweep workers. It emits the per-dimension "pde.hjb.sweeps" counters and
-// sweep timings.
+// for all columns); the explicit h-phase and the q-phase sweep one line at a
+// time. It emits the per-dimension "pde.hjb.sweeps" counters and sweep
+// timings.
 func stepBackward(ws *Workspace, p *HJBProblem, t float64, x, src, dst []float64, impl bool) error {
 	g := p.Grid
 	nh, nq := g.H.N, g.Q.N
@@ -361,15 +126,14 @@ func stepBackward(ws *Workspace, p *HJBProblem, t float64, x, src, dst []float64
 			return fmt.Errorf("pde: HJB h-sweep at t=%.4g: %w", t, err)
 		}
 	} else {
-		for _, sw := range ws.swH {
-			copy(sw.b, ws.bH)
-		}
-		ws.hxbTask = hExplicitBackwardTask{
-			sws: ws.swH, field: src, nh: nh, nq: nq,
-			t: t, dt: dt, dx: g.H.Step(), diff: p.DiffH, steps: p.Time.Steps,
-		}
-		if err := ws.runParallel(&ws.hxbTask, nq, nh, parallelMinLineElems); err != nil {
-			return err
+		sw := ws.swH
+		copy(sw.b, ws.bH)
+		for j := 0; j < nq; j++ {
+			gather(sw.rhs, src, j, nq, nh)
+			if err := cflError(sw.explicitBackwardValue(dt, g.H.Step(), p.DiffH), p.Time.Steps); err != nil {
+				return fmt.Errorf("pde: HJB h-sweep at t=%.4g, column %d: %w", t, j, err)
+			}
+			scatter(src, sw.sol, j, nq, nh)
 		}
 	}
 	rec.Add("pde.hjb.sweeps", float64(nq))
@@ -378,28 +142,24 @@ func stepBackward(ws *Workspace, p *HJBProblem, t float64, x, src, dst []float64
 		sweepStart = time.Now()
 	}
 
-	var err error
-	if ws.kc.float32Enabled() {
-		ws.qbTask32 = qBackwardTask[float32]{
-			sws: ws.swQ32, p: p, t: t, x: x, src: src, dst: dst, nq: nq,
-			dt: float32(dt), dx: float32(g.Q.Step()), diff: float32(p.DiffQ),
-			steps: p.Time.Steps, kern: implicitBackward[float32],
+	// Each q-row loads its own drifts from the frozen control field.
+	sw := ws.swQ
+	for i := 0; i < nh; i++ {
+		row := i * nq
+		copy(sw.rhs, src[row:row+nq])
+		for j := 0; j < nq; j++ {
+			sw.b[j] = p.DriftQ(t, x[row+j])
 		}
-		err = ws.runParallel(&ws.qbTask32, nh, nq, parallelMinLineElems)
-	} else {
-		kern := implicitBackward[float64]
-		if !impl {
-			kern = explicitBackward[float64]
+		var err error
+		if impl {
+			err = sw.solveBackwardValue(dt, g.Q.Step(), p.DiffQ)
+		} else {
+			err = cflError(sw.explicitBackwardValue(dt, g.Q.Step(), p.DiffQ), p.Time.Steps)
 		}
-		ws.qbTask = qBackwardTask[float64]{
-			sws: ws.swQ, p: p, t: t, x: x, src: src, dst: dst, nq: nq,
-			dt: dt, dx: g.Q.Step(), diff: p.DiffQ,
-			steps: p.Time.Steps, kern: kern,
+		if err != nil {
+			return fmt.Errorf("pde: HJB q-sweep at t=%.4g, row %d: %w", t, i, err)
 		}
-		err = ws.runParallel(&ws.qbTask, nh, nq, parallelMinLineElems)
-	}
-	if err != nil {
-		return err
+		copy(dst[row:row+nq], sw.sol)
 	}
 	rec.Add("pde.hjb.sweeps", float64(nh))
 	if timed {
@@ -431,15 +191,14 @@ func stepForward(ws *Workspace, p *FPKProblem, t float64, lambda []float64, impl
 			return fmt.Errorf("pde: FPK h-sweep at t=%.4g: %w", t, err)
 		}
 	} else {
-		for _, sw := range ws.swH {
-			copy(sw.b, ws.bH)
-		}
-		ws.hxfTask = hExplicitForwardTask{
-			sws: ws.swH, field: lambda, nh: nh, nq: nq,
-			t: t, dt: dt, dx: g.H.Step(), diff: p.DiffH, steps: p.Time.Steps,
-		}
-		if err := ws.runParallel(&ws.hxfTask, nq, nh, parallelMinLineElems); err != nil {
-			return err
+		sw := ws.swH
+		copy(sw.b, ws.bH)
+		for j := 0; j < nq; j++ {
+			gather(sw.rhs, lambda, j, nq, nh)
+			if err := cflError(sw.explicitForwardConservative(dt, g.H.Step(), p.DiffH), p.Time.Steps); err != nil {
+				return fmt.Errorf("pde: FPK h-sweep at t=%.4g, column %d: %w", t, j, err)
+			}
+			scatter(lambda, sw.sol, j, nq, nh)
 		}
 	}
 	rec.Add("pde.fpk.sweeps", float64(nq))
@@ -448,28 +207,27 @@ func stepForward(ws *Workspace, p *FPKProblem, t float64, lambda []float64, impl
 		sweepStart = time.Now()
 	}
 
-	var err error
-	if ws.kc.float32Enabled() {
-		ws.qfTask32 = qForwardTask[float32]{
-			sws: ws.swQ32, p: p, t: t, lambda: lambda, nq: nq,
-			dt: float32(dt), dx: float32(g.Q.Step()), diff: float32(p.DiffQ),
-			steps: p.Time.Steps, kern: implicitForward[float32],
+	sw := ws.swQ
+	for i := 0; i < nh; i++ {
+		h := g.H.At(i)
+		row := i * nq
+		copy(sw.rhs, lambda[row:row+nq])
+		for j := 0; j < nq; j++ {
+			sw.b[j] = p.DriftQ(t, h, g.Q.At(j))
 		}
-		err = ws.runParallel(&ws.qfTask32, nh, nq, parallelMinLineElems)
-	} else {
-		kern := implicitForward[float64]
-		if !impl {
-			kern = explicitForward[float64]
+		var err error
+		switch {
+		case !impl:
+			err = cflError(sw.explicitForwardConservative(dt, g.Q.Step(), p.DiffQ), p.Time.Steps)
+		case p.Form == Conservative:
+			err = sw.solveForwardConservative(dt, g.Q.Step(), p.DiffQ)
+		default:
+			err = sw.solveForwardAdvective(dt, g.Q.Step(), p.DiffQ)
 		}
-		ws.qfTask = qForwardTask[float64]{
-			sws: ws.swQ, p: p, t: t, lambda: lambda, nq: nq,
-			dt: dt, dx: g.Q.Step(), diff: p.DiffQ,
-			steps: p.Time.Steps, kern: kern,
+		if err != nil {
+			return fmt.Errorf("pde: FPK q-sweep at t=%.4g, row %d: %w", t, i, err)
 		}
-		err = ws.runParallel(&ws.qfTask, nh, nq, parallelMinLineElems)
-	}
-	if err != nil {
-		return err
+		copy(lambda[row:row+nq], sw.sol)
 	}
 	rec.Add("pde.fpk.sweeps", float64(nh))
 	if timed {

@@ -2,6 +2,7 @@ package pde
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -176,5 +177,20 @@ func TestSolveIntoRejectsMismatchedBuffers(t *testing.T) {
 	}
 	if err := SolveHJBInto(ws, nil, p, NewHJBSolution(gSmall, tm)); err == nil {
 		t.Errorf("mismatched solution holder accepted")
+	}
+}
+
+func TestSchemeNamesDerivedFromRegistry(t *testing.T) {
+	names := SchemeNames()
+	if len(names) != len(schemeRegistry) {
+		t.Fatalf("SchemeNames has %d entries, registry has %d", len(names), len(schemeRegistry))
+	}
+	for i, sch := range schemeRegistry {
+		if names[i] != sch.Name() {
+			t.Errorf("SchemeNames[%d] = %q, registry says %q", i, names[i], sch.Name())
+		}
+	}
+	if _, err := SchemeByName("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Errorf("unknown-scheme error should list the registry names, got %v", err)
 	}
 }

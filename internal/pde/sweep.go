@@ -16,13 +16,12 @@
 // mass exactly with reflecting (zero-flux) boundaries; the paper-literal
 // advective form of Eq. (15) is available as an ablation.
 //
-// The sweeps execute on a batched, optionally parallel kernel layer
-// (KernelConfig): within one h-sweep every grid line shares its coefficient
-// set, so the tridiagonal system is factorised once and all lines are
-// substituted through it in place; q-lines have line-dependent coefficients
-// and are partitioned across a bounded worker set. Both transformations
-// preserve the per-line arithmetic exactly, so the default float64 kernel is
-// bit-identical to the historical serial solver at every worker count.
+// The sweeps run on one serial float64 kernel: within one h-sweep every grid
+// line shares its coefficient set, so the tridiagonal system is factorised
+// once and all lines are substituted through it in place; q-lines have
+// line-dependent coefficients and are solved one at a time. Batching
+// preserves the per-line arithmetic exactly, so the kernel is bit-identical
+// to the historical line-by-line solver.
 package pde
 
 import (
@@ -31,25 +30,55 @@ import (
 	"repro/internal/linalg"
 )
 
-// sweeper owns the reusable buffers for 1-D sweeps of length n at one kernel
-// precision. Parallel phases hold one sweeper per worker.
-type sweeper[T linalg.Float] struct {
+// sweeper owns the reusable buffers for 1-D sweeps of length n.
+type sweeper struct {
 	n    int
-	bat  *linalg.TridiagBatch[T]
-	rhs  []T
-	sol  []T
-	b    []T // drift at the n nodes of the current line
-	flux []T // explicit conservative face fluxes, len n+1
+	bat  *linalg.TridiagBatch[float64]
+	rhs  []float64
+	sol  []float64
+	b    []float64 // drift at the n nodes of the current line
+	flux []float64 // explicit conservative face fluxes, len n+1
 }
 
-func newSweeper[T linalg.Float](n int) *sweeper[T] {
-	return &sweeper[T]{
+func newSweeper(n int) *sweeper {
+	return &sweeper{
 		n:    n,
-		bat:  linalg.NewTridiagBatch[T](n),
-		rhs:  make([]T, n),
-		sol:  make([]T, n),
-		b:    make([]T, n),
-		flux: make([]T, n+1),
+		bat:  linalg.NewTridiagBatch[float64](n),
+		rhs:  make([]float64, n),
+		sol:  make([]float64, n),
+		b:    make([]float64, n),
+		flux: make([]float64, n+1),
+	}
+}
+
+// posPart and negPart are max(x, 0) and min(x, 0). They differ from
+// math.Max/math.Min only in the sign of a zero result, which the downstream
+// subtraction erases for the non-degenerate diffusions the schemes assemble.
+func posPart(x float64) float64 {
+	if x > 0 {
+		return x
+	}
+	return 0
+}
+
+func negPart(x float64) float64 {
+	if x < 0 {
+		return x
+	}
+	return 0
+}
+
+// gather and scatter copy the n-node line of field starting at start with
+// the given stride into and out of a contiguous line buffer.
+func gather(dst, field []float64, start, stride, n int) {
+	for i := 0; i < n; i++ {
+		dst[i] = field[start+i*stride]
+	}
+}
+
+func scatter(field, src []float64, start, stride, n int) {
+	for i := 0; i < n; i++ {
+		field[start+i*stride] = src[i]
 	}
 }
 
@@ -60,12 +89,12 @@ func newSweeper[T linalg.Float](n int) *sweeper[T] {
 // with upwind advection and homogeneous Neumann boundaries (∂v/∂n = 0) into
 // the diagonals (A, B, C) from the nodal drifts b. The matrix is an M-matrix
 // with unit row sums minus the off-diagonal mass, hence diagonally dominant.
-func assembleBackwardValue[T linalg.Float](A, B, C, b []T, dt, dx, diff T) {
+func assembleBackwardValue(A, B, C, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	dd := diff / (dx * dx) // D/dx²
 	for i := 0; i < n; i++ {
 		bi := b[i]
-		var lo, up T // off-diagonal weights of L at i−1 and i+1
+		var lo, up float64 // off-diagonal weights of L at i−1 and i+1
 		if bi >= 0 {
 			up += bi / dx // forward difference b(v_{i+1}−v_i)/dx
 		} else {
@@ -102,12 +131,12 @@ func assembleBackwardValue[T linalg.Float](A, B, C, b []T, dt, dx, diff T) {
 // Interface drifts are arithmetic means of the nodal drifts b. The matrix has
 // unit column sums, so Σλ is conserved to round-off, and it is an M-matrix,
 // so positivity is preserved.
-func assembleForwardConservative[T linalg.Float](A, B, C, b []T, dt, dx, diff T) {
+func assembleForwardConservative(A, B, C, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	r := dt / dx
 	dd := diff / dx // D/dx (flux units)
 	for i := 0; i < n; i++ {
-		var bUp, bLo T // interface drifts at i+1/2 and i−1/2
+		var bUp, bLo float64 // interface drifts at i+1/2 and i−1/2
 		if i < n-1 {
 			bUp = 0.5 * (b[i] + b[i+1])
 		}
@@ -117,8 +146,8 @@ func assembleForwardConservative[T linalg.Float](A, B, C, b []T, dt, dx, diff T)
 		bUpP, bUpM := posPart(bUp), negPart(bUp)
 		bLoP, bLoM := posPart(bLo), negPart(bLo)
 
-		diag := T(1)
-		var lo, up T
+		diag := 1.0
+		var lo, up float64
 		if i < n-1 { // flux through the upper face exists
 			diag += r * (bUpP + dd)
 			up = r * (bUpM - dd)
@@ -141,12 +170,12 @@ func assembleForwardConservative[T linalg.Float](A, B, C, b []T, dt, dx, diff T)
 // with upwind advection and Neumann boundaries. This form does not conserve
 // mass when the drift varies in space (the missing λ·∂b term); the FPK solver
 // optionally renormalises and reports the raw drift.
-func assembleForwardAdvective[T linalg.Float](A, B, C, b []T, dt, dx, diff T) {
+func assembleForwardAdvective(A, B, C, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	dd := diff / (dx * dx)
 	for i := 0; i < n; i++ {
 		bi := b[i]
-		var lo, up T // off-diagonal weights of (b∂ − D∂²), to be ≤ 0
+		var lo, up float64 // off-diagonal weights of (b∂ − D∂²), to be ≤ 0
 		if bi >= 0 {
 			lo += -bi / dx // backward difference keeps the scheme monotone
 		} else {
@@ -183,7 +212,7 @@ const (
 
 // assembleH assembles the selected operator from the nodal drifts b into the
 // batch and factorises it, once per sweep for all lines.
-func assembleH[T linalg.Float](bat *linalg.TridiagBatch[T], b []T, kind hAssembly, dt, dx, diff T) error {
+func assembleH(bat *linalg.TridiagBatch[float64], b []float64, kind hAssembly, dt, dx, diff float64) error {
 	switch kind {
 	case hBackwardValue:
 		assembleBackwardValue(bat.A, bat.B, bat.C, b, dt, dx, diff)
@@ -197,7 +226,7 @@ func assembleH[T linalg.Float](bat *linalg.TridiagBatch[T], b []T, kind hAssembl
 
 // solveBackwardValue performs one implicit backward sweep on the line loaded
 // in s.rhs with drifts s.b; the solution lands in s.sol.
-func (s *sweeper[T]) solveBackwardValue(dt, dx, diff T) error {
+func (s *sweeper) solveBackwardValue(dt, dx, diff float64) error {
 	assembleBackwardValue(s.bat.A, s.bat.B, s.bat.C, s.b, dt, dx, diff)
 	if err := s.bat.Factorize(); err != nil {
 		return err
@@ -207,7 +236,7 @@ func (s *sweeper[T]) solveBackwardValue(dt, dx, diff T) error {
 
 // solveForwardConservative performs one implicit conservative FPK sweep on
 // the loaded line.
-func (s *sweeper[T]) solveForwardConservative(dt, dx, diff T) error {
+func (s *sweeper) solveForwardConservative(dt, dx, diff float64) error {
 	assembleForwardConservative(s.bat.A, s.bat.B, s.bat.C, s.b, dt, dx, diff)
 	if err := s.bat.Factorize(); err != nil {
 		return err
@@ -217,7 +246,7 @@ func (s *sweeper[T]) solveForwardConservative(dt, dx, diff T) error {
 
 // solveForwardAdvective performs one implicit advective FPK sweep on the
 // loaded line.
-func (s *sweeper[T]) solveForwardAdvective(dt, dx, diff T) error {
+func (s *sweeper) solveForwardAdvective(dt, dx, diff float64) error {
 	assembleForwardAdvective(s.bat.A, s.bat.B, s.bat.C, s.b, dt, dx, diff)
 	if err := s.bat.Factorize(); err != nil {
 		return err

@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -82,8 +86,14 @@ func TestFleetExactlyOneColdSolvePerKey(t *testing.T) {
 
 	const uniqueKeys = 4
 	bodies := make([]string, uniqueKeys)
+	starts := make([]int, uniqueKeys)
 	for i := range bodies {
+		w := engine.Workload{Requests: float64(10 + i), Pop: float64(1+i) / 10, Timeliness: 3}
 		bodies[i] = fmt.Sprintf(`{"Workload": {"Requests": %d, "Pop": 0.%d, "Timeliness": 3}}`, 10+i, 1+i)
+		// Ownership hashes the listeners' random ports, so pick where each
+		// spray starts from the ring: even bodies reach their owner first
+		// (a local owned miss), odd ones a non-owner (a forward).
+		starts[i] = firstVisitor(t, replicas, engine.CacheKey(replicas[0].srv.cfg.Solver, w), i%2 == 0)
 	}
 
 	// Each unique body visits every replica (mixed-target load): whichever
@@ -91,8 +101,9 @@ func TestFleetExactlyOneColdSolvePerKey(t *testing.T) {
 	// once and everyone else fills from it.
 	answers := make([][]byte, uniqueKeys)
 	for i, body := range bodies {
-		for j, r := range replicas {
-			resp, data := postSolve(t, http.DefaultClient, r.base, body)
+		for k := range replicas {
+			j := (starts[i] + k) % len(replicas)
+			resp, data := postSolve(t, http.DefaultClient, replicas[j].base, body)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("body %d via replica %d: status %d body %s", i, j, resp.StatusCode, data)
 			}
@@ -119,6 +130,19 @@ func TestFleetExactlyOneColdSolvePerKey(t *testing.T) {
 	if owned == 0 || forwarded == 0 {
 		t.Errorf("cluster.owned = %g, cluster.forwarded = %g: mixed-target load should exercise both paths", owned, forwarded)
 	}
+}
+
+// firstVisitor returns the index of a replica that owns key (owner true) or
+// does not (owner false), as the ring says.
+func firstVisitor(t *testing.T, replicas []fleetReplica, key string, owner bool) int {
+	t.Helper()
+	for j, r := range replicas {
+		if _, self := r.srv.cluster.Owner(key); self == owner {
+			return j
+		}
+	}
+	t.Fatalf("no replica with ownership %v of key %q", owner, key)
+	return 0
 }
 
 // TestFleetConcurrentMixedTargets hammers one identical workload at every
@@ -199,5 +223,98 @@ func TestFleetPeerAnswerPromoted(t *testing.T) {
 	}
 	if hits := nonOwner.reg.Snapshot().Counters["cluster.peer_hit"]; hits != 1 {
 		t.Errorf("repeat triggered another peer fill: cluster.peer_hit = %g, want 1", hits)
+	}
+}
+
+// TestLateRequestReusesFinishedFlight pins the singleflight's LRU re-check:
+// a request that missed the LRU and then spent a while in another rung must
+// not start a second cold solve when a flight for its key finished in the
+// meantime. A client request parks in a peer fill on a blocking fake owner;
+// while it waits, a /v1/peer/get for the same key solves locally and leaves
+// its answer in the LRU. Releasing the fill with an error then sends the
+// client request to the singleflight, which must answer from the LRU.
+func TestLateRequestReusesFinishedFlight(t *testing.T) {
+	arrived := make(chan struct{})
+	release := make(chan struct{})
+	var arriveOnce, releaseOnce sync.Once
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			return
+		}
+		arriveOnce.Do(func() { close(arrived) })
+		<-release
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(fake.Close)
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+
+	cfg, reg := testConfig(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := "http://" + ln.Addr().String()
+	cfg.Cluster = cluster.Config{
+		Self:          self,
+		Peers:         []string{self, fake.URL},
+		PeerTimeout:   time.Minute,
+		ProbeInterval: time.Hour,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ctx, ln) }()
+	t.Cleanup(func() { cancel(); <-done })
+
+	body := peerOwnedBody(t, s.cfg.Solver, self, fake.URL)
+	type reply struct {
+		status int
+		data   []byte
+		err    error
+	}
+	late := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(self+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			late <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		late <- reply{resp.StatusCode, data, err}
+	}()
+	<-arrived
+
+	resp, data := postSolve2(t, self+"/v1/peer/get", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("peer get: status %d body %s", resp.StatusCode, data)
+	}
+	unblock()
+	got := <-late
+	if got.err != nil {
+		t.Fatalf("late request: %v", got.err)
+	}
+	if got.status != http.StatusOK {
+		t.Fatalf("late request: status %d body %s", got.status, got.data)
+	}
+	if src := sourceOf(t, got.data); src != SourceCache {
+		t.Errorf("late request source = %q, want %q", src, SourceCache)
+	}
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		name string
+		want float64
+	}{
+		{"serve.solve.executed", 1},
+		{"engine.cache.hit", 1},
+		{"cluster.peer_miss", 1},
+	} {
+		if got := snap.Counters[c.name]; got != c.want {
+			t.Errorf("%s = %g, want %g", c.name, got, c.want)
+		}
 	}
 }

@@ -60,8 +60,8 @@ func TestStoreTierWarmRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold solve: status %d body %s", resp.StatusCode, coldBody)
 	}
-	if got := resp.Header.Get("X-Mfgcp-Cache"); got != "miss" {
-		t.Fatalf("cold solve X-Mfgcp-Cache = %q, want miss", got)
+	if got := sourceOf(t, coldBody); got != SourceSolve {
+		t.Fatalf("cold solve source = %q, want %q", got, SourceSolve)
 	}
 	drain() // flushes the write-behind queue and fsyncs segments
 
@@ -71,9 +71,6 @@ func TestStoreTierWarmRestart(t *testing.T) {
 	resp2, warmBody := postSolve(t, http.DefaultClient, base2, body)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("warm solve: status %d body %s", resp2.StatusCode, warmBody)
-	}
-	if got := resp2.Header.Get("X-Mfgcp-Cache"); got != "store" {
-		t.Errorf("restarted daemon X-Mfgcp-Cache = %q, want store", got)
 	}
 	var warm SolveResponse
 	if err := json.Unmarshal(warmBody, &warm); err != nil {
@@ -95,8 +92,11 @@ func TestStoreTierWarmRestart(t *testing.T) {
 
 	// The store hit was promoted into the LRU: the repeat is a memory hit.
 	resp3, hotBody := postSolve(t, http.DefaultClient, base2, body)
-	if got := resp3.Header.Get("X-Mfgcp-Cache"); got != "hit" {
-		t.Errorf("promoted repeat X-Mfgcp-Cache = %q, want hit", got)
+	if resp3.StatusCode != http.StatusOK {
+		t.Fatalf("promoted repeat: status %d body %s", resp3.StatusCode, hotBody)
+	}
+	if got := sourceOf(t, hotBody); got != SourceCache {
+		t.Errorf("promoted repeat source = %q, want %q", got, SourceCache)
 	}
 	if !bytes.Equal(bodyWithoutSource(t, coldBody), bodyWithoutSource(t, hotBody)) {
 		t.Errorf("promoted repeat equilibrium differs")
@@ -182,8 +182,8 @@ func TestStoreTierSurvivesCorruption(t *testing.T) {
 		t.Fatalf("post-corruption solve: status %d body %s", resp2.StatusCode, data2)
 	}
 	// The corrupt record must not have been served: this was a fresh solve.
-	if got := resp2.Header.Get("X-Mfgcp-Cache"); got != "miss" {
-		t.Errorf("X-Mfgcp-Cache = %q after corruption, want miss", got)
+	if got := sourceOf(t, data2); got != SourceSolve {
+		t.Errorf("source = %q after corruption, want %q", got, SourceSolve)
 	}
 	snap := reg2.Snapshot()
 	if got := snap.Counters["serve.solve.executed"]; got != 1 {
@@ -251,8 +251,8 @@ func TestRetryBudgetEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached retry: status %d body %s", resp.StatusCode, data)
 	}
-	if got := resp.Header.Get("X-Mfgcp-Cache"); got != "hit" {
-		t.Errorf("cached retry X-Mfgcp-Cache = %q, want hit", got)
+	if got := sourceOf(t, data); got != SourceCache {
+		t.Errorf("cached retry source = %q, want %q", got, SourceCache)
 	}
 
 	// Fresh (unmarked) traffic is never budget-limited.

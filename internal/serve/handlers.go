@@ -52,9 +52,7 @@ type SolveResponse struct {
 	SharerFrac    []float64 `json:"sharer_frac"`
 
 	// Source names the serving-ladder rung that produced this answer:
-	// "surrogate", "cache", "store", "peer", "coalesced" or "solve". It
-	// replaces the deprecated X-Mfgcp-Cache header (still emitted, derived
-	// from this field, for one release).
+	// "surrogate", "cache", "store", "peer", "coalesced" or "solve".
 	Source Source `json:"source"`
 	// ErrorBound is the declared interpolation-error bound of a surrogate
 	// answer (the verify-differential metric: sup over time of price/p̂, mean
@@ -143,8 +141,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // handleSolve answers one equilibrium query. The response body carries its
 // own provenance (Source, plus ErrorBound for surrogate answers); the
 // equilibrium series of identical requests are identical regardless of which
-// ladder rung answered, so clients may treat Source as advisory. The
-// deprecated X-Mfgcp-Cache header is still emitted, derived from Source.
+// ladder rung answered, so clients may treat Source as advisory.
 //
 // The surrogate table, when loaded, is consulted first: an in-trust-region
 // request is answered by interpolation in microseconds and never touches the
@@ -177,7 +174,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		obs.ReqTraceFrom(r.Context()).Observe("surrogate_lookup", lookup)
 		if ok {
 			s.rec.Add("serve.surrogate.hit", 1)
-			writeSolveHeaders(w, SourceSurrogate, false, lookup)
+			writeSolveHeaders(w, false, lookup)
 			writeJSON(w, http.StatusOK, surrogateResponse(sum))
 			return
 		}
@@ -197,17 +194,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	src := out.source()
-	writeSolveHeaders(w, src, out.Coalesced, out.SolveTime)
+	writeSolveHeaders(w, out.Coalesced, out.SolveTime)
 	resp := summarize(eq)
-	resp.Source = src
+	resp.Source = out.source()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// writeSolveHeaders emits the per-request provenance headers, including the
-// deprecated X-Mfgcp-Cache value derived from the body-level Source.
-func writeSolveHeaders(w http.ResponseWriter, src Source, coalesced bool, solveTime time.Duration) {
-	w.Header().Set("X-Mfgcp-Cache", src.LegacyCacheHeader())
+// writeSolveHeaders emits the per-request coalescing and solve-time headers.
+func writeSolveHeaders(w http.ResponseWriter, coalesced bool, solveTime time.Duration) {
 	w.Header().Set("X-Mfgcp-Coalesced", strconv.FormatBool(coalesced))
 	w.Header().Set("X-Mfgcp-Solve-Ms", strconv.FormatFloat(solveTime.Seconds()*1e3, 'f', 3, 64))
 }

@@ -60,8 +60,8 @@ func peerBlob(t *testing.T, converged bool) []byte {
 // no peer-fill failure mode may ever surface as a client-visible error. A
 // slow, dead, drifted or garbage-spewing owner degrades the request to the
 // local solve ladder (source "solve"); a healthy owner's answer is served
-// with source "peer" and the legacy X-Mfgcp-Cache header "peer", and only a
-// CONVERGED peer answer is promoted into the local LRU.
+// with source "peer", and only a CONVERGED peer answer is promoted into the
+// local LRU.
 func TestPeerFailureMapping(t *testing.T) {
 	tests := []struct {
 		name string
@@ -72,7 +72,6 @@ func TestPeerFailureMapping(t *testing.T) {
 		hang time.Duration
 
 		wantSource    Source
-		wantLegacy    string
 		wantConverged bool
 		wantCached    int // requester LRU entries after the request
 		wantPeerHit   float64
@@ -90,7 +89,6 @@ func TestPeerFailureMapping(t *testing.T) {
 				}
 			},
 			wantSource:    SourcePeer,
-			wantLegacy:    "peer",
 			wantConverged: true,
 			wantCached:    1,
 			wantPeerHit:   1,
@@ -105,7 +103,6 @@ func TestPeerFailureMapping(t *testing.T) {
 				}
 			},
 			wantSource:  SourcePeer,
-			wantLegacy:  "peer",
 			wantCached:  0,
 			wantPeerHit: 1,
 		},
@@ -114,7 +111,6 @@ func TestPeerFailureMapping(t *testing.T) {
 			hang:          2 * time.Second,
 			owner:         func(t *testing.T) http.HandlerFunc { return func(http.ResponseWriter, *http.Request) {} },
 			wantSource:    SourceSolve,
-			wantLegacy:    "miss",
 			wantConverged: true,
 			wantCached:    1,
 			wantPeerMiss:  1,
@@ -124,7 +120,6 @@ func TestPeerFailureMapping(t *testing.T) {
 			name:          "peer unreachable degrades to local cold solve",
 			owner:         nil,
 			wantSource:    SourceSolve,
-			wantLegacy:    "miss",
 			wantConverged: true,
 			wantCached:    1,
 			wantPeerMiss:  1,
@@ -139,7 +134,6 @@ func TestPeerFailureMapping(t *testing.T) {
 				}
 			},
 			wantSource:    SourceSolve,
-			wantLegacy:    "miss",
 			wantConverged: true,
 			wantCached:    1,
 			wantPeerMiss:  1,
@@ -153,7 +147,6 @@ func TestPeerFailureMapping(t *testing.T) {
 				}
 			},
 			wantSource:    SourceSolve,
-			wantLegacy:    "miss",
 			wantConverged: true,
 			wantCached:    1,
 			wantPeerMiss:  1,
@@ -217,9 +210,6 @@ func TestPeerFailureMapping(t *testing.T) {
 			}
 			if sr.Source != tt.wantSource {
 				t.Errorf("source = %q, want %q", sr.Source, tt.wantSource)
-			}
-			if got := resp.Header.Get("X-Mfgcp-Cache"); got != tt.wantLegacy {
-				t.Errorf("X-Mfgcp-Cache = %q, want %q", got, tt.wantLegacy)
 			}
 			if sr.Converged != tt.wantConverged {
 				t.Errorf("converged = %v, want %v", sr.Converged, tt.wantConverged)

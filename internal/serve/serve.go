@@ -403,8 +403,7 @@ type flight struct {
 }
 
 // solveOutcome annotates a solve result with how it was obtained; the
-// handlers surface it as the response's Source field (and the deprecated
-// X-Mfgcp-Cache header derived from it).
+// handlers surface it as the response's Source field.
 type solveOutcome struct {
 	SurrogateHit bool
 	CacheHit     bool
@@ -454,6 +453,15 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 	s.mu.Lock()
 	f, joined := s.inflight[key]
 	if !joined {
+		// A flight for this key may have finished since the lookup above:
+		// it put its answer in the LRU before leaving inflight, so look
+		// again under the lock before starting a second solve. Only the hit
+		// is counted; the miss above already was.
+		if eq, hit := s.cache.Get(nil, key); hit {
+			s.mu.Unlock()
+			s.rec.Add("engine.cache.hit", 1)
+			return eq, solveOutcome{CacheHit: true}, nil
+		}
 		// This request is about to trigger a fresh engine solve: the overload
 		// defences gate here, not earlier, so reads and coalesced joins keep
 		// serving while the solver is protected.

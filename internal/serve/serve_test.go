@@ -73,6 +73,16 @@ func bodyWithoutSource(t *testing.T, data []byte) []byte {
 	return out
 }
 
+// sourceOf decodes the body-level provenance of a solve response.
+func sourceOf(t *testing.T, data []byte) Source {
+	t.Helper()
+	var resp SolveResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatalf("decode solve body %q: %v", data, err)
+	}
+	return resp.Source
+}
+
 // TestSolveCoalescing is the tentpole acceptance check: 64 concurrent
 // identical solve requests must produce exactly one engine solve (the rest
 // coalesce onto the in-flight computation or hit the cache) and identical
@@ -169,9 +179,6 @@ func TestSolveCoalescing(t *testing.T) {
 	}
 	if warm.Source != SourceCache {
 		t.Errorf("warm repeat source = %q, want %q", warm.Source, SourceCache)
-	}
-	if got := resp2.Header.Get("X-Mfgcp-Cache"); got != "hit" {
-		t.Errorf("warm repeat X-Mfgcp-Cache = %q, want hit", got)
 	}
 	if got := reg.Snapshot().Counters["serve.solve.executed"]; got != 1 {
 		t.Errorf("warm repeat re-solved: serve.solve.executed = %g", got)

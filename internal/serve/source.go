@@ -1,10 +1,8 @@
 package serve
 
 // Source identifies which rung of the serving ladder produced a solve
-// response. It travels in the response body (SolveResponse.Source), replacing
-// the ad-hoc X-Mfgcp-Cache header as the canonical provenance signal; the
-// header is still emitted for one release, derived from this enum, so
-// existing scrapers keep working while they migrate.
+// response. It travels in the response body (SolveResponse.Source) and is the
+// one provenance signal of the API.
 type Source string
 
 const (
@@ -25,24 +23,6 @@ const (
 	// SourceSolve: a fresh engine solve ran for this request.
 	SourceSolve Source = "solve"
 )
-
-// LegacyCacheHeader renders the deprecated X-Mfgcp-Cache value for this
-// source. The header predates the surrogate tier and never distinguished a
-// coalesced join from the solve it joined, so both map to "miss" — exactly
-// what the header reported before the body-level enum existed.
-func (s Source) LegacyCacheHeader() string {
-	switch s {
-	case SourceSurrogate:
-		return "surrogate"
-	case SourceCache:
-		return "hit"
-	case SourceStore:
-		return "store"
-	case SourcePeer:
-		return "peer"
-	}
-	return "miss"
-}
 
 // source names the ladder rung that produced this outcome.
 func (out solveOutcome) source() Source {

@@ -57,9 +57,6 @@ func TestSurrogateTierAnswersInRegion(t *testing.T) {
 	if !sr.Converged || len(sr.Price) == 0 || len(sr.Time) != len(sr.Price) {
 		t.Errorf("implausible surrogate summary: %+v", sr)
 	}
-	if got := resp.Header.Get("X-Mfgcp-Cache"); got != "surrogate" {
-		t.Errorf("X-Mfgcp-Cache = %q, want surrogate", got)
-	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["serve.solve.executed"]; got != 0 {
 		t.Errorf("serve.solve.executed = %g, want 0 (surrogate hit must not solve)", got)
@@ -130,25 +127,9 @@ func TestSurrogateTierFallsThrough(t *testing.T) {
 	}
 }
 
-// TestSourceLegacyHeaderMapping pins the deprecation bridge for all six
-// sources: the X-Mfgcp-Cache header is derived from the body-level enum.
-func TestSourceLegacyHeaderMapping(t *testing.T) {
-	cases := []struct {
-		src  Source
-		want string
-	}{
-		{SourceSurrogate, "surrogate"},
-		{SourceCache, "hit"},
-		{SourceStore, "store"},
-		{SourcePeer, "peer"},
-		{SourceCoalesced, "miss"},
-		{SourceSolve, "miss"},
-	}
-	for _, tc := range cases {
-		if got := tc.src.LegacyCacheHeader(); got != tc.want {
-			t.Errorf("%q.LegacyCacheHeader() = %q, want %q", tc.src, got, tc.want)
-		}
-	}
+// TestSourceFromOutcome pins the ladder-outcome → body-level Source mapping
+// for all six sources.
+func TestSourceFromOutcome(t *testing.T) {
 	outcomes := []struct {
 		out  solveOutcome
 		want Source

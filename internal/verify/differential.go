@@ -11,7 +11,6 @@ import (
 	"repro/internal/exactgame"
 	"repro/internal/numerics"
 	"repro/internal/obs"
-	"repro/internal/pde"
 	"repro/internal/sim"
 )
 
@@ -22,12 +21,6 @@ import (
 // in the L1 norm, against SchemeTol/DensityTol. oracle names the caller in
 // the violations.
 func CompareObservables(a, b *engine.Equilibrium, oracle string, tol Tolerances) []Violation {
-	return compareObservables(a, b, oracle, tol.SchemeTol, tol.DensityTol)
-}
-
-// compareObservables is the tolerance-parameterised core shared by the
-// cross-scheme and cross-precision differentials.
-func compareObservables(a, b *engine.Equilibrium, oracle string, obsTol, densTol float64) []Violation {
 	var out []Violation
 	if len(a.Snapshots) != len(b.Snapshots) {
 		return []Violation{violationf(oracle, float64(len(b.Snapshots)), float64(len(a.Snapshots)),
@@ -49,8 +42,8 @@ func compareObservables(a, b *engine.Equilibrium, oracle string, obsTol, densTol
 		{"mean control", dMeanX},
 		{"mean remaining space (relative to Qk)", dQBar},
 	} {
-		if m.d > obsTol || math.IsNaN(m.d) {
-			out = append(out, violationf(oracle, m.d, obsTol,
+		if m.d > tol.SchemeTol || math.IsNaN(m.d) {
+			out = append(out, violationf(oracle, m.d, tol.SchemeTol,
 				"sup-over-time %s disagreement %.3g", m.name, m.d))
 		}
 	}
@@ -61,8 +54,8 @@ func compareObservables(a, b *engine.Equilibrium, oracle string, obsTol, densTol
 			d, err := numerics.L1Distance(la, lb, a.Grid.CellArea())
 			if err != nil {
 				out = append(out, violationf(oracle, 0, 0, "final-density L1 distance: %v", err))
-			} else if d > densTol || math.IsNaN(d) {
-				out = append(out, violationf(oracle, d, densTol,
+			} else if d > tol.DensityTol || math.IsNaN(d) {
+				out = append(out, violationf(oracle, d, tol.DensityTol,
 					"final-density L1 disagreement %.3g", d))
 			}
 		} else {
@@ -148,38 +141,6 @@ func SchemeAgreement(cfg engine.Config, w engine.Workload, tol Tolerances) ([]Vi
 		return nil, fmt.Errorf("explicit scheme: %w", err)
 	}
 	return CompareObservables(eqI, eqE, "scheme-differential", tol), nil
-}
-
-// PrecisionAgreement solves the same configuration under the default float64
-// kernel and the opt-in float32 fast path and checks the market observables
-// agree within PrecisionTol (sup over time, natural scales) and the final
-// density within PrecisionDensityTol in L1. It also requires the two solves
-// to take the same number of best-response iterations: the fast path must
-// not change the fixed-point trajectory, only perturb it at single-precision
-// round-off. The config's scheme must be implicit (the float32 kernel
-// supports no other).
-func PrecisionAgreement(cfg engine.Config, w engine.Workload, tol Tolerances) ([]Violation, error) {
-	f64 := cfg
-	f64.Kernel.Precision = pde.PrecisionFloat64
-	f32 := cfg
-	f32.Kernel.Precision = pde.PrecisionFloat32
-
-	eq64, err := solveFor(f64, w)
-	if err != nil {
-		return nil, fmt.Errorf("float64 kernel: %w", err)
-	}
-	eq32, err := solveFor(f32, w)
-	if err != nil {
-		return nil, fmt.Errorf("float32 kernel: %w", err)
-	}
-	out := compareObservables(eq64, eq32, "precision-differential", tol.PrecisionTol, tol.PrecisionDensityTol)
-	if eq32.Iterations != eq64.Iterations || eq32.Converged != eq64.Converged {
-		out = append(out, violationf("precision-differential",
-			float64(eq32.Iterations), float64(eq64.Iterations),
-			"fixed-point diagnostics differ: %d/%v iterations/converged under float32, %d/%v under float64",
-			eq32.Iterations, eq32.Converged, eq64.Iterations, eq64.Converged))
-	}
-	return out, nil
 }
 
 // CacheBitEquality checks the engine's determinism and cache transparency:

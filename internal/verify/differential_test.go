@@ -66,34 +66,6 @@ func TestSchemeDifferentialCatchesSeededViolation(t *testing.T) {
 	})
 }
 
-func TestPrecisionAgreementOnDefaults(t *testing.T) {
-	cfg, w := defaultInputs()
-	vs, err := PrecisionAgreement(cfg, w, DefaultTolerances())
-	if err != nil {
-		t.Fatalf("precision agreement: %v", err)
-	}
-	if len(vs) != 0 {
-		t.Fatalf("float32 and float64 kernels disagree beyond tolerance: %v", vs)
-	}
-}
-
-// TestPrecisionDifferentialCatchesSeededViolation is the mutation test of the
-// cross-precision differential: the genuine single-precision round-off gap
-// must trip the oracle once the tolerance is tightened below it.
-func TestPrecisionDifferentialCatchesSeededViolation(t *testing.T) {
-	cfg, w := defaultInputs()
-	tol := DefaultTolerances()
-	tol.PrecisionTol = 1e-12
-	tol.PrecisionDensityTol = 1e-12
-	vs, err := PrecisionAgreement(cfg, w, tol)
-	if err != nil {
-		t.Fatalf("precision agreement: %v", err)
-	}
-	if !hasOracle(vs, "precision-differential") {
-		t.Fatal("tolerance below the real float32 round-off gap must fail the differential")
-	}
-}
-
 func TestBitEqualCatchesSingleBit(t *testing.T) {
 	a, b := solvedEq(t), solvedEq(t)
 	if vs := BitEqual(a, b, "cache-bit-equality"); len(vs) != 0 {

@@ -141,9 +141,6 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		{name: "differential/scheme-agreement", fn: func() ([]Violation, error) {
 			return SchemeAgreement(opts.Solver, opts.Workload, tol)
 		}},
-		{name: "differential/precision", fn: func() ([]Violation, error) {
-			return PrecisionAgreement(opts.Solver, opts.Workload, tol)
-		}},
 		{name: "differential/cache-bit-equality", fn: func() ([]Violation, error) {
 			return CacheBitEquality(opts.Solver, opts.Workload)
 		}},

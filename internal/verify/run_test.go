@@ -25,7 +25,6 @@ func TestRunQuickTierPasses(t *testing.T) {
 		"invariants/property-sweep",
 		"eq21/monotone-clamp",
 		"differential/scheme-agreement",
-		"differential/precision",
 		"differential/cache-bit-equality",
 		"differential/surrogate",
 		"differential/checkpoint-resume",

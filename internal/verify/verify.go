@@ -166,21 +166,6 @@ type Tolerances struct {
 	// dt = 1/48 on the default grid; 0.08 keeps a ~2× margin.
 	DensityTol float64
 
-	// PrecisionTol bounds the float64-vs-float32-kernel disagreement of the
-	// market observables in the sup norm over time, each normalised to its
-	// natural scale (p̂, 1, Qk). Only the tridiagonal sweeps run in single
-	// precision (callbacks and aggregation stay float64), so the gap is
-	// single-precision round-off propagated through the solve: measured
-	// 7.8e-8 worst (mean control) on the default differential grid. 1e-5
-	// keeps a >100× margin while catching any defect that degrades the fast
-	// path beyond round-off.
-	PrecisionTol float64
-
-	// PrecisionDensityTol bounds the same differential's final-density L1
-	// disagreement. Measured 4.6e-7 on the default grid; 1e-4 keeps a >200×
-	// margin.
-	PrecisionDensityTol float64
-
 	// OrderSlack is subtracted from the scheme's nominal order before
 	// comparing with the observed order from mesh refinement: observed ≥
 	// nominal − slack. Pre-asymptotic effects and splitting-error mixing
@@ -199,18 +184,16 @@ type Tolerances struct {
 // DefaultTolerances returns the thresholds justified in DESIGN.md §11.
 func DefaultTolerances() Tolerances {
 	return Tolerances{
-		MassTol:             1e-6,
-		TerminalTol:         0,
-		ClampTol:            1e-9,
-		ResidualGrowth:      1.5,
-		ResidualUpFrac:      0.34,
-		SchemeTol:           0.03,
-		DensityTol:          0.08,
-		PrecisionTol:        1e-5,
-		PrecisionDensityTol: 1e-4,
-		OrderSlack:          0.45,
-		FiniteMTol:          0.05,
-		FiniteMGrowth:       1.25,
+		MassTol:        1e-6,
+		TerminalTol:    0,
+		ClampTol:       1e-9,
+		ResidualGrowth: 1.5,
+		ResidualUpFrac: 0.34,
+		SchemeTol:      0.03,
+		DensityTol:     0.08,
+		OrderSlack:     0.45,
+		FiniteMTol:     0.05,
+		FiniteMGrowth:  1.25,
 	}
 }
 
@@ -229,7 +212,6 @@ func (t Tolerances) Validate() error {
 	}{
 		{"MassTol", t.MassTol}, {"TerminalTol", t.TerminalTol}, {"ClampTol", t.ClampTol},
 		{"SchemeTol", t.SchemeTol}, {"DensityTol", t.DensityTol},
-		{"PrecisionTol", t.PrecisionTol}, {"PrecisionDensityTol", t.PrecisionDensityTol},
 		{"OrderSlack", t.OrderSlack}, {"FiniteMTol", t.FiniteMTol},
 	} {
 		if err := check(f.name, f.v); err != nil {

@@ -56,15 +56,17 @@ type Workload = core.Workload
 // (grid resolution, best-response iteration limits, damping, FPK form).
 type SolverConfig = core.Config
 
-// KernelConfig tunes how the PDE sweeps execute without changing the model:
-// Workers bounds the parallel line-sweep fan-out (the default float64 path
-// is bit-exact at every worker count), Precision opts into the float32 fast
-// kernel (implicit scheme only). The zero value is the serial float64
-// kernel.
+// KernelConfig is the retired PDE kernel tuning block (Workers, Precision).
+// It is validated as before and otherwise ignored: every solve runs the one
+// serial float64 kernel.
+//
+// Deprecated: the fields change nothing; drop them.
 type KernelConfig = core.KernelConfig
 
 // Kernel precision names accepted by KernelConfig.Precision and the
 // -precision CLI flags.
+//
+// Deprecated: every precision runs the float64 kernel.
 const (
 	PrecisionFloat64 = core.PrecisionFloat64
 	PrecisionFloat32 = core.PrecisionFloat32
@@ -74,9 +76,9 @@ const (
 // `mfgcp precompute`) and bounds the interpolation error it will accept:
 // Path names the table file and MaxErrorBound rejects in-region answers whose
 // declared per-cell bound exceeds it (0 accepts any in-region bound). It is
-// routing configuration, like KernelConfig — it never changes which
-// equilibrium a workload maps to, only where the answer may come from, so it
-// is excluded from cache keys.
+// routing configuration — it never changes which equilibrium a workload
+// maps to, only where the answer may come from, so it is excluded from cache
+// keys.
 type SurrogateConfig = core.SurrogateConfig
 
 // DefaultSolverConfig returns the solver settings used by the experiments.
@@ -177,13 +179,6 @@ type Ledger = sim.Ledger
 // DefaultMarketConfig returns the market-simulation settings used by the
 // experiments.
 func DefaultMarketConfig(p Params, pol Policy) MarketConfig { return sim.DefaultConfig(p, pol) }
-
-// RunMarket executes a market simulation, honouring cfg.Context when set.
-//
-// Deprecated: use RunMarketContext, which makes the cancellation scope
-// explicit at the call site. RunMarket remains a thin wrapper and will not be
-// removed, but new code should pass the context as an argument.
-func RunMarket(cfg MarketConfig) (*MarketResult, error) { return sim.Run(cfg) }
 
 // RunMarketContext executes a market simulation under ctx: cancellation and
 // deadlines are honoured at simulation-step granularity and forwarded into the

@@ -2,6 +2,7 @@ package mfgcp_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -85,9 +86,9 @@ func TestPublicAPIMarket(t *testing.T) {
 	cfg := mfgcp.DefaultMarketConfig(params, mfgcp.NewRRPolicy())
 	cfg.Epochs = 1
 	cfg.StepsPerEpoch = 10
-	res, err := mfgcp.RunMarket(cfg)
+	res, err := mfgcp.RunMarketContext(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunMarket: %v", err)
+		t.Fatalf("RunMarketContext: %v", err)
 	}
 	if len(res.Ledgers) != 10 {
 		t.Fatalf("expected 10 ledgers, got %d", len(res.Ledgers))

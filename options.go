@@ -120,12 +120,13 @@ func WithIteration(maxIters int, tol float64) Option {
 	}
 }
 
-// WithKernel tunes the PDE kernel execution: workers bounds the parallel
-// line-sweep fan-out (0 or 1 is serial; results are bit-identical at every
-// worker count) and precision selects the kernel scalar type ("" or
-// "float64" for the default path, "float32" for the opt-in fast path, which
-// requires the implicit scheme). On a market configuration it applies to the
-// per-epoch equilibrium solves.
+// WithKernel sets the deprecated KernelConfig block. The values are
+// validated as before (workers ≥ 0; precision "", "float64" or "float32",
+// the last with the implicit scheme only) and otherwise ignored: every solve
+// runs the serial float64 kernel. On a market configuration it applies to
+// the per-epoch equilibrium solves.
+//
+// Deprecated: the option changes nothing; drop it.
 func WithKernel(workers int, precision string) Option {
 	kc := KernelConfig{Workers: workers, Precision: precision}
 	return dualOption{
@@ -140,9 +141,9 @@ func WithKernel(workers int, precision string) Option {
 // multilinear interpolation with the cell's declared error bound attached,
 // and fall back to the exact solver outside the trust region. maxErrorBound
 // tightens the trust region further: an in-region answer whose declared bound
-// exceeds it falls through too (0 accepts any in-region bound). Like
-// WithKernel this is routing, not model, configuration — it is excluded from
-// equilibrium cache keys.
+// exceeds it falls through too (0 accepts any in-region bound). This is
+// routing, not model, configuration — it is excluded from equilibrium cache
+// keys.
 func WithSurrogate(path string, maxErrorBound float64) Option {
 	sc := SurrogateConfig{Path: path, MaxErrorBound: maxErrorBound}
 	return dualOption{
