@@ -217,7 +217,7 @@ func BenchmarkHJBSolve(b *testing.B) {
 		DriftH:  func(_, h float64) float64 { return 5 - h },
 		DriftQ:  func(_, x float64) float64 { return -100 * x },
 		Control: func(_, _, _, dV float64) float64 { return mfgcp.OptimalControl(mec.Default(), dV) },
-		Running: func(_, x, h, q float64) float64 { return 10 - x*x - 0.01*q },
+		Running: func(nd pde.Node, x float64) float64 { return 10 - x*x - 0.01*nd.Q },
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -250,7 +250,7 @@ func BenchmarkFPKSolve(b *testing.B) {
 		DiffH:  0.125,
 		DiffQ:  50,
 		DriftH: func(_, h float64) float64 { return 5 - h },
-		DriftQ: func(_, _, q float64) float64 { return -0.5 * (q - 40) },
+		DriftQ: func(nd pde.Node) float64 { return -0.5 * (nd.Q - 40) },
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

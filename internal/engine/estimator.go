@@ -54,16 +54,27 @@ func NewEstimator(p mec.Params, g grid.Grid2D) (*Estimator, error) {
 }
 
 // Snapshot computes every estimator quantity at time t from the density
-// lambda and the control field x (both flattened over the grid). All five
-// trapezoid moments sharing the density weights are fused into two passes
-// with separate accumulators (the Case-3 pass needs the finished q̄), so the
-// call performs no heap allocations and one traversal less than computing
-// each moment independently — while accumulating every moment in the exact
-// same node order, keeping the results bit-identical to the unfused form.
+// lambda and the control field x (both flattened over the grid).
 func (e *Estimator) Snapshot(t float64, lambda, x []float64) (Snapshot, error) {
+	return e.SnapshotInto(t, lambda, x, make([]mec.Cases, e.G.Q.N))
+}
+
+// SnapshotInto is Snapshot that also leaves the case probabilities P1–P3 at
+// each q node under the snapshot's q̄ in cases (one entry per q node): the
+// Case-3 moment reads them, and the session's HJB utility reads them again
+// for the same time level. All five trapezoid moments sharing the density
+// weights are fused into two passes with separate accumulators (the Case-3
+// pass needs the finished q̄), so the call performs no heap allocations and
+// one traversal less than computing each moment independently — while
+// accumulating every moment in the exact same node order, keeping the
+// results bit-identical to the unfused form.
+func (e *Estimator) SnapshotInto(t float64, lambda, x []float64, cases []mec.Cases) (Snapshot, error) {
 	g := e.G
 	if len(lambda) != g.Size() || len(x) != g.Size() {
 		return Snapshot{}, fmt.Errorf("core: Snapshot: lambda %d, x %d, grid %d", len(lambda), len(x), g.Size())
+	}
+	if len(cases) != g.Q.N {
+		return Snapshot{}, fmt.Errorf("core: Snapshot: %d case entries, grid has %d q nodes", len(cases), g.Q.N)
 	}
 	// Normalising constant: the solvers keep ∫∫λ = 1, but dividing by the
 	// actual quadrature mass makes the estimator robust to round-off and to
@@ -111,7 +122,11 @@ func (e *Estimator) Snapshot(t float64, lambda, x []float64) (Snapshot, error) {
 
 	// Case-3 fraction: smoothed probability that an EDP misses and the
 	// average peer misses too, integrated over the population. A second pass
-	// because the case probabilities depend on the finished q̄.
+	// because the case probabilities depend on the finished q̄; they depend
+	// on q and q̄ only, so each q node's are evaluated once for all h.
+	for j := range cases {
+		cases[j] = mec.CaseProbabilities(e.P, g.Q.At(j), qBar)
+	}
 	var case3Sum float64
 	for i := 0; i < nh; i++ {
 		wi := 1.0
@@ -124,7 +139,7 @@ func (e *Estimator) Snapshot(t float64, lambda, x []float64) (Snapshot, error) {
 			if j == 0 || j == nq-1 {
 				wj = 0.5
 			}
-			case3Sum += wi * wj * lambda[row+j] * mec.CaseProbabilities(e.P, g.Q.At(j), qBar).P3
+			case3Sum += wi * wj * lambda[row+j] * cases[j].P3
 		}
 	}
 	case3Frac := case3Sum * cell / massV
@@ -170,6 +185,27 @@ func (e *Estimator) shareBenefit(s Snapshot) float64 {
 //
 // It depends on the model constants and the local estimate of ∂qV only.
 func OptimalControl(p mec.Params, dVdq float64) float64 {
-	raw := -(p.W4/(2*p.W5) + p.Eta2*p.Qk/(2*p.HubRate*p.W5) + p.Qk*p.W1*dVdq/(2*p.W5))
-	return numerics.Clamp01(raw)
+	return newControlLaw(&p).at(dVdq)
+}
+
+// controlLaw is Eq. 21 with its ∂qV-free constants evaluated once per
+// parameter set: a session builds it at construction and applies it at
+// every node of every HJB sweep.
+type controlLaw struct {
+	offset float64 // w4/(2w5) + η2·Qk/(2·Hc·w5)
+	slope  float64 // Qk·w1
+	den    float64 // 2w5
+}
+
+// newControlLaw is kept small enough that OptimalControl and its core and
+// root wrappers stay within the inliner's budget, and it reads p in place:
+// a wrapper that is not inlined, or an inlined by-value parameter, copies
+// Params on every call.
+func newControlLaw(p *mec.Params) controlLaw {
+	return controlLaw{p.W4/(2*p.W5) + p.Eta2*p.Qk/(2*p.HubRate*p.W5), p.Qk * p.W1, 2 * p.W5}
+}
+
+// at evaluates x* for the estimate dVdq of ∂qV.
+func (c controlLaw) at(dVdq float64) float64 {
+	return numerics.Clamp01(-(c.offset + c.slope*dVdq/c.den))
 }

@@ -1,12 +1,18 @@
 package engine
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"log/slog"
 	"math"
 	"testing"
 
 	"repro/internal/mec"
+	"repro/internal/obs"
+	"repro/internal/pde"
 )
 
 // TestValidateRejectsNonFinite pins the configuration hardening: NaN and
@@ -57,6 +63,56 @@ func TestSolveContextCanceled(t *testing.T) {
 	cancel()
 	if _, err := s.SolveContext(ctx, w, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveContext under cancelled context: got %v, want context.Canceled", err)
+	}
+}
+
+// TestFailedSolveRecordsTelemetry pins the telemetry of a solve that fails
+// inside an iteration: the explicit scheme on 4 time steps violates the CFL
+// bound in the first HJB sweep. Like the cancel and divergence exits, the
+// failure ends the core.solve span with its stop reason and counts the
+// solve, so the session's next solve reports workspace reuse.
+func TestFailedSolveRecordsTelemetry(t *testing.T) {
+	var logs bytes.Buffer
+	reg := obs.NewRegistry(slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	cfg, w := smallConfig()
+	cfg.Scheme = "explicit"
+	cfg.Steps = 4
+	cfg.Obs = reg
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	var cfl *pde.ErrCFLViolation
+	if _, err := s.Solve(w, nil); !errors.As(err, &cfl) {
+		t.Fatalf("explicit solve on 4 steps: got %v, want a CFL violation", err)
+	}
+	if got := reg.Snapshot().Histograms["core.solve.seconds"].Count; got != 1 {
+		t.Errorf("core.solve.seconds has %d samples after one failed solve, want 1", got)
+	}
+	var stopReasons []string
+	sc := bufio.NewScanner(&logs)
+	for sc.Scan() {
+		var rec struct {
+			Msg        string `json:"msg"`
+			Span       string `json:"span"`
+			StopReason string `json:"stop_reason"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("decode log line %q: %v", sc.Text(), err)
+		}
+		if rec.Msg == "span.end" && rec.Span == "core.solve" {
+			stopReasons = append(stopReasons, rec.StopReason)
+		}
+	}
+	if len(stopReasons) != 1 || stopReasons[0] != "error" {
+		t.Errorf("core.solve span ends: stop reasons %q, want [error]", stopReasons)
+	}
+
+	if _, err := s.Solve(w, nil); !errors.As(err, &cfl) {
+		t.Fatalf("second explicit solve: got %v, want a CFL violation", err)
+	}
+	if got := reg.Snapshot().Counters["engine.session.reused"]; got != 1 {
+		t.Errorf("engine.session.reused = %g after a failed and a second solve, want 1", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mec"
 	"repro/internal/obs"
 	"repro/internal/pde"
+	"repro/internal/sde"
 )
 
 // Session owns every buffer one equilibrium computation needs — the state
@@ -29,6 +30,18 @@ type Session struct {
 	scheme  pde.Scheme
 	channel *mec.ChannelModel
 	est     *Estimator
+
+	// The separable model terms, each evaluated once per lifetime of its
+	// inputs instead of at every PDE node: the Eq. 21 constants, the Eq. 4
+	// coefficients and the rate H(h) at each h node live as long as the
+	// session; ξ^L lasts one solve; the case probabilities at each q node
+	// last one time level of one iteration (the snapshot fills them under
+	// that level's q̄, and the HJB utility of the level reads them).
+	control controlLaw
+	drift   sde.CacheDrift
+	rate    []float64
+	xiL     float64
+	cases   [][]mec.Cases
 
 	ws      *pde.Workspace
 	hjb     *pde.HJBSolution
@@ -125,29 +138,40 @@ func NewSession(cfg Config) (*Session, error) {
 		snaps:      make([]Snapshot, cfg.Steps+1),
 		ctxs:       make([]*mec.UtilityContext, cfg.Steps+1),
 		residuals:  make([]float64, 0, cfg.MaxIters),
+		control:    newControlLaw(&p),
+		rate:       make([]float64, g.H.N),
+		cases:      make([][]mec.Cases, cfg.Steps+1),
 	}
+	caseTable := make([]mec.Cases, (cfg.Steps+1)*g.Q.N)
 	for n := range s.xPath {
 		s.xPath[n] = g.NewField()
+		s.cases[n] = caseTable[n*g.Q.N : (n+1)*g.Q.N]
 		ctx, err := mec.NewUtilityContext(p, channel)
 		if err != nil {
 			return nil, err
 		}
 		s.ctxs[n] = ctx
 	}
+	s.drift = s.ctxs[0].CacheDrift()
+	for i := range s.rate {
+		s.rate[i] = channel.Rate(g.H.At(i))
+	}
 
 	// The PDE problems and their callbacks are built once: the closures
-	// capture the session, whose ctxs/xPath contents are refreshed every
-	// iteration, so the steady-state loop never rebuilds them.
+	// capture the session, whose ctxs/cases/xPath contents are refreshed
+	// every iteration, so the steady-state loop never rebuilds them.
 	ou := channel.OU()
 	s.hjbProb = &pde.HJBProblem{
-		Grid:     g,
-		Time:     tm,
-		DiffH:    0.5 * p.ChSigma * p.ChSigma,
-		DiffQ:    0.5 * p.SigmaQ * p.SigmaQ,
-		DriftH:   func(_, h float64) float64 { return ou.Drift(0, h) },
-		DriftQ:   func(t, x float64) float64 { return s.ctxs[s.timeIndex(t)].QDrift(x) },
-		Control:  func(_, _, _ float64, dVdq float64) float64 { return OptimalControl(p, dVdq) },
-		Running:  func(t, x, h, q float64) float64 { return s.ctxs[s.timeIndex(t)].Utility(x, h, q) },
+		Grid:    g,
+		Time:    tm,
+		DiffH:   0.5 * p.ChSigma * p.ChSigma,
+		DiffQ:   0.5 * p.SigmaQ * p.SigmaQ,
+		DriftH:  func(_, h float64) float64 { return ou.Drift(0, h) },
+		DriftQ:  func(_, x float64) float64 { return s.qDrift(x) },
+		Control: func(_, _, _ float64, dVdq float64) float64 { return s.control.at(dVdq) },
+		Running: func(nd pde.Node, x float64) float64 {
+			return s.ctxs[nd.N].TermsAt(x, nd.Q, s.rate[nd.I], s.cases[nd.N][nd.J]).Total()
+		},
 		Stepping: scheme.Stepping(),
 		Obs:      cfg.Obs,
 	}
@@ -161,15 +185,15 @@ func NewSession(cfg Config) (*Session, error) {
 		Stepping:    scheme.Stepping(),
 		Renormalize: true,
 		Obs:         cfg.Obs,
-		DriftQ: func(t, h, q float64) float64 {
-			n := s.timeIndex(t)
-			i := g.H.NearestIndex(h)
-			j := g.Q.NearestIndex(q)
-			x := s.xPath[n][g.Idx(i, j)]
-			return s.ctxs[n].QDrift(x)
-		},
+		DriftQ:      func(nd pde.Node) float64 { return s.qDrift(s.xPath[nd.N][g.Idx(nd.I, nd.J)]) },
 	}
 	return s, nil
+}
+
+// qDrift is the remaining-space drift b_q(x) of Eq. (4) under the workload
+// in flight.
+func (s *Session) qDrift(x float64) float64 {
+	return s.drift.RateXiL(x, s.workload.Pop, s.xiL)
 }
 
 // Config returns the configuration the session was built for.
@@ -181,17 +205,6 @@ func (s *Session) Grid() grid.Grid2D { return s.g }
 // Time returns the session's time mesh.
 func (s *Session) Time() grid.TimeMesh { return s.tm }
 
-func (s *Session) timeIndex(t float64) int {
-	n := int(t/s.tm.Dt() + 0.5)
-	if n < 0 {
-		n = 0
-	}
-	if n > s.cfg.Steps {
-		n = s.cfg.Steps
-	}
-	return n
-}
-
 // begin resets the session state for a fresh solve of workload w, seeding the
 // strategy and density paths from the warm-start equilibrium when given.
 func (s *Session) begin(w Workload, warm *Equilibrium) error {
@@ -199,6 +212,7 @@ func (s *Session) begin(w Workload, warm *Equilibrium) error {
 		return err
 	}
 	s.workload = w
+	s.xiL = s.drift.XiL(w.Timeliness)
 	s.residuals = s.residuals[:0]
 	// Density path: before the first FPK solve, hold λ0 constant in time.
 	for n := range s.lambdaPath {
@@ -239,7 +253,7 @@ func (s *Session) iterate(iter int) (float64, error) {
 
 	// 1. Snapshots from the current (λ, x) paths.
 	for n := 0; n <= cfg.Steps; n++ {
-		snap, err := s.est.Snapshot(s.tm.At(n), s.lambdaPath[n], s.xPath[n])
+		snap, err := s.est.SnapshotInto(s.tm.At(n), s.lambdaPath[n], s.xPath[n], s.cases[n])
 		if err != nil {
 			return 0, fmt.Errorf("core: snapshot at step %d: %w", n, err)
 		}
@@ -397,6 +411,11 @@ func (s *Session) SolveContext(ctx context.Context, w Workload, warm *Equilibriu
 		}
 		residual, err := s.iterate(iter)
 		if err != nil {
+			s.solves++
+			solveSpan.End(
+				slog.Int("iterations", iter-1),
+				slog.String("stop_reason", "error"),
+				slog.String("error", err.Error()))
 			return nil, err
 		}
 		if math.IsNaN(residual) || math.IsInf(residual, 0) || residual > blowup {

@@ -199,17 +199,6 @@ func Solve(cfg Config, w core.Workload, inits []AgentInit) (*Solution, error) {
 		}
 	}
 
-	timeIndex := func(t float64) int {
-		n := int(t/tm.Dt() + 0.5)
-		if n < 0 {
-			n = 0
-		}
-		if n > cfg.Steps {
-			n = cfg.Steps
-		}
-		return n
-	}
-
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		var worst float64
 		for i := 0; i < m; i++ {
@@ -260,19 +249,20 @@ func Solve(cfg Config, w core.Workload, inits []AgentInit) (*Solution, error) {
 				ctxs[n] = ctx
 			}
 
-			// Best response: backward HJB for agent i.
+			// Best response: backward HJB for agent i. The q drift depends on
+			// the workload only, which every time level shares.
 			prob := &pde.HJBProblem{
 				Grid:   g,
 				Time:   tm,
 				DiffH:  0.5 * p.ChSigma * p.ChSigma,
 				DiffQ:  0.5 * p.SigmaQ * p.SigmaQ,
 				DriftH: func(_, h float64) float64 { return ou.Drift(0, h) },
-				DriftQ: func(t, x float64) float64 { return ctxs[timeIndex(t)].QDrift(x) },
+				DriftQ: func(_, x float64) float64 { return ctxs[0].QDrift(x) },
 				Control: func(_, _, _ float64, dV float64) float64 {
 					return core.OptimalControl(p, dV)
 				},
-				Running: func(t, x, h, q float64) float64 {
-					return ctxs[timeIndex(t)].Utility(x, h, q)
+				Running: func(nd pde.Node, x float64) float64 {
+					return ctxs[nd.N].Utility(x, nd.H, nd.Q)
 				},
 			}
 			hjb, err := pde.SolveHJB(prob)
@@ -298,10 +288,8 @@ func Solve(cfg Config, w core.Workload, inits []AgentInit) (*Solution, error) {
 				DriftH:      func(_, h float64) float64 { return ou.Drift(0, h) },
 				Form:        pde.Conservative,
 				Renormalize: true,
-				DriftQ: func(t, h, q float64) float64 {
-					n := timeIndex(t)
-					x := hjb.X[n][g.Idx(g.H.NearestIndex(h), g.Q.NearestIndex(q))]
-					return ctxs[n].QDrift(x)
+				DriftQ: func(nd pde.Node) float64 {
+					return ctxs[nd.N].QDrift(hjb.X[nd.N][g.Idx(nd.I, nd.J)])
 				},
 			}
 			fpk, err := pde.SolveFPK(fprob, sol.Agents[i].Density[0])

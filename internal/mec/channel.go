@@ -18,6 +18,11 @@ import (
 //     which receives the actual interferer gains.
 type ChannelModel struct {
 	p Params
+
+	// meanLoss is the path loss d̄^(−τ) at the mean distance and sinrDen the
+	// mean-field SINR denominator N0 + Ī: both depend on the parameters
+	// only, so they are evaluated once here rather than in every Rate.
+	meanLoss, sinrDen float64
 }
 
 // NewChannelModel validates the parameters and returns the model.
@@ -25,7 +30,9 @@ func NewChannelModel(p Params) (*ChannelModel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &ChannelModel{p: p}, nil
+	c := &ChannelModel{p: p, meanLoss: math.Pow(p.MeanDist, -p.PathLoss)}
+	c.sinrDen = p.Noise + c.MeanInterference()
+	return c, nil
 }
 
 // OU returns the Ornstein–Uhlenbeck process of Eq. (1) for this channel.
@@ -39,7 +46,11 @@ func (c *ChannelModel) Gain(h, d float64) float64 {
 	if d <= 0 {
 		d = c.p.MeanDist
 	}
-	return h * h * math.Pow(d, -c.p.PathLoss)
+	loss := c.meanLoss
+	if d != c.p.MeanDist {
+		loss = math.Pow(d, -c.p.PathLoss)
+	}
+	return h * h * loss
 }
 
 // meanSquareFading is E[h²] under the stationary OU law clipped to the
@@ -53,14 +64,14 @@ func (c *ChannelModel) meanSquareFading() float64 {
 // Ī = n_eff · G · E[h²] · d̄^(−τ) that replaces Σ_{i'≠i}|g_{i',j}|²G_{i'} in
 // Eq. (2) for the generic player.
 func (c *ChannelModel) MeanInterference() float64 {
-	return float64(c.p.Interfer) * c.p.TxPower * c.meanSquareFading() * math.Pow(c.p.MeanDist, -c.p.PathLoss)
+	return float64(c.p.Interfer) * c.p.TxPower * c.meanSquareFading() * c.meanLoss
 }
 
 // Rate is the mean-field transmission rate H(h) = B·log2(1 + SINR(h)) with
 // the averaged interference, floored at RateFloor (MB/s).
 func (c *ChannelModel) Rate(h float64) float64 {
 	sig := c.Gain(h, c.p.MeanDist) * c.p.TxPower
-	sinr := sig / (c.p.Noise + c.MeanInterference())
+	sinr := sig / c.sinrDen
 	r := c.p.Bandwidth * math.Log2(1+sinr)
 	if r < c.p.RateFloor {
 		return c.p.RateFloor

@@ -137,19 +137,21 @@ func NewUtilityContext(p Params, ch *ChannelModel) (*UtilityContext, error) {
 
 // Terms evaluates the decomposed utility at control x and state (h, q).
 func (u *UtilityContext) Terms(x, h, q float64) UtilityTerms {
-	p := u.P
-	var cs Cases
-	if u.ShareEnabled {
-		cs = CaseProbabilities(p, q, u.QBar)
-	} else {
+	return u.TermsAt(x, q, u.Channel.Rate(h), CaseProbabilities(u.P, q, u.QBar))
+}
+
+// TermsAt is Terms with the two separable factors supplied by the caller:
+// the channel rate H(h) and the case probabilities cs at (q, u.QBar). The
+// rate depends on h alone and the cases on q and q̄ alone, so a solver
+// evaluates each once per grid line and time level instead of at every node.
+func (u *UtilityContext) TermsAt(x, q, rate float64, cs Cases) UtilityTerms {
+	p := &u.P
+	if !u.ShareEnabled {
 		// Without sharing, any own miss is served by the centre: P2 mass
 		// moves into P3.
-		cs = CaseProbabilities(p, q, u.QBar)
 		cs.P3 += cs.P2
 		cs.P2 = 0
 	}
-
-	rate := u.Channel.Rate(h)
 
 	// Φ¹ — trading income (Eq. 6): requests × price × data volume served in
 	// each case. In Case 1 the EDP sells its cached portion Qk−q; in Case 2

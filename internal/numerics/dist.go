@@ -86,8 +86,17 @@ func Clamp(x, lo, hi float64) float64 {
 }
 
 // Clamp01 implements the paper's [x]^+ operator from Theorem 1: the value is
-// clamped to the admissible caching-rate interval [0, 1].
-func Clamp01(x float64) float64 { return Clamp(x, 0, 1) }
+// clamped to the admissible caching-rate interval [0, 1]. It is Clamp(x, 0, 1)
+// written out, which keeps its per-node callers within the inlining budget.
+func Clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
+}
 
 // Lerp linearly interpolates between a and b with weight t in [0,1].
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }

@@ -36,9 +36,9 @@ type FPKProblem struct {
 
 	// DriftH is the channel drift at (t, h) (shared with the HJB problem).
 	DriftH func(t, h float64) float64
-	// DriftQ is the remaining-space drift at (t, h, q) with the optimal
+	// DriftQ is the remaining-space drift at node nd with the optimal
 	// control already substituted: b_q(t, h, q) = Qk[−w1·x*(t,h,q) − …].
-	DriftQ func(t, h, q float64) float64
+	DriftQ func(nd Node) float64
 
 	Form FPKForm
 	// Stepping selects implicit (default, unconditionally stable) or
@@ -200,11 +200,10 @@ func SolveFPKInto(ws *Workspace, sch Scheme, p *FPKProblem, lambda0 []float64, s
 	sol.RawMass[0] = mass(sol.Lambda[0], cell)
 
 	for n := 0; n < steps; n++ {
-		t := p.Time.At(n)
 		next := sol.Lambda[n+1]
 		copy(next, sol.Lambda[n])
 
-		if err := sch.StepForward(ws, p, t, next); err != nil {
+		if err := sch.StepForward(ws, p, n, next); err != nil {
 			return err
 		}
 

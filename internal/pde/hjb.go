@@ -10,6 +10,15 @@ import (
 	"repro/internal/obs"
 )
 
+// Node is one state node of one time level, as the solvers hand it to a
+// model callback: the indices locate it in tables laid out on the mesh (the
+// time level N of the time mesh, I on the h axis, J on the q axis), and the
+// coordinates serve callbacks that evaluate a formula at the point.
+type Node struct {
+	N, I, J int     // time level, h index, q index
+	T, H, Q float64 // t_N, h_I, q_J
+}
+
 // HJBProblem specifies the backward HJB equation (Eq. 20)
 //
 //	∂tV + b_h(t,h)·∂hV + b_q(t,x*,h,q)·∂qV + D_h·∂hhV + D_q·∂qqV
@@ -33,9 +42,9 @@ type HJBProblem struct {
 	// Control is the closed-form optimal caching rate of Eq. (21) given the
 	// current estimate of ∂qV. It must return a value in [0, 1].
 	Control func(t, h, q, dVdq float64) float64
-	// Running is the instantaneous utility U(t, x, h, q) under the current
-	// mean field.
-	Running func(t, x, h, q float64) float64
+	// Running is the instantaneous utility U(t, x, h, q) at node nd under
+	// the current mean field.
+	Running func(nd Node, x float64) float64
 	// Terminal is the scrap value V(T, h, q); the paper uses zero.
 	Terminal func(h, q float64) float64
 
@@ -213,12 +222,12 @@ func SolveHJBInto(ws *Workspace, sch Scheme, p *HJBProblem, sol *HJBSolution) er
 			for j := 0; j < nq; j++ {
 				idx, q := g.Idx(i, j), g.Q.At(j)
 				x[idx] = numerics.Clamp01(p.Control(t, h, q, ws.grad[idx]))
-				ws.work[idx] = vNext[idx] + dt*p.Running(t, x[idx], h, q)
+				ws.work[idx] = vNext[idx] + dt*p.Running(Node{N: n, I: i, J: j, T: t, H: h, Q: q}, x[idx])
 			}
 		}
 
 		// 3–4. Scheme-split sweeps in h (in place on work) then q (into V[n]).
-		if err := sch.StepBackward(ws, p, t, x, ws.work, sol.V[n]); err != nil {
+		if err := sch.StepBackward(ws, p, n, x, ws.work, sol.V[n]); err != nil {
 			return err
 		}
 	}

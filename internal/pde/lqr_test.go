@@ -44,7 +44,7 @@ func TestHJBMatchesLQRClosedForm(t *testing.T) {
 			}
 			return x
 		},
-		Running: func(_, x, _, q float64) float64 { return -q*q - x*x },
+		Running: func(nd Node, x float64) float64 { return -nd.Q*nd.Q - x*x },
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {
@@ -107,7 +107,7 @@ func TestHJBMatchesStochasticLQRClosedForm(t *testing.T) {
 			}
 			return x
 		},
-		Running: func(_, x, _, q float64) float64 { return -q*q - x*x },
+		Running: func(nd Node, x float64) float64 { return -nd.Q*nd.Q - x*x },
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {

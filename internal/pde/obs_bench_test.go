@@ -43,7 +43,7 @@ func benchHJBProblem(b *testing.B, rec obs.Recorder) *HJBProblem {
 		DriftH:  func(_, h float64) float64 { return 0.25 * (1 - h) },
 		DriftQ:  func(_, x float64) float64 { return -20 * x },
 		Control: func(_, _, _, dVdq float64) float64 { return 0.5 - 0.1*dVdq },
-		Running: func(_, x, h, q float64) float64 { return h*q - x*x },
+		Running: func(nd Node, x float64) float64 { return nd.H*nd.Q - x*x },
 		Obs:     rec,
 	}
 }
@@ -72,7 +72,7 @@ func benchmarkSolveFPK(b *testing.B, rec obs.Recorder) {
 		DiffH:       hp.DiffH,
 		DiffQ:       hp.DiffQ,
 		DriftH:      hp.DriftH,
-		DriftQ:      func(_, _, q float64) float64 { return -0.1 * q },
+		DriftQ:      func(nd Node) float64 { return -0.1 * nd.Q },
 		Renormalize: true,
 		Obs:         rec,
 	}

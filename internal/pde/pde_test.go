@@ -40,7 +40,7 @@ func TestHJBConstantRunningUtility(t *testing.T) {
 		DriftH:  func(_, _ float64) float64 { return 0 },
 		DriftQ:  func(_, _ float64) float64 { return 0 },
 		Control: func(_, _, _, _ float64) float64 { return 0 },
-		Running: func(_, _, _, _ float64) float64 { return 3 },
+		Running: func(Node, float64) float64 { return 3 },
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {
@@ -49,6 +49,64 @@ func TestHJBConstantRunningUtility(t *testing.T) {
 	for k, v := range sol.V[0] {
 		if math.Abs(v-6) > 1e-9 {
 			t.Fatalf("V(0)[%d] = %g, want 6", k, v)
+		}
+	}
+}
+
+// TestCallbacksReceiveMeshNodes pins the Node contract that lets a callback
+// read tables laid out on the mesh: under both schemes, every step visits
+// each state node exactly once per solve, and the node's indices locate its
+// coordinates.
+func TestCallbacksReceiveMeshNodes(t *testing.T) {
+	g := testGrid(t, 4, 6)
+	tm := testMesh(t, 1, 5)
+	for _, st := range []Stepping{Implicit, Explicit} {
+		visits := make(map[Node]int)
+		visit := func(nd Node) {
+			if nd.T != tm.At(nd.N) || nd.H != g.H.At(nd.I) || nd.Q != g.Q.At(nd.J) {
+				t.Fatalf("stepping %d: node %+v: coordinates do not match its indices", st, nd)
+			}
+			visits[nd]++
+		}
+		hjb := &HJBProblem{
+			Grid:    g,
+			Time:    tm,
+			DriftH:  func(_, _ float64) float64 { return 0 },
+			DriftQ:  func(_, _ float64) float64 { return 0 },
+			Control: func(_, _, _, _ float64) float64 { return 0 },
+			Running: func(nd Node, _ float64) float64 {
+				visit(nd)
+				return 0
+			},
+			Stepping: st,
+		}
+		if _, err := SolveHJB(hjb); err != nil {
+			t.Fatalf("SolveHJB: %v", err)
+		}
+		fpk := &FPKProblem{
+			Grid:   g,
+			Time:   tm,
+			DriftH: func(_, _ float64) float64 { return 0 },
+			DriftQ: func(nd Node) float64 {
+				visit(nd)
+				return 0
+			},
+			Stepping: st,
+		}
+		init := make([]float64, g.Size())
+		for k := range init {
+			init[k] = 1
+		}
+		if _, err := SolveFPK(fpk, init); err != nil {
+			t.Fatalf("SolveFPK: %v", err)
+		}
+		if len(visits) != tm.Steps*g.Size() {
+			t.Fatalf("stepping %d: %d distinct nodes visited, want %d", st, len(visits), tm.Steps*g.Size())
+		}
+		for nd, k := range visits {
+			if k != 2 {
+				t.Fatalf("stepping %d: node %+v visited %d times, want once per solve", st, nd, k)
+			}
 		}
 	}
 }
@@ -64,7 +122,7 @@ func TestHJBDiffusionPreservesConstant(t *testing.T) {
 		DriftH:   func(_, _ float64) float64 { return 0 },
 		DriftQ:   func(_, _ float64) float64 { return 0 },
 		Control:  func(_, _, _, _ float64) float64 { return 0 },
-		Running:  func(_, _, _, _ float64) float64 { return 0 },
+		Running:  func(Node, float64) float64 { return 0 },
 		Terminal: func(_, _ float64) float64 { return 5 },
 	}
 	sol, err := SolveHJB(p)
@@ -90,7 +148,7 @@ func TestHJBMaximumPrinciple(t *testing.T) {
 		DriftH:  func(_, h float64) float64 { return 0.5 - h },
 		DriftQ:  func(_, x float64) float64 { return -0.3 * x },
 		Control: func(_, _, _, dV float64) float64 { return numerics.Clamp01(-dV) },
-		Running: func(_, _, _, _ float64) float64 { return 0 },
+		Running: func(Node, float64) float64 { return 0 },
 		Terminal: func(h, q float64) float64 {
 			return math.Sin(3*h) * math.Cos(2*q) // values in [-1, 1]
 		},
@@ -125,7 +183,7 @@ func TestHJBAdvectionTransport(t *testing.T) {
 		DriftH:  func(_, _ float64) float64 { return 0 },
 		DriftQ:  func(_, _ float64) float64 { return b },
 		Control: func(_, _, _, _ float64) float64 { return 0 },
-		Running: func(_, _, _, _ float64) float64 { return 0 },
+		Running: func(Node, float64) float64 { return 0 },
 		Terminal: func(_, q float64) float64 {
 			d := q - 7
 			return math.Exp(-d * d) // bump at q=7
@@ -159,7 +217,7 @@ func TestHJBValidation(t *testing.T) {
 			DriftH:  func(_, _ float64) float64 { return 0 },
 			DriftQ:  func(_, _ float64) float64 { return 0 },
 			Control: func(_, _, _, _ float64) float64 { return 0 },
-			Running: func(_, _, _, _ float64) float64 { return 0 },
+			Running: func(Node, float64) float64 { return 0 },
 		}
 	}
 	p := base()
@@ -187,7 +245,7 @@ func TestHJBSolutionInterpolators(t *testing.T) {
 		DriftH:  func(_, _ float64) float64 { return 0 },
 		DriftQ:  func(_, _ float64) float64 { return 0 },
 		Control: func(_, _, _, _ float64) float64 { return 0.5 },
-		Running: func(_, _, _, _ float64) float64 { return 1 },
+		Running: func(Node, float64) float64 { return 1 },
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {
@@ -258,7 +316,7 @@ func TestFPKConservativeMassExact(t *testing.T) {
 		DiffH:       0.02,
 		DiffQ:       0.02,
 		DriftH:      func(_, h float64) float64 { return 0.5 - h },
-		DriftQ:      func(_, h, q float64) float64 { return math.Sin(5*q) * math.Cos(3*h) },
+		DriftQ:      func(nd Node) float64 { return math.Sin(5*nd.Q) * math.Cos(3*nd.H) },
 		Form:        Conservative,
 		Renormalize: false,
 	}
@@ -283,7 +341,7 @@ func TestFPKPositivity(t *testing.T) {
 		DiffH:  0.05,
 		DiffQ:  0.05,
 		DriftH: func(_, h float64) float64 { return 2 * (0.2 - h) },
-		DriftQ: func(_, _, q float64) float64 { return 3 * (0.8 - q) },
+		DriftQ: func(nd Node) float64 { return 3 * (0.8 - nd.Q) },
 		Form:   Conservative,
 	}
 	sol, err := SolveFPK(p, gaussianInit(t, g))
@@ -318,7 +376,7 @@ func TestFPKAdvectionMovesMean(t *testing.T) {
 		Time:   testMesh(t, 1, 200),
 		DiffQ:  0.001,
 		DriftH: func(_, _ float64) float64 { return 0 },
-		DriftQ: func(_, _, _ float64) float64 { return b },
+		DriftQ: func(Node) float64 { return b },
 		Form:   Conservative,
 	}
 	sol, err := SolveFPK(p, init)
@@ -362,7 +420,7 @@ func TestFPKDiffusionVarianceGrowth(t *testing.T) {
 		Time:   testMesh(t, 1, 200),
 		DiffQ:  D,
 		DriftH: func(_, _ float64) float64 { return 0 },
-		DriftQ: func(_, _, _ float64) float64 { return 0 },
+		DriftQ: func(Node) float64 { return 0 },
 		Form:   Conservative,
 	}
 	sol, err := SolveFPK(p, init)
@@ -421,7 +479,7 @@ func TestFPKOUStationaryVariance(t *testing.T) {
 			Time:   testMesh(t, 6, steps), // long enough to equilibrate
 			DiffQ:  D,
 			DriftH: func(_, _ float64) float64 { return 0 },
-			DriftQ: func(_, _, q float64) float64 { return theta * (mu - q) },
+			DriftQ: func(nd Node) float64 { return theta * (mu - nd.Q) },
 			Form:   Conservative,
 		}
 		sol, err := SolveFPK(p, init)
@@ -472,7 +530,7 @@ func TestFPKAdvectiveFormMassDrift(t *testing.T) {
 			DiffH:       0.02,
 			DiffQ:       0.02,
 			DriftH:      func(_, h float64) float64 { return 0.5 - h },
-			DriftQ:      func(_, _, q float64) float64 { return 2 * (0.3 - q) }, // ∂q b ≠ 0
+			DriftQ:      func(nd Node) float64 { return 2 * (0.3 - nd.Q) }, // ∂q b ≠ 0
 			Form:        form,
 			Renormalize: renorm,
 		}
@@ -503,7 +561,7 @@ func TestFPKValidation(t *testing.T) {
 			Grid:   g,
 			Time:   testMesh(t, 1, 5),
 			DriftH: func(_, _ float64) float64 { return 0 },
-			DriftQ: func(_, _, _ float64) float64 { return 0 },
+			DriftQ: func(Node) float64 { return 0 },
 		}
 	}
 	p := base()
@@ -536,7 +594,7 @@ func TestFPKDensityAt(t *testing.T) {
 		DiffH:  0.01,
 		DiffQ:  0.01,
 		DriftH: func(_, _ float64) float64 { return 0 },
-		DriftQ: func(_, _, _ float64) float64 { return 0 },
+		DriftQ: func(Node) float64 { return 0 },
 	}
 	sol, err := SolveFPK(p, gaussianInit(t, g))
 	if err != nil {

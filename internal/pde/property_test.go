@@ -23,8 +23,8 @@ func TestHJBComparisonPrinciple(t *testing.T) {
 			DriftH:  func(_, h float64) float64 { return 0.5 - h },
 			DriftQ:  func(_, x float64) float64 { return -0.5 * x },
 			Control: func(_, _, _, dV float64) float64 { return clamp01(-dV) },
-			Running: func(_, x, h, q float64) float64 {
-				return math.Sin(4*h)*math.Cos(3*q) - x*x + bonus
+			Running: func(nd Node, x float64) float64 {
+				return math.Sin(4*nd.H)*math.Cos(3*nd.Q) - x*x + bonus
 			},
 		}
 		sol, err := SolveHJB(p)
@@ -70,7 +70,7 @@ func TestHJBConstantShift(t *testing.T) {
 			DriftH:  func(_, h float64) float64 { return 0.3 - h },
 			DriftQ:  func(_, x float64) float64 { return -x },
 			Control: func(_, _, _, dV float64) float64 { return clamp01(-dV) },
-			Running: func(_, x, _, q float64) float64 { return q - x*x + c },
+			Running: func(nd Node, x float64) float64 { return nd.Q - x*x + c },
 		}
 		sol, err := SolveHJB(p)
 		if err != nil {
@@ -107,7 +107,7 @@ func TestFPKRandomDriftInvariants(t *testing.T) {
 			DiffH:  0.02,
 			DiffQ:  0.02,
 			DriftH: func(_, h float64) float64 { return ah + bh*math.Sin(6*h) },
-			DriftQ: func(_, h, q float64) float64 { return aq + bq*math.Cos(5*q+h) },
+			DriftQ: func(nd Node) float64 { return aq + bq*math.Cos(5*nd.Q+nd.H) },
 			Form:   Conservative,
 		}
 		sol, err := SolveFPK(p, init)
@@ -140,7 +140,7 @@ func TestImplicitUnconditionalStability(t *testing.T) {
 		DiffH:  5,
 		DiffQ:  5,
 		DriftH: func(_, h float64) float64 { return 10 * (0.5 - h) },
-		DriftQ: func(_, _, q float64) float64 { return 10 * (0.5 - q) },
+		DriftQ: func(nd Node) float64 { return 10 * (0.5 - nd.Q) },
 		Form:   Conservative,
 	}
 	init := gaussianInit(t, g)
@@ -177,8 +177,8 @@ func TestHJBControlAlwaysClamped(t *testing.T) {
 			DriftH:  func(_, h float64) float64 { return 0.5 - h },
 			DriftQ:  func(_, x float64) float64 { return -x },
 			Control: func(_, _, _, dV float64) float64 { return clamp01(-dV / 10) },
-			Running: func(_, x, h, q float64) float64 {
-				return amp * math.Sin(h*q*7)
+			Running: func(nd Node, x float64) float64 {
+				return amp * math.Sin(nd.H*nd.Q*7)
 			},
 		}
 		sol, err := SolveHJB(p)

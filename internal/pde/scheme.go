@@ -69,14 +69,14 @@ type Scheme interface {
 	Name() string
 	// Stepping returns the legacy Stepping constant the scheme corresponds to.
 	Stepping() Stepping
-	// StepBackward advances the backward value update one step at time t:
-	// src holds the explicit source W = V^{n+1} + dt·U(t, x*, ·) and is
-	// consumed as scratch; x is the frozen control field; the new value level
-	// lands in dst. src and dst must not alias.
-	StepBackward(ws *Workspace, p *HJBProblem, t float64, x, src, dst []float64) error
-	// StepForward transports the density field forward one step in place at
-	// time t.
-	StepForward(ws *Workspace, p *FPKProblem, t float64, lambda []float64) error
+	// StepBackward advances the backward value update one step at time
+	// level n: src holds the explicit source W = V^{n+1} + dt·U(t_n, x*, ·)
+	// and is consumed as scratch; x is the frozen control field; the new
+	// value level lands in dst. src and dst must not alias.
+	StepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error
+	// StepForward transports the density field forward one step in place
+	// from time level n.
+	StepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error
 	// Order returns the nominal temporal convergence order of the scheme
 	// (both built-in integrators are first-order: backward/forward Euler in
 	// time, with the Lie splitting itself contributing an O(dt) term). The
@@ -110,10 +110,10 @@ func (ws *Workspace) loadHDrift(t float64, driftH func(t, h float64) float64) {
 // for all columns); the explicit h-phase and the q-phase sweep one line at a
 // time. It emits the per-dimension "pde.hjb.sweeps" counters and sweep
 // timings.
-func stepBackward(ws *Workspace, p *HJBProblem, t float64, x, src, dst []float64, impl bool) error {
+func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64, impl bool) error {
 	g := p.Grid
 	nh, nq := g.H.N, g.Q.N
-	dt := p.Time.Dt()
+	t, dt := p.Time.At(n), p.Time.Dt()
 	rec := obs.OrNop(p.Obs)
 	timed := rec.Enabled()
 	var sweepStart time.Time
@@ -171,10 +171,10 @@ func stepBackward(ws *Workspace, p *HJBProblem, t float64, x, src, dst []float64
 // stepForward runs the Lie-split forward sweeps shared by every scheme, in
 // place on lambda, emitting the per-dimension "pde.fpk.sweeps" counters and
 // sweep timings.
-func stepForward(ws *Workspace, p *FPKProblem, t float64, lambda []float64, impl bool) error {
+func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64, impl bool) error {
 	g := p.Grid
 	nh, nq := g.H.N, g.Q.N
-	dt := p.Time.Dt()
+	t, dt := p.Time.At(n), p.Time.Dt()
 	rec := obs.OrNop(p.Obs)
 	timed := rec.Enabled()
 	var sweepStart time.Time
@@ -213,7 +213,7 @@ func stepForward(ws *Workspace, p *FPKProblem, t float64, lambda []float64, impl
 		row := i * nq
 		copy(sw.rhs, lambda[row:row+nq])
 		for j := 0; j < nq; j++ {
-			sw.b[j] = p.DriftQ(t, h, g.Q.At(j))
+			sw.b[j] = p.DriftQ(Node{N: n, I: i, J: j, T: t, H: h, Q: g.Q.At(j)})
 		}
 		var err error
 		switch {
@@ -244,12 +244,12 @@ func (implicitScheme) Name() string       { return "implicit" }
 func (implicitScheme) Stepping() Stepping { return Implicit }
 func (implicitScheme) Order() int         { return 1 }
 
-func (implicitScheme) StepBackward(ws *Workspace, p *HJBProblem, t float64, x, src, dst []float64) error {
-	return stepBackward(ws, p, t, x, src, dst, true)
+func (implicitScheme) StepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error {
+	return stepBackward(ws, p, n, x, src, dst, true)
 }
 
-func (implicitScheme) StepForward(ws *Workspace, p *FPKProblem, t float64, lambda []float64) error {
-	return stepForward(ws, p, t, lambda, true)
+func (implicitScheme) StepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
+	return stepForward(ws, p, n, lambda, true)
 }
 
 // explicitScheme is the forward-Euler ablation: cheaper per step (no linear
@@ -260,12 +260,12 @@ func (explicitScheme) Name() string       { return "explicit" }
 func (explicitScheme) Stepping() Stepping { return Explicit }
 func (explicitScheme) Order() int         { return 1 }
 
-func (explicitScheme) StepBackward(ws *Workspace, p *HJBProblem, t float64, x, src, dst []float64) error {
-	return stepBackward(ws, p, t, x, src, dst, false)
+func (explicitScheme) StepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error {
+	return stepBackward(ws, p, n, x, src, dst, false)
 }
 
-func (explicitScheme) StepForward(ws *Workspace, p *FPKProblem, t float64, lambda []float64) error {
-	return stepForward(ws, p, t, lambda, false)
+func (explicitScheme) StepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
+	return stepForward(ws, p, n, lambda, false)
 }
 
 // schemeRegistry is the single source of truth for the selectable schemes:

@@ -67,7 +67,7 @@ func TestSchemeEquivalenceHJB(t *testing.T) {
 			DriftH:   func(_, h float64) float64 { return 2 * (5 - h) },
 			DriftQ:   func(_, x float64) float64 { return -40 * x },
 			Control:  func(_, _, _, dVdq float64) float64 { return 0.5 - 0.01*dVdq },
-			Running:  func(_, x, h, q float64) float64 { return 2*h - 0.01*q - x*x },
+			Running:  func(nd Node, x float64) float64 { return 2*nd.H - 0.01*nd.Q - x*x },
 			Stepping: st,
 		}
 	}
@@ -114,7 +114,7 @@ func TestSchemeEquivalenceFPK(t *testing.T) {
 			DiffH:       0.05,
 			DiffQ:       0.4,
 			DriftH:      func(_, h float64) float64 { return 2 * (5 - h) },
-			DriftQ:      func(_, _, q float64) float64 { return -0.3 * q / 100 * 40 },
+			DriftQ:      func(nd Node) float64 { return -0.3 * nd.Q / 100 * 40 },
 			Form:        Conservative,
 			Stepping:    st,
 			Renormalize: true,
@@ -166,7 +166,7 @@ func TestSolveIntoRejectsMismatchedBuffers(t *testing.T) {
 		DriftH:  func(_, h float64) float64 { return -h },
 		DriftQ:  func(_, x float64) float64 { return -x },
 		Control: func(_, _, _, _ float64) float64 { return 0 },
-		Running: func(_, _, _, _ float64) float64 { return 0 },
+		Running: func(Node, float64) float64 { return 0 },
 	}
 	if err := SolveHJBInto(wsWrong, nil, p, NewHJBSolution(g, tm)); err == nil {
 		t.Errorf("mismatched workspace accepted")

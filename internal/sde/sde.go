@@ -103,7 +103,16 @@ func (c CacheDrift) Validate() error {
 // Rate evaluates the deterministic drift for caching rate x, popularity pi
 // and timeliness L.
 func (c CacheDrift) Rate(x, pi, L float64) float64 {
-	return c.Qk * (-c.W1*x - c.W2*pi + c.W3*math.Pow(c.Xi, L))
+	return c.RateXiL(x, pi, c.XiL(L))
+}
+
+// XiL is the timeliness response ξ^L of Eq. (4).
+func (c CacheDrift) XiL(L float64) float64 { return math.Pow(c.Xi, L) }
+
+// RateXiL is Rate with the timeliness response ξ^L given. A solve holds L
+// fixed, so it evaluates the power once instead of at every node.
+func (c CacheDrift) RateXiL(x, pi, xiL float64) float64 {
+	return c.Qk * (-c.W1*x - c.W2*pi + c.W3*xiL)
 }
 
 // Path is a sampled trajectory: Times[i] ↦ Values[i].

@@ -88,7 +88,7 @@ func TemporalOrderFPK(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 			// Smooth, time-dependent drifts on the physical scales: an OU
 			// pull in h and a contracting, slowly accelerating drift in q.
 			DriftH:      func(_, h float64) float64 { return 1.0 * (5 - h) },
-			DriftQ:      func(t, _, q float64) float64 { return -6 + 2*t - 0.03*q },
+			DriftQ:      func(nd pde.Node) float64 { return -6 + 2*nd.T - 0.03*nd.Q },
 			Form:        pde.Conservative,
 			Stepping:    sch.Stepping(),
 			Renormalize: true,
@@ -146,7 +146,7 @@ func TemporalOrderHJB(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 			// Mild feedback keeps the control interior, so the synthetic
 			// solution stays smooth (no clamp kinks to pollute the order).
 			Control:  func(_, _, _, dVdq float64) float64 { return 0.5 + 0.01*dVdq },
-			Running:  func(_, x, h, q float64) float64 { return 0.1*h + 0.002*q + 0.2*x },
+			Running:  func(nd pde.Node, x float64) float64 { return 0.1*nd.H + 0.002*nd.Q + 0.2*x },
 			Stepping: sch.Stepping(),
 		}
 		sol, err := pde.SolveHJB(p)
