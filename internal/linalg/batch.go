@@ -5,22 +5,23 @@ import (
 )
 
 // TridiagBatch is an n×n tridiagonal system factorised once and substituted
-// against many right-hand sides. It is the kernel the operator-split PDE
-// sweeps are built on: every h-line (or q-line) of one diffusion sweep solves
-// the same coefficient set, so the O(n) Thomas elimination runs once per
-// sweep instead of once per line, and the interleaved substitution walks the
-// flattened field with unit stride.
+// against many right-hand sides. It is the kernel of the implicit h-phase of
+// the operator-split PDE sweeps: every h-line of one sweep solves the same
+// coefficient set, so the O(n) Thomas elimination runs once per sweep instead
+// of once per line, and the interleaved substitution walks the flattened
+// field with unit stride. Lines with coefficients of their own, such as the
+// q-lines, are solved together by TridiagLines instead.
 //
-// The type parameter admits only float64 (see Float). Usage: fill A, B and C (same layout as Tridiag: A[0] and C[n-1] ignored),
-// call Factorize, then any number of Solve / SolveInterleaved calls. Writing
-// to the diagonals does not invalidate the factorisation automatically —
-// callers re-run Factorize after changing coefficients.
+// The type parameter admits only float64 (see Float). Usage: fill A, B and C
+// (same layout as Tridiag: A[0] and C[n-1] ignored), call Factorize, then any
+// number of SolveInterleaved calls. Writing to the diagonals does not
+// invalidate the factorisation automatically — callers re-run Factorize
+// after changing coefficients.
 type TridiagBatch[T Float] struct {
 	// A, B, C are the sub-, main- and super-diagonal, each of length n.
 	A, B, C []T
 
 	cp, beta []T // factorisation: normalised super-diagonal and pivots
-	dp       []T // substitution scratch for the single-RHS Solve
 	factored bool
 }
 
@@ -33,7 +34,6 @@ func NewTridiagBatch[T Float](n int) *TridiagBatch[T] {
 		C:    make([]T, n),
 		cp:   make([]T, n),
 		beta: make([]T, n),
-		dp:   make([]T, n),
 	}
 }
 
@@ -41,8 +41,8 @@ func NewTridiagBatch[T Float](n int) *TridiagBatch[T] {
 func (t *TridiagBatch[T]) N() int { return len(t.B) }
 
 // Factorize runs the Thomas forward elimination over the current diagonals,
-// storing the pivots for reuse by Solve and SolveInterleaved. A vanishing
-// pivot returns ErrSingular and leaves the system unfactorised.
+// storing the pivots for reuse by SolveInterleaved. A vanishing pivot returns
+// ErrSingular and leaves the system unfactorised.
 func (t *TridiagBatch[T]) Factorize() error {
 	t.factored = false
 	if row := thomasFactor(t.A, t.B, t.C, t.cp, t.beta); row >= 0 {
@@ -52,27 +52,12 @@ func (t *TridiagBatch[T]) Factorize() error {
 	return nil
 }
 
-// Solve substitutes one right-hand side through the stored factorisation
-// into dst (dst may alias rhs). Factorize must have succeeded since the
-// diagonals were last written.
-func (t *TridiagBatch[T]) Solve(dst, rhs []T) error {
-	n := t.N()
-	if !t.factored {
-		return fmt.Errorf("linalg: TridiagBatch.Solve before Factorize")
-	}
-	if len(rhs) != n || len(dst) != n {
-		return fmt.Errorf("%w: system %d, rhs %d, dst %d", ErrDimensionMismatch, n, len(rhs), len(dst))
-	}
-	thomasSolve(t.A, t.cp, t.beta, t.dp, dst, rhs)
-	return nil
-}
-
 // SolveInterleaved substitutes m interleaved right-hand sides through the
 // stored factorisation, in place on x: x[i*m+j] is component i of system j,
 // so a flattened row-major 2-D field swept along its first dimension is
 // solved directly, with no gather or scatter. len(x) must be N()*m. The
-// per-system arithmetic is identical to Solve, so the results are
-// bit-identical to m scalar solves.
+// per-system arithmetic is identical to a scalar Tridiag.Solve, so the
+// results are bit-identical to m scalar solves.
 func (t *TridiagBatch[T]) SolveInterleaved(x []T, m int) error {
 	n := t.N()
 	if !t.factored {

@@ -61,19 +61,6 @@ func TestTridiagBatchBitEqualsScalarSolves(t *testing.T) {
 			}
 		}
 
-		// Single-RHS path through the same factorisation.
-		for i := 0; i < n; i++ {
-			rhs[i] = field[i*m]
-		}
-		one := make([]float64, n)
-		if err := bat.Solve(one, rhs); err != nil {
-			t.Fatalf("batch Solve: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			if one[i] != want[i*m] {
-				t.Fatalf("trial %d: batch Solve differs at %d", trial, i)
-			}
-		}
 	}
 }
 
@@ -129,15 +116,12 @@ func TestTridiagBatchErrors(t *testing.T) {
 	if err := bat.Factorize(); !errors.Is(err, ErrSingular) {
 		t.Errorf("zero system should be singular, got %v", err)
 	}
-	if err := bat.Solve(make([]float64, 3), make([]float64, 3)); err == nil {
-		t.Error("Solve before successful Factorize should error")
+	if err := bat.SolveInterleaved(make([]float64, 6), 2); err == nil {
+		t.Error("SolveInterleaved before successful Factorize should error")
 	}
 	bat.B[0], bat.B[1], bat.B[2] = 2, 2, 2
 	if err := bat.Factorize(); err != nil {
 		t.Fatalf("Factorize: %v", err)
-	}
-	if err := bat.Solve(make([]float64, 2), make([]float64, 3)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("short dst should mismatch, got %v", err)
 	}
 	if err := bat.SolveInterleaved(make([]float64, 7), 2); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("wrong field size should mismatch, got %v", err)

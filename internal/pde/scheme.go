@@ -1,6 +1,7 @@
 package pde
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -11,19 +12,21 @@ import (
 )
 
 // Workspace owns every reusable buffer the operator-split integrators need on
-// one grid resolution: the shared batched h-line system, the line sweepers
-// and the gradient/source scratch fields. A Workspace is created once per
-// solver session and reused across time steps, best-response iterations and
-// repeated solves, so the steady-state iteration loop of the engine performs
-// no heap allocations. A Workspace is not safe for concurrent use; parallel
-// solvers hold one each.
+// one grid resolution: the shared batched h-line system, the interleaved
+// q-line systems, the line sweepers and the gradient/source scratch fields.
+// A Workspace is created once per solver session and reused across time
+// steps, best-response iterations and repeated solves, so the steady-state
+// iteration loop of the engine performs no heap allocations. A Workspace is
+// not safe for concurrent use; parallel solvers hold one each.
 type Workspace struct {
 	g grid.Grid2D
 
-	batH *linalg.TridiagBatch[float64] // shared-coefficient implicit h-phase
-	bH   []float64                     // h-drift cache, len nh
-	swH  *sweeper                      // h-line sweeper (explicit path)
-	swQ  *sweeper                      // q-line sweeper
+	batH   *linalg.TridiagBatch[float64] // shared-coefficient implicit h-phase
+	bH     []float64                     // h-drift cache, len nh
+	qLines *linalg.TridiagLines          // implicit q-phase: nh lines of nq rows, lock-step
+	qx     []float64                     // q-phase right-hand sides, interleaved like qLines
+	swH    *sweeper                      // h-line sweeper (explicit path)
+	swQ    *sweeper                      // q-line sweeper (explicit path, q-line drifts)
 
 	grad []float64 // ∂qV estimate feeding the closed-form control
 	work []float64 // explicit-source scratch W = V^{n+1} + dt·U
@@ -39,13 +42,15 @@ func NewWorkspace(g grid.Grid2D) (*Workspace, error) {
 	}
 	nh, nq := g.H.N, g.Q.N
 	return &Workspace{
-		g:    g,
-		batH: linalg.NewTridiagBatch[float64](nh),
-		bH:   make([]float64, nh),
-		swH:  newSweeper(nh),
-		swQ:  newSweeper(nq),
-		grad: g.NewField(),
-		work: g.NewField(),
+		g:      g,
+		batH:   linalg.NewTridiagBatch[float64](nh),
+		bH:     make([]float64, nh),
+		qLines: linalg.NewTridiagLines(nq, nh),
+		qx:     make([]float64, nq*nh),
+		swH:    newSweeper(nh),
+		swQ:    newSweeper(nq),
+		grad:   g.NewField(),
+		work:   g.NewField(),
 	}, nil
 }
 
@@ -89,11 +94,53 @@ type Scheme interface {
 // h-drift depends on (t, h) only, so every column shares one coefficient set,
 // which is assembled and factorised once; the interleaved substitution then
 // runs directly on the flattened field (unit stride, no gather/scatter).
-func (ws *Workspace) hPhaseImplicit(field []float64, kind hAssembly, dt, dx, diff float64) error {
-	if err := assembleH(ws.batH, ws.bH, kind, dt, dx, diff); err != nil {
+func (ws *Workspace) hPhaseImplicit(field []float64, op operator, dt, dx, diff float64) error {
+	bat := ws.batH
+	assemble(op, bat.A, bat.B, bat.C, 1, ws.bH, dt, dx, diff)
+	if err := bat.Factorize(); err != nil {
 		return err
 	}
-	return ws.batH.SolveInterleaved(field, ws.g.Q.N)
+	return bat.SolveInterleaved(field, ws.g.Q.N)
+}
+
+// loadQLine assembles q-line i of the implicit q-phase from its drifts b
+// straight into the interleaved systems (system i, stride nh) and loads the
+// line's field values as its right-hand side.
+func (ws *Workspace) loadQLine(i int, op operator, line, b []float64, dt, dx, diff float64) {
+	nh := ws.g.H.N
+	ql := ws.qLines
+	assemble(op, ql.A[i:], ql.B[i:], ql.C[i:], nh, b, dt, dx, diff)
+	for j, v := range line {
+		ws.qx[j*nh+i] = v
+	}
+}
+
+// solveQLines solves every loaded q-line in one lock-step call and writes
+// line i into row i of field (which may be the field the lines were loaded
+// from).
+func (ws *Workspace) solveQLines(field []float64) error {
+	if err := ws.qLines.Solve(ws.qx); err != nil {
+		return err
+	}
+	nh, nq := ws.g.H.N, ws.g.Q.N
+	for i := 0; i < nh; i++ {
+		row := field[i*nq : (i+1)*nq]
+		for j := range row {
+			row[j] = ws.qx[j*nh+i]
+		}
+	}
+	return nil
+}
+
+// qSweepError reports a failed lock-step q-phase with the lowest failing
+// line as the row (its h-index), followed by that line's own solve error:
+// the text solving the lines one by one gives.
+func qSweepError(eq string, t float64, err error) error {
+	var le *linalg.LineError
+	if errors.As(err, &le) {
+		return fmt.Errorf("pde: %s q-sweep at t=%.4g, row %d: %w", eq, t, le.Line, le.Err)
+	}
+	return fmt.Errorf("pde: %s q-sweep at t=%.4g: %w", eq, t, err)
 }
 
 // loadHDrift caches the h-drifts at the current time level, shared by every
@@ -107,9 +154,9 @@ func (ws *Workspace) loadHDrift(t float64, driftH func(t, h float64) float64) {
 // stepBackward runs the Lie-split backward sweeps shared by every scheme:
 // first every q-column in h (stride nq, in place on src), then every h-row in
 // q (stride 1, src → dst). The implicit h-phase is batched (one factorisation
-// for all columns); the explicit h-phase and the q-phase sweep one line at a
-// time. It emits the per-dimension "pde.hjb.sweeps" counters and sweep
-// timings.
+// for all columns) and the implicit q-phase solves all rows in lock-step (one
+// call for all lines); the explicit phases sweep one line at a time. It emits
+// the per-dimension "pde.hjb.sweeps" counters and sweep timings.
 func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64, impl bool) error {
 	g := p.Grid
 	nh, nq := g.H.N, g.Q.N
@@ -122,7 +169,7 @@ func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64, im
 	}
 	ws.loadHDrift(t, p.DriftH)
 	if impl {
-		if err := ws.hPhaseImplicit(src, hBackwardValue, dt, g.H.Step(), p.DiffH); err != nil {
+		if err := ws.hPhaseImplicit(src, opBackwardValue, dt, g.H.Step(), p.DiffH); err != nil {
 			return fmt.Errorf("pde: HJB h-sweep at t=%.4g: %w", t, err)
 		}
 	} else {
@@ -146,20 +193,23 @@ func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64, im
 	sw := ws.swQ
 	for i := 0; i < nh; i++ {
 		row := i * nq
-		copy(sw.rhs, src[row:row+nq])
 		for j := 0; j < nq; j++ {
 			sw.b[j] = p.DriftQ(t, x[row+j])
 		}
-		var err error
 		if impl {
-			err = sw.solveBackwardValue(dt, g.Q.Step(), p.DiffQ)
-		} else {
-			err = cflError(sw.explicitBackwardValue(dt, g.Q.Step(), p.DiffQ), p.Time.Steps)
+			ws.loadQLine(i, opBackwardValue, src[row:row+nq], sw.b, dt, g.Q.Step(), p.DiffQ)
+			continue
 		}
-		if err != nil {
+		copy(sw.rhs, src[row:row+nq])
+		if err := cflError(sw.explicitBackwardValue(dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
 			return fmt.Errorf("pde: HJB q-sweep at t=%.4g, row %d: %w", t, i, err)
 		}
 		copy(dst[row:row+nq], sw.sol)
+	}
+	if impl {
+		if err := ws.solveQLines(dst); err != nil {
+			return qSweepError("HJB", t, err)
+		}
 	}
 	rec.Add("pde.hjb.sweeps", float64(nh))
 	if timed {
@@ -181,13 +231,13 @@ func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64, impl boo
 	if timed {
 		sweepStart = time.Now()
 	}
+	op := opForwardConservative
+	if p.Form != Conservative {
+		op = opForwardAdvective
+	}
 	ws.loadHDrift(t, p.DriftH)
 	if impl {
-		kind := hForwardConservative
-		if p.Form != Conservative {
-			kind = hForwardAdvective
-		}
-		if err := ws.hPhaseImplicit(lambda, kind, dt, g.H.Step(), p.DiffH); err != nil {
+		if err := ws.hPhaseImplicit(lambda, op, dt, g.H.Step(), p.DiffH); err != nil {
 			return fmt.Errorf("pde: FPK h-sweep at t=%.4g: %w", t, err)
 		}
 	} else {
@@ -211,23 +261,23 @@ func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64, impl boo
 	for i := 0; i < nh; i++ {
 		h := g.H.At(i)
 		row := i * nq
-		copy(sw.rhs, lambda[row:row+nq])
 		for j := 0; j < nq; j++ {
 			sw.b[j] = p.DriftQ(Node{N: n, I: i, J: j, T: t, H: h, Q: g.Q.At(j)})
 		}
-		var err error
-		switch {
-		case !impl:
-			err = cflError(sw.explicitForwardConservative(dt, g.Q.Step(), p.DiffQ), p.Time.Steps)
-		case p.Form == Conservative:
-			err = sw.solveForwardConservative(dt, g.Q.Step(), p.DiffQ)
-		default:
-			err = sw.solveForwardAdvective(dt, g.Q.Step(), p.DiffQ)
+		if impl {
+			ws.loadQLine(i, op, lambda[row:row+nq], sw.b, dt, g.Q.Step(), p.DiffQ)
+			continue
 		}
-		if err != nil {
+		copy(sw.rhs, lambda[row:row+nq])
+		if err := cflError(sw.explicitForwardConservative(dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
 			return fmt.Errorf("pde: FPK q-sweep at t=%.4g, row %d: %w", t, i, err)
 		}
 		copy(lambda[row:row+nq], sw.sol)
+	}
+	if impl {
+		if err := ws.solveQLines(lambda); err != nil {
+			return qSweepError("FPK", t, err)
+		}
 	}
 	rec.Add("pde.fpk.sweeps", float64(nh))
 	if timed {

@@ -1,11 +1,13 @@
 package pde
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/linalg"
 )
 
 func schemeTestGrid(t *testing.T) (grid.Grid2D, grid.TimeMesh) {
@@ -192,5 +194,35 @@ func TestSchemeNamesDerivedFromRegistry(t *testing.T) {
 	}
 	if _, err := SchemeByName("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
 		t.Errorf("unknown-scheme error should list the registry names, got %v", err)
+	}
+}
+
+// A vanishing pivot in the lock-step q-phase names the lowest failing q-line
+// as the row and that line's first zero pivot: the text solving the lines
+// one by one gives.
+func TestQSweepSingularErrorNamesLine(t *testing.T) {
+	g, _ := schemeTestGrid(t)
+	ws, err := NewWorkspace(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nh, nq := g.H.N, g.Q.N
+	field := g.NewField()
+	drift := make([]float64, nq)
+	for i := 0; i < nh; i++ {
+		ws.loadQLine(i, opBackwardValue, field[i*nq:(i+1)*nq], drift, 0.01, g.Q.Step(), 1)
+	}
+	// Zero pivots at (line 4, row 2), (line 1, row 7) and (line 1, row 9).
+	for _, lr := range [][2]int{{4, 2}, {1, 7}, {1, 9}} {
+		k := lr[1]*nh + lr[0]
+		ws.qLines.A[k], ws.qLines.B[k] = 0, 0
+	}
+	err = qSweepError("HJB", 0.25, ws.solveQLines(field))
+	if !errors.Is(err, linalg.ErrSingular) {
+		t.Fatalf("got %v, want ErrSingular", err)
+	}
+	want := "pde: HJB q-sweep at t=0.25, row 1: linalg: matrix is singular to working precision: zero pivot at row 7"
+	if err.Error() != want {
+		t.Errorf("error text\n got %q\nwant %q", err, want)
 	}
 }

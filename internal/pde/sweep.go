@@ -19,21 +19,20 @@
 // The sweeps run on one serial float64 kernel: within one h-sweep every grid
 // line shares its coefficient set, so the tridiagonal system is factorised
 // once and all lines are substituted through it in place; q-lines have
-// line-dependent coefficients and are solved one at a time. Batching
-// preserves the per-line arithmetic exactly, so the kernel is bit-identical
-// to the historical line-by-line solver.
+// line-dependent coefficients, so every q-line of a sweep is assembled into
+// one interleaved set of systems and all of them are solved in lock-step,
+// row by row. Both kernels keep the per-line arithmetic of the scalar Thomas
+// algorithm exactly, so they are bit-identical to solving each line on its
+// own.
 package pde
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/linalg"
-)
-
-// sweeper owns the reusable buffers for 1-D sweeps of length n.
+// sweeper owns the reusable line buffers for 1-D sweeps of length n: the
+// explicit updates of both phases, and the drift of one q-line while the
+// implicit q-phase assembles it.
 type sweeper struct {
 	n    int
-	bat  *linalg.TridiagBatch[float64]
 	rhs  []float64
 	sol  []float64
 	b    []float64 // drift at the n nodes of the current line
@@ -43,7 +42,6 @@ type sweeper struct {
 func newSweeper(n int) *sweeper {
 	return &sweeper{
 		n:    n,
-		bat:  linalg.NewTridiagBatch[float64](n),
 		rhs:  make([]float64, n),
 		sol:  make([]float64, n),
 		b:    make([]float64, n),
@@ -87,12 +85,14 @@ func scatter(field, src []float64, start, stride, n int) {
 //	(I − dt·L) v_new = v_old,   L v = b(x)·∂v + D·∂²v
 //
 // with upwind advection and homogeneous Neumann boundaries (∂v/∂n = 0) into
-// the diagonals (A, B, C) from the nodal drifts b. The matrix is an M-matrix
-// with unit row sums minus the off-diagonal mass, hence diagonally dominant.
-func assembleBackwardValue(A, B, C, b []float64, dt, dx, diff float64) {
+// the diagonals (A, B, C) from the nodal drifts b; row i lands at i·stride.
+// The matrix is an M-matrix with unit row sums minus the off-diagonal mass,
+// hence diagonally dominant.
+func assembleBackwardValue(A, B, C []float64, stride int, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	dd := diff / (dx * dx) // D/dx²
 	for i := 0; i < n; i++ {
+		k := i * stride
 		bi := b[i]
 		var lo, up float64 // off-diagonal weights of L at i−1 and i+1
 		if bi >= 0 {
@@ -107,17 +107,17 @@ func assembleBackwardValue(A, B, C, b []float64, dt, dx, diff float64) {
 		// moves onto the diagonal, cancelling there.
 		switch i {
 		case 0:
-			A[i] = 0
-			B[i] = 1 + dt*up
-			C[i] = -dt * up
+			A[k] = 0
+			B[k] = 1 + dt*up
+			C[k] = -dt * up
 		case n - 1:
-			A[i] = -dt * lo
-			B[i] = 1 + dt*lo
-			C[i] = 0
+			A[k] = -dt * lo
+			B[k] = 1 + dt*lo
+			C[k] = 0
 		default:
-			A[i] = -dt * lo
-			B[i] = 1 + dt*(lo+up)
-			C[i] = -dt * up
+			A[k] = -dt * lo
+			B[k] = 1 + dt*(lo+up)
+			C[k] = -dt * up
 		}
 	}
 }
@@ -128,10 +128,10 @@ func assembleBackwardValue(A, B, C, b []float64, dt, dx, diff float64) {
 //	(I + dt·div F) λ_new = λ_old,
 //	F_{i+1/2} = b⁺_{i+1/2} λ_i + b⁻_{i+1/2} λ_{i+1} − D (λ_{i+1}−λ_i)/dx.
 //
-// Interface drifts are arithmetic means of the nodal drifts b. The matrix has
-// unit column sums, so Σλ is conserved to round-off, and it is an M-matrix,
-// so positivity is preserved.
-func assembleForwardConservative(A, B, C, b []float64, dt, dx, diff float64) {
+// Interface drifts are arithmetic means of the nodal drifts b; row i lands at
+// i·stride. The matrix has unit column sums, so Σλ is conserved to
+// round-off, and it is an M-matrix, so positivity is preserved.
+func assembleForwardConservative(A, B, C []float64, stride int, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	r := dt / dx
 	dd := diff / dx // D/dx (flux units)
@@ -156,9 +156,10 @@ func assembleForwardConservative(A, B, C, b []float64, dt, dx, diff float64) {
 			diag += r * (-bLoM + dd)
 			lo = r * (-bLoP - dd)
 		}
-		A[i] = lo
-		B[i] = diag
-		C[i] = up
+		k := i * stride
+		A[k] = lo
+		B[k] = diag
+		C[k] = up
 	}
 }
 
@@ -167,13 +168,15 @@ func assembleForwardConservative(A, B, C, b []float64, dt, dx, diff float64) {
 //
 //	(I + dt·(b·∂ − D·∂²)) λ_new = λ_old
 //
-// with upwind advection and Neumann boundaries. This form does not conserve
-// mass when the drift varies in space (the missing λ·∂b term); the FPK solver
-// optionally renormalises and reports the raw drift.
-func assembleForwardAdvective(A, B, C, b []float64, dt, dx, diff float64) {
+// with upwind advection and Neumann boundaries; row i lands at i·stride. This
+// form does not conserve mass when the drift varies in space (the missing
+// λ·∂b term); the FPK solver optionally renormalises and reports the raw
+// drift.
+func assembleForwardAdvective(A, B, C []float64, stride int, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	dd := diff / (dx * dx)
 	for i := 0; i < n; i++ {
+		k := i * stride
 		bi := b[i]
 		var lo, up float64 // off-diagonal weights of (b∂ − D∂²), to be ≤ 0
 		if bi >= 0 {
@@ -185,73 +188,42 @@ func assembleForwardAdvective(A, B, C, b []float64, dt, dx, diff float64) {
 		up -= dd
 		switch i {
 		case 0:
-			A[i] = 0
-			B[i] = 1 - dt*up
-			C[i] = dt * up
+			A[k] = 0
+			B[k] = 1 - dt*up
+			C[k] = dt * up
 		case n - 1:
-			A[i] = dt * lo
-			B[i] = 1 - dt*lo
-			C[i] = 0
+			A[k] = dt * lo
+			B[k] = 1 - dt*lo
+			C[k] = 0
 		default:
-			A[i] = dt * lo
-			B[i] = 1 - dt*(lo+up)
-			C[i] = dt * up
+			A[k] = dt * lo
+			B[k] = 1 - dt*(lo+up)
+			C[k] = dt * up
 		}
 	}
 }
 
-// hAssembly selects which implicit operator an h-phase assembles into the
-// shared batched system.
-type hAssembly int
+// operator selects which implicit operator a sweep phase assembles.
+type operator int
 
 const (
-	hBackwardValue hAssembly = iota
-	hForwardConservative
-	hForwardAdvective
+	opBackwardValue operator = iota
+	opForwardConservative
+	opForwardAdvective
 )
 
-// assembleH assembles the selected operator from the nodal drifts b into the
-// batch and factorises it, once per sweep for all lines.
-func assembleH(bat *linalg.TridiagBatch[float64], b []float64, kind hAssembly, dt, dx, diff float64) error {
-	switch kind {
-	case hBackwardValue:
-		assembleBackwardValue(bat.A, bat.B, bat.C, b, dt, dx, diff)
-	case hForwardConservative:
-		assembleForwardConservative(bat.A, bat.B, bat.C, b, dt, dx, diff)
+// assemble assembles the selected operator from the nodal drifts b into the
+// diagonals (A, B, C), row i at i·stride: stride 1 for the shared h-phase
+// system, the line count for one line of the interleaved q-phase systems.
+func assemble(op operator, A, B, C []float64, stride int, b []float64, dt, dx, diff float64) {
+	switch op {
+	case opBackwardValue:
+		assembleBackwardValue(A, B, C, stride, b, dt, dx, diff)
+	case opForwardConservative:
+		assembleForwardConservative(A, B, C, stride, b, dt, dx, diff)
 	default:
-		assembleForwardAdvective(bat.A, bat.B, bat.C, b, dt, dx, diff)
+		assembleForwardAdvective(A, B, C, stride, b, dt, dx, diff)
 	}
-	return bat.Factorize()
-}
-
-// solveBackwardValue performs one implicit backward sweep on the line loaded
-// in s.rhs with drifts s.b; the solution lands in s.sol.
-func (s *sweeper) solveBackwardValue(dt, dx, diff float64) error {
-	assembleBackwardValue(s.bat.A, s.bat.B, s.bat.C, s.b, dt, dx, diff)
-	if err := s.bat.Factorize(); err != nil {
-		return err
-	}
-	return s.bat.Solve(s.sol, s.rhs)
-}
-
-// solveForwardConservative performs one implicit conservative FPK sweep on
-// the loaded line.
-func (s *sweeper) solveForwardConservative(dt, dx, diff float64) error {
-	assembleForwardConservative(s.bat.A, s.bat.B, s.bat.C, s.b, dt, dx, diff)
-	if err := s.bat.Factorize(); err != nil {
-		return err
-	}
-	return s.bat.Solve(s.sol, s.rhs)
-}
-
-// solveForwardAdvective performs one implicit advective FPK sweep on the
-// loaded line.
-func (s *sweeper) solveForwardAdvective(dt, dx, diff float64) error {
-	assembleForwardAdvective(s.bat.A, s.bat.B, s.bat.C, s.b, dt, dx, diff)
-	if err := s.bat.Factorize(); err != nil {
-		return err
-	}
-	return s.bat.Solve(s.sol, s.rhs)
 }
 
 func checkField(name string, field []float64, want int) error {

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/trace"
 )
 
 // TestRunRecordsTelemetry checks that the market simulation feeds the
@@ -13,7 +15,18 @@ import (
 func TestRunRecordsTelemetry(t *testing.T) {
 	reg := obs.NewRegistry(nil)
 	cfg := quickConfig(t, policy.NewMFGCP())
+	cfg.Epochs = 2
 	cfg.Obs = reg
+	// The trace Run would generate, made explicit so the test can count the
+	// contents with demand in each epoch.
+	gen := trace.DefaultGenConfig()
+	gen.K = cfg.Params.K
+	gen.Seed = cfg.Seed
+	ds, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	cfg.Trace = ds
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -22,9 +35,28 @@ func TestRunRecordsTelemetry(t *testing.T) {
 	if got := s.Counters["sim.epochs"]; got != float64(cfg.Epochs) {
 		t.Errorf("sim.epochs = %g, want %d", got, cfg.Epochs)
 	}
+	// Without faults every active (content, EDP) slot of every step is
+	// served by exactly one of the three cases, and serves r·dt requests.
+	var slots int
+	var requests float64
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		shares, err := ds.DayShares(epoch % ds.Days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shares {
+			if r := cfg.RequestsPerEDP * sh; r > 0 {
+				slots += cfg.StepsPerEpoch * cfg.Params.M
+				requests += cfg.Params.Horizon * float64(cfg.Params.M) * r
+			}
+		}
+	}
 	served := s.Counters["sim.serve.local_hit"] + s.Counters["sim.serve.peer_share"] + s.Counters["sim.serve.cloud_fetch"]
-	if served <= 0 {
-		t.Errorf("no service events recorded: %+v", s.Counters)
+	if slots == 0 || served != float64(slots) {
+		t.Errorf("service cases sum to %g, want %d slots: %+v", served, slots, s.Counters)
+	}
+	if got := s.Counters["sim.requests.served"]; math.Abs(got-requests) > 1e-9*requests {
+		t.Errorf("sim.requests.served = %.12g, want %.12g", got, requests)
 	}
 	if s.Histograms["sim.epoch.seconds"].Count != uint64(cfg.Epochs) {
 		t.Errorf("epoch span count = %d, want %d", s.Histograms["sim.epoch.seconds"].Count, cfg.Epochs)

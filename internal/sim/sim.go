@@ -553,7 +553,26 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		var priceAcc, rateAcc float64
 		var priceN int
 		epochLedgers := make([]Ledger, p.M)
-		xs := make([]float64, p.M) // caching rates of one content this step
+		xs := make([]float64, p.M)    // caching rates of one content this step
+		rates := make([]float64, p.M) // transmission rates of the active EDPs this step
+		var tally serviceTally
+
+		// ξ^L of the Eq. 4 cache drift is fixed for the epoch: per content,
+		// or per EDP and content when requesters declare their own timeliness.
+		xiPow := make([]float64, p.K)
+		for k := range xiPow {
+			xiPow[k] = math.Pow(p.Xi, workloads[k].Timeliness)
+		}
+		var reqXiPow [][]float64
+		if reqTimeliness != nil {
+			reqXiPow = make([][]float64, p.M)
+			for i := range reqXiPow {
+				reqXiPow[i] = make([]float64, p.K)
+				for k := range reqXiPow[i] {
+					reqXiPow[i][k] = math.Pow(p.Xi, reqTimeliness[i][k])
+				}
+			}
+		}
 
 		for s := 0; s < cfg.StepsPerEpoch; s++ {
 			if ctx.Err() != nil {
@@ -566,6 +585,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			if requesters != nil {
 				requesters.stepFading(ou, p.HMin, p.HMax, dt, rng)
 				invRates = requesters.meanInvRate(channel, agents)
+			}
+			// Channels move only at the end of the step, so each active EDP's
+			// transmission rate is fixed across the step's contents.
+			for i := range agents {
+				if ef != nil && !ef.active(i, s) {
+					continue
+				}
+				if invRates != nil {
+					rates[i] = 1 / invRates[i]
+				} else {
+					rates[i] = transmissionRate(channel, agents, i, cfg.ExactInterference)
+				}
 			}
 			for k := 0; k < p.K; k++ {
 				if workloads[k].Requests <= 0 {
@@ -581,6 +612,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					}
 					x, err := activePol.Rate(i, k, t, agents[i].h, agents[i].q[k])
 					if err != nil {
+						tally.flush(rec)
 						return nil, fmt.Errorf("sim: epoch %d step %d: %w", epoch, s, err)
 					}
 					xs[i] = x
@@ -609,16 +641,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					// Service case: own hit, else probe a peer.
 					led := &epochLedgers[i]
 					r := reqs[i][k]
-					var rate float64
-					if invRates != nil {
-						rate = 1 / invRates[i]
-					} else {
-						rate = transmissionRate(channel, agents, i, cfg.ExactInterference)
-					}
-					rec.Add("sim.requests.served", r*dt)
+					rate := rates[i]
+					tally.served += r * dt
 					switch {
 					case a.q[k] <= alphaQ: // Case 1: sell own cache
-						rec.Add("sim.serve.local_hit", 1)
+						tally.local++
 						led.Trading += r * price * (p.Qk - a.q[k]) * dt
 						led.Staleness += p.Eta2 * r * (p.Qk - a.q[k]) / rate * dt
 					default:
@@ -634,7 +661,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 						}
 						if peerQualified {
 							// Case 2: buy the gap from the peer, sell on.
-							rec.Add("sim.serve.peer_share", 1)
+							tally.peer++
 							led.Trading += r * price * (p.Qk - peer.q[k]) * dt
 							led.Staleness += p.Eta2 * r * (p.Qk - peer.q[k]) / rate * dt
 							pay := p.SharePrice * (a.q[k] - peer.q[k]) * dt
@@ -644,7 +671,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 							}
 						} else {
 							// Case 3: fetch the uncached part from the centre.
-							rec.Add("sim.serve.cloud_fetch", 1)
+							tally.cloud++
 							led.Trading += r * price * p.Qk * dt
 							led.Staleness += p.Eta2 * r * (a.q[k]/p.HubRate + p.Qk/rate) * dt
 						}
@@ -655,11 +682,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 					// Cache dynamics (Eq. 4), with the EDP's own requesters'
 					// declared timeliness when the requester level is on.
-					lvl := workloads[k].Timeliness
-					if reqTimeliness != nil {
-						lvl = reqTimeliness[i][k]
+					xiL := xiPow[k]
+					if reqXiPow != nil {
+						xiL = reqXiPow[i][k]
 					}
-					drift := p.Qk * (-p.W1*x - p.W2*workloads[k].Pop + p.W3*math.Pow(p.Xi, lvl))
+					drift := p.Qk * (-p.W1*x - p.W2*workloads[k].Pop + p.W3*xiL)
 					a.q[k] = sde.ReflectInto(a.q[k]+drift*dt+p.SigmaQ*sqDt*rng.NormFloat64(), 0, p.Qk)
 				}
 			}
@@ -673,6 +700,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				a := &agents[i]
 				a.h = sde.ReflectInto(a.h+ou.Drift(t, a.h)*dt+ou.Diffusion(t, a.h)*sqDt*rng.NormFloat64(), p.HMin, p.HMax)
 			}
+			tally.flush(rec)
 		}
 
 		// Epoch aggregation.
@@ -734,6 +762,32 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	finish()
 	return res, nil
+}
+
+// serviceTally counts one step's served requests and service cases, so a
+// step makes one recorder call per counter rather than two per (content,
+// EDP) slot.
+type serviceTally struct {
+	served             float64 // Σ r·dt over the step's slots
+	local, peer, cloud int     // slots per service case (Cases 1, 2, 3)
+}
+
+// flush adds the tally to the "sim.requests.served" and "sim.serve.*"
+// counters and resets it. Counters the step did not touch stay untouched.
+func (t *serviceTally) flush(rec obs.Recorder) {
+	if t.local+t.peer+t.cloud > 0 {
+		rec.Add("sim.requests.served", t.served)
+	}
+	if t.local > 0 {
+		rec.Add("sim.serve.local_hit", float64(t.local))
+	}
+	if t.peer > 0 {
+		rec.Add("sim.serve.peer_share", float64(t.peer))
+	}
+	if t.cloud > 0 {
+		rec.Add("sim.serve.cloud_fetch", float64(t.cloud))
+	}
+	*t = serviceTally{}
 }
 
 // equilibriumCaching is implemented by policies that can consult a shared
