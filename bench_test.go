@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	mfgcp "repro"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exactgame"
 	"repro/internal/experiments"
 	"repro/internal/grid"
@@ -56,13 +56,13 @@ func BenchmarkTable2ComputationTime(b *testing.B)    { benchExperiment(b, "table
 
 // --- Ablations (DESIGN.md §5) ------------------------------------------------
 
-func quickSolver() core.Config {
-	cfg := core.DefaultConfig(mec.Default())
+func quickSolver() engine.Config {
+	cfg := engine.DefaultConfig(mec.Default())
 	cfg.NH, cfg.NQ, cfg.Steps, cfg.MaxIters = 7, 31, 48, 30
 	return cfg
 }
 
-var benchWorkload = core.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
+var benchWorkload = engine.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
 
 // Conservative (divergence-form) vs paper-literal advective FPK form inside
 // the full equilibrium solve.
@@ -76,7 +76,7 @@ func BenchmarkAblationFPKForm(b *testing.B) {
 			cfg.FPKForm = form.form
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(cfg, benchWorkload); err != nil {
+				if _, err := engine.Solve(cfg, benchWorkload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,7 +94,7 @@ func BenchmarkAblationDamping(b *testing.B) {
 			var iters int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eq, err := core.Solve(cfg, benchWorkload)
+				eq, err := engine.Solve(cfg, benchWorkload)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -139,7 +139,7 @@ func BenchmarkAblationGridResolution(b *testing.B) {
 			cfg.NQ = nq
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(cfg, benchWorkload); err != nil {
+				if _, err := engine.Solve(cfg, benchWorkload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -161,7 +161,7 @@ func BenchmarkAblationRecorder(b *testing.B) {
 			cfg.Obs = variant.rec
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(cfg, benchWorkload); err != nil {
+				if _, err := engine.Solve(cfg, benchWorkload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -266,7 +266,7 @@ func BenchmarkEquilibriumSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Solve(cfg, benchWorkload); err != nil {
+		if _, err := engine.Solve(cfg, benchWorkload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func BenchmarkMarketEpoch(b *testing.B) {
 }
 
 func BenchmarkRolloutEnsemble(b *testing.B) {
-	eq, err := core.Solve(quickSolver(), benchWorkload)
+	eq, err := engine.Solve(quickSolver(), benchWorkload)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func BenchmarkAblationScheme(b *testing.B) {
 			cfg.Stepping = stepping.s
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(cfg, benchWorkload); err != nil {
+				if _, err := engine.Solve(cfg, benchWorkload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -327,7 +327,7 @@ func BenchmarkAblationScheme(b *testing.B) {
 // original game grows linearly in M (O(M·K·ψ)) while MFG-CP is flat — the
 // scalability argument behind Fig. 2 and Table II.
 func BenchmarkExactGameVsMFG(b *testing.B) {
-	w := core.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
+	w := engine.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
 	cfg := exactgame.DefaultConfig(mec.Default())
 	cfg.NH, cfg.NQ, cfg.Steps = 5, 21, 30
 	for _, m := range []int{4, 8, 16} {
@@ -345,11 +345,11 @@ func BenchmarkExactGameVsMFG(b *testing.B) {
 		})
 	}
 	b.Run("mean-field", func(b *testing.B) {
-		mcfg := core.DefaultConfig(mec.Default())
+		mcfg := engine.DefaultConfig(mec.Default())
 		mcfg.NH, mcfg.NQ, mcfg.Steps = 5, 21, 30
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Solve(mcfg, w); err != nil {
+			if _, err := engine.Solve(mcfg, w); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -359,14 +359,14 @@ func BenchmarkExactGameVsMFG(b *testing.B) {
 // Knapsack allocators for the capacity-constrained extension (the paper's
 // Section IV-C Remark).
 func BenchmarkKnapsackAllocators(b *testing.B) {
-	items := make([]core.KnapsackItem, 50)
+	items := make([]policy.KnapsackItem, 50)
 	for i := range items {
-		items[i] = core.KnapsackItem{Content: i, Weight: 1 + float64(i%17), Value: float64((i*31)%97) + 1}
+		items[i] = policy.KnapsackItem{Content: i, Weight: 1 + float64(i%17), Value: float64((i*31)%97) + 1}
 	}
 	b.Run("fractional", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.AllocateFractional(items, 200); err != nil {
+			if _, err := policy.AllocateFractional(items, 200); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -374,7 +374,7 @@ func BenchmarkKnapsackAllocators(b *testing.B) {
 	b.Run("zero-one-dp", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Allocate01(items, 200, 2000); err != nil {
+			if _, _, err := policy.Allocate01(items, 200, 2000); err != nil {
 				b.Fatal(err)
 			}
 		}

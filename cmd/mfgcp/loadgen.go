@@ -11,7 +11,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/loadgen"
 	"repro/internal/mec"
 	"repro/internal/trace"
@@ -127,7 +127,7 @@ func traceBodies(epochs int, reqPerEpoch float64, seed int64) ([][]byte, error) 
 			if err != nil {
 				return nil, err
 			}
-			body, err := json.Marshal(struct{ Workload core.Workload }{w})
+			body, err := json.Marshal(struct{ Workload engine.Workload }{w})
 			if err != nil {
 				return nil, err
 			}

@@ -64,7 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
 )
 
@@ -166,34 +165,6 @@ func setFlags(fs *flag.FlagSet) map[string]bool {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	return set
-}
-
-// kernelFlags are the deprecated -kernel-workers and -precision flags of
-// solve, market, serve and precompute. They are parsed and validated as
-// before (engine.KernelConfig) but change nothing: the PDE layer has one
-// serial float64 kernel.
-type kernelFlags struct {
-	workers   *int
-	precision *string
-}
-
-func addKernelFlags(fs *flag.FlagSet) kernelFlags {
-	return kernelFlags{
-		workers:   fs.Int("kernel-workers", 0, "deprecated, ignored: the PDE kernel is serial (must be ≥ 0)"),
-		precision: fs.String("precision", "", "deprecated, ignored: the PDE kernel is float64 (float64, or float32 with the implicit scheme)"),
-	}
-}
-
-// merge overlays the kernel flags set explicitly on the command line onto kc,
-// so they win over a -config file.
-func (kf kernelFlags) merge(set map[string]bool, kc engine.KernelConfig) engine.KernelConfig {
-	if set["kernel-workers"] {
-		kc.Workers = *kf.workers
-	}
-	if set["precision"] {
-		kc.Precision = *kf.precision
-	}
-	return kc
 }
 
 func knownExperiment(id string) bool {

@@ -86,21 +86,14 @@ func TestSolveSubcommandOverrides(t *testing.T) {
 		"-no-share", "-eta1", "0.003", "-qk", "80", "-init-mean", "0.6"}); err != nil {
 		t.Fatalf("solve with overrides: %v", err)
 	}
-	if err := run([]string{"solve", "-bogus-flag"}); err == nil {
-		t.Error("bad solve flag should error")
-	}
-}
-
-func TestSolveSubcommandKernelFlags(t *testing.T) {
-	if err := run([]string{"solve", "-nh", "5", "-nq", "21", "-steps", "30",
-		"-kernel-workers", "2", "-precision", "float32"}); err != nil {
-		t.Fatalf("solve with kernel flags: %v", err)
-	}
-	if err := run([]string{"solve", "-precision", "float16"}); err == nil {
-		t.Error("unknown precision should error")
-	}
-	if err := run([]string{"solve", "-scheme", "explicit", "-precision", "float32"}); err == nil {
-		t.Error("float32 with the explicit scheme should error")
+	// Undefined flags fail, among them the retired -kernel-workers.
+	for _, args := range [][]string{
+		{"solve", "-bogus-flag"},
+		{"solve", "-kernel-workers", "2"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v: bad solve flag should error", args)
+		}
 	}
 }
 

@@ -39,7 +39,6 @@ func marketCmd(args []string) (retErr error) {
 	requesters := fs.Int("requesters", 0, "requester population J (0 = homogeneous demand)")
 	exact := fs.Bool("exact-interference", false, "pairwise SINR instead of the mean-field rate")
 	scheme := fs.String("scheme", "", "PDE time integrator: implicit (default) or explicit")
-	kf := addKernelFlags(fs)
 	eqCache := fs.Int("eq-cache", 0, "equilibrium cache capacity across epochs (0 = off)")
 	checkpoint := fs.String("checkpoint", "", "directory for atomic epoch-boundary snapshots (empty = off)")
 	ckEvery := fs.Int("checkpoint-every", 1, "snapshot after every N-th epoch")
@@ -107,7 +106,6 @@ func marketCmd(args []string) (retErr error) {
 	if *scheme != "" {
 		opts = append(opts, mfgcp.WithScheme(*scheme))
 	}
-	cfg.Solver.Kernel = kf.merge(set, cfg.Solver.Kernel)
 	if *configPath == "" || set["checkpoint"] || set["checkpoint-every"] || set["resume"] {
 		opts = append(opts, mfgcp.WithCheckpoint(mfgcp.MarketCheckpointConfig{
 			Dir: *checkpoint, Every: *ckEvery, Resume: *resume,

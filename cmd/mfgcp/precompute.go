@@ -74,7 +74,6 @@ func precomputeCmd(args []string) (retErr error) {
 	nq := fs.Int("nq", 0, "q-grid nodes (0 keeps the default)")
 	steps := fs.Int("steps", 0, "time steps (0 keeps the default)")
 	scheme := fs.String("scheme", "", "PDE time integrator: implicit (default) or explicit")
-	kf := addKernelFlags(fs)
 	of := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -129,7 +128,6 @@ func precomputeCmd(args []string) (retErr error) {
 	if set["scheme"] {
 		solver.Scheme = *scheme
 	}
-	solver.Kernel = kf.merge(set, solver.Kernel)
 	// A table must not carry a surrogate reference of its own: the solves
 	// behind it are the ground truth the bounds are measured against.
 	solver.Surrogate = engine.SurrogateConfig{}

@@ -45,7 +45,6 @@ func serveCmd(args []string) (retErr error) {
 	configPath := fs.String("config", "", "JSON defaults for Params/Solver (same shape as a /v1/solve body)")
 	surrogatePath := fs.String("surrogate", "", "precomputed surrogate table (see mfgcp precompute); in-region solves answer from it as tier 0")
 	surrogateMaxBound := fs.Float64("surrogate-max-bound", 0, "reject surrogate answers whose declared error bound exceeds this (0 = any in-region bound)")
-	kf := addKernelFlags(fs)
 	peers := fs.String("peers", "", "comma-separated fleet member base URLs (including this replica); enables consistent-hash routing and peer cache-fill")
 	advertise := fs.String("advertise", "", "this replica's own base URL as it appears in -peers (default http://<addr>)")
 	peerTimeout := fs.Duration("peer-timeout", 10*time.Second, "peer cache-fill round-trip bound; an expired fill degrades to a local solve")
@@ -94,7 +93,6 @@ func serveCmd(args []string) (retErr error) {
 	}
 	// Explicit flags win over the -config file.
 	set := setFlags(fs)
-	solver.Kernel = kf.merge(set, solver.Kernel)
 	if set["surrogate"] {
 		solver.Surrogate.Path = *surrogatePath
 	}

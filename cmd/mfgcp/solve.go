@@ -49,7 +49,6 @@ func solveCmd(args []string) (retErr error) {
 	steps := fs.Int("steps", 0, "time steps (0 keeps the default)")
 	noShare := fs.Bool("no-share", false, "solve the MFG baseline without peer sharing")
 	scheme := fs.String("scheme", "", "PDE time integrator: implicit (default) or explicit")
-	kf := addKernelFlags(fs)
 	surrogatePath := fs.String("surrogate", "", "precomputed surrogate table (see mfgcp precompute); in-region workloads answer by interpolation")
 	surrogateMaxBound := fs.Float64("surrogate-max-bound", 0, "reject surrogate answers whose declared error bound exceeds this (0 = any in-region bound)")
 	csvDir := fs.String("csv", "", "write strategy/density/price CSVs into this directory")
@@ -126,7 +125,6 @@ func solveCmd(args []string) (retErr error) {
 	if *scheme != "" {
 		opts = append(opts, mfgcp.WithScheme(*scheme))
 	}
-	cfg.Kernel = kf.merge(set, cfg.Kernel)
 	if set["surrogate"] || set["surrogate-max-bound"] {
 		sc := cfg.Surrogate
 		if set["surrogate"] {

@@ -3,8 +3,9 @@ package mfgcp
 import (
 	"io"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exactgame"
+	"repro/internal/policy"
 )
 
 // This file exposes the two extensions beyond the paper's headline framework:
@@ -15,23 +16,23 @@ import (
 // KnapsackItem is one content in the capacity-constrained allocation: the
 // cache space its equilibrium strategy would consume and the utility it
 // contributes.
-type KnapsackItem = core.KnapsackItem
+type KnapsackItem = policy.KnapsackItem
 
 // AllocateFractional solves the continuous knapsack of the capacity
 // extension: admitted fractions per content, greedy-optimal.
 func AllocateFractional(items []KnapsackItem, capacity float64) ([]float64, error) {
-	return core.AllocateFractional(items, capacity)
+	return policy.AllocateFractional(items, capacity)
 }
 
 // Allocate01 solves the 0/1 variant exactly by dynamic programming on a
 // discretised weight axis.
 func Allocate01(items []KnapsackItem, capacity float64, resolution int) ([]bool, float64, error) {
-	return core.Allocate01(items, capacity, resolution)
+	return policy.Allocate01(items, capacity, resolution)
 }
 
 // CapacityItems derives knapsack inputs from solved per-content equilibria.
 func CapacityItems(equilibria []*Equilibrium, seed int64, paths int) ([]KnapsackItem, error) {
-	return core.CapacityItems(equilibria, seed, paths)
+	return policy.CapacityItems(equilibria, seed, paths)
 }
 
 // ExactGameConfig controls a finite-M exact-game solve (the "original game"
@@ -58,5 +59,5 @@ func SolveExactGame(cfg ExactGameConfig, w Workload, inits []ExactGameAgentInit)
 // the cache format used to reuse expensive per-content solves across epochs
 // and processes.
 func ReadEquilibrium(r io.Reader) (*Equilibrium, error) {
-	return core.ReadEquilibrium(r)
+	return engine.ReadEquilibrium(r)
 }

@@ -67,9 +67,8 @@ func CacheKey(cfg Config, w Workload) string {
 	} else {
 		fmt.Fprintf(&b, "Scheme=%q;", cfg.Scheme)
 	}
-	// The deprecated Kernel block changes nothing and the Surrogate routing
-	// config decides which tier answers, never what the equilibrium is, so
-	// neither is part of the key.
+	// The Surrogate routing config decides which tier answers, never what
+	// the equilibrium is, so it is not part of the key.
 	// Initial density override: quantised content hash (nil means the
 	// Section-V default, which the params above already determine).
 	if cfg.InitLambda != nil {

@@ -17,8 +17,6 @@
 //     canonical encoding of (quantised params, workload, grid resolution),
 //     giving the policy and simulation layers warm-start reuse across
 //     contents and epochs.
-//
-// internal/core re-exports everything here for compatibility.
 package engine
 
 import (
@@ -102,12 +100,6 @@ type Config struct {
 	// configurations working.
 	Scheme string
 
-	// Kernel is validated and otherwise ignored: every solve runs the one
-	// serial float64 kernel.
-	//
-	// Deprecated: see KernelConfig.
-	Kernel KernelConfig
-
 	// ShareEnabled distinguishes MFG-CP (true) from the MFG baseline
 	// without peer sharing (false).
 	ShareEnabled bool
@@ -140,51 +132,6 @@ type Config struct {
 	// no-op: library users and tests opt in explicitly, and the hot loops pay
 	// nothing by default. The field is dropped from serialised archives.
 	Obs obs.Recorder
-}
-
-// KernelConfig is the deprecated PDE kernel block: Workers was the line-sweep
-// worker count and Precision the kernel scalar type. The PDE layer has one
-// serial float64 kernel, so the block is validated exactly as before and
-// otherwise ignored, which keeps its promises: results were bit-exact at
-// every worker count, and float32 promised agreement with float64 within
-// 1e-5.
-//
-// Deprecated: the fields change nothing; the type is removed two releases
-// after its deprecation (DESIGN.md §10.2).
-type KernelConfig struct {
-	// Workers must be ≥ 0.
-	Workers int
-	// Precision must be "", PrecisionFloat64 or PrecisionFloat32, and
-	// PrecisionFloat32 requires the implicit scheme.
-	Precision string
-}
-
-// Kernel precision names accepted by KernelConfig.Precision.
-//
-// Deprecated: every precision runs the float64 kernel.
-const (
-	PrecisionFloat64 = "float64"
-	PrecisionFloat32 = "float32"
-)
-
-// Validate rejects what the retired kernels rejected, with the same
-// messages: negative workers, an unknown precision, and float32 with any
-// scheme but the implicit one.
-func (kc KernelConfig) Validate(st pde.Stepping) error {
-	if kc.Workers < 0 {
-		return fmt.Errorf("pde: kernel workers must be ≥ 0, got %d", kc.Workers)
-	}
-	switch kc.Precision {
-	case "", PrecisionFloat64:
-	case PrecisionFloat32:
-		if st != pde.Implicit {
-			return errors.New("core: the float32 kernel supports the implicit scheme only")
-		}
-	default:
-		return fmt.Errorf("pde: unknown kernel precision %q (want %q or %q)",
-			kc.Precision, PrecisionFloat64, PrecisionFloat32)
-	}
-	return nil
 }
 
 // SurrogateConfig routes solves at a precomputed equilibrium table. The zero
@@ -249,11 +196,7 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.BlowupResidual) || math.IsInf(c.BlowupResidual, 0) || c.BlowupResidual < 0 {
 		return fmt.Errorf("core: BlowupResidual must be non-negative and finite, got %g", c.BlowupResidual)
 	}
-	sch, err := c.scheme()
-	if err != nil {
-		return err
-	}
-	if err := c.Kernel.Validate(sch.Stepping()); err != nil {
+	if _, err := c.scheme(); err != nil {
 		return err
 	}
 	return c.Surrogate.Validate()

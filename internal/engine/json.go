@@ -34,7 +34,6 @@ type configJSON struct {
 	FPKForm        int
 	Stepping       int
 	Scheme         string
-	Kernel         KernelConfig
 	Surrogate      SurrogateConfig
 	ShareEnabled   bool
 	InitLambda     []float64 `json:",omitempty"`
@@ -53,7 +52,6 @@ func (c Config) toJSON() configJSON {
 		FPKForm:        int(c.FPKForm),
 		Stepping:       int(c.Stepping),
 		Scheme:         c.Scheme,
-		Kernel:         c.Kernel,
 		Surrogate:      c.Surrogate,
 		ShareEnabled:   c.ShareEnabled,
 		InitLambda:     c.InitLambda,
@@ -70,7 +68,6 @@ func (j configJSON) apply(c *Config) {
 	c.FPKForm = pde.FPKForm(j.FPKForm)
 	c.Stepping = pde.Stepping(j.Stepping)
 	c.Scheme = j.Scheme
-	c.Kernel = j.Kernel
 	c.Surrogate = j.Surrogate
 	c.ShareEnabled = j.ShareEnabled
 	c.InitLambda = j.InitLambda

@@ -78,6 +78,7 @@ func TestConfigJSONRejection(t *testing.T) {
 		name, doc, want string
 	}{
 		{"unknown key", `{"Damp": 0.5}`, "unknown field"},
+		{"retired kernel block", `{"Kernel": {"Workers": 2}}`, "unknown field"},
 		{"malformed", `{"NH": }`, "invalid character"},
 		{"zero tol", `{"Tol": 0}`, "Tol"},
 		{"bad damping", `{"Damping": 1.5}`, "Damping"},

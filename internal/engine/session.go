@@ -482,8 +482,8 @@ func (s *Session) SolveContext(ctx context.Context, w Workload, warm *Equilibriu
 // beyond this is unambiguously a numerical blow-up.
 const defaultBlowupResidual = 1e8
 
-// Solve runs one equilibrium computation with a throwaway session. It is the
-// compatibility path behind core.Solve; sustained callers (the policy layer,
+// Solve runs one equilibrium computation with a throwaway session. It suits
+// one-off solves (experiments, tests); sustained callers (the policy layer,
 // epoch loops) construct a Session once and reuse it.
 func Solve(cfg Config, w Workload) (*Equilibrium, error) {
 	s, err := NewSession(cfg)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mec"
@@ -14,12 +15,10 @@ func smallConfig() (Config, Workload) {
 	return cfg, Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
 }
 
-// TestSessionSteadyStateZeroAlloc pins the engine's core guarantee: once a
-// session is warmed up, one damped best-response iteration performs zero heap
-// allocations (telemetry disabled). Regressions here silently reintroduce
-// the per-iteration garbage the engine layer was built to eliminate.
-func TestSessionSteadyStateZeroAlloc(t *testing.T) {
-	cfg, w := smallConfig()
+// warmSession returns a session for cfg that has begun solving w and run two
+// warm-up iterations, so one-time lazy paths (if any) have settled.
+func warmSession(t *testing.T, cfg Config, w Workload) *Session {
+	t.Helper()
 	s, err := NewSession(cfg)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -27,19 +26,70 @@ func TestSessionSteadyStateZeroAlloc(t *testing.T) {
 	if err := s.begin(w, nil); err != nil {
 		t.Fatalf("begin: %v", err)
 	}
-	// Warm-up iterations let one-time lazy paths (if any) settle.
 	for i := 0; i < 2; i++ {
 		if _, err := s.iterate(i + 1); err != nil {
 			t.Fatalf("warm-up iterate: %v", err)
 		}
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.iterate(3); err != nil {
-			t.Fatalf("iterate: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state best-response iteration allocates %.1f objects/op, want 0", allocs)
+	return s
+}
+
+// TestSessionSteadyStateZeroAlloc pins the engine's core guarantee: once a
+// session is warmed up, one damped best-response iteration performs zero heap
+// allocations (telemetry disabled). Regressions here silently reintroduce
+// the per-iteration garbage the engine layer was built to eliminate.
+func TestSessionSteadyStateZeroAlloc(t *testing.T) {
+	small, w := smallConfig()
+	large := small
+	large.NH, large.NQ = 41, 101
+	for _, cfg := range []Config{small, large} {
+		t.Run(fmt.Sprintf("%dx%dx%d", cfg.NH, cfg.NQ, cfg.Steps), func(t *testing.T) {
+			s := warmSession(t, cfg, w)
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := s.iterate(3); err != nil {
+					t.Fatalf("iterate: %v", err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state best-response iteration allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestSessionZeroAllocParallelKernel: parallel workers hold one session each
+// (ensemble solves, policy.MFGCP), so sessions that iterate in turn in one
+// process share nothing that allocates. Each case warms one 41×101×30 session
+// per worker and requires a round of one iteration per session to allocate
+// nothing. The precision part of a case name is the kernel precision the
+// case ran under before that setting was removed; every session now runs
+// the one float64 kernel.
+func TestSessionZeroAllocParallelKernel(t *testing.T) {
+	cfg, w := smallConfig()
+	cfg.NH, cfg.NQ = 41, 101
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{
+		{"workers=4,precision=", 4},
+		{"workers=2,precision=float32", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sessions := make([]*Session, tc.workers)
+			for i := range sessions {
+				sessions[i] = warmSession(t, cfg, w)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				for _, s := range sessions {
+					if _, err := s.iterate(3); err != nil {
+						t.Fatalf("iterate: %v", err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("a round over %d sessions allocates %.1f objects/op, want 0", tc.workers, allocs)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/mec"
 	"repro/internal/numerics"
@@ -130,7 +130,7 @@ var ErrNotConverged = errors.New("exactgame: best-response rounds did not conver
 // Solve runs sequential best-response over the M agents given their initial
 // distributions. Agents see the exact finite-M averages of the other players'
 // current strategies and states.
-func Solve(cfg Config, w core.Workload, inits []AgentInit) (*Solution, error) {
+func Solve(cfg Config, w engine.Workload, inits []AgentInit) (*Solution, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -259,7 +259,7 @@ func Solve(cfg Config, w core.Workload, inits []AgentInit) (*Solution, error) {
 				DriftH: func(_, h float64) float64 { return ou.Drift(0, h) },
 				DriftQ: func(_, x float64) float64 { return ctxs[0].QDrift(x) },
 				Control: func(_, _, _ float64, dV float64) float64 {
-					return core.OptimalControl(p, dV)
+					return engine.OptimalControl(p, dV)
 				},
 				Running: func(nd pde.Node, x float64) float64 {
 					return ctxs[nd.N].Utility(x, nd.H, nd.Q)

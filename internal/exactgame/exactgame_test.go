@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 )
 
@@ -17,8 +17,8 @@ func testConfig() Config {
 	return cfg
 }
 
-func testWorkload() core.Workload {
-	return core.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
+func testWorkload() engine.Workload {
+	return engine.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
 }
 
 func symmetricInits(m int) []AgentInit {
@@ -89,9 +89,9 @@ func TestExactGameMatchesMFG(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload()
 
-	mfgCfg := core.DefaultConfig(cfg.Params)
+	mfgCfg := engine.DefaultConfig(cfg.Params)
 	mfgCfg.NH, mfgCfg.NQ, mfgCfg.Steps = cfg.NH, cfg.NQ, cfg.Steps
-	mfgEq, err := core.Solve(mfgCfg, w)
+	mfgEq, err := engine.Solve(mfgCfg, w)
 	if err != nil {
 		t.Fatalf("MFG solve: %v", err)
 	}

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/policy"
 )
 
 func quickOpt() Options { return Options{Seed: 1, Quick: true} }
@@ -141,36 +145,67 @@ func TestFig14MFGCPWins(t *testing.T) {
 	}
 }
 
+// TestTable2MFGCPFlatInM checks Table II's claim by counted work, not by
+// wall time, which load on the host distorts: one MFG-CP Prepare runs the
+// same equilibrium solves and best-response iterations at every population
+// size M, while RR prepares one strategy row per EDP. The report keeps the
+// timing table.
 func TestTable2MFGCPFlatInM(t *testing.T) {
-	rep, err := Run("table2", quickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := rep.Tables[0]
-	var mfgcp, rr []float64
-	for _, row := range tab.Rows {
-		vals := make([]float64, 0, len(row)-1)
-		for _, c := range row[1:] {
-			v, err := strconv.ParseFloat(c, 64)
-			if err != nil {
-				t.Fatalf("bad cell %q", c)
+	ms, _ := table2Sweep(quickOpt())
+	var mfgWork []string
+	for _, m := range ms {
+		reg := obs.NewRegistry(nil)
+		opt := quickOpt()
+		opt.Obs = reg
+		ctx, err := strategyContext(m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range table2Policies() {
+			if err := pol.Prepare(ctx); err != nil {
+				t.Fatalf("%s, M=%d: %v", pol.Name(), m, err)
 			}
-			vals = append(vals, v)
+			switch pol.Name() {
+			case "MFG-CP":
+				c := reg.Snapshot().Counters
+				if c["core.solver.solves"] == 0 {
+					t.Fatalf("M=%d: MFG-CP prepared without a solve", m)
+				}
+				mfgWork = append(mfgWork, fmt.Sprintf("%g solves, %g iterations",
+					c["core.solver.solves"], c["core.solver.iterations"]))
+			case "RR":
+				if rows := strategyRows(t, pol, m, ctx.Params.K); rows != m {
+					t.Errorf("M=%d: RR prepared %d distinct strategy rows, want one per EDP", m, rows)
+				}
+			}
 		}
-		switch row[0] {
-		case "MFG-CP":
-			mfgcp = vals
-		case "RR":
-			rr = vals
+	}
+	t.Logf("MFG-CP work per Prepare at M=%v: %v", ms, mfgWork)
+	for _, w := range mfgWork[1:] {
+		if w != mfgWork[0] {
+			t.Errorf("MFG-CP work per Prepare changed with M %v: %v", ms, mfgWork)
+			break
 		}
 	}
-	// MFG-CP within 2× across the M sweep; RR grows by ≥1.5× for 3× M.
-	if mfgcp[len(mfgcp)-1] > 2*mfgcp[0] {
-		t.Errorf("MFG-CP timing grew with M: %v", mfgcp)
+}
+
+// strategyRows counts the distinct per-EDP rate rows pol serves to EDPs
+// 0..2m-1, at one fixed time and state.
+func strategyRows(t *testing.T, pol policy.Policy, m, k int) int {
+	t.Helper()
+	rows := map[string]bool{}
+	for edp := 0; edp < 2*m; edp++ {
+		row := make([]float64, k)
+		for c := range row {
+			x, err := pol.Rate(edp, c, 0, 1, 50)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[c] = x
+		}
+		rows[fmt.Sprint(row)] = true
 	}
-	if rr[len(rr)-1] < 1.5*rr[0] {
-		t.Errorf("RR timing did not grow with M: %v", rr)
-	}
+	return len(rows)
 }
 
 func TestPopularityTrace(t *testing.T) {

@@ -5,7 +5,7 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exactgame"
 	"repro/internal/mec"
 	"repro/internal/metrics"
@@ -31,7 +31,7 @@ func ExtExactGame(opt Options) (*Report, error) {
 
 	cfg := exactgame.DefaultConfig(p)
 	cfg.NH, cfg.NQ, cfg.Steps = 5, 21, 30
-	mfgCfg := core.DefaultConfig(p)
+	mfgCfg := engine.DefaultConfig(p)
 	mfgCfg.NH, mfgCfg.NQ, mfgCfg.Steps = cfg.NH, cfg.NQ, cfg.Steps
 
 	start := time.Now()

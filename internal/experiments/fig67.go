@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/metrics"
 )
@@ -98,7 +98,7 @@ func heatmapColumns(qNodes []float64) []string {
 
 // marginalStd computes the standard deviation of the remaining space q under
 // the equilibrium's marginal density at time index n.
-func marginalStd(eq *core.Equilibrium, n int) (float64, error) {
+func marginalStd(eq *engine.Equilibrium, n int) (float64, error) {
 	marg, err := eq.MarginalQ(n)
 	if err != nil {
 		return 0, err

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/metrics"
 	"repro/internal/policy"
@@ -12,8 +12,8 @@ import (
 )
 
 // solverConfig sizes the equilibrium solver for the run mode.
-func solverConfig(p mec.Params, opt Options) core.Config {
-	cfg := core.DefaultConfig(p)
+func solverConfig(p mec.Params, opt Options) engine.Config {
+	cfg := engine.DefaultConfig(p)
 	cfg.Obs = opt.Obs
 	cfg.Scheme = opt.Scheme
 	if opt.Quick {
@@ -28,15 +28,15 @@ func solverConfig(p mec.Params, opt Options) core.Config {
 // baseWorkload is the single-content demand used by the equilibrium-level
 // figures (4, 5, 6, 7, 8, 9, 10, 11): ten requesters, a popular content
 // (Π = 0.3) with mid-range urgency.
-func baseWorkload() core.Workload {
-	return core.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
+func baseWorkload() engine.Workload {
+	return engine.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
 }
 
 // solveEquilibrium runs Algorithm 2 and tolerates hitting ψ_th (the partial
 // equilibrium is still the best response after ψ_th learning rounds, which is
 // what Algorithm 2 returns in that case).
-func solveEquilibrium(cfg core.Config, w core.Workload) (*core.Equilibrium, error) {
-	eq, err := core.Solve(cfg, w)
+func solveEquilibrium(cfg engine.Config, w engine.Workload) (*engine.Equilibrium, error) {
+	eq, err := engine.Solve(cfg, w)
 	if err != nil {
 		if eq != nil && len(eq.Residuals) > 0 {
 			return eq, nil

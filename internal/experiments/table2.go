@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/metrics"
 	"repro/internal/policy"
@@ -20,29 +20,15 @@ func init() { register("table2", Table2) }
 // paper's testbed; the scaling behaviour is the claim.
 func Table2(opt Options) (*Report, error) {
 	rep := &Report{ID: "table2", Title: "Strategy computation time vs number of EDPs (Table II)"}
-	ms := []int{50, 100, 200, 300}
-	reps := 3
-	if opt.Quick {
-		ms = []int{20, 60}
-		reps = 1
-	}
+	ms, reps := table2Sweep(opt)
 	cols := []string{"scheme"}
 	for _, m := range ms {
 		cols = append(cols, fmt.Sprintf("M=%d", m))
 	}
 	tab := metrics.NewTable("strategy computation time (seconds)", cols...)
 
-	// Fresh cold policies per scheme: Table II times the strategy
-	// determination itself, so the MFG-CP warm-start shortcut (an
-	// optimisation of repeated epochs) is disabled here.
-	pols := []func() policy.Policy{
-		func() policy.Policy { p := policy.NewMFGCP(); p.DisableWarmStart = true; return p },
-		func() policy.Policy { return policy.NewRR() },
-		func() policy.Policy { return policy.NewMPC() },
-	}
 	growth := map[string][]float64{}
-	for _, mk := range pols {
-		pol := mk()
+	for _, pol := range table2Policies() {
 		row := []string{pol.Name()}
 		for _, m := range ms {
 			secs, err := timeStrategy(pol, m, reps, opt)
@@ -67,47 +53,30 @@ func Table2(opt Options) (*Report, error) {
 	return rep, nil
 }
 
+// table2Policies returns fresh cold policies for the schemes Table II
+// compares. It times the strategy determination itself, so the MFG-CP
+// warm-start shortcut (an optimisation of repeated epochs) is disabled.
+func table2Policies() []policy.Policy {
+	mfgcp := policy.NewMFGCP()
+	mfgcp.DisableWarmStart = true
+	return []policy.Policy{mfgcp, policy.NewRR(), policy.NewMPC()}
+}
+
+// table2Sweep returns the population sizes Table II sweeps and the minimum
+// repetitions per timing.
+func table2Sweep(opt Options) (ms []int, reps int) {
+	if opt.Quick {
+		return []int{20, 60}, 1
+	}
+	return []int{50, 100, 200, 300}, 3
+}
+
 // timeStrategy measures the strategy-determination step (policy.Prepare) for
 // a population of m EDPs, averaged over reps repetitions.
 func timeStrategy(pol policy.Policy, m, reps int, opt Options) (float64, error) {
-	p := mec.Default()
-	p.M = m
-	catalog, err := mec.NewCatalog(p)
+	ctx, err := strategyContext(m, opt)
 	if err != nil {
 		return 0, err
-	}
-	ds, err := defaultTrace(p, opt.Seed)
-	if err != nil {
-		return 0, err
-	}
-	shares, err := ds.DayShares(0)
-	if err != nil {
-		return 0, err
-	}
-	timeliness := ds.Timeliness(p.LMax)
-	reqs := make([]float64, p.K)
-	for k := range reqs {
-		reqs[k] = 30 * shares[k]
-	}
-	if err := catalog.UpdatePopularity(reqs); err != nil {
-		return 0, err
-	}
-	workloads := make([]core.Workload, p.K)
-	for k := range workloads {
-		workloads[k] = core.Workload{Requests: reqs[k], Pop: catalog.Contents[k].Pop, Timeliness: timeliness[k]}
-	}
-	solver := solverConfig(p, opt)
-	if opt.Quick {
-		solver.NH, solver.NQ, solver.Steps, solver.MaxIters = 5, 21, 30, 15
-	}
-	ctx := &policy.EpochContext{
-		Params:    p,
-		Catalog:   catalog,
-		Workloads: workloads,
-		Solver:    solver,
-		Epoch:     0,
-		Seed:      opt.Seed,
-		M:         m,
 	}
 	// Adaptive repetitions: the baselines prepare in microseconds, so keep
 	// repeating until the measurement is long enough to be meaningful.
@@ -122,4 +91,48 @@ func timeStrategy(pol policy.Policy, m, reps int, opt Options) (float64, error) 
 		ran++
 	}
 	return total.Seconds() / float64(ran), nil
+}
+
+// strategyContext builds the epoch Table II prepares for a population of m
+// EDPs: the first trace day's demand, identical for every m.
+func strategyContext(m int, opt Options) (*policy.EpochContext, error) {
+	p := mec.Default()
+	p.M = m
+	catalog, err := mec.NewCatalog(p)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := defaultTrace(p, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	shares, err := ds.DayShares(0)
+	if err != nil {
+		return nil, err
+	}
+	timeliness := ds.Timeliness(p.LMax)
+	reqs := make([]float64, p.K)
+	for k := range reqs {
+		reqs[k] = 30 * shares[k]
+	}
+	if err := catalog.UpdatePopularity(reqs); err != nil {
+		return nil, err
+	}
+	workloads := make([]engine.Workload, p.K)
+	for k := range workloads {
+		workloads[k] = engine.Workload{Requests: reqs[k], Pop: catalog.Contents[k].Pop, Timeliness: timeliness[k]}
+	}
+	solver := solverConfig(p, opt)
+	if opt.Quick {
+		solver.NH, solver.NQ, solver.Steps, solver.MaxIters = 5, 21, 30, 15
+	}
+	return &policy.EpochContext{
+		Params:    p,
+		Catalog:   catalog,
+		Workloads: workloads,
+		Solver:    solver,
+		Epoch:     0,
+		Seed:      opt.Seed,
+		M:         m,
+	}, nil
 }

@@ -12,7 +12,7 @@
 //     plus an optional HTTP endpoint serving /metrics, /debug/vars and
 //     /debug/pprof.
 //
-// The layer is injected explicitly: core.Config, sim.Config, the pde problem
+// The layer is injected explicitly: engine.Config, sim.Config, the pde problem
 // structs and experiments.Options all carry an optional Recorder that
 // defaults to no-op. Library users and tests opt in by setting it to a
 // *Registry (or any other implementation).

@@ -51,7 +51,7 @@ type FPKProblem struct {
 	Renormalize bool
 
 	// Obs receives solve/sweep telemetry ("pde.fpk.*" names); nil means
-	// no-op. The MFG layer threads core.Config.Obs through here.
+	// no-op. The MFG layer threads engine.Config.Obs through here.
 	Obs obs.Recorder
 }
 

@@ -53,7 +53,7 @@ type HJBProblem struct {
 	Stepping Stepping
 
 	// Obs receives solve/sweep telemetry ("pde.hjb.*" names); nil means
-	// no-op. The MFG layer threads core.Config.Obs through here.
+	// no-op. The MFG layer threads engine.Config.Obs through here.
 	Obs obs.Recorder
 }
 

@@ -4,14 +4,14 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // equilibriaEqual compares two per-content equilibrium sets field by field on
 // the trajectories a market run consumes: the control surface, the density
 // path and the snapshot price path. Exact float64 equality is intentional —
 // the solves are deterministic, so any difference is an ordering bug.
-func equilibriaEqual(t *testing.T, a, b []*core.Equilibrium) {
+func equilibriaEqual(t *testing.T, a, b []*engine.Equilibrium) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("equilibrium counts differ: %d vs %d", len(a), len(b))
@@ -51,7 +51,7 @@ func equilibriaEqual(t *testing.T, a, b []*core.Equilibrium) {
 	}
 }
 
-func prepared(t *testing.T, workers int, cache *core.EquilibriumCache) []*core.Equilibrium {
+func prepared(t *testing.T, workers int, cache *engine.Cache) []*engine.Equilibrium {
 	t.Helper()
 	ctx := testContext(t, 10)
 	p := NewMFGCP()
@@ -60,7 +60,7 @@ func prepared(t *testing.T, workers int, cache *core.EquilibriumCache) []*core.E
 	if err := p.Prepare(ctx); err != nil {
 		t.Fatalf("Prepare (workers=%d): %v", workers, err)
 	}
-	out := make([]*core.Equilibrium, ctx.Params.K)
+	out := make([]*engine.Equilibrium, ctx.Params.K)
 	for k := range out {
 		eq, err := p.Equilibrium(k)
 		if err != nil {
@@ -93,7 +93,7 @@ func TestPrepareDeterministicAcrossWorkerCounts(t *testing.T) {
 // second epoch must answer every content from the cache (no new solves) and
 // serve the identical equilibria.
 func TestPrepareCacheReuse(t *testing.T) {
-	cache, err := core.NewEquilibriumCache(64)
+	cache, err := engine.NewCache(64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/resilience"
 )
 
@@ -52,15 +52,15 @@ type MFGCP struct {
 	// point answers regardless of how it was seeded. Install it with
 	// SetEquilibriumCache so the epoch loop can share one cache across
 	// policies and epochs.
-	Cache *core.EquilibriumCache
+	Cache *engine.Cache
 	// Recovery, when set, retries diverged or non-converged solves under the
 	// bounded escalation ladder (deeper damping → scheme switch → time-mesh
 	// refinement) before giving up on the epoch. Install it with SetRecovery
 	// so the epoch loop can configure resilience uniformly.
 	Recovery *resilience.Escalation
 
-	equilibria []*core.Equilibrium // per content; nil when not requested
-	admit      []float64           // knapsack admission fraction per content (nil = all 1)
+	equilibria []*engine.Equilibrium // per content; nil when not requested
+	admit      []float64             // knapsack admission fraction per content (nil = all 1)
 	k          int
 }
 
@@ -84,7 +84,7 @@ func (p *MFGCP) SharingEnabled() bool { return p.Share }
 // SetEquilibriumCache installs (or removes, with nil) the shared equilibrium
 // cache consulted by Prepare. The simulator plumbs its per-run cache through
 // this method.
-func (p *MFGCP) SetEquilibriumCache(c *core.EquilibriumCache) { p.Cache = c }
+func (p *MFGCP) SetEquilibriumCache(c *engine.Cache) { p.Cache = c }
 
 // SetRecovery installs (or removes, with nil) the divergence-recovery ladder
 // applied to failing solves. The simulator plumbs its configured escalation
@@ -102,9 +102,9 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	cfg.ShareEnabled = p.Share
 	p.k = ctx.Params.K
 	previous := p.equilibria
-	p.equilibria = make([]*core.Equilibrium, p.k)
+	p.equilibria = make([]*engine.Equilibrium, p.k)
 
-	warmFor := func(k int) *core.Equilibrium {
+	warmFor := func(k int) *engine.Equilibrium {
 		if p.DisableWarmStart || k >= len(previous) {
 			return nil
 		}
@@ -139,7 +139,7 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	type solveJob struct {
 		content int // lowest content index needing this solve
 		key     string
-		warm    *core.Equilibrium
+		warm    *engine.Equilibrium
 	}
 	var jobs []solveJob
 	pending := make(map[string]int) // key → index into jobs
@@ -148,7 +148,7 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 		if ctx.Workloads[k].Requests <= 0 {
 			continue // not in K': no demand this epoch
 		}
-		key := core.CacheKey(cfg, ctx.Workloads[k])
+		key := engine.CacheKey(cfg, ctx.Workloads[k])
 		if p.Cache != nil {
 			if eq, ok := p.Cache.Get(cfg.Obs, key); ok {
 				p.equilibria[k] = eq
@@ -170,7 +170,7 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	results := make([]*core.Equilibrium, len(jobs))
+	results := make([]*engine.Equilibrium, len(jobs))
 	errs := make([]error, len(jobs))
 	next := make(chan int)
 	cctx := ctx.Context()
@@ -182,7 +182,7 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 			// One pre-allocated engine session per worker: the grid,
 			// tridiagonal sweepers and value/density holders are reused
 			// across every solve the worker picks up.
-			s, err := core.NewSession(cfg)
+			s, err := engine.NewSession(cfg)
 			if err != nil {
 				for j := range next {
 					errs[j] = fmt.Errorf("policy: %s: content %d: %w", p.Name(), jobs[j].content, err)
@@ -191,7 +191,7 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 			}
 			for j := range next {
 				job := jobs[j]
-				var eq *core.Equilibrium
+				var eq *engine.Equilibrium
 				var err error
 				if p.Recovery != nil {
 					// The recovery ladder reuses the worker's session for the
@@ -200,7 +200,7 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 				} else {
 					eq, err = s.SolveContext(cctx, ctx.Workloads[job.content], job.warm)
 				}
-				if err != nil && !(errors.Is(err, core.ErrNotConverged) && p.TolerateNonConvergence && eq != nil) {
+				if err != nil && !(errors.Is(err, engine.ErrNotConverged) && p.TolerateNonConvergence && eq != nil) {
 					errs[j] = fmt.Errorf("policy: %s: content %d: %w", p.Name(), job.content, err)
 					continue
 				}
@@ -245,11 +245,11 @@ func (p *MFGCP) applyCapacity(ctx *EpochContext) error {
 	if paths <= 0 {
 		paths = 16
 	}
-	items, err := core.CapacityItems(p.equilibria, ctx.Seed, paths)
+	items, err := CapacityItems(p.equilibria, ctx.Seed, paths)
 	if err != nil {
 		return fmt.Errorf("policy: %s: capacity items: %w", p.Name(), err)
 	}
-	frac, err := core.AllocateFractional(items, p.Capacity)
+	frac, err := AllocateFractional(items, p.Capacity)
 	if err != nil {
 		return fmt.Errorf("policy: %s: capacity allocation: %w", p.Name(), err)
 	}
@@ -297,7 +297,7 @@ func (p *MFGCP) Admission(k int) (float64, error) {
 // was not requested this epoch). The market simulator uses it for the
 // mean-field price and sharing-benefit bookkeeping; the experiments use it
 // for the density and strategy figures.
-func (p *MFGCP) Equilibrium(k int) (*core.Equilibrium, error) {
+func (p *MFGCP) Equilibrium(k int) (*engine.Equilibrium, error) {
 	if err := checkContent(k, p.k); err != nil {
 		return nil, err
 	}
@@ -324,7 +324,7 @@ func (p *MFGCP) CheckpointState() ([]byte, error) {
 		if eq == nil {
 			continue
 		}
-		blob, err := core.MarshalEquilibrium(eq)
+		blob, err := engine.MarshalEquilibrium(eq)
 		if err != nil {
 			return nil, fmt.Errorf("policy: %s: checkpoint content %d: %w", p.Name(), k, err)
 		}
@@ -348,12 +348,12 @@ func (p *MFGCP) RestoreState(data []byte) error {
 		return fmt.Errorf("policy: %s: malformed checkpoint state (k=%d, %d contents, %d blobs)",
 			p.Name(), st.K, len(st.Contents), len(st.Blobs))
 	}
-	equilibria := make([]*core.Equilibrium, st.K)
+	equilibria := make([]*engine.Equilibrium, st.K)
 	for i, k := range st.Contents {
 		if k < 0 || k >= st.K {
 			return fmt.Errorf("policy: %s: checkpoint content %d out of range [0,%d)", p.Name(), k, st.K)
 		}
-		eq, err := core.UnmarshalEquilibrium(st.Blobs[i])
+		eq, err := engine.UnmarshalEquilibrium(st.Blobs[i])
 		if err != nil {
 			return fmt.Errorf("policy: %s: restore content %d: %w", p.Name(), k, err)
 		}

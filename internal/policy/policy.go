@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 )
 
@@ -23,8 +23,8 @@ import (
 type EpochContext struct {
 	Params    mec.Params
 	Catalog   *mec.Catalog
-	Workloads []core.Workload // indexed by content id
-	Solver    core.Config
+	Workloads []engine.Workload // indexed by content id
+	Solver    engine.Config
 	Epoch     int
 	Seed      int64
 	M         int // number of EDPs whose strategies must be determined

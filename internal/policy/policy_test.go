@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 )
 
@@ -23,11 +23,11 @@ func testContext(t *testing.T, m int) *EpochContext {
 	if err := catalog.UpdatePopularity(reqs); err != nil {
 		t.Fatal(err)
 	}
-	workloads := make([]core.Workload, p.K)
+	workloads := make([]engine.Workload, p.K)
 	for k := range workloads {
-		workloads[k] = core.Workload{Requests: reqs[k], Pop: catalog.Contents[k].Pop, Timeliness: 2}
+		workloads[k] = engine.Workload{Requests: reqs[k], Pop: catalog.Contents[k].Pop, Timeliness: 2}
 	}
-	solver := core.DefaultConfig(p)
+	solver := engine.DefaultConfig(p)
 	solver.NH, solver.NQ, solver.Steps, solver.MaxIters = 5, 21, 30, 20
 	return &EpochContext{
 		Params:    p,

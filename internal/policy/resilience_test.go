@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/resilience"
 )
 
@@ -19,7 +19,7 @@ func TestNonConvergedNeverCached(t *testing.T) {
 	ctx.Solver.MaxIters = 1 // every solve stops non-converged
 	ctx.Solver.Tol = 1e-12
 
-	cache, err := core.NewEquilibriumCache(64)
+	cache, err := engine.NewCache(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPrepareWithRecoveryLadder(t *testing.T) {
 
 	strict := NewMFGCP()
 	strict.TolerateNonConvergence = false
-	if err := strict.Prepare(ctx); !errors.Is(err, core.ErrNotConverged) {
+	if err := strict.Prepare(ctx); !errors.Is(err, engine.ErrNotConverged) {
 		t.Fatalf("iteration-starved Prepare: got %v, want ErrNotConverged", err)
 	}
 

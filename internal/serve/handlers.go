@@ -194,9 +194,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	writeSolveHeaders(w, out.Coalesced, out.SolveTime)
+	writeSolveHeaders(w, out.Source == SourceCoalesced, out.SolveTime)
 	resp := summarize(eq)
-	resp.Source = out.source()
+	resp.Source = out.Source
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -267,7 +267,7 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-gob")
-	w.Header().Set(cluster.SourceHeader, string(out.source()))
+	w.Header().Set(cluster.SourceHeader, string(out.Source))
 	w.Header().Set(cluster.ConvergedHeader, strconv.FormatBool(eq.Converged))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(blob)

@@ -403,14 +403,10 @@ type flight struct {
 }
 
 // solveOutcome annotates a solve result with how it was obtained; the
-// handlers surface it as the response's Source field.
+// handlers surface Source as the response's source field.
 type solveOutcome struct {
-	SurrogateHit bool
-	CacheHit     bool
-	StoreHit     bool
-	PeerHit      bool
-	Coalesced    bool
-	SolveTime    time.Duration
+	Source    Source // the ladder rung that answered
+	SolveTime time.Duration
 }
 
 // solve answers one equilibrium query through the cache → store → peer →
@@ -431,10 +427,10 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 	s.rec.Observe("serve.cache.lookup.seconds", lookup.Seconds())
 	tr.Observe("cache_lookup", lookup)
 	if hit {
-		return eq, solveOutcome{CacheHit: true}, nil
+		return eq, solveOutcome{Source: SourceCache}, nil
 	}
 	if eq, ok := s.storeGet(key, tr); ok {
-		return eq, solveOutcome{StoreHit: true}, nil
+		return eq, solveOutcome{Source: SourceStore}, nil
 	}
 	if s.cluster != nil && docs != nil {
 		if owner, self := s.cluster.Owner(key); self {
@@ -442,7 +438,7 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 		} else {
 			s.rec.Add("cluster.forwarded", 1)
 			if eq, ok := s.peerFill(ctx, owner, key, *docs, timeout, tr); ok {
-				return eq, solveOutcome{PeerHit: true}, nil
+				return eq, solveOutcome{Source: SourcePeer}, nil
 			}
 			// The owner could not answer (down, slow, drifted, or returned
 			// garbage): degrade to a local cold solve below — availability
@@ -460,7 +456,7 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 		if eq, hit := s.cache.Get(nil, key); hit {
 			s.mu.Unlock()
 			s.rec.Add("engine.cache.hit", 1)
-			return eq, solveOutcome{CacheHit: true}, nil
+			return eq, solveOutcome{Source: SourceCache}, nil
 		}
 		// This request is about to trigger a fresh engine solve: the overload
 		// defences gate here, not earlier, so reads and coalesced joins keep
@@ -489,7 +485,9 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 		}
 	}
 	s.mu.Unlock()
+	out := solveOutcome{Source: SourceSolve}
 	if joined {
+		out.Source = SourceCoalesced
 		s.rec.Add("serve.solve.coalesced", 1)
 	}
 
@@ -506,10 +504,11 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 			tr.Observe("queue_wait", f.queueWait)
 			tr.Observe("solve", f.solveTime)
 		}
-		return f.eq, solveOutcome{Coalesced: joined, SolveTime: f.solveTime}, f.err
+		out.SolveTime = f.solveTime
+		return f.eq, out, f.err
 	case <-ctx.Done():
 		s.rec.Add("serve.solve.abandoned", 1)
-		return nil, solveOutcome{Coalesced: joined}, fmt.Errorf("serve: request abandoned: %w", ctx.Err())
+		return nil, out, fmt.Errorf("serve: request abandoned: %w", ctx.Err())
 	}
 }
 

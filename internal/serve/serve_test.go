@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -107,6 +108,7 @@ func TestSolveCoalescing(t *testing.T) {
 	body := `{"Workload": {"Requests": 12, "Pop": 0.25, "Timeliness": 3}}`
 	bodies := make([][]byte, n)
 	statuses := make([]int, n)
+	coalescedHeaders := make([]string, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -115,6 +117,7 @@ func TestSolveCoalescing(t *testing.T) {
 			resp, data := postSolve(t, http.DefaultClient, base, body)
 			statuses[i] = resp.StatusCode
 			bodies[i] = data
+			coalescedHeaders[i] = resp.Header.Get("X-Mfgcp-Coalesced")
 		}(i)
 	}
 	wg.Wait()
@@ -147,6 +150,11 @@ func TestSolveCoalescing(t *testing.T) {
 			perSource[r.Source]++
 		default:
 			t.Fatalf("request %d: unexpected source %q", i, r.Source)
+		}
+		// The coalescing header and the body agree on every response.
+		if want := strconv.FormatBool(r.Source == SourceCoalesced); coalescedHeaders[i] != want {
+			t.Errorf("request %d: X-Mfgcp-Coalesced = %q with source %q, want %q",
+				i, coalescedHeaders[i], r.Source, want)
 		}
 	}
 	if perSource[SourceSolve] != 1 {
@@ -356,6 +364,7 @@ func TestRequestValidation(t *testing.T) {
 	}{
 		{"unknown top-level key", `{"Grid": 5}`, "unknown field"},
 		{"unknown solver key", `{"Solver": {"Damp": 0.5}}`, "unknown field"},
+		{"retired solver kernel block", `{"Solver": {"Kernel": {"Workers": 2}}}`, "unknown field"},
 		{"invalid solver value", `{"Solver": {"Tol": -1}}`, "Tol"},
 		{"invalid params", `{"Params": {"Qk": -3}}`, "Qk"},
 		{"invalid workload", `{"Workload": {"Pop": 1.7}}`, "popularity"},

@@ -23,20 +23,3 @@ const (
 	// SourceSolve: a fresh engine solve ran for this request.
 	SourceSolve Source = "solve"
 )
-
-// source names the ladder rung that produced this outcome.
-func (out solveOutcome) source() Source {
-	switch {
-	case out.SurrogateHit:
-		return SourceSurrogate
-	case out.CacheHit:
-		return SourceCache
-	case out.StoreHit:
-		return SourceStore
-	case out.PeerHit:
-		return SourcePeer
-	case out.Coalesced:
-		return SourceCoalesced
-	}
-	return SourceSolve
-}

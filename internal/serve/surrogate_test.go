@@ -127,27 +127,6 @@ func TestSurrogateTierFallsThrough(t *testing.T) {
 	}
 }
 
-// TestSourceFromOutcome pins the ladder-outcome → body-level Source mapping
-// for all six sources.
-func TestSourceFromOutcome(t *testing.T) {
-	outcomes := []struct {
-		out  solveOutcome
-		want Source
-	}{
-		{solveOutcome{SurrogateHit: true}, SourceSurrogate},
-		{solveOutcome{CacheHit: true}, SourceCache},
-		{solveOutcome{StoreHit: true}, SourceStore},
-		{solveOutcome{PeerHit: true}, SourcePeer},
-		{solveOutcome{Coalesced: true}, SourceCoalesced},
-		{solveOutcome{}, SourceSolve},
-	}
-	for _, tc := range outcomes {
-		if got := tc.out.source(); got != tc.want {
-			t.Errorf("%+v.source() = %q, want %q", tc.out, got, tc.want)
-		}
-	}
-}
-
 // BenchmarkServeSurrogateHit measures the end-to-end latency of a tier-0
 // answer through the real HTTP stack (the acceptance criterion is p99 under
 // a millisecond; the mean reported here sits far below it). Surrogate hits

@@ -11,7 +11,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // Checkpointing makes a market run restartable: at every epoch boundary the
@@ -240,7 +240,7 @@ func (ck *Checkpoint) sane() error {
 // epoch: nextEpoch is the first epoch a resumed run executes and draws the
 // simulation-stream position at that boundary.
 func snapshotRun(cfg *Config, agents []edp, requesters *requesterPopulation, res *Result,
-	cache *core.EquilibriumCache, nextEpoch int, draws uint64, prepared bool, degraded int) (*Checkpoint, error) {
+	cache *engine.Cache, nextEpoch int, draws uint64, prepared bool, degraded int) (*Checkpoint, error) {
 	p := cfg.Params
 	ck := &Checkpoint{
 		Seed:           cfg.Seed,
@@ -277,7 +277,7 @@ func snapshotRun(cfg *Config, agents []edp, requesters *requesterPopulation, res
 	}
 	if cache != nil {
 		for _, e := range cache.Export() {
-			blob, err := core.MarshalEquilibrium(e.Eq)
+			blob, err := engine.MarshalEquilibrium(e.Eq)
 			if err != nil {
 				return nil, fmt.Errorf("sim: checkpoint cache entry %q: %w", e.Key, err)
 			}
@@ -291,7 +291,7 @@ func snapshotRun(cfg *Config, agents []edp, requesters *requesterPopulation, res
 // restoreRun applies a validated snapshot onto freshly initialised run state.
 // The RNG stream is restored separately by the caller (re-seed + skip).
 func restoreRun(ck *Checkpoint, cfg *Config, agents []edp, requesters *requesterPopulation,
-	res *Result, cache *core.EquilibriumCache) error {
+	res *Result, cache *engine.Cache) error {
 	for i := range agents {
 		a := ck.Agents[i]
 		agents[i].x, agents[i].y, agents[i].h = a.X, a.Y, a.H
@@ -317,13 +317,13 @@ func restoreRun(ck *Checkpoint, cfg *Config, agents []edp, requesters *requester
 		}
 	}
 	if cache != nil && len(ck.CacheKeys) > 0 {
-		entries := make([]core.CacheExportEntry, len(ck.CacheKeys))
+		entries := make([]engine.CacheExportEntry, len(ck.CacheKeys))
 		for i := range ck.CacheKeys {
-			eq, err := core.UnmarshalEquilibrium(ck.CacheBlobs[i])
+			eq, err := engine.UnmarshalEquilibrium(ck.CacheBlobs[i])
 			if err != nil {
 				return fmt.Errorf("sim: restore cache entry %q: %w", ck.CacheKeys[i], err)
 			}
-			entries[i] = core.CacheExportEntry{Key: ck.CacheKeys[i], Eq: eq}
+			entries[i] = engine.CacheExportEntry{Key: ck.CacheKeys[i], Eq: eq}
 		}
 		cache.Restore(entries)
 	}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/policy"
 	"repro/internal/resilience"
@@ -24,7 +24,7 @@ import (
 type configJSON struct {
 	Params              mec.Params
 	Policy              string `json:",omitempty"`
-	Solver              core.Config
+	Solver              engine.Config
 	Epochs              int
 	StepsPerEpoch       int
 	RequestsPerEDP      float64

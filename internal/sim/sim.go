@@ -21,7 +21,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/numerics"
 	"repro/internal/obs"
@@ -35,7 +35,7 @@ import (
 type Config struct {
 	Params mec.Params
 	Policy policy.Policy
-	Solver core.Config // passed to MFG policies via the epoch context
+	Solver engine.Config // passed to MFG policies via the epoch context
 
 	Epochs        int
 	StepsPerEpoch int
@@ -109,7 +109,7 @@ type Config struct {
 
 // DefaultConfig returns the simulation settings used by the experiments.
 func DefaultConfig(p mec.Params, pol policy.Policy) Config {
-	solver := core.DefaultConfig(p)
+	solver := engine.DefaultConfig(p)
 	solver.NH = 9
 	solver.NQ = 41
 	solver.Steps = 60
@@ -302,10 +302,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Solver.Obs == nil {
 		cfg.Solver.Obs = cfg.Obs
 	}
-	var eqCache *core.EquilibriumCache
+	var eqCache *engine.Cache
 	if cfg.EqCacheSize > 0 {
 		if ec, ok := cfg.Policy.(equilibriumCaching); ok {
-			cache, err := core.NewEquilibriumCache(cfg.EqCacheSize)
+			cache, err := engine.NewCache(cfg.EqCacheSize)
 			if err != nil {
 				return nil, err
 			}
@@ -473,9 +473,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := catalog.UpdatePopularity(meanReqs); err != nil {
 			return nil, err
 		}
-		workloads := make([]core.Workload, p.K)
+		workloads := make([]engine.Workload, p.K)
 		for k := range workloads {
-			workloads[k] = core.Workload{
+			workloads[k] = engine.Workload{
 				Requests:   meanReqs[k],
 				Pop:        catalog.Contents[k].Pop,
 				Timeliness: epochTimeliness[k],
@@ -794,7 +794,7 @@ func (t *serviceTally) flush(rec obs.Recorder) {
 // equilibrium cache across epochs (policy.MFGCP). The simulator feature-tests
 // for it so cache plumbing stays optional for the baseline policies.
 type equilibriumCaching interface {
-	SetEquilibriumCache(*core.EquilibriumCache)
+	SetEquilibriumCache(*engine.Cache)
 }
 
 // recoverySetting is implemented by policies that accept a divergence-recovery

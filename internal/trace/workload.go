@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/sde"
 )
@@ -21,11 +21,11 @@ type EpochWorkload struct {
 
 // Workload converts content k's slice of the epoch into the solver's
 // Workload descriptor.
-func (e *EpochWorkload) Workload(k int) (core.Workload, error) {
+func (e *EpochWorkload) Workload(k int) (engine.Workload, error) {
 	if k < 0 || k >= len(e.Requests) {
-		return core.Workload{}, fmt.Errorf("trace: content %d out of range [0,%d)", k, len(e.Requests))
+		return engine.Workload{}, fmt.Errorf("trace: content %d out of range [0,%d)", k, len(e.Requests))
 	}
-	return core.Workload{
+	return engine.Workload{
 		Requests:   e.Requests[k],
 		Pop:        e.Popularity[k],
 		Timeliness: e.Timeliness[k],

@@ -2,9 +2,9 @@
 // Caching and Pricing: A Mean-Field Game Approach" (ICDE 2024). It re-exports
 // the stable surface of the internal packages:
 //
-//   - model parameters and workloads (internal/mec, internal/core);
+//   - model parameters and workloads (internal/mec, internal/engine);
 //   - the mean-field equilibrium solver implementing Algorithm 2
-//     (internal/core): coupled backward-HJB / forward-FPK iteration with the
+//     (internal/engine): coupled backward-HJB / forward-FPK iteration with the
 //     closed-form optimal caching control of Theorem 1;
 //   - the five caching policies of the evaluation (internal/policy);
 //   - the agent-based MEC market simulator implementing Algorithm 1
@@ -27,7 +27,7 @@ import (
 	"context"
 	"log/slog"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/mec"
 	"repro/internal/obs"
@@ -50,27 +50,11 @@ func PaperParams() Params { return mec.Paper() }
 
 // Workload describes one content's per-epoch demand: request count |I_k|,
 // popularity Π_k and timeliness L_k.
-type Workload = core.Workload
+type Workload = engine.Workload
 
 // SolverConfig controls one mean-field equilibrium computation
 // (grid resolution, best-response iteration limits, damping, FPK form).
-type SolverConfig = core.Config
-
-// KernelConfig is the retired PDE kernel tuning block (Workers, Precision).
-// It is validated as before and otherwise ignored: every solve runs the one
-// serial float64 kernel.
-//
-// Deprecated: the fields change nothing; drop them.
-type KernelConfig = core.KernelConfig
-
-// Kernel precision names accepted by KernelConfig.Precision and the
-// -precision CLI flags.
-//
-// Deprecated: every precision runs the float64 kernel.
-const (
-	PrecisionFloat64 = core.PrecisionFloat64
-	PrecisionFloat32 = core.PrecisionFloat32
-)
+type SolverConfig = engine.Config
 
 // SurrogateConfig points a solve at a precomputed surrogate table (built by
 // `mfgcp precompute`) and bounds the interpolation error it will accept:
@@ -79,28 +63,28 @@ const (
 // routing configuration — it never changes which equilibrium a workload
 // maps to, only where the answer may come from, so it is excluded from cache
 // keys.
-type SurrogateConfig = core.SurrogateConfig
+type SurrogateConfig = engine.SurrogateConfig
 
 // DefaultSolverConfig returns the solver settings used by the experiments.
-func DefaultSolverConfig(p Params) SolverConfig { return core.DefaultConfig(p) }
+func DefaultSolverConfig(p Params) SolverConfig { return engine.DefaultConfig(p) }
 
 // Equilibrium is a solved mean-field equilibrium: value function and optimal
 // strategy (HJB), mean-field density path (FPK), estimator snapshots and
 // convergence diagnostics.
-type Equilibrium = core.Equilibrium
+type Equilibrium = engine.Equilibrium
 
 // Snapshot carries the mean-field estimator outputs at one time node: the
 // dynamic price, the mean peer cache level, and the sharing-market terms.
-type Snapshot = core.Snapshot
+type Snapshot = engine.Snapshot
 
 // Rollout is a representative EDP's trajectory under the equilibrium
 // strategy, with the full income/cost decomposition.
-type Rollout = core.Rollout
+type Rollout = engine.Rollout
 
 // ErrNotConverged is wrapped by SolveEquilibrium when the best-response
 // iteration exhausts its iteration budget; the partial equilibrium is still
 // returned for inspection.
-var ErrNotConverged = core.ErrNotConverged
+var ErrNotConverged = engine.ErrNotConverged
 
 // SolveEquilibrium runs the iterative best-response learning scheme
 // (Algorithm 2) to the unique mean-field equilibrium (Theorem 2). It is
@@ -117,7 +101,7 @@ func SolveEquilibrium(cfg SolverConfig, w Workload) (*Equilibrium, error) {
 // equilibrium is returned with ErrNotConverged; on cancellation the error
 // wraps ctx.Err().
 func SolveEquilibriumContext(ctx context.Context, cfg SolverConfig, w Workload) (*Equilibrium, error) {
-	s, err := core.NewSession(cfg)
+	s, err := engine.NewSession(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -127,19 +111,19 @@ func SolveEquilibriumContext(ctx context.Context, cfg SolverConfig, w Workload) 
 // OptimalControl is the closed-form caching rate of Theorem 1 (Eq. 21) as a
 // function of the model constants and the local value-function gradient ∂qV.
 func OptimalControl(p Params, dVdq float64) float64 {
-	return core.OptimalControl(p, dVdq)
+	return engine.OptimalControl(p, dVdq)
 }
 
 // EquilibriumCache is a bounded, concurrency-safe store of solved equilibria
 // keyed by the canonical (params, workload, grid, scheme) hash. Install one
 // on an MFG policy (policy.MFGCP.SetEquilibriumCache) or set
 // MarketConfig.EqCacheSize to let repeated epochs reuse fixed points.
-type EquilibriumCache = core.EquilibriumCache
+type EquilibriumCache = engine.Cache
 
 // NewEquilibriumCache returns an equilibrium cache bounded to capacity
 // entries with least-recently-used eviction.
 func NewEquilibriumCache(capacity int) (*EquilibriumCache, error) {
-	return core.NewEquilibriumCache(capacity)
+	return engine.NewCache(capacity)
 }
 
 // Policy is a per-epoch caching strategy (MFG-CP or a baseline).
@@ -194,7 +178,7 @@ var ErrMarketInterrupted = sim.ErrInterrupted
 
 // ErrDiverged is wrapped by SolveEquilibrium when the best-response iteration
 // produces a non-finite or blown-up iterate.
-var ErrDiverged = core.ErrDiverged
+var ErrDiverged = engine.ErrDiverged
 
 // FaultPlan injects deterministic seeded faults (EDP churn, dropped peer
 // shares, forced solver failures) into a market run; the epoch loop then

@@ -120,21 +120,6 @@ func WithIteration(maxIters int, tol float64) Option {
 	}
 }
 
-// WithKernel sets the deprecated KernelConfig block. The values are
-// validated as before (workers ≥ 0; precision "", "float64" or "float32",
-// the last with the implicit scheme only) and otherwise ignored: every solve
-// runs the serial float64 kernel. On a market configuration it applies to
-// the per-epoch equilibrium solves.
-//
-// Deprecated: the option changes nothing; drop it.
-func WithKernel(workers int, precision string) Option {
-	kc := KernelConfig{Workers: workers, Precision: precision}
-	return dualOption{
-		solve:  func(c *SolverConfig) { c.Kernel = kc },
-		market: func(c *MarketConfig) { c.Solver.Kernel = kc },
-	}
-}
-
 // WithSurrogate points the configuration at a precomputed surrogate table
 // (built by `mfgcp precompute`): consumers that support the tier — the
 // serving daemon, `mfgcp solve -surrogate` — answer in-region workloads by

@@ -18,7 +18,6 @@ func TestNewSolverConfigOptions(t *testing.T) {
 		WithGrid(9, 41, 60),
 		WithIteration(25, 5e-3),
 		WithSharing(false),
-		WithKernel(4, PrecisionFloat64),
 		WithSurrogate("table.mfgt", 0.05),
 		WithRecorder(rec),
 	)
@@ -28,9 +27,6 @@ func TestNewSolverConfigOptions(t *testing.T) {
 	if cfg.Scheme != "explicit" || cfg.NH != 9 || cfg.NQ != 41 || cfg.Steps != 60 ||
 		cfg.MaxIters != 25 || cfg.Tol != 5e-3 || cfg.ShareEnabled || cfg.Obs != Recorder(rec) {
 		t.Errorf("options not applied: %+v", cfg)
-	}
-	if cfg.Kernel != (KernelConfig{Workers: 4, Precision: PrecisionFloat64}) {
-		t.Errorf("kernel option not applied: %+v", cfg.Kernel)
 	}
 	if cfg.Surrogate != (SurrogateConfig{Path: "table.mfgt", MaxErrorBound: 0.05}) {
 		t.Errorf("surrogate option not applied: %+v", cfg.Surrogate)
@@ -42,12 +38,6 @@ func TestNewSolverConfigOptions(t *testing.T) {
 
 	if _, err := NewSolverConfig(p, WithScheme("upwind")); err == nil {
 		t.Error("invalid scheme accepted")
-	}
-	if _, err := NewSolverConfig(p, WithKernel(0, "float16")); err == nil {
-		t.Error("invalid kernel precision accepted")
-	}
-	if _, err := NewSolverConfig(p, WithScheme("explicit"), WithKernel(0, PrecisionFloat32)); err == nil {
-		t.Error("float32 kernel with explicit scheme accepted")
 	}
 	if _, err := NewSolverConfig(p, WithGrid(1, 1, 1)); err == nil {
 		t.Error("degenerate grid accepted")
@@ -67,7 +57,6 @@ func TestNewMarketConfigOptions(t *testing.T) {
 		WithEqCache(32),
 		WithScheme("explicit"),
 		WithGrid(7, 21, 30),
-		WithKernel(2, ""),
 		WithSurrogate("table.mfgt", 0),
 		WithEscalation(ladder),
 		WithFaultPlan(plan),
@@ -83,9 +72,6 @@ func TestNewMarketConfigOptions(t *testing.T) {
 	}
 	if cfg.Solver.Scheme != "explicit" || cfg.Solver.NH != 7 || cfg.Solver.NQ != 21 {
 		t.Errorf("dual options did not reach the nested solver: %+v", cfg.Solver)
-	}
-	if cfg.Solver.Kernel.Workers != 2 {
-		t.Errorf("kernel option did not reach the nested solver: %+v", cfg.Solver.Kernel)
 	}
 	if cfg.Solver.Surrogate.Path != "table.mfgt" {
 		t.Errorf("surrogate option did not reach the nested solver: %+v", cfg.Solver.Surrogate)
