@@ -209,15 +209,29 @@ func BenchmarkHJBSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	params := mec.Default()
 	prob := &pde.HJBProblem{
-		Grid:    g,
-		Time:    tm,
-		DiffH:   0.125,
-		DiffQ:   50,
-		DriftH:  func(_, h float64) float64 { return 5 - h },
-		DriftQ:  func(_, x float64) float64 { return -100 * x },
-		Control: func(_, _, _, dV float64) float64 { return mfgcp.OptimalControl(mec.Default(), dV) },
-		Running: func(nd pde.Node, x float64) float64 { return 10 - x*x - 0.01*nd.Q },
+		Grid:   g,
+		Time:   tm,
+		DiffH:  0.125,
+		DiffQ:  50,
+		DriftH: func(_, h float64) float64 { return 5 - h },
+		DriftQ: func(_ int, x, b []float64) {
+			for k, v := range x {
+				b[k] = -100 * v
+			}
+		},
+		Control: func(_ int, dVdq, x []float64) {
+			for k, dV := range dVdq {
+				x[k] = mfgcp.OptimalControl(params, dV)
+			}
+		},
+		Running: func(_ int, x, u []float64) {
+			for k := range u {
+				_, j := g.Coords(k)
+				u[k] = 10 - x[k]*x[k] - 0.01*g.Q.At(j)
+			}
+		},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -250,7 +264,12 @@ func BenchmarkFPKSolve(b *testing.B) {
 		DiffH:  0.125,
 		DiffQ:  50,
 		DriftH: func(_, h float64) float64 { return 5 - h },
-		DriftQ: func(nd pde.Node) float64 { return -0.5 * (nd.Q - 40) },
+		DriftQ: func(_ int, b []float64) {
+			for k := range b {
+				_, j := g.Coords(k)
+				b[k] = -0.5 * (g.Q.At(j) - 40)
+			}
+		},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/benchcmp"
 )
 
 const benchOutput = `BenchmarkHJBSolve-8     100     120000 ns/op
@@ -21,6 +24,13 @@ func TestBenchdiffUpdateThenCompare(t *testing.T) {
 	if err := run([]string{"-baseline", baseline, "-update", "-note", "test host"},
 		strings.NewReader(benchOutput), &out); err != nil {
 		t.Fatalf("update: %v", err)
+	}
+	base, err := benchcmp.LoadBaseline(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Note != "test host" || !strings.Contains(base.Host, runtime.Version()) {
+		t.Errorf("baseline provenance: note %q, host %q; want the note and the Go version", base.Note, base.Host)
 	}
 
 	// Identical numbers: no regression.

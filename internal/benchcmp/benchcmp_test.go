@@ -15,15 +15,22 @@ BenchmarkHJBSolve-8         	     100	    120000 ns/op	    2048 B/op	      12 al
 BenchmarkFPKSolve-8         	     200	     60000 ns/op
 BenchmarkEquilibriumSolve-8 	      10	   1500000 ns/op	       0 B/op	       0 allocs/op
 BenchmarkHJBSolve-8         	     120	    110000 ns/op	    2048 B/op	      12 allocs/op
+BenchmarkHJBSolve-8         	     100	    190000 ns/op	    2048 B/op	      12 allocs/op
+BenchmarkHJBSolve-8         	     120	    100000 ns/op	    2048 B/op	      12 allocs/op
+BenchmarkHJBSolve-8         	     120	    115000 ns/op	    2048 B/op	      12 allocs/op
 PASS
 ok  	repro	3.456s
 `
 
 func TestParse(t *testing.T) {
-	results, err := Parse(strings.NewReader(sampleOutput))
+	run, err := Parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := "linux/amd64, Example CPU, GOMAXPROCS 8"; run.Host != want {
+		t.Errorf("host = %q, want %q", run.Host, want)
+	}
+	results := run.Results
 	if len(results) != 3 {
 		t.Fatalf("parsed %d results, want 3: %+v", len(results), results)
 	}
@@ -31,15 +38,20 @@ func TestParse(t *testing.T) {
 	for _, r := range results {
 		byName[r.Name] = r
 	}
+	// The median of five runs, not the fastest (100000) and not moved by the
+	// slow outlier (190000); the quartiles are the second and fourth runs.
 	hjb := byName["BenchmarkHJBSolve"]
-	if hjb.NsPerOp != 110000 { // fastest of the two runs
-		t.Errorf("HJBSolve ns/op = %g, want the faster 110000", hjb.NsPerOp)
+	if hjb.NsPerOp != 115000 || hjb.Q1NsPerOp != 110000 || hjb.Q3NsPerOp != 120000 || hjb.Runs != 5 {
+		t.Errorf("HJBSolve = %+v, want median 115000, quartiles 110000/120000 over 5 runs", hjb)
+	}
+	if got, want := hjb.Spread(), 10000.0/115000; got != want {
+		t.Errorf("HJBSolve spread = %g, want %g", got, want)
 	}
 	if hjb.BytesPerOp != 2048 || hjb.AllocsPerOp != 12 {
 		t.Errorf("HJBSolve alloc stats = %g B / %g allocs", hjb.BytesPerOp, hjb.AllocsPerOp)
 	}
-	if byName["BenchmarkFPKSolve"].NsPerOp != 60000 {
-		t.Errorf("FPKSolve missing or wrong: %+v", byName["BenchmarkFPKSolve"])
+	if fpk := byName["BenchmarkFPKSolve"]; fpk.NsPerOp != 60000 || fpk.Runs != 1 || fpk.Spread() != 0 {
+		t.Errorf("FPKSolve missing or wrong: %+v", fpk)
 	}
 }
 
@@ -99,11 +111,11 @@ func TestBaselineRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsNothingSilently(t *testing.T) {
-	results, err := Parse(strings.NewReader("no benchmarks here\n"))
+	run, err := Parse(strings.NewReader("no benchmarks here\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 {
-		t.Fatalf("parsed phantom results: %+v", results)
+	if len(run.Results) != 0 {
+		t.Fatalf("parsed phantom results: %+v", run.Results)
 	}
 }

@@ -37,12 +37,17 @@ type Snapshot struct {
 }
 
 // Estimator computes mean-field snapshots from a density λ and a control
-// field x on a fixed state grid. It is deliberately stateless between calls:
-// the fixed-point iteration of Algorithm 2 rebuilds snapshots from the
-// freshest λ and x* each round.
+// field x on a fixed state grid. Between calls it holds only what the grid
+// and the parameters fix, the q node coordinates and the q-only smooth steps
+// of the case probabilities, so it never changes after construction and the
+// fixed-point iteration of Algorithm 2 still rebuilds every snapshot from
+// the freshest λ and x* each round.
 type Estimator struct {
 	P mec.Params
 	G grid.Grid2D
+
+	q   []float64       // q node coordinates
+	own []mec.CaseSteps // the case probabilities' smooth steps at each q node
 }
 
 // NewEstimator validates the parameters and returns an estimator on g.
@@ -50,31 +55,24 @@ func NewEstimator(p mec.Params, g grid.Grid2D) (*Estimator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Estimator{P: p, G: g}, nil
+	e := &Estimator{P: p, G: g, q: g.Q.Nodes(), own: make([]mec.CaseSteps, g.Q.N)}
+	for j, q := range e.q {
+		e.own[j] = mec.CaseStepsAt(&e.P, q)
+	}
+	return e, nil
 }
 
 // Snapshot computes every estimator quantity at time t from the density
-// lambda and the control field x (both flattened over the grid).
+// lambda and the control field x (both flattened over the grid). All five
+// trapezoid moments sharing the density weights are fused into two passes
+// with separate accumulators (the Case-3 pass needs the finished q̄), so the
+// call performs no heap allocations and one traversal less than computing
+// each moment independently — while accumulating every moment in the exact
+// same node order, keeping the results bit-identical to the unfused form.
 func (e *Estimator) Snapshot(t float64, lambda, x []float64) (Snapshot, error) {
-	return e.SnapshotInto(t, lambda, x, make([]mec.Cases, e.G.Q.N))
-}
-
-// SnapshotInto is Snapshot that also leaves the case probabilities P1–P3 at
-// each q node under the snapshot's q̄ in cases (one entry per q node): the
-// Case-3 moment reads them, and the session's HJB utility reads them again
-// for the same time level. All five trapezoid moments sharing the density
-// weights are fused into two passes with separate accumulators (the Case-3
-// pass needs the finished q̄), so the call performs no heap allocations and
-// one traversal less than computing each moment independently — while
-// accumulating every moment in the exact same node order, keeping the
-// results bit-identical to the unfused form.
-func (e *Estimator) SnapshotInto(t float64, lambda, x []float64, cases []mec.Cases) (Snapshot, error) {
 	g := e.G
 	if len(lambda) != g.Size() || len(x) != g.Size() {
 		return Snapshot{}, fmt.Errorf("core: Snapshot: lambda %d, x %d, grid %d", len(lambda), len(x), g.Size())
-	}
-	if len(cases) != g.Q.N {
-		return Snapshot{}, fmt.Errorf("core: Snapshot: %d case entries, grid has %d q nodes", len(cases), g.Q.N)
 	}
 	// Normalising constant: the solvers keep ∫∫λ = 1, but dividing by the
 	// actual quadrature mass makes the estimator robust to round-off and to
@@ -103,7 +101,7 @@ func (e *Estimator) SnapshotInto(t float64, lambda, x []float64, cases []mec.Cas
 			if j == 0 || j == nq-1 {
 				wj = 0.5
 			}
-			q := g.Q.At(j)
+			q := e.q[j]
 			lam := lambda[row+j]
 			w := wi * wj
 			meanXSum += w * lam * x[row+j]
@@ -122,11 +120,9 @@ func (e *Estimator) SnapshotInto(t float64, lambda, x []float64, cases []mec.Cas
 
 	// Case-3 fraction: smoothed probability that an EDP misses and the
 	// average peer misses too, integrated over the population. A second pass
-	// because the case probabilities depend on the finished q̄; they depend
-	// on q and q̄ only, so each q node's are evaluated once for all h.
-	for j := range cases {
-		cases[j] = mec.CaseProbabilities(e.P, g.Q.At(j), qBar)
-	}
+	// because the case probabilities depend on the finished q̄: the steps at
+	// q̄ are evaluated once here, those at each q node once per estimator.
+	peer := mec.CaseStepsAt(&e.P, qBar)
 	var case3Sum float64
 	for i := 0; i < nh; i++ {
 		wi := 1.0
@@ -139,7 +135,7 @@ func (e *Estimator) SnapshotInto(t float64, lambda, x []float64, cases []mec.Cas
 			if j == 0 || j == nq-1 {
 				wj = 0.5
 			}
-			case3Sum += wi * wj * lambda[row+j] * cases[j].P3
+			case3Sum += wi * wj * lambda[row+j] * e.own[j].Cases(peer).P3
 		}
 	}
 	case3Frac := case3Sum * cell / massV

@@ -6,21 +6,21 @@ import (
 
 	"repro/internal/mec"
 	"repro/internal/numerics"
-	"repro/internal/pde"
 )
 
-// TestHoistedTermsBitIdentical pins the session's precomputed model terms to
-// the per-node formulas they replace, bit for bit, at every node of every
-// time level over a few best-response iterations with sharing on and off:
+// TestHoistedTermsBitIdentical pins the session's level kernels to the
+// per-node formulas they evaluate, bit for bit, at every node of every time
+// level over a few best-response iterations with sharing on and off. It
+// drives the HJB callbacks with x ≡ 0, x ≡ 1 and the iteration's x = X[n]:
 //
-//   - the HJB utility against UtilityContext.Utility,
+//   - Running against UtilityContext.Utility,
 //   - both q drifts against UtilityContext.QDrift,
-//   - the control against OptimalControl at the iteration's ∂qV,
-//   - the snapshot's Case-3 moment and case table against CaseProbabilities
-//     at every node, and the session's snapshot against Estimator.Snapshot.
+//   - Control against OptimalControl at the iteration's ∂qV,
+//   - the snapshot's Case-3 moment against CaseProbabilities at every node.
 //
-// It also checks that the mesh indices the solvers pass equal the ones the
-// coordinate lookups (nearest time level, nearest h and q node) resolved.
+// The kernels and the per-node wrappers share one body per formula, so this
+// compares two call paths of each formula: what the kernels hoist out of
+// the node loop, and the order they combine it in.
 func TestHoistedTermsBitIdentical(t *testing.T) {
 	for _, share := range []bool{true, false} {
 		cfg, w := smallConfig()
@@ -51,12 +51,16 @@ func checkHoistedTerms(t *testing.T, s *Session, share bool, iter int) {
 				share, iter, n, i, j, what, got, want)
 		}
 	}
-	grad := g.NewField()
+	grad, x, out := g.NewField(), g.NewField(), g.NewField()
+	fills := []struct {
+		name string
+		at   func(n, k int) float64
+	}{
+		{"x ≡ 0", func(int, int) float64 { return 0 }},
+		{"x ≡ 1", func(int, int) float64 { return 1 }},
+		{"x = X[n]", func(n, k int) float64 { return s.hjb.X[n][k] }},
+	}
 	for n := 0; n <= tm.Steps; n++ {
-		tn := tm.At(n)
-		if k := int(tn/tm.Dt() + 0.5); k != n {
-			t.Fatalf("time level %d: t = %v resolves to level %d", n, tn, k)
-		}
 		ctx := s.ctxs[n]
 		next := n + 1
 		if next > tm.Steps {
@@ -65,41 +69,38 @@ func checkHoistedTerms(t *testing.T, s *Session, share bool, iter int) {
 		if err := numerics.GradientQ(g, grad, s.hjb.V[next]); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < g.H.N; i++ {
-			h := g.H.At(i)
-			if g.H.NearestIndex(h) != i {
-				t.Fatalf("h node %d does not resolve to itself", i)
+		s.hjbProb.Control(n, grad, out)
+		for k := range out {
+			i, j := g.Coords(k)
+			same("control", n, i, j, out[k], OptimalControl(p, grad[k]))
+		}
+		for _, f := range fills {
+			for k := range x {
+				x[k] = f.at(n, k)
 			}
-			for j := 0; j < g.Q.N; j++ {
-				q := g.Q.At(j)
-				if g.Q.NearestIndex(q) != j {
-					t.Fatalf("q node %d does not resolve to itself", j)
-				}
-				nd := pde.Node{N: n, I: i, J: j, T: tn, H: h, Q: q}
-				idx := g.Idx(i, j)
-				for _, x := range []float64{0, s.hjb.X[n][idx], 1} {
-					same("utility", n, i, j, s.hjbProb.Running(nd, x), ctx.Utility(x, h, q))
-					same("HJB q drift", n, i, j, s.hjbProb.DriftQ(tn, x), ctx.QDrift(x))
-				}
-				same("control", n, i, j, s.hjbProb.Control(tn, h, q, grad[idx]), OptimalControl(p, grad[idx]))
-				same("FPK q drift", n, i, j, s.fpkProb.DriftQ(nd), ctx.QDrift(s.xPath[n][idx]))
+			s.hjbProb.Running(n, x, out)
+			for k := range out {
+				i, j := g.Coords(k)
+				same("utility at "+f.name, n, i, j, out[k], ctx.Utility(x[k], g.H.At(i), g.Q.At(j)))
 			}
+			s.hjbProb.DriftQ(n, x, out)
+			for k := range out {
+				i, j := g.Coords(k)
+				same("HJB q drift at "+f.name, n, i, j, out[k], ctx.QDrift(x[k]))
+			}
+		}
+		s.fpkProb.DriftQ(n, out)
+		for k := range out {
+			i, j := g.Coords(k)
+			same("FPK q drift", n, i, j, out[k], ctx.QDrift(s.xPath[n][k]))
 		}
 
-		// The snapshot of this level's current paths, with the session's
-		// case table and without it, against per-node case probabilities.
-		lambda, x := s.lambdaPath[n], s.xPath[n]
-		withTable, err := s.est.SnapshotInto(tn, lambda, x, s.cases[n])
+		// The snapshot of this level's current paths against per-node case
+		// probabilities under its q̄.
+		tn, lambda := tm.At(n), s.lambdaPath[n]
+		snap, err := s.est.Snapshot(tn, lambda, s.xPath[n])
 		if err != nil {
 			t.Fatal(err)
-		}
-		without, err := s.est.Snapshot(tn, lambda, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if withTable != without {
-			t.Fatalf("share=%v iteration %d level %d: snapshot with the case table %+v, without %+v",
-				share, iter, n, withTable, without)
 		}
 		mass, err := numerics.Integral2D(g, lambda)
 		if err != nil {
@@ -108,14 +109,11 @@ func checkHoistedTerms(t *testing.T, s *Session, share bool, iter int) {
 		var case3 float64
 		for i := 0; i < g.H.N; i++ {
 			for j := 0; j < g.Q.N; j++ {
-				cs := mec.CaseProbabilities(p, g.Q.At(j), withTable.QBar)
-				same("case table P1", n, i, j, s.cases[n][j].P1, cs.P1)
-				same("case table P2", n, i, j, s.cases[n][j].P2, cs.P2)
-				same("case table P3", n, i, j, s.cases[n][j].P3, cs.P3)
+				cs := mec.CaseProbabilities(p, g.Q.At(j), snap.QBar)
 				case3 += trapezoidWeight(i, g.H.N) * trapezoidWeight(j, g.Q.N) * lambda[g.Idx(i, j)] * cs.P3
 			}
 		}
-		same("Case-3 fraction", n, -1, -1, withTable.Case3Frac, case3*g.CellArea()/mass)
+		same("Case-3 fraction", n, -1, -1, snap.Case3Frac, case3*g.CellArea()/mass)
 	}
 }
 

@@ -135,6 +135,48 @@ func TestSolveDivergenceDetection(t *testing.T) {
 	}
 }
 
+// TestNaNIterateDiverges pins the residual's NaN propagation: a NaN anywhere
+// in an iterate must reach the divergence guard and never read as a zero
+// residual. A warm start whose strategy path is all NaN fails with
+// ErrDiverged, and an initial density with one +Inf node fails with an
+// error, instead of either returning a converged equilibrium.
+func TestNaNIterateDiverges(t *testing.T) {
+	cfg, w := smallConfig()
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	warm, err := s.Solve(w, nil)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	for _, level := range warm.HJB.X {
+		for k := range level {
+			level[k] = math.NaN()
+		}
+	}
+	eq, err := s.Solve(w, warm)
+	if !errors.Is(err, ErrDiverged) {
+		t.Fatalf("solve warm-started from a NaN strategy: got %v, want ErrDiverged", err)
+	}
+	if eq != nil {
+		t.Fatalf("diverged solve returned an equilibrium (converged %v)", eq.Converged)
+	}
+
+	lambda := append([]float64(nil), s.lambda0...)
+	lambda[len(lambda)/2] = math.Inf(1)
+	cfg.InitLambda = lambda
+	if s, err = NewSession(cfg); err != nil {
+		t.Fatalf("NewSession with an infinite initial density: %v", err)
+	}
+	if eq, err := s.Solve(w, nil); err == nil {
+		t.Fatalf("solve from an infinite initial density succeeded (converged %v, %d iterations)",
+			eq.Converged, eq.Iterations)
+	} else if eq != nil && eq.Converged {
+		t.Fatalf("solve from an infinite initial density returned a converged equilibrium with %v", err)
+	}
+}
+
 // TestCacheExportRestore round-trips a populated cache through Export/Restore
 // and checks the LRU order survives: the restored cache must evict in the same
 // order as the original would have.

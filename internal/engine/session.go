@@ -33,15 +33,16 @@ type Session struct {
 
 	// The separable model terms, each evaluated once per lifetime of its
 	// inputs instead of at every PDE node: the Eq. 21 constants, the Eq. 4
-	// coefficients and the rate H(h) at each h node live as long as the
-	// session; ξ^L lasts one solve; the case probabilities at each q node
-	// last one time level of one iteration (the snapshot fills them under
-	// that level's q̄, and the HJB utility of the level reads them).
+	// coefficients, and H(h) and Qk/H(h) at each h node live as long as the
+	// session, like the estimator's q tables; the Eq. 4 law at the
+	// workload's Π and ξ^L lasts one solve; row, the utility terms free of x
+	// and h at each q node, lasts one time level of one HJB sweep.
 	control controlLaw
 	drift   sde.CacheDrift
 	rate    []float64
-	xiL     float64
-	cases   [][]mec.Cases
+	qkRate  []float64
+	law     sde.DriftLaw
+	row     []mec.QTerms
 
 	ws      *pde.Workspace
 	hjb     *pde.HJBSolution
@@ -140,12 +141,11 @@ func NewSession(cfg Config) (*Session, error) {
 		residuals:  make([]float64, 0, cfg.MaxIters),
 		control:    newControlLaw(&p),
 		rate:       make([]float64, g.H.N),
-		cases:      make([][]mec.Cases, cfg.Steps+1),
+		qkRate:     make([]float64, g.H.N),
+		row:        make([]mec.QTerms, g.Q.N),
 	}
-	caseTable := make([]mec.Cases, (cfg.Steps+1)*g.Q.N)
 	for n := range s.xPath {
 		s.xPath[n] = g.NewField()
-		s.cases[n] = caseTable[n*g.Q.N : (n+1)*g.Q.N]
 		ctx, err := mec.NewUtilityContext(p, channel)
 		if err != nil {
 			return nil, err
@@ -155,23 +155,23 @@ func NewSession(cfg Config) (*Session, error) {
 	s.drift = s.ctxs[0].CacheDrift()
 	for i := range s.rate {
 		s.rate[i] = channel.Rate(g.H.At(i))
+		s.qkRate[i] = p.Qk / s.rate[i]
 	}
 
-	// The PDE problems and their callbacks are built once: the closures
-	// capture the session, whose ctxs/cases/xPath contents are refreshed
-	// every iteration, so the steady-state loop never rebuilds them.
+	// The PDE problems and their level callbacks are built once: the
+	// callbacks are the session's level kernels, which read the ctxs and
+	// xPath contents refreshed every iteration, so the steady-state loop
+	// never rebuilds them.
 	ou := channel.OU()
 	s.hjbProb = &pde.HJBProblem{
-		Grid:    g,
-		Time:    tm,
-		DiffH:   0.5 * p.ChSigma * p.ChSigma,
-		DiffQ:   0.5 * p.SigmaQ * p.SigmaQ,
-		DriftH:  func(_, h float64) float64 { return ou.Drift(0, h) },
-		DriftQ:  func(_, x float64) float64 { return s.qDrift(x) },
-		Control: func(_, _, _ float64, dVdq float64) float64 { return s.control.at(dVdq) },
-		Running: func(nd pde.Node, x float64) float64 {
-			return s.ctxs[nd.N].TermsAt(x, nd.Q, s.rate[nd.I], s.cases[nd.N][nd.J]).Total()
-		},
+		Grid:     g,
+		Time:     tm,
+		DiffH:    0.5 * p.ChSigma * p.ChSigma,
+		DiffQ:    0.5 * p.SigmaQ * p.SigmaQ,
+		DriftH:   func(_, h float64) float64 { return ou.Drift(0, h) },
+		DriftQ:   s.driftLevel,
+		Control:  s.controlLevel,
+		Running:  s.utilityLevel,
 		Stepping: scheme.Stepping(),
 		Obs:      cfg.Obs,
 	}
@@ -185,15 +185,52 @@ func NewSession(cfg Config) (*Session, error) {
 		Stepping:    scheme.Stepping(),
 		Renormalize: true,
 		Obs:         cfg.Obs,
-		DriftQ:      func(nd pde.Node) float64 { return s.qDrift(s.xPath[nd.N][g.Idx(nd.I, nd.J)]) },
+		DriftQ:      func(n int, b []float64) { s.driftLevel(n, s.xPath[n], b) },
 	}
 	return s, nil
 }
 
-// qDrift is the remaining-space drift b_q(x) of Eq. (4) under the workload
-// in flight.
-func (s *Session) qDrift(x float64) float64 {
-	return s.drift.RateXiL(x, s.workload.Pop, s.xiL)
+// controlLevel is the HJB Control callback: the Eq. 21 law over the whole
+// ∂qV field of a time level.
+func (s *Session) controlLevel(_ int, dVdq, x []float64) {
+	c := s.control
+	for k, d := range dVdq {
+		x[k] = c.at(d)
+	}
+}
+
+// utilityLevel is the HJB Running callback: the Eq. 10 utility at every node
+// of level n under that level's mean field. The terms free of x and h are
+// evaluated once per q node into the row, with the case probabilities
+// combined from the estimator's steps at q and the steps at the level's q̄;
+// every node then adds the two costs at its x and h, summing the terms in
+// the order of UtilityTerms.Total.
+func (s *Session) utilityLevel(n int, x, u []float64) {
+	ctx := s.ctxs[n]
+	peer := mec.CaseStepsAt(&ctx.P, ctx.QBar)
+	row := s.row
+	for j := range row {
+		row[j] = ctx.QTermsAt(s.est.q[j], s.est.own[j].Cases(peer))
+	}
+	nq := len(row)
+	for i, rate := range s.rate {
+		qkRate := s.qkRate[i]
+		xi, ui := x[i*nq:(i+1)*nq], u[i*nq:(i+1)*nq]
+		for j := range row {
+			r := &row[j]
+			placement, staleness := ctx.Costs(r, xi[j], rate, qkRate)
+			ui[j] = r.Trading + r.Sharing - placement - staleness - r.ShareCost
+		}
+	}
+}
+
+// driftLevel is the q-drift callback of both problems: the Eq. 4 drift of
+// the solve's workload at every node of the control field x.
+func (s *Session) driftLevel(_ int, x, b []float64) {
+	law := s.law
+	for k, v := range x {
+		b[k] = law.At(v)
+	}
 }
 
 // Config returns the configuration the session was built for.
@@ -212,7 +249,7 @@ func (s *Session) begin(w Workload, warm *Equilibrium) error {
 		return err
 	}
 	s.workload = w
-	s.xiL = s.drift.XiL(w.Timeliness)
+	s.law = s.drift.Law(w.Pop, s.drift.XiL(w.Timeliness))
 	s.residuals = s.residuals[:0]
 	// Density path: before the first FPK solve, hold λ0 constant in time.
 	for n := range s.lambdaPath {
@@ -253,7 +290,7 @@ func (s *Session) iterate(iter int) (float64, error) {
 
 	// 1. Snapshots from the current (λ, x) paths.
 	for n := 0; n <= cfg.Steps; n++ {
-		snap, err := s.est.SnapshotInto(s.tm.At(n), s.lambdaPath[n], s.xPath[n], s.cases[n])
+		snap, err := s.est.Snapshot(s.tm.At(n), s.lambdaPath[n], s.xPath[n])
 		if err != nil {
 			return 0, fmt.Errorf("core: snapshot at step %d: %w", n, err)
 		}
@@ -286,8 +323,9 @@ func (s *Session) iterate(iter int) (float64, error) {
 		xNew := s.hjb.X[n]
 		xOld := s.xPath[n]
 		for k := range xOld {
+			// A NaN difference sticks, so the divergence guard sees it.
 			d := math.Abs(xNew[k] - xOld[k])
-			if d > residual {
+			if d > residual || math.IsNaN(d) {
 				residual = d
 			}
 			xOld[k] = (1-cfg.Damping)*xOld[k] + cfg.Damping*xNew[k]

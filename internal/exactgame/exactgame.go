@@ -257,12 +257,21 @@ func Solve(cfg Config, w engine.Workload, inits []AgentInit) (*Solution, error) 
 				DiffH:  0.5 * p.ChSigma * p.ChSigma,
 				DiffQ:  0.5 * p.SigmaQ * p.SigmaQ,
 				DriftH: func(_, h float64) float64 { return ou.Drift(0, h) },
-				DriftQ: func(_, x float64) float64 { return ctxs[0].QDrift(x) },
-				Control: func(_, _, _ float64, dV float64) float64 {
-					return engine.OptimalControl(p, dV)
+				DriftQ: func(_ int, x, b []float64) {
+					for k, v := range x {
+						b[k] = ctxs[0].QDrift(v)
+					}
 				},
-				Running: func(nd pde.Node, x float64) float64 {
-					return ctxs[nd.N].Utility(x, nd.H, nd.Q)
+				Control: func(_ int, dVdq, x []float64) {
+					for k, dV := range dVdq {
+						x[k] = engine.OptimalControl(p, dV)
+					}
+				},
+				Running: func(n int, x, u []float64) {
+					for k := range u {
+						i, j := g.Coords(k)
+						u[k] = ctxs[n].Utility(x[k], g.H.At(i), g.Q.At(j))
+					}
 				},
 			}
 			hjb, err := pde.SolveHJB(prob)
@@ -271,7 +280,8 @@ func Solve(cfg Config, w engine.Workload, inits []AgentInit) (*Solution, error) 
 			}
 			for n := 0; n <= cfg.Steps; n++ {
 				for k := range hjb.X[n] {
-					if d := math.Abs(hjb.X[n][k] - xPaths[i][n][k]); d > worst {
+					// A NaN difference sticks, so a NaN round never converges.
+					if d := math.Abs(hjb.X[n][k] - xPaths[i][n][k]); d > worst || math.IsNaN(d) {
 						worst = d
 					}
 				}
@@ -288,8 +298,10 @@ func Solve(cfg Config, w engine.Workload, inits []AgentInit) (*Solution, error) 
 				DriftH:      func(_, h float64) float64 { return ou.Drift(0, h) },
 				Form:        pde.Conservative,
 				Renormalize: true,
-				DriftQ: func(nd pde.Node) float64 {
-					return ctxs[nd.N].QDrift(hjb.X[nd.N][g.Idx(nd.I, nd.J)])
+				DriftQ: func(n int, b []float64) {
+					for k, x := range hjb.X[n] {
+						b[k] = ctxs[n].QDrift(x)
+					}
 				},
 			}
 			fpk, err := pde.SolveFPK(fprob, sol.Agents[i].Density[0])

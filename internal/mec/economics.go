@@ -20,6 +20,35 @@ type Cases struct {
 	P1, P2, P3 float64
 }
 
+// CaseSteps are the two logistic smooth steps of the case probabilities at
+// one remaining space v: Below = f(αQk − v), the smoothed "has cached
+// enough" indicator, and Above = f(v − αQk), its complement. The case
+// probabilities of an EDP at q among peers at q̄ combine the steps at q with
+// those at q̄, so a solver evaluates the steps at each q node once and the
+// steps at q̄ once per time level.
+type CaseSteps struct {
+	Below, Above float64
+}
+
+// CaseStepsAt evaluates the smooth steps at remaining space v.
+func CaseStepsAt(p *Params, v float64) CaseSteps {
+	aq := p.AlphaQ()
+	return CaseSteps{
+		Below: numerics.SmoothStep(p.SmoothL, aq-v),
+		Above: numerics.SmoothStep(p.SmoothL, v-aq),
+	}
+}
+
+// Cases combines the steps at the own remaining space (the receiver) with
+// the steps at the peer level into P1–P3.
+func (own CaseSteps) Cases(peer CaseSteps) Cases {
+	return Cases{
+		P1: own.Below,
+		P2: own.Above * peer.Below,
+		P3: own.Above * peer.Above,
+	}
+}
+
 // CaseProbabilities evaluates P1, P2, P3 for own remaining space q and peer
 // remaining space qbar:
 //
@@ -27,16 +56,7 @@ type Cases struct {
 //	P2 = f(q − αQk) · f(αQk − qbar)
 //	P3 = f(q − αQk) · f(qbar − αQk)
 func CaseProbabilities(p Params, q, qbar float64) Cases {
-	aq := p.AlphaQ()
-	l := p.SmoothL
-	own := numerics.SmoothStep(l, aq-q)     // "cached enough" indicator
-	notOwn := numerics.SmoothStep(l, q-aq)  // complement
-	peer := numerics.SmoothStep(l, aq-qbar) // peer cached enough
-	return Cases{
-		P1: own,
-		P2: notOwn * peer,
-		P3: notOwn * numerics.SmoothStep(l, qbar-aq),
-	}
+	return CaseStepsAt(&p, q).Cases(CaseStepsAt(&p, qbar))
 }
 
 // PriceMeanField evaluates the limiting dynamic price of Eq. (17):
@@ -137,14 +157,37 @@ func NewUtilityContext(p Params, ch *ChannelModel) (*UtilityContext, error) {
 
 // Terms evaluates the decomposed utility at control x and state (h, q).
 func (u *UtilityContext) Terms(x, h, q float64) UtilityTerms {
-	return u.TermsAt(x, q, u.Channel.Rate(h), CaseProbabilities(u.P, q, u.QBar))
+	rate := u.Channel.Rate(h)
+	r := u.QTermsAt(q, CaseStepsAt(&u.P, q).Cases(CaseStepsAt(&u.P, u.QBar)))
+	placement, staleness := u.Costs(&r, x, rate, u.P.Qk/rate)
+	return UtilityTerms{
+		Trading:   r.Trading,
+		Sharing:   r.Sharing,
+		Placement: placement,
+		Staleness: staleness,
+		ShareCost: r.ShareCost,
+	}
 }
 
-// TermsAt is Terms with the two separable factors supplied by the caller:
-// the channel rate H(h) and the case probabilities cs at (q, u.QBar). The
-// rate depends on h alone and the cases on q and q̄ alone, so a solver
-// evaluates each once per grid line and time level instead of at every node.
-func (u *UtilityContext) TermsAt(x, q, rate float64, cs Cases) UtilityTerms {
+// QTerms holds what the utility at one q node takes from q and the
+// context's q̄ alone: the trading income, the sharing benefit, the sharing
+// cost, and the case-weighted parts of the per-requester service delay. A
+// solver evaluates them once per q node and time level, and Costs adds the
+// two terms that depend on x or h at every node of that q.
+type QTerms struct {
+	Trading   float64 // Φ¹
+	Sharing   float64 // Φ²
+	ShareCost float64 // C³
+
+	own   float64 // P1·(Qk−q): volume served from the own cache
+	peer  float64 // P2·(Qk−q̄): volume served with a peer's share
+	cloud float64 // P3: weight of a fetch from the centre
+	hub   float64 // q/Hc: centre download of the missing portion
+}
+
+// QTermsAt evaluates the x- and h-free terms at remaining space q, given the
+// case probabilities cs at (q, u.QBar).
+func (u *UtilityContext) QTermsAt(q float64, cs Cases) QTerms {
 	p := &u.P
 	if !u.ShareEnabled {
 		// Without sharing, any own miss is served by the centre: P2 mass
@@ -152,45 +195,46 @@ func (u *UtilityContext) TermsAt(x, q, rate float64, cs Cases) UtilityTerms {
 		cs.P3 += cs.P2
 		cs.P2 = 0
 	}
+	r := QTerms{
+		own:   cs.P1 * (p.Qk - q),
+		peer:  cs.P2 * (p.Qk - u.QBar),
+		cloud: cs.P3,
+		hub:   q / p.HubRate,
+	}
 
 	// Φ¹ — trading income (Eq. 6): requests × price × data volume served in
 	// each case. In Case 1 the EDP sells its cached portion Qk−q; in Case 2
 	// the peer-complemented volume Qk−q̄; in Case 3 the whole content.
-	trading := u.Requests * u.Price * (cs.P1*(p.Qk-q) + cs.P2*(p.Qk-u.QBar) + cs.P3*p.Qk)
+	r.Trading = u.Requests * u.Price * (r.own + r.peer + cs.P3*p.Qk)
 
-	// Φ² — sharing benefit. The mean-field estimator supplies the average
-	// benefit Φ̄²(t) per qualified sharer; the probability this EDP qualifies
-	// is the Case-1 weight f(αQk − q).
-	var sharing float64
 	if u.ShareEnabled {
-		sharing = cs.P1 * u.ShareBenefit
-	}
-
-	// C¹ — placement cost (Eq. 8).
-	placement := p.W4*x + p.W5*x*x
-
-	// C² — staleness cost (Eq. 9): download-from-centre delay for the newly
-	// cached portion plus the per-requester service delay in each case.
-	perReq := cs.P1*(p.Qk-q)/rate + cs.P2*(p.Qk-u.QBar)/rate + cs.P3*(q/p.HubRate+p.Qk/rate)
-	staleness := p.Eta2 * (p.Qk*x/p.HubRate + u.Requests*perReq)
-
-	// C³ — sharing cost: in Case 2 the EDP pays p̄k per MB obtained from the
-	// peer, proportional to its own deficit relative to the peer.
-	var shareCost float64
-	if u.ShareEnabled {
-		shareCost = cs.P2 * p.SharePrice * (q - u.QBar)
-		if shareCost < 0 {
-			shareCost = 0 // the EDP never pays a negative amount
+		// Φ² — sharing benefit. The mean-field estimator supplies the
+		// average benefit Φ̄²(t) per qualified sharer; the probability this
+		// EDP qualifies is the Case-1 weight f(αQk − q).
+		r.Sharing = cs.P1 * u.ShareBenefit
+		// C³ — sharing cost: in Case 2 the EDP pays p̄k per MB obtained from
+		// the peer, proportional to its own deficit relative to the peer.
+		r.ShareCost = cs.P2 * p.SharePrice * (q - u.QBar)
+		if r.ShareCost < 0 {
+			r.ShareCost = 0 // the EDP never pays a negative amount
 		}
 	}
+	return r
+}
 
-	return UtilityTerms{
-		Trading:   trading,
-		Sharing:   sharing,
-		Placement: placement,
-		Staleness: staleness,
-		ShareCost: shareCost,
-	}
+// Costs returns the two terms of the utility that depend on the control x
+// or the channel h: the placement cost C¹ and the staleness cost C², at
+// control x on an h node with channel rate H(h) = rate and qkRate = Qk/H(h),
+// from the terms r of the node's q.
+func (u *UtilityContext) Costs(r *QTerms, x, rate, qkRate float64) (placement, staleness float64) {
+	p := &u.P
+	// C¹ — placement cost (Eq. 8).
+	placement = p.W4*x + p.W5*x*x
+	// C² — staleness cost (Eq. 9): download-from-centre delay for the newly
+	// cached portion plus the per-requester service delay in each case.
+	perReq := r.own/rate + r.peer/rate + r.cloud*(r.hub+qkRate)
+	staleness = p.Eta2 * (p.Qk*x/p.HubRate + u.Requests*perReq)
+	return placement, staleness
 }
 
 // Utility evaluates U(t, x, S, λ) = Φ¹ + Φ² − C¹ − C² − C³ (Eq. 10).

@@ -35,7 +35,7 @@ func (e *ErrCFLViolation) Error() string {
 // explicitForwardConservative advances one explicit conservative FV sweep
 // with the same flux discretisation as the implicit variant. It returns the
 // worst CFL ratio encountered (diagonal positivity of the update matrix).
-func (s *sweeper) explicitForwardConservative(dt, dx, diff float64) float64 {
+func (s *sweeper) explicitForwardConservative(b []float64, dt, dx, diff float64) float64 {
 	n := s.n
 	r := dt / dx
 	dd := diff / dx
@@ -45,7 +45,7 @@ func (s *sweeper) explicitForwardConservative(dt, dx, diff float64) float64 {
 	flux := s.flux
 	flux[0], flux[n] = 0, 0
 	for i := 0; i < n-1; i++ {
-		bFace := 0.5 * (s.b[i] + s.b[i+1])
+		bFace := 0.5 * (b[i] + b[i+1])
 		up := posPart(bFace)*s.rhs[i] + negPart(bFace)*s.rhs[i+1]
 		flux[i+1] = up - dd*(s.rhs[i+1]-s.rhs[i])
 	}
@@ -55,11 +55,11 @@ func (s *sweeper) explicitForwardConservative(dt, dx, diff float64) float64 {
 		// non-negative: 1 − r(|b_up⁺| + |b_lo⁻| + faces·dd) ≥ 0.
 		var drain float64
 		if i < n-1 {
-			bFace := 0.5 * (s.b[i] + s.b[i+1])
+			bFace := 0.5 * (b[i] + b[i+1])
 			drain += posPart(bFace) + dd
 		}
 		if i > 0 {
-			bFace := 0.5 * (s.b[i-1] + s.b[i])
+			bFace := 0.5 * (b[i-1] + b[i])
 			drain += -negPart(bFace) + dd
 		}
 		if ratio := r * drain; ratio > worst {
@@ -72,12 +72,12 @@ func (s *sweeper) explicitForwardConservative(dt, dx, diff float64) float64 {
 // explicitBackwardValue advances one explicit sweep of the backward value
 // update V_new = V_old + dt·(b·∂V + D·∂²V) with upwind differences, returning
 // the worst CFL ratio.
-func (s *sweeper) explicitBackwardValue(dt, dx, diff float64) float64 {
+func (s *sweeper) explicitBackwardValue(b []float64, dt, dx, diff float64) float64 {
 	n := s.n
 	dd := diff / (dx * dx)
 	worst := 0.0
 	for i := 0; i < n; i++ {
-		b := s.b[i]
+		bi := b[i]
 		// Neumann ghost values mirror the boundary node.
 		vm := s.rhs[i]
 		if i > 0 {
@@ -88,13 +88,13 @@ func (s *sweeper) explicitBackwardValue(dt, dx, diff float64) float64 {
 			vp = s.rhs[i+1]
 		}
 		var adv float64
-		if b >= 0 {
-			adv = b * (vp - s.rhs[i]) / dx
+		if bi >= 0 {
+			adv = bi * (vp - s.rhs[i]) / dx
 		} else {
-			adv = b * (s.rhs[i] - vm) / dx
+			adv = bi * (s.rhs[i] - vm) / dx
 		}
 		s.sol[i] = s.rhs[i] + dt*(adv+dd*(vp-2*s.rhs[i]+vm))
-		if ratio := dt * (math.Abs(b)/dx + 2*dd); ratio > worst {
+		if ratio := dt * (math.Abs(bi)/dx + 2*dd); ratio > worst {
 			worst = ratio
 		}
 	}

@@ -20,7 +20,7 @@ func TestExplicitMatchesImplicitFPK(t *testing.T) {
 			DiffH:    0.01,
 			DiffQ:    0.01,
 			DriftH:   func(_, h float64) float64 { return 0.3 * (0.5 - h) },
-			DriftQ:   func(nd Node) float64 { return 0.5 * (0.4 - nd.Q) },
+			DriftQ:   drift(g, func(_, q float64) float64 { return 0.5 * (0.4 - q) }),
 			Form:     Conservative,
 			Stepping: stepping,
 		}
@@ -55,7 +55,7 @@ func TestExplicitFPKMassConservation(t *testing.T) {
 		DiffH:    0.01,
 		DiffQ:    0.01,
 		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   func(nd Node) float64 { return math.Sin(4 * nd.Q) },
+		DriftQ:   drift(g, func(_, q float64) float64 { return math.Sin(4 * q) }),
 		Form:     Conservative,
 		Stepping: Explicit,
 	}
@@ -80,7 +80,7 @@ func TestExplicitFPKCFLViolation(t *testing.T) {
 		Time:     testMesh(t, 1, 10), // far too few steps for dx=1/40, D=0.05
 		DiffQ:    0.05,
 		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   func(Node) float64 { return 1 },
+		DriftQ:   uniformField(1),
 		Form:     Conservative,
 		Stepping: Explicit,
 	}
@@ -111,7 +111,7 @@ func TestExplicitRejectsAdvectiveForm(t *testing.T) {
 		Grid:     g,
 		Time:     testMesh(t, 1, 100),
 		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   func(Node) float64 { return 0 },
+		DriftQ:   uniformField(0),
 		Form:     Advective,
 		Stepping: Explicit,
 	}
@@ -135,9 +135,9 @@ func TestExplicitHJB(t *testing.T) {
 		DiffH:    0.001,
 		DiffQ:    0.001,
 		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   func(_, _ float64) float64 { return 0 },
-		Control:  func(_, _, _, _ float64) float64 { return 0 },
-		Running:  func(Node, float64) float64 { return 3 },
+		DriftQ:   uniform(0),
+		Control:  uniform(0),
+		Running:  uniform(3),
 		Stepping: Explicit,
 	}
 	sol, err := SolveHJB(p)
@@ -176,9 +176,9 @@ func TestExplicitMatchesImplicitHJB(t *testing.T) {
 			Time:     testMesh(t, 0.5, 4000),
 			DiffQ:    0.01,
 			DriftH:   func(_, _ float64) float64 { return 0 },
-			DriftQ:   func(_, _ float64) float64 { return 0.3 },
-			Control:  func(_, _, _, _ float64) float64 { return 0 },
-			Running:  func(nd Node, _ float64) float64 { return math.Sin(3 * nd.Q) },
+			DriftQ:   uniform(0.3),
+			Control:  uniform(0),
+			Running:  running(g, func(_, q, _ float64) float64 { return math.Sin(3 * q) }),
 			Stepping: stepping,
 		}
 		sol, err := SolveHJB(p)

@@ -36,9 +36,11 @@ type FPKProblem struct {
 
 	// DriftH is the channel drift at (t, h) (shared with the HJB problem).
 	DriftH func(t, h float64) float64
-	// DriftQ is the remaining-space drift at node nd with the optimal
-	// control already substituted: b_q(t, h, q) = Qk[−w1·x*(t,h,q) − …].
-	DriftQ func(nd Node) float64
+	// DriftQ writes into b the remaining-space drift at every node of level
+	// n with the optimal control already substituted:
+	// b_q(t_n, h, q) = Qk[−w1·x*(t_n,h,q) − …]. b is a field of level n,
+	// flattened like grid.Grid2D.
+	DriftQ func(n int, b []float64)
 
 	Form FPKForm
 	// Stepping selects implicit (default, unconditionally stable) or
@@ -178,7 +180,7 @@ func SolveFPKInto(ws *Workspace, sch Scheme, p *FPKProblem, lambda0 []float64, s
 		return err
 	}
 	for _, v := range lambda0 {
-		if v < 0 || math.IsNaN(v) {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("pde: SolveFPK: initial density must be non-negative and finite, found %g", v)
 		}
 	}

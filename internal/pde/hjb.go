@@ -10,15 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Node is one state node of one time level, as the solvers hand it to a
-// model callback: the indices locate it in tables laid out on the mesh (the
-// time level N of the time mesh, I on the h axis, J on the q axis), and the
-// coordinates serve callbacks that evaluate a formula at the point.
-type Node struct {
-	N, I, J int     // time level, h index, q index
-	T, H, Q float64 // t_N, h_I, q_J
-}
-
 // HJBProblem specifies the backward HJB equation (Eq. 20)
 //
 //	∂tV + b_h(t,h)·∂hV + b_q(t,x*,h,q)·∂qV + D_h·∂hhV + D_q·∂qqV
@@ -28,6 +19,11 @@ type Node struct {
 // (Theorem 1) evaluated from the current ∂qV estimate. All time-dependent
 // model data (price, mean peer cache, workload) is supplied through the
 // callbacks, which the MFG layer closes over the mean-field estimator.
+//
+// Control, Running and DriftQ each evaluate one whole time level per call:
+// every slice is a field of level n, flattened like grid.Grid2D (value
+// (i, j) at i·Q.N + j), so a callback hoists whatever is constant along the
+// level and indexes tables laid out on the mesh directly.
 type HJBProblem struct {
 	Grid grid.Grid2D
 	Time grid.TimeMesh
@@ -37,14 +33,16 @@ type HJBProblem struct {
 
 	// DriftH is the channel drift ½ςh(υh−h); it does not depend on control.
 	DriftH func(t, h float64) float64
-	// DriftQ is the remaining-space drift Qk[−w1x − w2Π + w3ξ^L].
-	DriftQ func(t, x float64) float64
-	// Control is the closed-form optimal caching rate of Eq. (21) given the
-	// current estimate of ∂qV. It must return a value in [0, 1].
-	Control func(t, h, q, dVdq float64) float64
-	// Running is the instantaneous utility U(t, x, h, q) at node nd under
-	// the current mean field.
-	Running func(nd Node, x float64) float64
+	// Control writes into x the closed-form optimal caching rate of
+	// Eq. (21) at level n, given the estimate dVdq of ∂qV from level n+1.
+	// The solver clamps x to [0, 1].
+	Control func(n int, dVdq, x []float64)
+	// Running writes into u the instantaneous utility U(t_n, x, h, q) under
+	// the current mean field, given the clamped control field x of level n.
+	Running func(n int, x, u []float64)
+	// DriftQ writes into b the remaining-space drift Qk[−w1x − w2Π + w3ξ^L]
+	// under the frozen control field x of level n.
+	DriftQ func(n int, x, b []float64)
 	// Terminal is the scrap value V(T, h, q); the paper uses zero.
 	Terminal func(h, q float64) float64
 
@@ -208,7 +206,6 @@ func SolveHJBInto(ws *Workspace, sch Scheme, p *HJBProblem, sol *HJBSolution) er
 	}
 
 	for n := steps - 1; n >= 0; n-- {
-		t := p.Time.At(n)
 		vNext := sol.V[n+1]
 
 		// 1. Closed-form control from ∂qV at the later time level, and
@@ -217,17 +214,18 @@ func SolveHJBInto(ws *Workspace, sch Scheme, p *HJBProblem, sol *HJBSolution) er
 			return err
 		}
 		x := sol.X[n]
-		for i := 0; i < nh; i++ {
-			h := g.H.At(i)
-			for j := 0; j < nq; j++ {
-				idx, q := g.Idx(i, j), g.Q.At(j)
-				x[idx] = numerics.Clamp01(p.Control(t, h, q, ws.grad[idx]))
-				ws.work[idx] = vNext[idx] + dt*p.Running(Node{N: n, I: i, J: j, T: t, H: h, Q: q}, x[idx])
-			}
+		p.Control(n, ws.grad, x)
+		for k, v := range x {
+			x[k] = numerics.Clamp01(v)
+		}
+		w := ws.work
+		p.Running(n, x, w)
+		for k, u := range w {
+			w[k] = vNext[k] + dt*u
 		}
 
 		// 3–4. Scheme-split sweeps in h (in place on work) then q (into V[n]).
-		if err := sch.StepBackward(ws, p, n, x, ws.work, sol.V[n]); err != nil {
+		if err := sch.StepBackward(ws, p, n, x, w, sol.V[n]); err != nil {
 			return err
 		}
 	}

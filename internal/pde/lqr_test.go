@@ -33,8 +33,8 @@ func TestHJBMatchesLQRClosedForm(t *testing.T) {
 		Grid:   g,
 		Time:   tm,
 		DriftH: func(_, _ float64) float64 { return 0 },
-		DriftQ: func(_, x float64) float64 { return -x },
-		Control: func(_, _, _ float64, dV float64) float64 {
+		DriftQ: pointwise(func(x float64) float64 { return -x }),
+		Control: pointwise(func(dV float64) float64 {
 			x := -dV / 2
 			if x < 0 {
 				return 0
@@ -43,8 +43,8 @@ func TestHJBMatchesLQRClosedForm(t *testing.T) {
 				return 1
 			}
 			return x
-		},
-		Running: func(nd Node, x float64) float64 { return -nd.Q*nd.Q - x*x },
+		}),
+		Running: running(g, func(_, q, x float64) float64 { return -q*q - x*x }),
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {
@@ -96,8 +96,8 @@ func TestHJBMatchesStochasticLQRClosedForm(t *testing.T) {
 		Time:   tm,
 		DiffQ:  0.5 * sigma * sigma,
 		DriftH: func(_, _ float64) float64 { return 0 },
-		DriftQ: func(_, x float64) float64 { return -x },
-		Control: func(_, _, _ float64, dV float64) float64 {
+		DriftQ: pointwise(func(x float64) float64 { return -x }),
+		Control: pointwise(func(dV float64) float64 {
 			x := -dV / 2
 			if x < -0.5 { // admit the slightly negative controls of q<0 nodes
 				return -0.5
@@ -106,8 +106,8 @@ func TestHJBMatchesStochasticLQRClosedForm(t *testing.T) {
 				return 2
 			}
 			return x
-		},
-		Running: func(nd Node, x float64) float64 { return -nd.Q*nd.Q - x*x },
+		}),
+		Running: running(g, func(_, q, x float64) float64 { return -q*q - x*x }),
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {

@@ -41,9 +41,9 @@ func benchHJBProblem(b *testing.B, rec obs.Recorder) *HJBProblem {
 		DiffH:   0.02,
 		DiffQ:   0.5,
 		DriftH:  func(_, h float64) float64 { return 0.25 * (1 - h) },
-		DriftQ:  func(_, x float64) float64 { return -20 * x },
-		Control: func(_, _, _, dVdq float64) float64 { return 0.5 - 0.1*dVdq },
-		Running: func(nd Node, x float64) float64 { return nd.H*nd.Q - x*x },
+		DriftQ:  pointwise(func(x float64) float64 { return -20 * x }),
+		Control: pointwise(func(dVdq float64) float64 { return 0.5 - 0.1*dVdq }),
+		Running: running(g, func(h, q, x float64) float64 { return h*q - x*x }),
 		Obs:     rec,
 	}
 }
@@ -72,7 +72,7 @@ func benchmarkSolveFPK(b *testing.B, rec obs.Recorder) {
 		DiffH:       hp.DiffH,
 		DiffQ:       hp.DiffQ,
 		DriftH:      hp.DriftH,
-		DriftQ:      func(nd Node) float64 { return -0.1 * nd.Q },
+		DriftQ:      drift(hp.Grid, func(_, q float64) float64 { return -0.1 * q }),
 		Renormalize: true,
 		Obs:         rec,
 	}

@@ -1,7 +1,9 @@
 package pde
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -29,6 +31,56 @@ func testMesh(t *testing.T, horizon float64, steps int) grid.TimeMesh {
 	return tm
 }
 
+// The helpers below lift pointwise test formulas to the level callbacks the
+// solvers call, one whole field of a time level at a time.
+
+// uniform fills every node with c (any HJB callback).
+func uniform(c float64) func(int, []float64, []float64) {
+	return func(_ int, _, out []float64) {
+		for k := range out {
+			out[k] = c
+		}
+	}
+}
+
+// pointwise maps the field in onto out node by node (Control, HJB DriftQ).
+func pointwise(f func(v float64) float64) func(int, []float64, []float64) {
+	return func(_ int, in, out []float64) {
+		for k, v := range in {
+			out[k] = f(v)
+		}
+	}
+}
+
+// running evaluates U(h, q, x) at every node of g (HJB Running).
+func running(g grid.Grid2D, f func(h, q, x float64) float64) func(int, []float64, []float64) {
+	return func(_ int, x, u []float64) {
+		for k := range u {
+			i, j := g.Coords(k)
+			u[k] = f(g.H.At(i), g.Q.At(j), x[k])
+		}
+	}
+}
+
+// uniformField fills every node with c (FPK DriftQ).
+func uniformField(c float64) func(int, []float64) {
+	return func(_ int, b []float64) {
+		for k := range b {
+			b[k] = c
+		}
+	}
+}
+
+// drift evaluates b(h, q) at every node of g (FPK DriftQ).
+func drift(g grid.Grid2D, f func(h, q float64) float64) func(int, []float64) {
+	return func(_ int, b []float64) {
+		for k := range b {
+			i, j := g.Coords(k)
+			b[k] = f(g.H.At(i), g.Q.At(j))
+		}
+	}
+}
+
 // --- HJB -------------------------------------------------------------------
 
 // With zero dynamics and constant running utility c, V(0) = c·T exactly.
@@ -38,9 +90,9 @@ func TestHJBConstantRunningUtility(t *testing.T) {
 		Grid:    g,
 		Time:    testMesh(t, 2, 40),
 		DriftH:  func(_, _ float64) float64 { return 0 },
-		DriftQ:  func(_, _ float64) float64 { return 0 },
-		Control: func(_, _, _, _ float64) float64 { return 0 },
-		Running: func(Node, float64) float64 { return 3 },
+		DriftQ:  uniform(0),
+		Control: uniform(0),
+		Running: uniform(3),
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {
@@ -53,43 +105,82 @@ func TestHJBConstantRunningUtility(t *testing.T) {
 	}
 }
 
-// TestCallbacksReceiveMeshNodes pins the Node contract that lets a callback
-// read tables laid out on the mesh: under both schemes, every step visits
-// each state node exactly once per solve, and the node's indices locate its
-// coordinates.
-func TestCallbacksReceiveMeshNodes(t *testing.T) {
+// TestCallbacksRunOncePerLevel pins the level contract: under both schemes,
+// each model callback runs exactly once per time level per solve (the HJB
+// callbacks on levels Steps−1 down to 0, the FPK drift on levels 0 up to
+// Steps−1), every slice it gets is one field long, and Running and the HJB
+// drift see Control's output clamped to [0, 1].
+func TestCallbacksRunOncePerLevel(t *testing.T) {
 	g := testGrid(t, 4, 6)
 	tm := testMesh(t, 1, 5)
+	// raw is Control's unclamped output: below 0, inside and above 1.
+	raw := func(n, k int) float64 { return float64(k%3) - 0.5 + 0.1*float64(n) }
 	for _, st := range []Stepping{Implicit, Explicit} {
-		visits := make(map[Node]int)
-		visit := func(nd Node) {
-			if nd.T != tm.At(nd.N) || nd.H != g.H.At(nd.I) || nd.Q != g.Q.At(nd.J) {
-				t.Fatalf("stepping %d: node %+v: coordinates do not match its indices", st, nd)
+		var calls []string
+		record := func(name string, n int, fields ...[]float64) {
+			for _, f := range fields {
+				if len(f) != g.Size() {
+					t.Fatalf("stepping %d: %s at level %d got %d nodes, want %d", st, name, n, len(f), g.Size())
+				}
 			}
-			visits[nd]++
+			calls = append(calls, fmt.Sprintf("%s %d", name, n))
+		}
+		clamped := func(name string, n int, x []float64) {
+			for k, v := range x {
+				if want := numerics.Clamp01(raw(n, k)); v != want {
+					t.Fatalf("stepping %d: %s at level %d sees x[%d] = %g, want the clamped control %g", st, name, n, k, v, want)
+				}
+			}
 		}
 		hjb := &HJBProblem{
-			Grid:    g,
-			Time:    tm,
-			DriftH:  func(_, _ float64) float64 { return 0 },
-			DriftQ:  func(_, _ float64) float64 { return 0 },
-			Control: func(_, _, _, _ float64) float64 { return 0 },
-			Running: func(nd Node, _ float64) float64 {
-				visit(nd)
-				return 0
+			Grid:   g,
+			Time:   tm,
+			DriftH: func(_, _ float64) float64 { return 0 },
+			Control: func(n int, dVdq, x []float64) {
+				record("Control", n, dVdq, x)
+				for k := range x {
+					x[k] = raw(n, k)
+				}
+			},
+			Running: func(n int, x, u []float64) {
+				record("Running", n, x, u)
+				clamped("Running", n, x)
+				for k := range u {
+					u[k] = 0
+				}
+			},
+			DriftQ: func(n int, x, b []float64) {
+				record("DriftQ", n, x, b)
+				clamped("DriftQ", n, x)
+				for k := range b {
+					b[k] = 0
+				}
 			},
 			Stepping: st,
 		}
-		if _, err := SolveHJB(hjb); err != nil {
+		sol, err := SolveHJB(hjb)
+		if err != nil {
 			t.Fatalf("SolveHJB: %v", err)
 		}
+		var want []string
+		for n := tm.Steps - 1; n >= 0; n-- {
+			want = append(want, fmt.Sprintf("Control %d", n), fmt.Sprintf("Running %d", n), fmt.Sprintf("DriftQ %d", n))
+			clamped("the solution", n, sol.X[n])
+		}
+		if got := strings.Join(calls, ", "); got != strings.Join(want, ", ") {
+			t.Fatalf("stepping %d: HJB callbacks ran as\n  %s\nwant\n  %s", st, got, strings.Join(want, ", "))
+		}
+
+		calls, want = nil, nil
 		fpk := &FPKProblem{
 			Grid:   g,
 			Time:   tm,
 			DriftH: func(_, _ float64) float64 { return 0 },
-			DriftQ: func(nd Node) float64 {
-				visit(nd)
-				return 0
+			DriftQ: func(n int, b []float64) {
+				record("DriftQ", n, b)
+				for k := range b {
+					b[k] = 0
+				}
 			},
 			Stepping: st,
 		}
@@ -100,13 +191,11 @@ func TestCallbacksReceiveMeshNodes(t *testing.T) {
 		if _, err := SolveFPK(fpk, init); err != nil {
 			t.Fatalf("SolveFPK: %v", err)
 		}
-		if len(visits) != tm.Steps*g.Size() {
-			t.Fatalf("stepping %d: %d distinct nodes visited, want %d", st, len(visits), tm.Steps*g.Size())
+		for n := 0; n < tm.Steps; n++ {
+			want = append(want, fmt.Sprintf("DriftQ %d", n))
 		}
-		for nd, k := range visits {
-			if k != 2 {
-				t.Fatalf("stepping %d: node %+v visited %d times, want once per solve", st, nd, k)
-			}
+		if got := strings.Join(calls, ", "); got != strings.Join(want, ", ") {
+			t.Fatalf("stepping %d: FPK drift ran as\n  %s\nwant\n  %s", st, got, strings.Join(want, ", "))
 		}
 	}
 }
@@ -120,9 +209,9 @@ func TestHJBDiffusionPreservesConstant(t *testing.T) {
 		DiffH:    0.3,
 		DiffQ:    0.2,
 		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   func(_, _ float64) float64 { return 0 },
-		Control:  func(_, _, _, _ float64) float64 { return 0 },
-		Running:  func(Node, float64) float64 { return 0 },
+		DriftQ:   uniform(0),
+		Control:  uniform(0),
+		Running:  uniform(0),
 		Terminal: func(_, _ float64) float64 { return 5 },
 	}
 	sol, err := SolveHJB(p)
@@ -146,9 +235,9 @@ func TestHJBMaximumPrinciple(t *testing.T) {
 		DiffH:   0.1,
 		DiffQ:   0.1,
 		DriftH:  func(_, h float64) float64 { return 0.5 - h },
-		DriftQ:  func(_, x float64) float64 { return -0.3 * x },
-		Control: func(_, _, _, dV float64) float64 { return numerics.Clamp01(-dV) },
-		Running: func(Node, float64) float64 { return 0 },
+		DriftQ:  pointwise(func(x float64) float64 { return -0.3 * x }),
+		Control: pointwise(func(dV float64) float64 { return numerics.Clamp01(-dV) }),
+		Running: uniform(0),
 		Terminal: func(h, q float64) float64 {
 			return math.Sin(3*h) * math.Cos(2*q) // values in [-1, 1]
 		},
@@ -181,9 +270,9 @@ func TestHJBAdvectionTransport(t *testing.T) {
 		Grid:    g,
 		Time:    testMesh(t, 1, 400),
 		DriftH:  func(_, _ float64) float64 { return 0 },
-		DriftQ:  func(_, _ float64) float64 { return b },
-		Control: func(_, _, _, _ float64) float64 { return 0 },
-		Running: func(Node, float64) float64 { return 0 },
+		DriftQ:  uniform(b),
+		Control: uniform(0),
+		Running: uniform(0),
 		Terminal: func(_, q float64) float64 {
 			d := q - 7
 			return math.Exp(-d * d) // bump at q=7
@@ -215,9 +304,9 @@ func TestHJBValidation(t *testing.T) {
 			Grid:    g,
 			Time:    testMesh(t, 1, 5),
 			DriftH:  func(_, _ float64) float64 { return 0 },
-			DriftQ:  func(_, _ float64) float64 { return 0 },
-			Control: func(_, _, _, _ float64) float64 { return 0 },
-			Running: func(Node, float64) float64 { return 0 },
+			DriftQ:  uniform(0),
+			Control: uniform(0),
+			Running: uniform(0),
 		}
 	}
 	p := base()
@@ -243,9 +332,9 @@ func TestHJBSolutionInterpolators(t *testing.T) {
 		Grid:    g,
 		Time:    testMesh(t, 1, 10),
 		DriftH:  func(_, _ float64) float64 { return 0 },
-		DriftQ:  func(_, _ float64) float64 { return 0 },
-		Control: func(_, _, _, _ float64) float64 { return 0.5 },
-		Running: func(Node, float64) float64 { return 1 },
+		DriftQ:  uniform(0),
+		Control: uniform(0.5),
+		Running: uniform(1),
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {
@@ -316,7 +405,7 @@ func TestFPKConservativeMassExact(t *testing.T) {
 		DiffH:       0.02,
 		DiffQ:       0.02,
 		DriftH:      func(_, h float64) float64 { return 0.5 - h },
-		DriftQ:      func(nd Node) float64 { return math.Sin(5*nd.Q) * math.Cos(3*nd.H) },
+		DriftQ:      drift(g, func(h, q float64) float64 { return math.Sin(5*q) * math.Cos(3*h) }),
 		Form:        Conservative,
 		Renormalize: false,
 	}
@@ -341,7 +430,7 @@ func TestFPKPositivity(t *testing.T) {
 		DiffH:  0.05,
 		DiffQ:  0.05,
 		DriftH: func(_, h float64) float64 { return 2 * (0.2 - h) },
-		DriftQ: func(nd Node) float64 { return 3 * (0.8 - nd.Q) },
+		DriftQ: drift(g, func(_, q float64) float64 { return 3 * (0.8 - q) }),
 		Form:   Conservative,
 	}
 	sol, err := SolveFPK(p, gaussianInit(t, g))
@@ -376,7 +465,7 @@ func TestFPKAdvectionMovesMean(t *testing.T) {
 		Time:   testMesh(t, 1, 200),
 		DiffQ:  0.001,
 		DriftH: func(_, _ float64) float64 { return 0 },
-		DriftQ: func(Node) float64 { return b },
+		DriftQ: uniformField(b),
 		Form:   Conservative,
 	}
 	sol, err := SolveFPK(p, init)
@@ -420,7 +509,7 @@ func TestFPKDiffusionVarianceGrowth(t *testing.T) {
 		Time:   testMesh(t, 1, 200),
 		DiffQ:  D,
 		DriftH: func(_, _ float64) float64 { return 0 },
-		DriftQ: func(Node) float64 { return 0 },
+		DriftQ: uniformField(0),
 		Form:   Conservative,
 	}
 	sol, err := SolveFPK(p, init)
@@ -479,7 +568,7 @@ func TestFPKOUStationaryVariance(t *testing.T) {
 			Time:   testMesh(t, 6, steps), // long enough to equilibrate
 			DiffQ:  D,
 			DriftH: func(_, _ float64) float64 { return 0 },
-			DriftQ: func(nd Node) float64 { return theta * (mu - nd.Q) },
+			DriftQ: drift(g, func(_, q float64) float64 { return theta * (mu - q) }),
 			Form:   Conservative,
 		}
 		sol, err := SolveFPK(p, init)
@@ -530,7 +619,7 @@ func TestFPKAdvectiveFormMassDrift(t *testing.T) {
 			DiffH:       0.02,
 			DiffQ:       0.02,
 			DriftH:      func(_, h float64) float64 { return 0.5 - h },
-			DriftQ:      func(nd Node) float64 { return 2 * (0.3 - nd.Q) }, // ∂q b ≠ 0
+			DriftQ:      drift(g, func(_, q float64) float64 { return 2 * (0.3 - q) }), // ∂q b ≠ 0
 			Form:        form,
 			Renormalize: renorm,
 		}
@@ -561,7 +650,7 @@ func TestFPKValidation(t *testing.T) {
 			Grid:   g,
 			Time:   testMesh(t, 1, 5),
 			DriftH: func(_, _ float64) float64 { return 0 },
-			DriftQ: func(Node) float64 { return 0 },
+			DriftQ: uniformField(0),
 		}
 	}
 	p := base()
@@ -580,6 +669,12 @@ func TestFPKValidation(t *testing.T) {
 		t.Error("negative initial density should be rejected")
 	}
 	p = base()
+	bad = gaussianInit(t, g)
+	bad[1] = math.Inf(1)
+	if _, err := SolveFPK(p, bad); err == nil {
+		t.Error("infinite initial density should be rejected")
+	}
+	p = base()
 	p.Form = FPKForm(99)
 	if _, err := SolveFPK(p, gaussianInit(t, g)); err == nil {
 		t.Error("unknown form should be rejected")
@@ -594,7 +689,7 @@ func TestFPKDensityAt(t *testing.T) {
 		DiffH:  0.01,
 		DiffQ:  0.01,
 		DriftH: func(_, _ float64) float64 { return 0 },
-		DriftQ: func(Node) float64 { return 0 },
+		DriftQ: uniformField(0),
 	}
 	sol, err := SolveFPK(p, gaussianInit(t, g))
 	if err != nil {

@@ -21,11 +21,11 @@ func TestHJBComparisonPrinciple(t *testing.T) {
 			DiffH:   0.05,
 			DiffQ:   0.05,
 			DriftH:  func(_, h float64) float64 { return 0.5 - h },
-			DriftQ:  func(_, x float64) float64 { return -0.5 * x },
-			Control: func(_, _, _, dV float64) float64 { return clamp01(-dV) },
-			Running: func(nd Node, x float64) float64 {
-				return math.Sin(4*nd.H)*math.Cos(3*nd.Q) - x*x + bonus
-			},
+			DriftQ:  pointwise(func(x float64) float64 { return -0.5 * x }),
+			Control: pointwise(func(dV float64) float64 { return clamp01(-dV) }),
+			Running: running(g, func(h, q, x float64) float64 {
+				return math.Sin(4*h)*math.Cos(3*q) - x*x + bonus
+			}),
 		}
 		sol, err := SolveHJB(p)
 		if err != nil {
@@ -68,9 +68,9 @@ func TestHJBConstantShift(t *testing.T) {
 			DiffH:   0.1,
 			DiffQ:   0.1,
 			DriftH:  func(_, h float64) float64 { return 0.3 - h },
-			DriftQ:  func(_, x float64) float64 { return -x },
-			Control: func(_, _, _, dV float64) float64 { return clamp01(-dV) },
-			Running: func(nd Node, x float64) float64 { return nd.Q - x*x + c },
+			DriftQ:  pointwise(func(x float64) float64 { return -x }),
+			Control: pointwise(func(dV float64) float64 { return clamp01(-dV) }),
+			Running: running(g, func(_, q, x float64) float64 { return q - x*x + c }),
 		}
 		sol, err := SolveHJB(p)
 		if err != nil {
@@ -107,7 +107,7 @@ func TestFPKRandomDriftInvariants(t *testing.T) {
 			DiffH:  0.02,
 			DiffQ:  0.02,
 			DriftH: func(_, h float64) float64 { return ah + bh*math.Sin(6*h) },
-			DriftQ: func(nd Node) float64 { return aq + bq*math.Cos(5*nd.Q+nd.H) },
+			DriftQ: drift(g, func(h, q float64) float64 { return aq + bq*math.Cos(5*q+h) }),
 			Form:   Conservative,
 		}
 		sol, err := SolveFPK(p, init)
@@ -140,7 +140,7 @@ func TestImplicitUnconditionalStability(t *testing.T) {
 		DiffH:  5,
 		DiffQ:  5,
 		DriftH: func(_, h float64) float64 { return 10 * (0.5 - h) },
-		DriftQ: func(nd Node) float64 { return 10 * (0.5 - nd.Q) },
+		DriftQ: drift(g, func(_, q float64) float64 { return 10 * (0.5 - q) }),
 		Form:   Conservative,
 	}
 	init := gaussianInit(t, g)
@@ -175,11 +175,11 @@ func TestHJBControlAlwaysClamped(t *testing.T) {
 			DiffH:   rng.Float64(),
 			DiffQ:   rng.Float64(),
 			DriftH:  func(_, h float64) float64 { return 0.5 - h },
-			DriftQ:  func(_, x float64) float64 { return -x },
-			Control: func(_, _, _, dV float64) float64 { return clamp01(-dV / 10) },
-			Running: func(nd Node, x float64) float64 {
-				return amp * math.Sin(nd.H*nd.Q*7)
-			},
+			DriftQ:  pointwise(func(x float64) float64 { return -x }),
+			Control: pointwise(func(dV float64) float64 { return clamp01(-dV / 10) }),
+			Running: running(g, func(h, q, x float64) float64 {
+				return amp * math.Sin(h*q*7)
+			}),
 		}
 		sol, err := SolveHJB(p)
 		if err != nil {

@@ -13,7 +13,8 @@ import (
 
 // Workspace owns every reusable buffer the operator-split integrators need on
 // one grid resolution: the shared batched h-line system, the interleaved
-// q-line systems, the line sweepers and the gradient/source scratch fields.
+// q-line systems, the line sweepers, the q-drift field of the level being
+// swept and the gradient/source scratch fields.
 // A Workspace is created once per solver session and reused across time
 // steps, best-response iterations and repeated solves, so the steady-state
 // iteration loop of the engine performs no heap allocations. A Workspace is
@@ -23,10 +24,11 @@ type Workspace struct {
 
 	batH   *linalg.TridiagBatch[float64] // shared-coefficient implicit h-phase
 	bH     []float64                     // h-drift cache, len nh
+	bQ     []float64                     // q-drift field of the level being swept
 	qLines *linalg.TridiagLines          // implicit q-phase: nh lines of nq rows, lock-step
 	qx     []float64                     // q-phase right-hand sides, interleaved like qLines
 	swH    *sweeper                      // h-line sweeper (explicit path)
-	swQ    *sweeper                      // q-line sweeper (explicit path, q-line drifts)
+	swQ    *sweeper                      // q-line sweeper (explicit path)
 
 	grad []float64 // ∂qV estimate feeding the closed-form control
 	work []float64 // explicit-source scratch W = V^{n+1} + dt·U
@@ -45,6 +47,7 @@ func NewWorkspace(g grid.Grid2D) (*Workspace, error) {
 		g:      g,
 		batH:   linalg.NewTridiagBatch[float64](nh),
 		bH:     make([]float64, nh),
+		bQ:     g.NewField(),
 		qLines: linalg.NewTridiagLines(nq, nh),
 		qx:     make([]float64, nq*nh),
 		swH:    newSweeper(nh),
@@ -174,10 +177,9 @@ func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64, im
 		}
 	} else {
 		sw := ws.swH
-		copy(sw.b, ws.bH)
 		for j := 0; j < nq; j++ {
 			gather(sw.rhs, src, j, nq, nh)
-			if err := cflError(sw.explicitBackwardValue(dt, g.H.Step(), p.DiffH), p.Time.Steps); err != nil {
+			if err := cflError(sw.explicitBackwardValue(ws.bH, dt, g.H.Step(), p.DiffH), p.Time.Steps); err != nil {
 				return fmt.Errorf("pde: HJB h-sweep at t=%.4g, column %d: %w", t, j, err)
 			}
 			scatter(src, sw.sol, j, nq, nh)
@@ -189,19 +191,19 @@ func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64, im
 		sweepStart = time.Now()
 	}
 
-	// Each q-row loads its own drifts from the frozen control field.
+	// Each q-row assembles from its row of the level's drift field, which
+	// the model evaluates from the frozen control field in one call.
+	p.DriftQ(n, x, ws.bQ)
 	sw := ws.swQ
 	for i := 0; i < nh; i++ {
 		row := i * nq
-		for j := 0; j < nq; j++ {
-			sw.b[j] = p.DriftQ(t, x[row+j])
-		}
+		b := ws.bQ[row : row+nq]
 		if impl {
-			ws.loadQLine(i, opBackwardValue, src[row:row+nq], sw.b, dt, g.Q.Step(), p.DiffQ)
+			ws.loadQLine(i, opBackwardValue, src[row:row+nq], b, dt, g.Q.Step(), p.DiffQ)
 			continue
 		}
 		copy(sw.rhs, src[row:row+nq])
-		if err := cflError(sw.explicitBackwardValue(dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
+		if err := cflError(sw.explicitBackwardValue(b, dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
 			return fmt.Errorf("pde: HJB q-sweep at t=%.4g, row %d: %w", t, i, err)
 		}
 		copy(dst[row:row+nq], sw.sol)
@@ -242,10 +244,9 @@ func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64, impl boo
 		}
 	} else {
 		sw := ws.swH
-		copy(sw.b, ws.bH)
 		for j := 0; j < nq; j++ {
 			gather(sw.rhs, lambda, j, nq, nh)
-			if err := cflError(sw.explicitForwardConservative(dt, g.H.Step(), p.DiffH), p.Time.Steps); err != nil {
+			if err := cflError(sw.explicitForwardConservative(ws.bH, dt, g.H.Step(), p.DiffH), p.Time.Steps); err != nil {
 				return fmt.Errorf("pde: FPK h-sweep at t=%.4g, column %d: %w", t, j, err)
 			}
 			scatter(lambda, sw.sol, j, nq, nh)
@@ -257,19 +258,17 @@ func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64, impl boo
 		sweepStart = time.Now()
 	}
 
+	p.DriftQ(n, ws.bQ)
 	sw := ws.swQ
 	for i := 0; i < nh; i++ {
-		h := g.H.At(i)
 		row := i * nq
-		for j := 0; j < nq; j++ {
-			sw.b[j] = p.DriftQ(Node{N: n, I: i, J: j, T: t, H: h, Q: g.Q.At(j)})
-		}
+		b := ws.bQ[row : row+nq]
 		if impl {
-			ws.loadQLine(i, op, lambda[row:row+nq], sw.b, dt, g.Q.Step(), p.DiffQ)
+			ws.loadQLine(i, op, lambda[row:row+nq], b, dt, g.Q.Step(), p.DiffQ)
 			continue
 		}
 		copy(sw.rhs, lambda[row:row+nq])
-		if err := cflError(sw.explicitForwardConservative(dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
+		if err := cflError(sw.explicitForwardConservative(b, dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
 			return fmt.Errorf("pde: FPK q-sweep at t=%.4g, row %d: %w", t, i, err)
 		}
 		copy(lambda[row:row+nq], sw.sol)

@@ -67,9 +67,9 @@ func TestSchemeEquivalenceHJB(t *testing.T) {
 			DiffH:    0.05,
 			DiffQ:    0.4,
 			DriftH:   func(_, h float64) float64 { return 2 * (5 - h) },
-			DriftQ:   func(_, x float64) float64 { return -40 * x },
-			Control:  func(_, _, _, dVdq float64) float64 { return 0.5 - 0.01*dVdq },
-			Running:  func(nd Node, x float64) float64 { return 2*nd.H - 0.01*nd.Q - x*x },
+			DriftQ:   pointwise(func(x float64) float64 { return -40 * x }),
+			Control:  pointwise(func(dVdq float64) float64 { return 0.5 - 0.01*dVdq }),
+			Running:  running(g, func(h, q, x float64) float64 { return 2*h - 0.01*q - x*x }),
 			Stepping: st,
 		}
 	}
@@ -116,7 +116,7 @@ func TestSchemeEquivalenceFPK(t *testing.T) {
 			DiffH:       0.05,
 			DiffQ:       0.4,
 			DriftH:      func(_, h float64) float64 { return 2 * (5 - h) },
-			DriftQ:      func(nd Node) float64 { return -0.3 * nd.Q / 100 * 40 },
+			DriftQ:      drift(g, func(_, q float64) float64 { return -0.3 * q / 100 * 40 }),
 			Form:        Conservative,
 			Stepping:    st,
 			Renormalize: true,
@@ -166,9 +166,9 @@ func TestSolveIntoRejectsMismatchedBuffers(t *testing.T) {
 		Grid:    g,
 		Time:    tm,
 		DriftH:  func(_, h float64) float64 { return -h },
-		DriftQ:  func(_, x float64) float64 { return -x },
-		Control: func(_, _, _, _ float64) float64 { return 0 },
-		Running: func(Node, float64) float64 { return 0 },
+		DriftQ:  pointwise(func(x float64) float64 { return -x }),
+		Control: uniform(0),
+		Running: uniform(0),
 	}
 	if err := SolveHJBInto(wsWrong, nil, p, NewHJBSolution(g, tm)); err == nil {
 		t.Errorf("mismatched workspace accepted")

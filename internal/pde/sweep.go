@@ -16,6 +16,14 @@
 // mass exactly with reflecting (zero-flux) boundaries; the paper-literal
 // advective form of Eq. (15) is available as an ablation.
 //
+// The model reaches the solvers one time level at a time. HJBProblem's
+// Control, Running and DriftQ and FPKProblem's DriftQ each run once per
+// level of a solve and fill a whole field of that level, flattened like
+// grid.Grid2D, so the model side evaluates what is constant along a level
+// once instead of being called at every node. The solver clamps the control
+// field, forms the explicit source, and assembles every q-line from the
+// level's drift field, which the Workspace holds.
+//
 // The sweeps run on one serial float64 kernel: within one h-sweep every grid
 // line shares its coefficient set, so the tridiagonal system is factorised
 // once and all lines are substituted through it in place; q-lines have
@@ -28,14 +36,12 @@ package pde
 
 import "fmt"
 
-// sweeper owns the reusable line buffers for 1-D sweeps of length n: the
-// explicit updates of both phases, and the drift of one q-line while the
-// implicit q-phase assembles it.
+// sweeper owns the reusable line buffers of the explicit 1-D updates of
+// length n; the line's drifts come from the workspace's drift buffers.
 type sweeper struct {
 	n    int
 	rhs  []float64
 	sol  []float64
-	b    []float64 // drift at the n nodes of the current line
 	flux []float64 // explicit conservative face fluxes, len n+1
 }
 
@@ -44,7 +50,6 @@ func newSweeper(n int) *sweeper {
 		n:    n,
 		rhs:  make([]float64, n),
 		sol:  make([]float64, n),
-		b:    make([]float64, n),
 		flux: make([]float64, n+1),
 	}
 }

@@ -103,16 +103,27 @@ func (c CacheDrift) Validate() error {
 // Rate evaluates the deterministic drift for caching rate x, popularity pi
 // and timeliness L.
 func (c CacheDrift) Rate(x, pi, L float64) float64 {
-	return c.RateXiL(x, pi, c.XiL(L))
+	return c.Law(pi, c.XiL(L)).At(x)
 }
 
 // XiL is the timeliness response ξ^L of Eq. (4).
 func (c CacheDrift) XiL(L float64) float64 { return math.Pow(c.Xi, L) }
 
-// RateXiL is Rate with the timeliness response ξ^L given. A solve holds L
-// fixed, so it evaluates the power once instead of at every node.
-func (c CacheDrift) RateXiL(x, pi, xiL float64) float64 {
-	return c.Qk * (-c.W1*x - c.W2*pi + c.W3*xiL)
+// Law returns the drift as a function of the caching rate alone, at
+// popularity pi and timeliness response xiL. A solve holds both fixed, so it
+// evaluates w2·Π and w3·ξ^L once instead of at every node.
+func (c CacheDrift) Law(pi, xiL float64) DriftLaw {
+	return DriftLaw{qk: c.Qk, w1: c.W1, w2Pi: c.W2 * pi, w3XiL: c.W3 * xiL}
+}
+
+// DriftLaw is Eq. (4)'s drift with its x-free terms evaluated.
+type DriftLaw struct {
+	qk, w1, w2Pi, w3XiL float64
+}
+
+// At evaluates the drift Qk[−w1·x − w2·Π + w3·ξ^L] at caching rate x.
+func (d DriftLaw) At(x float64) float64 {
+	return d.qk * (-d.w1*x - d.w2Pi + d.w3XiL)
 }
 
 // Path is a sampled trajectory: Times[i] ↦ Values[i].

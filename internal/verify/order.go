@@ -87,8 +87,14 @@ func TemporalOrderFPK(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 			DiffQ: 50,
 			// Smooth, time-dependent drifts on the physical scales: an OU
 			// pull in h and a contracting, slowly accelerating drift in q.
-			DriftH:      func(_, h float64) float64 { return 1.0 * (5 - h) },
-			DriftQ:      func(nd pde.Node) float64 { return -6 + 2*nd.T - 0.03*nd.Q },
+			DriftH: func(_, h float64) float64 { return 1.0 * (5 - h) },
+			DriftQ: func(n int, b []float64) {
+				t := tm.At(n)
+				for k := range b {
+					_, j := g.Coords(k)
+					b[k] = -6 + 2*t - 0.03*g.Q.At(j)
+				}
+			},
 			Form:        pde.Conservative,
 			Stepping:    sch.Stepping(),
 			Renormalize: true,
@@ -142,11 +148,24 @@ func TemporalOrderHJB(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 			DiffH:  0.125,
 			DiffQ:  50,
 			DriftH: func(_, h float64) float64 { return 1.0 * (5 - h) },
-			DriftQ: func(_, x float64) float64 { return -3 - 2*x },
+			DriftQ: func(_ int, x, b []float64) {
+				for k, v := range x {
+					b[k] = -3 - 2*v
+				}
+			},
 			// Mild feedback keeps the control interior, so the synthetic
 			// solution stays smooth (no clamp kinks to pollute the order).
-			Control:  func(_, _, _, dVdq float64) float64 { return 0.5 + 0.01*dVdq },
-			Running:  func(nd pde.Node, x float64) float64 { return 0.1*nd.H + 0.002*nd.Q + 0.2*x },
+			Control: func(_ int, dVdq, x []float64) {
+				for k, d := range dVdq {
+					x[k] = 0.5 + 0.01*d
+				}
+			},
+			Running: func(_ int, x, u []float64) {
+				for k := range u {
+					i, j := g.Coords(k)
+					u[k] = 0.1*g.H.At(i) + 0.002*g.Q.At(j) + 0.2*x[k]
+				}
+			},
 			Stepping: sch.Stepping(),
 		}
 		sol, err := pde.SolveHJB(p)
