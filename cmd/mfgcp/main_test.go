@@ -61,7 +61,7 @@ func TestRunBadFlag(t *testing.T) {
 
 func TestSolveSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	save := filepath.Join(dir, "eq.gob")
+	save := filepath.Join(dir, "eq.bin")
 	args := []string{"solve", "-nh", "5", "-nq", "21", "-steps", "30",
 		"-csv", dir, "-save", save}
 	if err := run(args); err != nil {

@@ -28,8 +28,8 @@ type solveFile struct {
 
 // solveCmd implements `mfgcp solve`: one custom equilibrium solve with
 // parameter overrides from flags, a text summary, optional CSV dumps of the
-// strategy surface / density marginal / price path, and an optional gob
-// archive for reuse via the warm-start machinery.
+// strategy surface / density marginal / price path, and an optional
+// equilibrium archive for reuse via the warm-start machinery.
 //
 // Configuration precedence: the experiment defaults, then -config FILE (a
 // JSON document shaped like the daemon's /v1/solve request), then every flag
@@ -52,7 +52,7 @@ func solveCmd(args []string) (retErr error) {
 	surrogatePath := fs.String("surrogate", "", "precomputed surrogate table (see mfgcp precompute); in-region workloads answer by interpolation")
 	surrogateMaxBound := fs.Float64("surrogate-max-bound", 0, "reject surrogate answers whose declared error bound exceeds this (0 = any in-region bound)")
 	csvDir := fs.String("csv", "", "write strategy/density/price CSVs into this directory")
-	saveTo := fs.String("save", "", "write the solved equilibrium archive (gob) to this file")
+	saveTo := fs.String("save", "", "write the solved equilibrium archive to this file")
 	of := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

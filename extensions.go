@@ -55,9 +55,9 @@ func SolveExactGame(cfg ExactGameConfig, w Workload, inits []ExactGameAgentInit)
 	return exactgame.Solve(cfg, w, inits)
 }
 
-// ReadEquilibrium deserialises an equilibrium written by Equilibrium.WriteTo,
-// the cache format used to reuse expensive per-content solves across epochs
-// and processes.
+// ReadEquilibrium reads r to the end and deserialises the equilibrium written
+// by Equilibrium.WriteTo, the cache format used to reuse expensive
+// per-content solves across epochs and processes.
 func ReadEquilibrium(r io.Reader) (*Equilibrium, error) {
 	return engine.ReadEquilibrium(r)
 }

@@ -339,7 +339,10 @@ func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (eq
 		_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&envelope)
 		return nil, "", &peerError{status: resp.StatusCode, kind: envelope.Error.Kind}
 	}
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBlobBytes+1))
+	if resp.ContentLength > c.cfg.MaxBlobBytes {
+		return nil, "", fmt.Errorf("cluster: peer blob exceeds %d bytes", c.cfg.MaxBlobBytes)
+	}
+	blob, err := readBlob(resp, c.cfg.MaxBlobBytes)
 	if err != nil {
 		c.MarkDown(owner)
 		return nil, "", fmt.Errorf("cluster: read peer blob: %w", err)
@@ -354,4 +357,18 @@ func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (eq
 		return nil, "", fmt.Errorf("cluster: decode peer blob: %w", err)
 	}
 	return eq, resp.Header.Get(SourceHeader), nil
+}
+
+// readBlob reads a peer answer of at most limit bytes. A declared length
+// sizes one buffer up front; a body without one (chunked) is read with a
+// bound of limit+1 bytes, so an over-size body shows as longer than limit.
+func readBlob(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength < 0 {
+		return io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	}
+	blob := make([]byte, resp.ContentLength)
+	if _, err := io.ReadFull(resp.Body, blob); err != nil {
+		return nil, err
+	}
+	return blob, nil
 }

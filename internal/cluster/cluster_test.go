@@ -221,17 +221,32 @@ func TestFetchGarbageBlob(t *testing.T) {
 }
 
 func TestFetchOversizeBlob(t *testing.T) {
-	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		_, _ = w.Write(make([]byte, 4096))
-	}))
-	defer owner.Close()
+	// A chunked body carries no length and is caught by the bounded read. A
+	// declared length is refused before the body is read: this owner declares
+	// one and then sends nothing, so reading would wait out PeerTimeout.
+	for _, declared := range []bool{false, true} {
+		owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if declared {
+				w.Header().Set("Content-Length", "4096")
+				w.WriteHeader(http.StatusOK)
+				w.(http.Flusher).Flush()
+				<-r.Context().Done()
+				return
+			}
+			_, _ = w.Write(make([]byte, 4096))
+		}))
+		defer owner.Close()
 
-	c, err := New(Config{Self: "http://self:1", Peers: []string{"http://self:1", owner.URL}, MaxBlobBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Fetch(context.Background(), owner.URL, PeerRequest{Key: "k"}); err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("err = %v, want over-size rejection", err)
+		c, err := New(Config{Self: "http://self:1", Peers: []string{"http://self:1", owner.URL}, MaxBlobBytes: 1024, PeerTimeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Fetch(context.Background(), owner.URL, PeerRequest{Key: "k"}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("declared length %v: err = %v, want over-size rejection", declared, err)
+		}
+		if !c.Healthy(owner.URL) {
+			t.Errorf("declared length %v: an over-size answer marked the peer down", declared)
+		}
 	}
 }
 

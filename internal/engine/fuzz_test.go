@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/mec"
@@ -85,6 +86,42 @@ func FuzzDecodeConfig(f *testing.F) {
 		}
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("decode not idempotent:\n got %s\nwant %s", enc2, enc1)
+		}
+	})
+}
+
+// FuzzUnmarshalEquilibrium pins the archive decoder's contract on the bytes
+// of store records, peer-fill bodies and checkpoints: whatever arrives, it
+// errors or returns an equilibrium — never a panic — and every equilibrium
+// it accepts re-marshals to an archive that decodes to the same values.
+func FuzzUnmarshalEquilibrium(f *testing.F) {
+	cfg := DefaultConfig(mec.Default())
+	cfg.NH, cfg.NQ, cfg.Steps = 3, 5, 4
+	eq, err := Solve(cfg, Workload{Requests: 10, Pop: 0.3, Timeliness: 2})
+	if eq == nil {
+		f.Fatalf("Solve: %v", err)
+	}
+	for _, blob := range [][]byte{v1Archive(f, 1, eq), mustMarshal(f, eq)} {
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		f.Add(blob[:len(blob)-1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		eq, err := UnmarshalEquilibrium(data)
+		if err != nil {
+			return
+		}
+		blob, err := MarshalEquilibrium(eq)
+		if err != nil {
+			t.Fatalf("accepted archive does not re-marshal: %v", err)
+		}
+		back, err := UnmarshalEquilibrium(blob)
+		if err != nil {
+			t.Fatalf("re-marshalled archive rejected: %v", err)
+		}
+		eq.Config.WarmStart = nil // MarshalEquilibrium prunes the chain
+		if !sameBits(reflect.ValueOf(back), reflect.ValueOf(eq)) {
+			t.Fatal("re-marshalled archive decodes to different values")
 		}
 	})
 }

@@ -2,39 +2,81 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Equilibrium solves are the expensive step of Algorithm 1 (one per content
 // per epoch), so production deployments cache them: an epoch whose workload
 // matches a previous one reuses the stored equilibrium, and slowly-varying
-// workloads warm-start from it (Config.WarmStart). This file provides the
-// (de)serialisation; the format is gob of the exported Equilibrium fields.
+// workloads warm-start from it (Config.WarmStart). This file owns the archive
+// that store records, peer-fill bodies, simulation checkpoints and the MFG-CP
+// policy state carry as opaque bytes; no other file knows its layout.
+//
+// Archive format v2 (integers little endian):
+//
+//	magic      6 bytes  archiveMagic
+//	version    uint8    archiveVersion
+//	headerLen  uint32   length of the header
+//	header     gob of archiveHeader: the equilibrium with HJB.V, HJB.X and
+//	           FPK.Lambda cleared, and the Levels×Width shape of those paths
+//	bulk       3·Levels·Width raw float64s: HJB.V, then HJB.X, then
+//	           FPK.Lambda, one time level after another
+//
+// The three paths are over 99% of an archive (3 × 121 × 793 values on the
+// default grid). Raw float64s encode and decode several times faster than
+// gob's per-element varints, at a size within about 10% of gob's: gob spends
+// a count byte on every value but packs zeros and short mantissas, while a
+// raw float64 always takes 8 bytes. Every other field stays in the gob
+// header, so new Config, Params and Snapshot fields travel without codec
+// changes.
+//
+// Format v1 was gob of legacyArchive. No build writes it any more, but
+// UnmarshalEquilibrium still reads it: store records, checkpoints and policy
+// state persisted by older builds remain valid input. The magic's first byte
+// is one no gob stream starts with, so the two formats cannot be confused,
+// and an older build rejects a v2 archive at its first byte.
+const (
+	archiveMagic   = "\x89MFGEQ"
+	archiveVersion = 2
+	archivePrefix  = len(archiveMagic) + 1 + 4
 
-// formatVersion guards against reading archives written by an incompatible
-// layout of the Equilibrium struct.
-const formatVersion = 1
+	legacyVersion = 1
+)
 
-type equilibriumArchive struct {
+// archiveHeader is the gob header of a v2 archive.
+type archiveHeader struct {
+	Levels, Width int
+	Eq            *Equilibrium
+}
+
+// legacyArchive is the whole v1 archive.
+type legacyArchive struct {
 	Version int
 	Eq      *Equilibrium
 }
 
-// WriteTo serialises the equilibrium. It returns the number of bytes written
-// as reported by the counting writer wrapped around w. The telemetry recorder
-// (Config.Obs) is stripped first: it is runtime wiring, not equilibrium
-// state, and gob cannot encode arbitrary Recorder implementations.
+// WriteTo serialises the equilibrium and returns the number of bytes written.
+// The telemetry recorder (Config.Obs) is stripped first, along the whole
+// warm-start chain: it is runtime wiring, not equilibrium state, and gob
+// cannot encode arbitrary Recorder implementations. Unlike
+// MarshalEquilibrium, WriteTo keeps the warm-start chain in the header.
 func (eq *Equilibrium) WriteTo(w io.Writer) (int64, error) {
 	clean := *eq
 	clean.Config = stripRuntime(clean.Config)
-	cw := &countingWriter{w: w}
-	enc := gob.NewEncoder(cw)
-	if err := enc.Encode(equilibriumArchive{Version: formatVersion, Eq: &clean}); err != nil {
-		return cw.n, fmt.Errorf("core: encode equilibrium: %w", err)
+	data, err := encodeArchive(&clean)
+	if err != nil {
+		return 0, err
 	}
-	return cw.n, nil
+	n, err := w.Write(data)
+	if err != nil {
+		return int64(n), fmt.Errorf("core: write equilibrium: %w", err)
+	}
+	return int64(n), nil
 }
 
 // stripRuntime clears the non-serialisable runtime fields of a Config,
@@ -49,30 +91,21 @@ func stripRuntime(c Config) Config {
 	return c
 }
 
-// ReadEquilibrium deserialises an equilibrium written by WriteTo.
+// ReadEquilibrium reads r to the end and decodes the archive it holds.
 func ReadEquilibrium(r io.Reader) (*Equilibrium, error) {
-	var arch equilibriumArchive
-	if err := gob.NewDecoder(r).Decode(&arch); err != nil {
-		return nil, fmt.Errorf("core: decode equilibrium: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read equilibrium: %w", err)
 	}
-	if arch.Version != formatVersion {
-		return nil, fmt.Errorf("core: equilibrium archive version %d, want %d", arch.Version, formatVersion)
-	}
-	if arch.Eq == nil {
-		return nil, fmt.Errorf("core: equilibrium archive is empty")
-	}
-	if arch.Eq.HJB == nil || arch.Eq.FPK == nil {
-		return nil, fmt.Errorf("core: equilibrium archive is missing solver outputs")
-	}
-	return arch.Eq, nil
+	return UnmarshalEquilibrium(data)
 }
 
-// MarshalEquilibrium serialises eq for checkpointing. Unlike WriteTo it also
-// prunes the warm-start ancestry: every solve records the equilibrium it was
-// seeded from in Config.WarmStart, so epoch-over-epoch warm starting grows an
-// unbounded chain that would bloat snapshots without influencing any later
-// computation (warm starts only read the strategy and density paths of the
-// equilibrium itself, never its ancestor's).
+// MarshalEquilibrium serialises eq for storage and the wire. Unlike WriteTo
+// it also prunes the warm-start ancestry: every solve records the equilibrium
+// it was seeded from in Config.WarmStart, so epoch-over-epoch warm starting
+// grows an unbounded chain that would bloat snapshots without influencing any
+// later computation (warm starts only read the strategy and density paths of
+// the equilibrium itself, never its ancestor's).
 func MarshalEquilibrium(eq *Equilibrium) ([]byte, error) {
 	if eq == nil {
 		return nil, fmt.Errorf("core: marshal nil equilibrium")
@@ -80,26 +113,165 @@ func MarshalEquilibrium(eq *Equilibrium) ([]byte, error) {
 	clean := *eq
 	clean.Config.Obs = nil
 	clean.Config.WarmStart = nil
-	var buf bytes.Buffer
-	if _, err := clean.WriteTo(&buf); err != nil {
+	return encodeArchive(&clean)
+}
+
+// UnmarshalEquilibrium decodes an archive written by MarshalEquilibrium or
+// WriteTo, in either format. It never panics on hostile input.
+func UnmarshalEquilibrium(data []byte) (*Equilibrium, error) {
+	if !bytes.HasPrefix(data, []byte(archiveMagic)) {
+		return decodeLegacy(data)
+	}
+	if len(data) < archivePrefix {
+		return nil, fmt.Errorf("core: equilibrium archive truncated at %d bytes", len(data))
+	}
+	if v := data[len(archiveMagic)]; v != archiveVersion {
+		return nil, fmt.Errorf("core: equilibrium archive version %d, want %d", v, archiveVersion)
+	}
+	headerLen := binary.LittleEndian.Uint32(data[len(archiveMagic)+1:])
+	if uint64(headerLen) > uint64(len(data)-archivePrefix) {
+		return nil, fmt.Errorf("core: equilibrium header of %d bytes overruns the %d-byte archive", headerLen, len(data))
+	}
+	bulkAt := archivePrefix + int(headerLen)
+	var h archiveHeader
+	if err := gob.NewDecoder(bytes.NewReader(data[archivePrefix:bulkAt])).Decode(&h); err != nil {
+		return nil, fmt.Errorf("core: decode equilibrium header: %w", err)
+	}
+	if err := checkOutputs(h.Eq); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	bulk := data[bulkAt:]
+	if err := checkBulk(h.Levels, h.Width, len(bulk)); err != nil {
+		return nil, err
+	}
+	eq := h.Eq
+	if h.Levels > 0 {
+		vals := make([]float64, len(bulk)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(bulk[8*i:]))
+		}
+		// One backing array for all three paths; every slice is
+		// capacity-capped so an append reallocates instead of spilling into
+		// the next level or path.
+		levels := make([][]float64, 3*h.Levels)
+		for n := range levels {
+			levels[n] = vals[n*h.Width : (n+1)*h.Width : (n+1)*h.Width]
+		}
+		l := h.Levels
+		eq.HJB.V = levels[:l:l]
+		eq.HJB.X = levels[l : 2*l : 2*l]
+		eq.FPK.Lambda = levels[2*l:]
+	} else {
+		eq.HJB.V, eq.HJB.X, eq.FPK.Lambda = nil, nil, nil
+	}
+	return eq, nil
 }
 
-// UnmarshalEquilibrium deserialises an equilibrium written by
-// MarshalEquilibrium (or WriteTo).
-func UnmarshalEquilibrium(data []byte) (*Equilibrium, error) {
-	return ReadEquilibrium(bytes.NewReader(data))
+// encodeArchive writes the v2 archive of an equilibrium whose Config is
+// already stripped: the header into a scratch buffer, then header and bulk
+// into one buffer of the exact archive size.
+func encodeArchive(eq *Equilibrium) ([]byte, error) {
+	if err := checkOutputs(eq); err != nil {
+		return nil, err
+	}
+	paths := [3][][]float64{eq.HJB.V, eq.HJB.X, eq.FPK.Lambda}
+	levels, width, err := pathShape(paths)
+	if err != nil {
+		return nil, err
+	}
+	hjb, fpk := *eq.HJB, *eq.FPK
+	hjb.V, hjb.X, fpk.Lambda = nil, nil, nil
+	head := *eq
+	head.HJB, head.FPK = &hjb, &fpk
+	var header bytes.Buffer
+	if err := gob.NewEncoder(&header).Encode(archiveHeader{Levels: levels, Width: width, Eq: &head}); err != nil {
+		return nil, fmt.Errorf("core: encode equilibrium: %w", err)
+	}
+	if uint64(header.Len()) > math.MaxUint32 {
+		return nil, fmt.Errorf("core: equilibrium header of %d bytes exceeds the format's 4 GiB limit", header.Len())
+	}
+	out := make([]byte, archivePrefix+header.Len()+8*len(paths)*levels*width)
+	copy(out, archiveMagic)
+	out[len(archiveMagic)] = archiveVersion
+	binary.LittleEndian.PutUint32(out[len(archiveMagic)+1:], uint32(header.Len()))
+	off := archivePrefix + copy(out[archivePrefix:], header.Bytes())
+	for _, path := range paths {
+		for _, level := range path {
+			for _, v := range level {
+				binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
+				off += 8
+			}
+		}
+	}
+	return out, nil
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
+// decodeLegacy reads a v1 archive. It accepts exactly the equilibria the v2
+// encoder can write back, so every decoded archive re-marshals.
+func decodeLegacy(data []byte) (*Equilibrium, error) {
+	var arch legacyArchive
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&arch); err != nil {
+		return nil, fmt.Errorf("core: decode equilibrium: %w", err)
+	}
+	if arch.Version != legacyVersion {
+		return nil, fmt.Errorf("core: equilibrium archive version %d, want %d", arch.Version, legacyVersion)
+	}
+	if err := checkOutputs(arch.Eq); err != nil {
+		return nil, err
+	}
+	if _, _, err := pathShape([3][][]float64{arch.Eq.HJB.V, arch.Eq.HJB.X, arch.Eq.FPK.Lambda}); err != nil {
+		return nil, err
+	}
+	return arch.Eq, nil
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// checkOutputs rejects an equilibrium without the solver outputs every
+// archive carries.
+func checkOutputs(eq *Equilibrium) error {
+	if eq == nil {
+		return errors.New("core: equilibrium archive is empty")
+	}
+	if eq.HJB == nil || eq.FPK == nil {
+		return errors.New("core: equilibrium is missing solver outputs")
+	}
+	return nil
+}
+
+// pathShape returns the level count and width shared by the three bulk
+// paths, or an error when they are ragged: paths of different lengths, or
+// levels of different widths. Levels must not be empty, so the level count of
+// an archive is bounded by its bulk size.
+func pathShape(paths [3][][]float64) (levels, width int, err error) {
+	levels = len(paths[0])
+	if levels > 0 {
+		width = len(paths[0][0])
+		if width == 0 {
+			return 0, 0, errors.New("core: equilibrium path levels are empty")
+		}
+	}
+	for _, path := range paths {
+		if len(path) != levels {
+			return 0, 0, fmt.Errorf("core: equilibrium paths are ragged: %d and %d time levels", levels, len(path))
+		}
+		for _, level := range path {
+			if len(level) != width {
+				return 0, 0, fmt.Errorf("core: equilibrium paths are ragged: levels of %d and %d nodes", width, len(level))
+			}
+		}
+	}
+	return levels, width, nil
+}
+
+// checkBulk verifies that a bulk section of size bytes holds exactly
+// 3·levels·width float64s. It divides instead of multiplying, so a hostile
+// header cannot overflow the check or size an allocation beyond the data.
+func checkBulk(levels, width, size int) error {
+	if levels < 0 || width < 0 || (levels == 0) != (width == 0) {
+		return fmt.Errorf("core: equilibrium archive declares a %d×%d path shape", levels, width)
+	}
+	cells := size / 24
+	if size%24 != 0 || (width == 0 && cells != 0) || (width > 0 && (cells%width != 0 || cells/width != levels)) {
+		return fmt.Errorf("core: equilibrium bulk of %d bytes does not hold 3 paths of %d×%d float64s", size, levels, width)
+	}
+	return nil
 }

@@ -2,9 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/mec"
+	"repro/internal/pde"
 )
 
 func TestEquilibriumSerializationRoundTrip(t *testing.T) {
@@ -113,4 +120,297 @@ func TestWarmStartValidation(t *testing.T) {
 	if _, err := Solve(cfg, defaultWorkload()); err == nil {
 		t.Error("warm start without solver outputs should be rejected")
 	}
+}
+
+// v1Archive encodes eq in format v1, which every build before format v2
+// wrote: gob of the version and the whole equilibrium.
+func v1Archive(t testing.TB, version int, eq *Equilibrium) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	arch := struct {
+		Version int
+		Eq      *Equilibrium
+	}{version, eq}
+	if err := gob.NewEncoder(&buf).Encode(arch); err != nil {
+		t.Fatalf("encode v1 archive: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// specialEquilibrium is a hand-built equilibrium whose every path holds a
+// NaN with a payload, −0, ±Inf and a subnormal: values a codec that goes
+// through anything but the raw bits would change.
+func specialEquilibrium() *Equilibrium {
+	path := func(seed float64) [][]float64 {
+		return [][]float64{
+			{math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1), seed},
+			{math.Inf(1), math.Inf(-1), 4 * math.SmallestNonzeroFloat64},
+		}
+	}
+	return &Equilibrium{
+		Config:     solverConfig(),
+		Workload:   defaultWorkload(),
+		HJB:        &pde.HJBSolution{V: path(1), X: path(2)},
+		FPK:        &pde.FPKSolution{Lambda: path(3), RawMass: []float64{1, 1}},
+		Iterations: 2,
+		Residuals:  []float64{0.5, 0.25},
+	}
+}
+
+func mustMarshal(t testing.TB, eq *Equilibrium) []byte {
+	t.Helper()
+	blob, err := MarshalEquilibrium(eq)
+	if err != nil {
+		t.Fatalf("MarshalEquilibrium: %v", err)
+	}
+	return blob
+}
+
+// samePathBits compares the three bulk paths of two equilibria bit for bit.
+func samePathBits(t *testing.T, got, want *Equilibrium) {
+	t.Helper()
+	paths := func(eq *Equilibrium) [3][][]float64 { return [3][][]float64{eq.HJB.V, eq.HJB.X, eq.FPK.Lambda} }
+	g, w := paths(got), paths(want)
+	for p := range w {
+		if len(g[p]) != len(w[p]) {
+			t.Fatalf("path %d has %d levels, want %d", p, len(g[p]), len(w[p]))
+		}
+		for n := range w[p] {
+			if len(g[p][n]) != len(w[p][n]) {
+				t.Fatalf("path %d level %d has %d nodes, want %d", p, n, len(g[p][n]), len(w[p][n]))
+			}
+			for k, v := range w[p][n] {
+				if math.Float64bits(g[p][n][k]) != math.Float64bits(v) {
+					t.Fatalf("path %d differs at [%d][%d]: %#x, want %#x", p, n, k, math.Float64bits(g[p][n][k]), math.Float64bits(v))
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same archived values: floats
+// compare by bit pattern (NaN payloads and −0 count) and a nil slice equals
+// an empty one, which no archive tells apart.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
+	}
+}
+
+func TestArchiveRoundTripBitExact(t *testing.T) {
+	solved, err := Solve(DefaultConfig(mec.Default()), defaultWorkload())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	for name, eq := range map[string]*Equilibrium{"special values": specialEquilibrium(), "default grid": solved} {
+		t.Run(name, func(t *testing.T) {
+			blob := mustMarshal(t, eq)
+			back, err := UnmarshalEquilibrium(blob)
+			if err != nil {
+				t.Fatalf("UnmarshalEquilibrium: %v", err)
+			}
+			samePathBits(t, back, eq)
+			if !sameBits(reflect.ValueOf(back), reflect.ValueOf(eq)) {
+				t.Error("round trip changed a header field")
+			}
+			// Re-marshalling a decoded archive reproduces it byte for byte.
+			if again := mustMarshal(t, back); !bytes.Equal(again, blob) {
+				t.Errorf("re-marshalled archive differs: %d bytes, want %d", len(again), len(blob))
+			}
+		})
+	}
+}
+
+func TestV1ArchiveDecodes(t *testing.T) {
+	eq := solveSmall(t)
+	v1, err := UnmarshalEquilibrium(v1Archive(t, 1, eq))
+	if err != nil {
+		t.Fatalf("decode v1 archive: %v", err)
+	}
+	blob := mustMarshal(t, eq)
+	v2, err := UnmarshalEquilibrium(blob)
+	if err != nil {
+		t.Fatalf("decode v2 archive: %v", err)
+	}
+	if !reflect.DeepEqual(v1, v2) {
+		t.Error("v1 and v2 archives of one equilibrium decode differently")
+	}
+	if !bytes.Equal(mustMarshal(t, v1), blob) {
+		t.Error("a decoded v1 archive does not re-marshal to the v2 archive")
+	}
+}
+
+func TestDecodedLevelsAreCapped(t *testing.T) {
+	blob := mustMarshal(t, solveSmall(t))
+	eq, err := UnmarshalEquilibrium(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := math.Float64frombits(0x7ff8_0000_0000_0bad)
+	for _, path := range [][][]float64{eq.HJB.V, eq.HJB.X, eq.FPK.Lambda} {
+		_ = append(path[0], marker)           // onto the path's next level if uncapped
+		_ = append(path[len(path)-1], marker) // onto the next path's first level
+		_ = append(path, nil)                 // over the next path's first level header
+	}
+	if !bytes.Equal(mustMarshal(t, eq), blob) {
+		t.Error("appending to a decoded level changed the equilibrium")
+	}
+}
+
+// craftArchive frames a v2 archive around a hand-made path shape and bulk.
+func craftArchive(t *testing.T, levels, width int, bulk []byte) []byte {
+	t.Helper()
+	eq := specialEquilibrium()
+	eq.HJB, eq.FPK = &pde.HJBSolution{}, &pde.FPKSolution{}
+	var header bytes.Buffer
+	if err := gob.NewEncoder(&header).Encode(archiveHeader{Levels: levels, Width: width, Eq: eq}); err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(archiveMagic), archiveVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(header.Len()))
+	return append(append(out, header.Bytes()...), bulk...)
+}
+
+func TestUnmarshalEquilibriumRejects(t *testing.T) {
+	blob := mustMarshal(t, specialEquilibrium())
+	patch := func(at int, b ...byte) []byte {
+		out := append([]byte(nil), blob...)
+		copy(out[at:], b)
+		return out
+	}
+	lenAt := len(archiveMagic) + 1
+	bulk := blob[archivePrefix+int(binary.LittleEndian.Uint32(blob[lenAt:])):]
+	cases := map[string][]byte{
+		"truncated bulk":          blob[:len(blob)-8],
+		"truncated float":         blob[:len(blob)-1],
+		"one trailing byte":       append(append([]byte(nil), blob...), 0),
+		"header past the end":     patch(lenAt, binary.LittleEndian.AppendUint32(nil, uint32(len(blob)))...),
+		"header length max":       patch(lenAt, 0xff, 0xff, 0xff, 0xff),
+		"unknown magic version":   patch(len(archiveMagic), archiveVersion+1),
+		"magic only":              []byte(archiveMagic),
+		"truncated prefix":        blob[:archivePrefix-1],
+		"garbage header":          patch(archivePrefix, 0xff, 0xff, 0xff),
+		"negative levels":         craftArchive(t, -2, -3, bulk),
+		"negative width":          craftArchive(t, 2, -3, bulk),
+		"zero-width levels":       craftArchive(t, 1<<30, 0, nil),
+		"overflowing shape":       craftArchive(t, math.MaxInt/2, 3, bulk),
+		"shape and bulk disagree": craftArchive(t, 3, 3, bulk),
+		"v1 of a future version":  v1Archive(t, 3, specialEquilibrium()),
+	}
+	for name, data := range cases {
+		if _, err := UnmarshalEquilibrium(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	if _, err := UnmarshalEquilibrium(craftArchive(t, 2, 3, bulk)); err != nil {
+		t.Errorf("the well-formed crafted archive is rejected: %v", err)
+	}
+}
+
+func TestMarshalEquilibriumRejectsRaggedPaths(t *testing.T) {
+	cases := map[string]func(eq *Equilibrium){
+		"fewer strategy levels": func(eq *Equilibrium) { eq.HJB.X = eq.HJB.X[:1] },
+		"more density levels":   func(eq *Equilibrium) { eq.FPK.Lambda = append(eq.FPK.Lambda, eq.FPK.Lambda[0]) },
+		"short level":           func(eq *Equilibrium) { eq.HJB.V[1] = eq.HJB.V[1][:2] },
+		"long level":            func(eq *Equilibrium) { eq.FPK.Lambda[0] = append(eq.FPK.Lambda[0], 1) },
+		"empty levels": func(eq *Equilibrium) {
+			eq.HJB.V, eq.HJB.X, eq.FPK.Lambda = [][]float64{{}}, [][]float64{{}}, [][]float64{{}}
+		},
+		"missing density": func(eq *Equilibrium) { eq.FPK = nil },
+	}
+	for name, mutate := range cases {
+		eq := specialEquilibrium()
+		mutate(eq)
+		if _, err := MarshalEquilibrium(eq); err == nil {
+			t.Errorf("%s: MarshalEquilibrium wrote it", name)
+		}
+		if _, err := eq.WriteTo(io.Discard); err == nil {
+			t.Errorf("%s: WriteTo wrote it", name)
+		}
+	}
+}
+
+// TestWriteToKeepsWarmStartChain pins the one difference between the two
+// encoders: WriteTo keeps the warm-start chain, MarshalEquilibrium prunes it.
+func TestWriteToKeepsWarmStartChain(t *testing.T) {
+	eq := specialEquilibrium()
+	var buf bytes.Buffer
+	if _, err := eq.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), mustMarshal(t, eq)) {
+		t.Error("without a warm start, WriteTo and MarshalEquilibrium write different archives")
+	}
+
+	eq.Config.WarmStart = specialEquilibrium()
+	buf.Reset()
+	if _, err := eq.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadEquilibrium(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Config.WarmStart == nil {
+		t.Fatal("WriteTo dropped the warm-start chain")
+	}
+	samePathBits(t, back.Config.WarmStart, eq.Config.WarmStart)
+	pruned, err := UnmarshalEquilibrium(mustMarshal(t, eq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pruned.Config.WarmStart != nil {
+		t.Error("MarshalEquilibrium kept the warm-start chain")
+	}
+}
+
+// BenchmarkEquilibriumCodec times one default-grid archive (3 × 121 × 793
+// path values) through each direction of the codec.
+func BenchmarkEquilibriumCodec(b *testing.B) {
+	eq, err := Solve(DefaultConfig(mec.Default()), defaultWorkload())
+	if err != nil {
+		b.Fatalf("Solve: %v", err)
+	}
+	blob := mustMarshal(b, eq)
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := MarshalEquilibrium(eq); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := UnmarshalEquilibrium(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -313,7 +313,7 @@ type mfgcpState struct {
 	K        int
 	Admit    []float64
 	Contents []int    // content indices with a solved equilibrium
-	Blobs    [][]byte // parallel to Contents, engine gob archives
+	Blobs    [][]byte // parallel to Contents, engine equilibrium archives
 }
 
 // CheckpointState serialises the policy's prepared strategy (the per-content

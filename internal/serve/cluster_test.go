@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -223,6 +224,26 @@ func TestFleetPeerAnswerPromoted(t *testing.T) {
 	}
 	if hits := nonOwner.reg.Snapshot().Counters["cluster.peer_hit"]; hits != 1 {
 		t.Errorf("repeat triggered another peer fill: cluster.peer_hit = %g, want 1", hits)
+	}
+
+	// A peer reply declares its archive's length up front.
+	presp, err := http.Post(nonOwner.base+"/v1/peer/get", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer presp.Body.Close()
+	blob, err := io.ReadAll(presp.Body)
+	if err != nil || presp.StatusCode != http.StatusOK {
+		t.Fatalf("peer get: status %d err %v", presp.StatusCode, err)
+	}
+	if got := presp.Header.Get("Content-Length"); got != strconv.Itoa(len(blob)) {
+		t.Errorf("peer reply Content-Length %q, body has %d bytes", got, len(blob))
+	}
+	if got := presp.Header.Get("Content-Type"); got != "application/octet-stream" {
+		t.Errorf("peer reply Content-Type %q, want application/octet-stream", got)
+	}
+	if _, err := engine.UnmarshalEquilibrium(blob); err != nil {
+		t.Errorf("peer reply does not decode: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -100,6 +102,112 @@ func TestStoreTierWarmRestart(t *testing.T) {
 	}
 	if !bytes.Equal(bodyWithoutSource(t, coldBody), bodyWithoutSource(t, hotBody)) {
 		t.Errorf("promoted repeat equilibrium differs")
+	}
+}
+
+// TestStoreTierReadsV1Records is the upgrade contract of the archive format:
+// a daemon started over a store whose records an older build wrote as
+// format-v1 archives answers those keys from the store, with the body a fresh
+// solve gives, and persists what it solves itself in the current format.
+func TestStoreTierReadsV1Records(t *testing.T) {
+	stored := []string{
+		`{"Workload": {"Requests": 11, "Pop": 0.35, "Timeliness": 3}}`,
+		`{"Workload": {"Requests": 7, "Pop": 0.2, "Timeliness": 1}}`,
+	}
+	later := `{"Workload": {"Requests": 13, "Pop": 0.4, "Timeliness": 2}}`
+	// v1Archive is the layout every record of an older build has.
+	type v1Archive struct {
+		Version int
+		Eq      *engine.Equilibrium
+	}
+	cfg, _ := testConfig(t)
+	workloadOf := func(body string) engine.Workload {
+		var req struct{ Workload engine.Workload }
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		return req.Workload
+	}
+
+	// Fresh solves of every key, from a daemon without a store.
+	fresh := map[string][]byte{}
+	base, _ := startDaemon(t, cfg)
+	for _, body := range append(stored, later) {
+		resp, data := postSolve(t, http.DefaultClient, base, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fresh solve: status %d body %s", resp.StatusCode, data)
+		}
+		fresh[body] = bodyWithoutSource(t, data)
+	}
+
+	// The store as an older build left it: gob of {Version 1, Eq} per key.
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range stored {
+		eq, err := engine.Solve(cfg.Solver, workloadOf(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v1 bytes.Buffer
+		if err := gob.NewEncoder(&v1).Encode(v1Archive{Version: 1, Eq: eq}); err != nil {
+			t.Fatal(err)
+		}
+		st.Put(engine.CacheKey(cfg.Solver, workloadOf(body)), v1.Bytes())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg2, reg2 := testConfig(t)
+	cfg2.CacheDir = dir
+	base2, drain2 := startDaemon(t, cfg2)
+	for _, body := range stored {
+		resp, data := postSolve(t, http.DefaultClient, base2, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("v1 record: status %d body %s", resp.StatusCode, data)
+		}
+		if got := sourceOf(t, data); got != SourceStore {
+			t.Errorf("v1 record answered from %q, want %q", got, SourceStore)
+		}
+		if !bytes.Equal(bodyWithoutSource(t, data), fresh[body]) {
+			t.Errorf("v1 record body differs from a fresh solve:\n%s\nvs\n%s", data, fresh[body])
+		}
+	}
+	snap := reg2.Snapshot()
+	if got := snap.Counters["serve.solve.executed"]; got != 0 {
+		t.Errorf("v1 records were re-solved: serve.solve.executed = %g, want 0", got)
+	}
+	if got := snap.Counters["serve.store.decode.errors"]; got != 0 {
+		t.Errorf("serve.store.decode.errors = %g, want 0", got)
+	}
+	if resp, data := postSolve(t, http.DefaultClient, base2, later); resp.StatusCode != http.StatusOK || sourceOf(t, data) != SourceSolve {
+		t.Fatalf("post-upgrade key: status %d body %s", resp.StatusCode, data)
+	}
+	drain2()
+
+	// The key solved after the upgrade is persisted in the current format:
+	// not a v1 archive, and exactly what MarshalEquilibrium writes for it.
+	st2, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	blob, ok := st2.Get(engine.CacheKey(cfg.Solver, workloadOf(later)))
+	if !ok {
+		t.Fatal("the post-upgrade solve was not persisted")
+	}
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v1Archive{}); err == nil {
+		t.Error("the post-upgrade record is a v1 archive")
+	}
+	eq, err := engine.UnmarshalEquilibrium(blob)
+	if err != nil {
+		t.Fatalf("decode the post-upgrade record: %v", err)
+	}
+	if again, err := engine.MarshalEquilibrium(eq); err != nil || !bytes.Equal(again, blob) {
+		t.Errorf("the post-upgrade record is not in the current format (re-marshal err %v)", err)
 	}
 }
 

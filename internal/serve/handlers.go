@@ -212,11 +212,12 @@ func writeSolveHeaders(w http.ResponseWriter, coalesced bool, solveTime time.Dur
 // store → singleflight → workers) with the cluster tier disabled, so every
 // cold solve for a key executes exactly once fleet-wide — concurrent fills
 // from many replicas coalesce on the owner's singleflight — and a fill never
-// re-forwards (no routing loops). The response body is the gob-marshalled
-// full equilibrium, not the downsampled JSON summary, so the requester's
-// promoted LRU entry serves byte-identical bodies afterwards. The surrogate
-// tier is deliberately skipped: the requester already consulted its own copy
-// of the table, and an interpolated summary has no equilibrium to promote.
+// re-forwards (no routing loops). The response body is the full equilibrium
+// archive (engine.MarshalEquilibrium, sized by Content-Length), not the
+// downsampled JSON summary, so the requester's promoted LRU entry serves
+// byte-identical bodies afterwards. The surrogate tier is deliberately
+// skipped: the requester already consulted its own copy of the table, and an
+// interpolated summary has no equilibrium to promote.
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		s.writeError(w, badRequest(errors.New("serve: peer endpoint disabled (no -peers configured)")))
@@ -266,7 +267,8 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-gob")
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	w.Header().Set(cluster.SourceHeader, string(out.Source))
 	w.Header().Set(cluster.ConvergedHeader, strconv.FormatBool(eq.Converged))
 	w.WriteHeader(http.StatusOK)

@@ -34,7 +34,7 @@ func peerOwnedBody(t *testing.T, solver engine.Config, self, fakeOwner string) s
 	return ""
 }
 
-// peerBlob gob-marshals a minimal (but decodable) equilibrium for a fake
+// peerBlob marshals a minimal (but decodable) equilibrium for a fake
 // owner to return.
 func peerBlob(t *testing.T, converged bool) []byte {
 	t.Helper()

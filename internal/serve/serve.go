@@ -514,8 +514,9 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 
 // storeGet consults the persistent tier after an LRU miss and promotes a hit
 // back into the LRU so the next repeat is a memory hit. A blob that fails to
-// decode is treated as a miss (the store already refuses CRC-invalid bytes;
-// a gob mismatch here means a format drift across versions, not corruption).
+// decode is treated as a miss (the store already refuses CRC-invalid bytes,
+// so such a blob is in a format this build cannot read, such as a newer
+// build's archive, not corrupt).
 func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*engine.Equilibrium, bool) {
 	if s.store == nil {
 		return nil, false

@@ -42,7 +42,7 @@ const (
 
 	// maxKeyLen / maxBlobLen bound the lengths a header may claim before the
 	// scan declares the frame implausible. Cache keys are ~1 KiB canonical
-	// strings and equilibrium blobs a few MiB of gob; anything beyond these
+	// strings and equilibrium blobs a few MiB; anything beyond these
 	// bounds is a torn or foreign frame, not data.
 	maxKeyLen  = 1 << 16 // 64 KiB
 	maxBlobLen = 1 << 26 // 64 MiB
