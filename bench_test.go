@@ -325,13 +325,10 @@ func BenchmarkRolloutEnsemble(b *testing.B) {
 // explicit integrator skips the tridiagonal solves but must respect the CFL
 // bound (the quick solver's mesh satisfies it).
 func BenchmarkAblationScheme(b *testing.B) {
-	for _, stepping := range []struct {
-		name string
-		s    pde.Stepping
-	}{{"implicit", pde.Implicit}, {"explicit", pde.Explicit}} {
-		b.Run(stepping.name, func(b *testing.B) {
+	for _, scheme := range []string{"implicit", "explicit"} {
+		b.Run(scheme, func(b *testing.B) {
 			cfg := quickSolver()
-			cfg.Stepping = stepping.s
+			cfg.Scheme = scheme
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := engine.Solve(cfg, benchWorkload); err != nil {

@@ -62,8 +62,8 @@ func CacheKey(cfg Config, w Workload) string {
 	putF(&b, "Tol", cfg.Tol)
 	putF(&b, "Damping", cfg.Damping)
 	fmt.Fprintf(&b, "Form=%d;Share=%t;", int(cfg.FPKForm), cfg.ShareEnabled)
-	if sch, err := cfg.scheme(); err == nil {
-		fmt.Fprintf(&b, "Scheme=%s;", sch.Name())
+	if sch, err := cfg.ResolveScheme(); err == nil {
+		fmt.Fprintf(&b, "Scheme=%s;", sch)
 	} else {
 		fmt.Fprintf(&b, "Scheme=%q;", cfg.Scheme)
 	}

@@ -10,9 +10,10 @@
 //   - a Session owning every grid, tridiagonal, value and density workspace,
 //     so the damped best-response loop runs with zero per-iteration heap
 //     allocations and repeated solves reuse the same buffers;
-//   - pluggable pde.Scheme time integrators (implicit splitting by default,
-//     the CFL-bounded explicit integrator as an ablation), selected through
-//     Config.Scheme instead of separate entry points;
+//   - one pde.Scheme time-integrator choice (implicit splitting by default,
+//     the CFL-bounded explicit integrator as an ablation), named by
+//     Config.Scheme and resolved once by Config.ResolveScheme; the numeric
+//     Config.Stepping it replaces is deprecated;
 //   - a bounded, concurrency-safe Cache of solved equilibria keyed by a
 //     canonical encoding of (quantised params, workload, grid resolution),
 //     giving the policy and simulation layers warm-start reuse across
@@ -90,14 +91,14 @@ type Config struct {
 	// default; pde.Advective reproduces the paper-literal Eq. 15).
 	FPKForm pde.FPKForm
 
-	// Stepping selects the time integrator of both PDEs (implicit by
-	// default; pde.Explicit is the CFL-bounded ablation). Scheme, when set,
-	// takes precedence.
-	Stepping pde.Stepping
+	// Stepping selects the time integrator when Scheme is empty.
+	//
+	// Deprecated: use Scheme.
+	Stepping pde.Scheme
 
-	// Scheme selects the time integrator by name ("implicit" or "explicit";
-	// see pde.SchemeNames). The empty string defers to Stepping, keeping old
-	// configurations working.
+	// Scheme selects the time integrator of both PDEs by name: "implicit"
+	// (the default) or "explicit", the CFL-bounded ablation. The empty
+	// string defers to the deprecated Stepping.
 	Scheme string
 
 	// ShareEnabled distinguishes MFG-CP (true) from the MFG baseline
@@ -196,19 +197,21 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.BlowupResidual) || math.IsInf(c.BlowupResidual, 0) || c.BlowupResidual < 0 {
 		return fmt.Errorf("core: BlowupResidual must be non-negative and finite, got %g", c.BlowupResidual)
 	}
-	if _, err := c.scheme(); err != nil {
+	if _, err := c.ResolveScheme(); err != nil {
 		return err
 	}
 	return c.Surrogate.Validate()
 }
 
-// scheme resolves the configured time integrator: Scheme by name when set,
-// otherwise the legacy Stepping constant.
-func (c Config) scheme() (pde.Scheme, error) {
+// ResolveScheme returns the configured time integrator: Scheme by name when
+// set, otherwise the deprecated Stepping value. It is the one place the two
+// fields are reconciled; validation, sessions, cache keys and the recovery
+// ladder all resolve through it.
+func (c Config) ResolveScheme() (pde.Scheme, error) {
 	if c.Scheme != "" {
-		return pde.SchemeByName(c.Scheme)
+		return pde.ParseScheme(c.Scheme)
 	}
-	return pde.SchemeFor(c.Stepping)
+	return c.Stepping, c.Stepping.Validate()
 }
 
 // Equilibrium is the solved mean-field equilibrium for one content over one

@@ -66,7 +66,7 @@ func (j configJSON) apply(c *Config) {
 	c.Damping = j.Damping
 	c.BlowupResidual = j.BlowupResidual
 	c.FPKForm = pde.FPKForm(j.FPKForm)
-	c.Stepping = pde.Stepping(j.Stepping)
+	c.Stepping = pde.Scheme(j.Stepping)
 	c.Scheme = j.Scheme
 	c.Surrogate = j.Surrogate
 	c.ShareEnabled = j.ShareEnabled

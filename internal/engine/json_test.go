@@ -60,6 +60,14 @@ func TestConfigJSONMerge(t *testing.T) {
 	if cfg.NH != base.NH || cfg.Tol != base.Tol || cfg.Params != base.Params {
 		t.Errorf("absent fields did not keep base values: %+v", cfg)
 	}
+	// The deprecated numeric Stepping still selects the integrator.
+	cfg, err = DecodeConfig([]byte(`{"Stepping": 1}`), base)
+	if err != nil {
+		t.Fatalf("DecodeConfig Stepping: %v", err)
+	}
+	if sch, err := cfg.ResolveScheme(); err != nil || sch != pde.Explicit {
+		t.Errorf(`{"Stepping": 1} resolved to %v, %v, want explicit`, sch, err)
+	}
 	// Nested params merge too.
 	cfg, err = DecodeConfig([]byte(`{"Params": {"Qk": 80}}`), base)
 	if err != nil {
@@ -85,6 +93,7 @@ func TestConfigJSONRejection(t *testing.T) {
 		{"tiny grid", `{"NH": 1}`, "grid"},
 		{"negative blowup", `{"BlowupResidual": -1}`, "BlowupResidual"},
 		{"bad scheme", `{"Scheme": "upwind"}`, "scheme"},
+		{"bad stepping", `{"Stepping": 7}`, "unknown scheme"},
 		{"bad params", `{"Params": {"Qk": -1}}`, "Qk"},
 	}
 	for _, tc := range cases {

@@ -27,7 +27,6 @@ type Session struct {
 	cfg     Config
 	g       grid.Grid2D
 	tm      grid.TimeMesh
-	scheme  pde.Scheme
 	channel *mec.ChannelModel
 	est     *Estimator
 
@@ -91,7 +90,7 @@ func NewSession(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := cfg.scheme()
+	scheme, err := cfg.ResolveScheme()
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +126,6 @@ func NewSession(cfg Config) (*Session, error) {
 		cfg:        cfg,
 		g:          g,
 		tm:         tm,
-		scheme:     scheme,
 		channel:    channel,
 		est:        est,
 		ws:         ws,
@@ -164,16 +162,16 @@ func NewSession(cfg Config) (*Session, error) {
 	// never rebuilds them.
 	ou := channel.OU()
 	s.hjbProb = &pde.HJBProblem{
-		Grid:     g,
-		Time:     tm,
-		DiffH:    0.5 * p.ChSigma * p.ChSigma,
-		DiffQ:    0.5 * p.SigmaQ * p.SigmaQ,
-		DriftH:   func(_, h float64) float64 { return ou.Drift(0, h) },
-		DriftQ:   s.driftLevel,
-		Control:  s.controlLevel,
-		Running:  s.utilityLevel,
-		Stepping: scheme.Stepping(),
-		Obs:      cfg.Obs,
+		Grid:    g,
+		Time:    tm,
+		DiffH:   0.5 * p.ChSigma * p.ChSigma,
+		DiffQ:   0.5 * p.SigmaQ * p.SigmaQ,
+		DriftH:  func(_, h float64) float64 { return ou.Drift(0, h) },
+		DriftQ:  s.driftLevel,
+		Control: s.controlLevel,
+		Running: s.utilityLevel,
+		Scheme:  scheme,
+		Obs:     cfg.Obs,
 	}
 	s.fpkProb = &pde.FPKProblem{
 		Grid:        g,
@@ -182,7 +180,7 @@ func NewSession(cfg Config) (*Session, error) {
 		DiffQ:       0.5 * p.SigmaQ * p.SigmaQ,
 		DriftH:      func(_, h float64) float64 { return ou.Drift(0, h) },
 		Form:        cfg.FPKForm,
-		Stepping:    scheme.Stepping(),
+		Scheme:      scheme,
 		Renormalize: true,
 		Obs:         cfg.Obs,
 		DriftQ:      func(n int, b []float64) { s.driftLevel(n, s.xPath[n], b) },
@@ -310,7 +308,7 @@ func (s *Session) iterate(iter int) (float64, error) {
 	if s.trace != nil {
 		stageStart = time.Now()
 	}
-	if err := pde.SolveHJBInto(s.ws, s.scheme, s.hjbProb, s.hjb); err != nil {
+	if err := pde.SolveHJBInto(s.ws, s.hjbProb, s.hjb); err != nil {
 		return 0, fmt.Errorf("core: HJB solve at iteration %d: %w", iter, err)
 	}
 	if s.trace != nil {
@@ -336,7 +334,7 @@ func (s *Session) iterate(iter int) (float64, error) {
 	if s.trace != nil {
 		stageStart = time.Now()
 	}
-	if err := pde.SolveFPKInto(s.ws, s.scheme, s.fpkProb, s.lambda0, s.fpk); err != nil {
+	if err := pde.SolveFPKInto(s.ws, s.fpkProb, s.lambda0, s.fpk); err != nil {
 		return 0, fmt.Errorf("core: FPK solve at iteration %d: %w", iter, err)
 	}
 	if s.trace != nil {

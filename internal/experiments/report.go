@@ -33,7 +33,7 @@ type Options struct {
 	// unaffected.
 	Obs obs.Recorder
 	// Scheme selects the PDE time integrator for every equilibrium solve
-	// ("implicit" — the default — or "explicit"; see pde.SchemeNames). The
+	// ("implicit" — the default — or "explicit"; see pde.ParseScheme). The
 	// CLI wires its -scheme flag through this field.
 	Scheme string
 	// EqCacheSize, when positive, bounds an equilibrium cache shared across

@@ -20,18 +20,6 @@ func SmoothStep(l, x float64) float64 {
 	return 1 / (1 + math.Exp(a))
 }
 
-// SmoothStepDeriv is f'(x) = 2l·e^(−2lx)/(1+e^(−2lx))², the derivative used
-// in the Lipschitz analysis (Lemma 1) and in gradient sanity tests.
-func SmoothStepDeriv(l, x float64) float64 {
-	a := -2 * l * x
-	if a > 700 || a < -700 {
-		return 0
-	}
-	e := math.Exp(a)
-	d := 1 + e
-	return 2 * l * e / (d * d)
-}
-
 // NormalPDF is the density of N(mean, sd²) at x.
 func NormalPDF(mean, sd, x float64) float64 {
 	if sd <= 0 {
@@ -39,17 +27,6 @@ func NormalPDF(mean, sd, x float64) float64 {
 	}
 	z := (x - mean) / sd
 	return math.Exp(-0.5*z*z) / (sd * math.Sqrt(2*math.Pi))
-}
-
-// NormalCDF is the cumulative distribution of N(mean, sd²) at x.
-func NormalCDF(mean, sd, x float64) float64 {
-	if sd <= 0 {
-		if x < mean {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(x-mean)/(sd*math.Sqrt2))
 }
 
 // ZipfWeights returns the normalised Zipf popularity vector with skew s over

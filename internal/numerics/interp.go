@@ -10,16 +10,6 @@ import (
 	"repro/internal/grid"
 )
 
-// Interp1D linearly interpolates the nodal values vals (len == ax.N) at x,
-// clamping x to the axis range.
-func Interp1D(ax grid.Axis, vals []float64, x float64) (float64, error) {
-	if len(vals) != ax.N {
-		return 0, fmt.Errorf("numerics: Interp1D: %d values for %d nodes", len(vals), ax.N)
-	}
-	i, f := ax.Locate(x)
-	return vals[i]*(1-f) + vals[i+1]*f, nil
-}
-
 // InterpBilinear bilinearly interpolates a flattened 2-D field at (h, q),
 // clamping both coordinates to the grid.
 func InterpBilinear(g grid.Grid2D, field []float64, h, q float64) (float64, error) {
@@ -141,24 +131,6 @@ func GradientQ(g grid.Grid2D, dst, field []float64) error {
 			dst[row+j] = (field[row+j+1] - field[row+j-1]) / (2 * dq)
 		}
 		dst[row+nq-1] = (field[row+nq-1] - field[row+nq-2]) / dq
-	}
-	return nil
-}
-
-// GradientH computes ∂field/∂h analogously to GradientQ.
-func GradientH(g grid.Grid2D, dst, field []float64) error {
-	if len(field) != g.Size() || len(dst) != g.Size() {
-		return fmt.Errorf("numerics: GradientH: field %d, dst %d, grid %d", len(field), len(dst), g.Size())
-	}
-	dh := g.H.Step()
-	nq := g.Q.N
-	nh := g.H.N
-	for j := 0; j < nq; j++ {
-		dst[j] = (field[nq+j] - field[j]) / dh
-		for i := 1; i < nh-1; i++ {
-			dst[i*nq+j] = (field[(i+1)*nq+j] - field[(i-1)*nq+j]) / (2 * dh)
-		}
-		dst[(nh-1)*nq+j] = (field[(nh-1)*nq+j] - field[(nh-2)*nq+j]) / dh
 	}
 	return nil
 }

@@ -20,27 +20,6 @@ func Trapezoid(ax grid.Axis, vals []float64) (float64, error) {
 	return s * dx, nil
 }
 
-// Simpson integrates nodal values with the composite Simpson rule. The axis
-// must have an odd number of nodes (even number of intervals).
-func Simpson(ax grid.Axis, vals []float64) (float64, error) {
-	if len(vals) != ax.N {
-		return 0, fmt.Errorf("numerics: Simpson: %d values for %d nodes", len(vals), ax.N)
-	}
-	if ax.N%2 == 0 {
-		return 0, fmt.Errorf("numerics: Simpson needs an odd node count, got %d", ax.N)
-	}
-	dx := ax.Step()
-	s := vals[0] + vals[ax.N-1]
-	for i := 1; i < ax.N-1; i++ {
-		if i%2 == 1 {
-			s += 4 * vals[i]
-		} else {
-			s += 2 * vals[i]
-		}
-	}
-	return s * dx / 3, nil
-}
-
 // Integral2D integrates a flattened field over the full 2-D grid using the
 // tensor-product trapezoid rule. This is the ∫∫ · dh dq appearing throughout
 // the mean-field estimator (Eqs. 14, 17, 18).

@@ -5,21 +5,6 @@ import (
 	"math"
 )
 
-// Stepping selects the time integrator of the PDE schemes.
-type Stepping int
-
-const (
-	// Implicit (default) is the unconditionally stable operator-split
-	// backward-Euler integrator: one tridiagonal solve per dimension per
-	// step.
-	Implicit Stepping = iota
-	// Explicit is the forward-Euler integrator kept as an ablation: cheaper
-	// per step (no linear solves) but subject to a CFL stability bound,
-	// which the solver verifies before stepping and reports via
-	// ErrCFLViolation when violated.
-	Explicit
-)
-
 // ErrCFLViolation is returned when an explicit integration would violate its
 // stability bound. The error text carries the worst ratio and the step count
 // that would satisfy the condition.

@@ -13,20 +13,20 @@ import (
 func TestExplicitMatchesImplicitFPK(t *testing.T) {
 	g := testGrid(t, 9, 41)
 	init := gaussianInit(t, g)
-	run := func(stepping Stepping, steps int) *FPKSolution {
+	run := func(scheme Scheme, steps int) *FPKSolution {
 		p := &FPKProblem{
-			Grid:     g,
-			Time:     testMesh(t, 0.5, steps),
-			DiffH:    0.01,
-			DiffQ:    0.01,
-			DriftH:   func(_, h float64) float64 { return 0.3 * (0.5 - h) },
-			DriftQ:   drift(g, func(_, q float64) float64 { return 0.5 * (0.4 - q) }),
-			Form:     Conservative,
-			Stepping: stepping,
+			Grid:   g,
+			Time:   testMesh(t, 0.5, steps),
+			DiffH:  0.01,
+			DiffQ:  0.01,
+			DriftH: func(_, h float64) float64 { return 0.3 * (0.5 - h) },
+			DriftQ: drift(g, func(_, q float64) float64 { return 0.5 * (0.4 - q) }),
+			Form:   Conservative,
+			Scheme: scheme,
 		}
 		sol, err := SolveFPK(p, init)
 		if err != nil {
-			t.Fatalf("stepping %d: %v", stepping, err)
+			t.Fatalf("scheme %s: %v", scheme, err)
 		}
 		return sol
 	}
@@ -50,14 +50,14 @@ func TestExplicitMatchesImplicitFPK(t *testing.T) {
 func TestExplicitFPKMassConservation(t *testing.T) {
 	g := testGrid(t, 9, 21)
 	p := &FPKProblem{
-		Grid:     g,
-		Time:     testMesh(t, 0.2, 2000),
-		DiffH:    0.01,
-		DiffQ:    0.01,
-		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   drift(g, func(_, q float64) float64 { return math.Sin(4 * q) }),
-		Form:     Conservative,
-		Stepping: Explicit,
+		Grid:   g,
+		Time:   testMesh(t, 0.2, 2000),
+		DiffH:  0.01,
+		DiffQ:  0.01,
+		DriftH: func(_, _ float64) float64 { return 0 },
+		DriftQ: drift(g, func(_, q float64) float64 { return math.Sin(4 * q) }),
+		Form:   Conservative,
+		Scheme: Explicit,
 	}
 	sol, err := SolveFPK(p, gaussianInit(t, g))
 	if err != nil {
@@ -76,13 +76,13 @@ func TestExplicitFPKMassConservation(t *testing.T) {
 func TestExplicitFPKCFLViolation(t *testing.T) {
 	g := testGrid(t, 5, 41)
 	p := &FPKProblem{
-		Grid:     g,
-		Time:     testMesh(t, 1, 10), // far too few steps for dx=1/40, D=0.05
-		DiffQ:    0.05,
-		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   uniformField(1),
-		Form:     Conservative,
-		Stepping: Explicit,
+		Grid:   g,
+		Time:   testMesh(t, 1, 10), // far too few steps for dx=1/40, D=0.05
+		DiffQ:  0.05,
+		DriftH: func(_, _ float64) float64 { return 0 },
+		DriftQ: uniformField(1),
+		Form:   Conservative,
+		Scheme: Explicit,
 	}
 	_, err := SolveFPK(p, gaussianInit(t, g))
 	if err == nil {
@@ -108,20 +108,20 @@ func TestExplicitFPKCFLViolation(t *testing.T) {
 func TestExplicitRejectsAdvectiveForm(t *testing.T) {
 	g := testGrid(t, 5, 5)
 	p := &FPKProblem{
-		Grid:     g,
-		Time:     testMesh(t, 1, 100),
-		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   uniformField(0),
-		Form:     Advective,
-		Stepping: Explicit,
+		Grid:   g,
+		Time:   testMesh(t, 1, 100),
+		DriftH: func(_, _ float64) float64 { return 0 },
+		DriftQ: uniformField(0),
+		Form:   Advective,
+		Scheme: Explicit,
 	}
 	if _, err := SolveFPK(p, gaussianInit(t, g)); err == nil {
 		t.Error("explicit + advective should be rejected")
 	}
-	p.Stepping = Stepping(99)
+	p.Scheme = Scheme(99)
 	p.Form = Conservative
 	if _, err := SolveFPK(p, gaussianInit(t, g)); err == nil {
-		t.Error("unknown stepping should be rejected")
+		t.Error("unknown scheme should be rejected")
 	}
 }
 
@@ -130,15 +130,15 @@ func TestExplicitRejectsAdvectiveForm(t *testing.T) {
 func TestExplicitHJB(t *testing.T) {
 	g := testGrid(t, 5, 5)
 	p := &HJBProblem{
-		Grid:     g,
-		Time:     testMesh(t, 2, 400),
-		DiffH:    0.001,
-		DiffQ:    0.001,
-		DriftH:   func(_, _ float64) float64 { return 0 },
-		DriftQ:   uniform(0),
-		Control:  uniform(0),
-		Running:  uniform(3),
-		Stepping: Explicit,
+		Grid:    g,
+		Time:    testMesh(t, 2, 400),
+		DiffH:   0.001,
+		DiffQ:   0.001,
+		DriftH:  func(_, _ float64) float64 { return 0 },
+		DriftQ:  uniform(0),
+		Control: uniform(0),
+		Running: uniform(3),
+		Scheme:  Explicit,
 	}
 	sol, err := SolveHJB(p)
 	if err != nil {
@@ -154,9 +154,9 @@ func TestExplicitHJB(t *testing.T) {
 		t.Error("expected CFL violation in the HJB")
 	}
 	p.DiffQ = 0.001
-	p.Stepping = Stepping(99)
+	p.Scheme = Scheme(99)
 	if _, err := SolveHJB(p); err == nil {
-		t.Error("unknown stepping should be rejected")
+		t.Error("unknown scheme should be rejected")
 	}
 }
 
@@ -170,20 +170,20 @@ func TestExplicitMatchesImplicitHJB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(stepping Stepping) *HJBSolution {
+	run := func(scheme Scheme) *HJBSolution {
 		p := &HJBProblem{
-			Grid:     g,
-			Time:     testMesh(t, 0.5, 4000),
-			DiffQ:    0.01,
-			DriftH:   func(_, _ float64) float64 { return 0 },
-			DriftQ:   uniform(0.3),
-			Control:  uniform(0),
-			Running:  running(g, func(_, q, _ float64) float64 { return math.Sin(3 * q) }),
-			Stepping: stepping,
+			Grid:    g,
+			Time:    testMesh(t, 0.5, 4000),
+			DiffQ:   0.01,
+			DriftH:  func(_, _ float64) float64 { return 0 },
+			DriftQ:  uniform(0.3),
+			Control: uniform(0),
+			Running: running(g, func(_, q, _ float64) float64 { return math.Sin(3 * q) }),
+			Scheme:  scheme,
 		}
 		sol, err := SolveHJB(p)
 		if err != nil {
-			t.Fatalf("stepping %d: %v", stepping, err)
+			t.Fatalf("scheme %s: %v", scheme, err)
 		}
 		return sol
 	}

@@ -43,10 +43,10 @@ type FPKProblem struct {
 	DriftQ func(n int, b []float64)
 
 	Form FPKForm
-	// Stepping selects implicit (default, unconditionally stable) or
+	// Scheme selects implicit (default, unconditionally stable) or
 	// explicit (CFL-bounded, ablation) time integration. The explicit
 	// integrator supports the conservative form only.
-	Stepping Stepping
+	Scheme Scheme
 	// Renormalize rescales the density to unit mass after every step. With
 	// the conservative form this only removes round-off; with the advective
 	// form it compensates the structural mass loss.
@@ -77,10 +77,10 @@ func (p *FPKProblem) Validate() error {
 	if p.Form != Conservative && p.Form != Advective {
 		return fmt.Errorf("pde: FPKProblem: unknown form %d", int(p.Form))
 	}
-	if p.Stepping != Implicit && p.Stepping != Explicit {
-		return fmt.Errorf("pde: FPKProblem: unknown stepping %d", int(p.Stepping))
+	if err := p.Scheme.Validate(); err != nil {
+		return err
 	}
-	if p.Stepping == Explicit && p.Form != Conservative {
+	if p.Scheme == Explicit && p.Form != Conservative {
 		return fmt.Errorf("pde: FPKProblem: the explicit integrator supports the conservative form only")
 	}
 	return nil
@@ -152,28 +152,18 @@ func SolveFPK(p *FPKProblem, lambda0 []float64) (*FPKSolution, error) {
 		return nil, err
 	}
 	sol := NewFPKSolution(p.Grid, p.Time)
-	if err := SolveFPKInto(ws, nil, p, lambda0, sol); err != nil {
+	if err := SolveFPKInto(ws, p, lambda0, sol); err != nil {
 		return nil, err
 	}
 	return sol, nil
 }
 
 // SolveFPKInto is the allocation-free core of SolveFPK: it transports λ0
-// through the time mesh using the given scheme (nil derives one from
-// p.Stepping), reusing the workspace buffers and writing every time level
-// into the preallocated solution.
-func SolveFPKInto(ws *Workspace, sch Scheme, p *FPKProblem, lambda0 []float64, sol *FPKSolution) error {
+// through the time mesh with the problem's scheme, reusing the workspace
+// buffers and writing every time level into the preallocated solution.
+func SolveFPKInto(ws *Workspace, p *FPKProblem, lambda0 []float64, sol *FPKSolution) error {
 	if err := p.Validate(); err != nil {
 		return err
-	}
-	if sch == nil {
-		var err error
-		if sch, err = SchemeFor(p.Stepping); err != nil {
-			return err
-		}
-	}
-	if sch.Stepping() == Explicit && p.Form != Conservative {
-		return errors.New("pde: SolveFPKInto: the explicit integrator supports the conservative form only")
 	}
 	g := p.Grid
 	if err := checkField("initial density", lambda0, g.Size()); err != nil {
@@ -205,7 +195,7 @@ func SolveFPKInto(ws *Workspace, sch Scheme, p *FPKProblem, lambda0 []float64, s
 		next := sol.Lambda[n+1]
 		copy(next, sol.Lambda[n])
 
-		if err := sch.StepForward(ws, p, n, next); err != nil {
+		if err := stepForward(ws, p, n, next); err != nil {
 			return err
 		}
 

@@ -46,9 +46,9 @@ type HJBProblem struct {
 	// Terminal is the scrap value V(T, h, q); the paper uses zero.
 	Terminal func(h, q float64) float64
 
-	// Stepping selects implicit (default, unconditionally stable) or
+	// Scheme selects implicit (default, unconditionally stable) or
 	// explicit (CFL-bounded, ablation) time integration.
-	Stepping Stepping
+	Scheme Scheme
 
 	// Obs receives solve/sweep telemetry ("pde.hjb.*" names); nil means
 	// no-op. The MFG layer threads engine.Config.Obs through here.
@@ -72,10 +72,7 @@ func (p *HJBProblem) Validate() error {
 	if p.Time.Steps < 1 {
 		return fmt.Errorf("pde: HJBProblem: time mesh needs ≥1 step, got %d", p.Time.Steps)
 	}
-	if p.Stepping != Implicit && p.Stepping != Explicit {
-		return fmt.Errorf("pde: HJBProblem: unknown stepping %d", int(p.Stepping))
-	}
-	return nil
+	return p.Scheme.Validate()
 }
 
 // HJBSolution stores the value function and optimal control on every time
@@ -145,7 +142,7 @@ func (s *HJBSolution) sized(g grid.Grid2D, tm grid.TimeMesh) bool {
 // operator splitting: at each step the control is frozen at its closed-form
 // maximiser computed from ∂qV of the later time level, the running utility is
 // added explicitly, and the advection–diffusion operators in h and q are
-// applied per the scheme selected by p.Stepping (implicitly by default: one
+// applied per the scheme selected by p.Scheme (implicitly by default: one
 // tridiagonal solve per grid line each, unconditionally stable and monotone).
 func SolveHJB(p *HJBProblem) (*HJBSolution, error) {
 	if err := p.Validate(); err != nil {
@@ -156,27 +153,21 @@ func SolveHJB(p *HJBProblem) (*HJBSolution, error) {
 		return nil, err
 	}
 	sol := NewHJBSolution(p.Grid, p.Time)
-	if err := SolveHJBInto(ws, nil, p, sol); err != nil {
+	if err := SolveHJBInto(ws, p, sol); err != nil {
 		return nil, err
 	}
 	return sol, nil
 }
 
 // SolveHJBInto is the allocation-free core of SolveHJB: it integrates the
-// problem backward through the time mesh using the given scheme (nil derives
-// one from p.Stepping), reusing the workspace buffers and writing every time
-// level into the preallocated solution. Steady-state callers (the engine
-// session) construct workspace and solution once and call this per
-// best-response iteration with zero heap allocations.
-func SolveHJBInto(ws *Workspace, sch Scheme, p *HJBProblem, sol *HJBSolution) error {
+// problem backward through the time mesh with the problem's scheme, reusing
+// the workspace buffers and writing every time level into the preallocated
+// solution. Steady-state callers (the engine session) construct workspace and
+// solution once and call this per best-response iteration with zero heap
+// allocations.
+func SolveHJBInto(ws *Workspace, p *HJBProblem, sol *HJBSolution) error {
 	if err := p.Validate(); err != nil {
 		return err
-	}
-	if sch == nil {
-		var err error
-		if sch, err = SchemeFor(p.Stepping); err != nil {
-			return err
-		}
 	}
 	g := p.Grid
 	if !ws.fits(g) {
@@ -225,7 +216,7 @@ func SolveHJBInto(ws *Workspace, sch Scheme, p *HJBProblem, sol *HJBSolution) er
 		}
 
 		// 3–4. Scheme-split sweeps in h (in place on work) then q (into V[n]).
-		if err := sch.StepBackward(ws, p, n, x, w, sol.V[n]); err != nil {
+		if err := stepBackward(ws, p, n, x, w, sol.V[n]); err != nil {
 			return err
 		}
 	}

@@ -115,12 +115,12 @@ func TestCallbacksRunOncePerLevel(t *testing.T) {
 	tm := testMesh(t, 1, 5)
 	// raw is Control's unclamped output: below 0, inside and above 1.
 	raw := func(n, k int) float64 { return float64(k%3) - 0.5 + 0.1*float64(n) }
-	for _, st := range []Stepping{Implicit, Explicit} {
+	for _, st := range []Scheme{Implicit, Explicit} {
 		var calls []string
 		record := func(name string, n int, fields ...[]float64) {
 			for _, f := range fields {
 				if len(f) != g.Size() {
-					t.Fatalf("stepping %d: %s at level %d got %d nodes, want %d", st, name, n, len(f), g.Size())
+					t.Fatalf("scheme %s: %s at level %d got %d nodes, want %d", st, name, n, len(f), g.Size())
 				}
 			}
 			calls = append(calls, fmt.Sprintf("%s %d", name, n))
@@ -128,7 +128,7 @@ func TestCallbacksRunOncePerLevel(t *testing.T) {
 		clamped := func(name string, n int, x []float64) {
 			for k, v := range x {
 				if want := numerics.Clamp01(raw(n, k)); v != want {
-					t.Fatalf("stepping %d: %s at level %d sees x[%d] = %g, want the clamped control %g", st, name, n, k, v, want)
+					t.Fatalf("scheme %s: %s at level %d sees x[%d] = %g, want the clamped control %g", st, name, n, k, v, want)
 				}
 			}
 		}
@@ -156,7 +156,7 @@ func TestCallbacksRunOncePerLevel(t *testing.T) {
 					b[k] = 0
 				}
 			},
-			Stepping: st,
+			Scheme: st,
 		}
 		sol, err := SolveHJB(hjb)
 		if err != nil {
@@ -168,7 +168,7 @@ func TestCallbacksRunOncePerLevel(t *testing.T) {
 			clamped("the solution", n, sol.X[n])
 		}
 		if got := strings.Join(calls, ", "); got != strings.Join(want, ", ") {
-			t.Fatalf("stepping %d: HJB callbacks ran as\n  %s\nwant\n  %s", st, got, strings.Join(want, ", "))
+			t.Fatalf("scheme %s: HJB callbacks ran as\n  %s\nwant\n  %s", st, got, strings.Join(want, ", "))
 		}
 
 		calls, want = nil, nil
@@ -182,7 +182,7 @@ func TestCallbacksRunOncePerLevel(t *testing.T) {
 					b[k] = 0
 				}
 			},
-			Stepping: st,
+			Scheme: st,
 		}
 		init := make([]float64, g.Size())
 		for k := range init {
@@ -195,7 +195,7 @@ func TestCallbacksRunOncePerLevel(t *testing.T) {
 			want = append(want, fmt.Sprintf("DriftQ %d", n))
 		}
 		if got := strings.Join(calls, ", "); got != strings.Join(want, ", ") {
-			t.Fatalf("stepping %d: FPK drift ran as\n  %s\nwant\n  %s", st, got, strings.Join(want, ", "))
+			t.Fatalf("scheme %s: FPK drift ran as\n  %s\nwant\n  %s", st, got, strings.Join(want, ", "))
 		}
 	}
 }

@@ -156,7 +156,7 @@ func TestImplicitUnconditionalStability(t *testing.T) {
 		}
 	}
 	pexp := *p
-	pexp.Stepping = Explicit
+	pexp.Scheme = Explicit
 	if _, err := SolveFPK(&pexp, init); err == nil {
 		t.Error("explicit scheme should reject this CFL-violating setup")
 	}

@@ -65,33 +65,62 @@ func (w *Workspace) fits(g grid.Grid2D) bool {
 	return w != nil && w.g.H.N == g.H.N && w.g.Q.N == g.Q.N
 }
 
-// Scheme is one time-integration scheme for the operator-split PDE updates:
-// it advances the backward (HJB) value field and the forward (FPK) density
-// field by one time step against a shared Workspace. The two built-in schemes
-// are the unconditionally stable implicit splitting (default) and the
-// CFL-bounded explicit integrator kept as an ablation; both are selected via
-// configuration (Config.Scheme / Config.Stepping) instead of separate entry
-// points.
-type Scheme interface {
-	// Name identifies the scheme in configs, CLI flags and cache keys.
-	Name() string
-	// Stepping returns the legacy Stepping constant the scheme corresponds to.
-	Stepping() Stepping
-	// StepBackward advances the backward value update one step at time
-	// level n: src holds the explicit source W = V^{n+1} + dt·U(t_n, x*, ·)
-	// and is consumed as scratch; x is the frozen control field; the new
-	// value level lands in dst. src and dst must not alias.
-	StepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error
-	// StepForward transports the density field forward one step in place
-	// from time level n.
-	StepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error
-	// Order returns the nominal temporal convergence order of the scheme
-	// (both built-in integrators are first-order: backward/forward Euler in
-	// time, with the Lie splitting itself contributing an O(dt) term). The
-	// verification layer checks the observed order from grid refinement
-	// against this value.
-	Order() int
+// Scheme selects the time integrator of the operator-split PDE updates. Both
+// integrators advance the backward (HJB) value field and the forward (FPK)
+// density field through the same Lie splitting against a shared Workspace;
+// they differ only in how each phase advances a line.
+type Scheme int
+
+const (
+	// Implicit (the zero value and default) is the unconditionally stable
+	// operator-split backward-Euler integrator: one tridiagonal solve per
+	// dimension per step.
+	Implicit Scheme = iota
+	// Explicit is the forward-Euler integrator kept as an ablation: cheaper
+	// per step (no linear solves) but subject to a CFL stability bound,
+	// which the solver verifies before stepping and reports via
+	// ErrCFLViolation when violated.
+	Explicit
+)
+
+// schemeNames holds each scheme's name in configs, CLI flags and cache keys.
+var schemeNames = [...]string{Implicit: "implicit", Explicit: "explicit"}
+
+// ParseScheme resolves a scheme from its configuration / CLI name. The empty
+// name selects Implicit.
+func ParseScheme(name string) (Scheme, error) {
+	if name == "" {
+		return Implicit, nil
+	}
+	for s, n := range schemeNames {
+		if n == name {
+			return Scheme(s), nil
+		}
+	}
+	return 0, fmt.Errorf("pde: unknown scheme %q (want one of %s)", name, strings.Join(schemeNames[:], ", "))
 }
+
+// String returns the scheme's name in configs, CLI flags and cache keys.
+func (s Scheme) String() string {
+	if s.Validate() != nil {
+		return fmt.Sprintf("Scheme(%d)", int(s))
+	}
+	return schemeNames[s]
+}
+
+// Validate rejects a value that names no scheme.
+func (s Scheme) Validate() error {
+	if s != Implicit && s != Explicit {
+		return fmt.Errorf("pde: unknown scheme %d (want one of %s)", int(s), strings.Join(schemeNames[:], ", "))
+	}
+	return nil
+}
+
+// Order returns the nominal temporal convergence order of the scheme. Both
+// integrators are first-order: backward/forward Euler in time, with the Lie
+// splitting itself contributing an O(dt) term. The verification layer checks
+// the observed order from grid refinement against this value.
+func (s Scheme) Order() int { return 1 }
 
 // hPhaseImplicit runs the batched implicit h-phase in place on the field: the
 // h-drift depends on (t, h) only, so every column shares one coefficient set,
@@ -154,14 +183,19 @@ func (ws *Workspace) loadHDrift(t float64, driftH func(t, h float64) float64) {
 	}
 }
 
-// stepBackward runs the Lie-split backward sweeps shared by every scheme:
-// first every q-column in h (stride nq, in place on src), then every h-row in
-// q (stride 1, src → dst). The implicit h-phase is batched (one factorisation
-// for all columns) and the implicit q-phase solves all rows in lock-step (one
-// call for all lines); the explicit phases sweep one line at a time. It emits
-// the per-dimension "pde.hjb.sweeps" counters and sweep timings.
-func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64, impl bool) error {
+// stepBackward advances the backward value update one step at time level n
+// with the problem's scheme. src holds the explicit source
+// W = V^{n+1} + dt·U(t_n, x*, ·) and is consumed as scratch; x is the frozen
+// control field; the new value level lands in dst (src and dst must not
+// alias). The Lie splitting sweeps every q-column in h first (stride nq, in
+// place on src), then every h-row in q (stride 1, src → dst). The implicit
+// h-phase is batched (one factorisation for all columns) and the implicit
+// q-phase solves all rows in lock-step (one call for all lines); the
+// explicit phases sweep one line at a time. It emits the per-dimension
+// "pde.hjb.sweeps" counters and sweep timings.
+func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error {
 	g := p.Grid
+	impl := p.Scheme == Implicit
 	nh, nq := g.H.N, g.Q.N
 	t, dt := p.Time.At(n), p.Time.Dt()
 	rec := obs.OrNop(p.Obs)
@@ -220,11 +254,12 @@ func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64, im
 	return nil
 }
 
-// stepForward runs the Lie-split forward sweeps shared by every scheme, in
-// place on lambda, emitting the per-dimension "pde.fpk.sweeps" counters and
-// sweep timings.
-func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64, impl bool) error {
+// stepForward transports the density field forward one step in place from
+// time level n with the problem's scheme, emitting the per-dimension
+// "pde.fpk.sweeps" counters and sweep timings.
+func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
 	g := p.Grid
+	impl := p.Scheme == Implicit
 	nh, nq := g.H.N, g.Q.N
 	t, dt := p.Time.At(n), p.Time.Dt()
 	rec := obs.OrNop(p.Obs)
@@ -283,79 +318,4 @@ func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64, impl boo
 		rec.Observe("pde.fpk.sweep.q.seconds", time.Since(sweepStart).Seconds())
 	}
 	return nil
-}
-
-// implicitScheme is the unconditionally stable operator-split backward-Euler
-// integrator: one tridiagonal solve per dimension per step.
-type implicitScheme struct{}
-
-func (implicitScheme) Name() string       { return "implicit" }
-func (implicitScheme) Stepping() Stepping { return Implicit }
-func (implicitScheme) Order() int         { return 1 }
-
-func (implicitScheme) StepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error {
-	return stepBackward(ws, p, n, x, src, dst, true)
-}
-
-func (implicitScheme) StepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
-	return stepForward(ws, p, n, lambda, true)
-}
-
-// explicitScheme is the forward-Euler ablation: cheaper per step (no linear
-// solves) but subject to a CFL stability bound, verified on every sweep.
-type explicitScheme struct{}
-
-func (explicitScheme) Name() string       { return "explicit" }
-func (explicitScheme) Stepping() Stepping { return Explicit }
-func (explicitScheme) Order() int         { return 1 }
-
-func (explicitScheme) StepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error {
-	return stepBackward(ws, p, n, x, src, dst, false)
-}
-
-func (explicitScheme) StepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
-	return stepForward(ws, p, n, lambda, false)
-}
-
-// schemeRegistry is the single source of truth for the selectable schemes:
-// name resolution, Stepping mapping and the SchemeNames help/validation list
-// are all derived from it, so adding a scheme here is sufficient to surface
-// it everywhere. The first entry is the default.
-var schemeRegistry = []Scheme{
-	implicitScheme{},
-	explicitScheme{},
-}
-
-// SchemeFor maps a legacy Stepping constant onto its Scheme.
-func SchemeFor(s Stepping) (Scheme, error) {
-	for _, sch := range schemeRegistry {
-		if sch.Stepping() == s {
-			return sch, nil
-		}
-	}
-	return nil, fmt.Errorf("pde: unknown stepping %d", int(s))
-}
-
-// SchemeByName resolves a scheme from its configuration / CLI name. The empty
-// name selects the default (the registry's first entry).
-func SchemeByName(name string) (Scheme, error) {
-	if name == "" {
-		return schemeRegistry[0], nil
-	}
-	for _, sch := range schemeRegistry {
-		if sch.Name() == name {
-			return sch, nil
-		}
-	}
-	return nil, fmt.Errorf("pde: unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
-}
-
-// SchemeNames lists the selectable scheme names (for CLI help and validation
-// messages), in registry order.
-func SchemeNames() []string {
-	names := make([]string, len(schemeRegistry))
-	for i, sch := range schemeRegistry {
-		names[i] = sch.Name()
-	}
-	return names
 }

@@ -33,24 +33,21 @@ func schemeTestGrid(t *testing.T) (grid.Grid2D, grid.TimeMesh) {
 	return g, tm
 }
 
-func TestSchemeByName(t *testing.T) {
-	for _, name := range SchemeNames() {
-		sch, err := SchemeByName(name)
-		if err != nil {
-			t.Fatalf("SchemeByName(%q): %v", name, err)
-		}
-		if sch.Name() != name {
-			t.Errorf("SchemeByName(%q).Name() = %q", name, sch.Name())
-		}
-		if rt, err := SchemeFor(sch.Stepping()); err != nil || rt.Name() != name {
-			t.Errorf("SchemeFor(%v) round-trip = %v, %v", sch.Stepping(), rt, err)
+func TestParseScheme(t *testing.T) {
+	for _, sch := range []Scheme{Implicit, Explicit} {
+		got, err := ParseScheme(sch.String())
+		if err != nil || got != sch {
+			t.Errorf("ParseScheme(%q) = %v, %v, want %v", sch.String(), got, err, sch)
 		}
 	}
-	if sch, err := SchemeByName(""); err != nil || sch.Name() != "implicit" {
+	if sch, err := ParseScheme(""); err != nil || sch != Implicit {
 		t.Errorf("empty scheme name: got %v, %v, want the implicit default", sch, err)
 	}
-	if _, err := SchemeByName("runge-kutta-9000"); err == nil {
+	if _, err := ParseScheme("runge-kutta-9000"); err == nil {
 		t.Errorf("unknown scheme name accepted")
+	}
+	if got := Scheme(99).String(); got != "Scheme(99)" {
+		t.Errorf("Scheme(99).String() = %q", got)
 	}
 }
 
@@ -60,17 +57,17 @@ func TestSchemeByName(t *testing.T) {
 // splitting tolerance.
 func TestSchemeEquivalenceHJB(t *testing.T) {
 	g, tm := schemeTestGrid(t)
-	mk := func(st Stepping) *HJBProblem {
+	mk := func(st Scheme) *HJBProblem {
 		return &HJBProblem{
-			Grid:     g,
-			Time:     tm,
-			DiffH:    0.05,
-			DiffQ:    0.4,
-			DriftH:   func(_, h float64) float64 { return 2 * (5 - h) },
-			DriftQ:   pointwise(func(x float64) float64 { return -40 * x }),
-			Control:  pointwise(func(dVdq float64) float64 { return 0.5 - 0.01*dVdq }),
-			Running:  running(g, func(h, q, x float64) float64 { return 2*h - 0.01*q - x*x }),
-			Stepping: st,
+			Grid:    g,
+			Time:    tm,
+			DiffH:   0.05,
+			DiffQ:   0.4,
+			DriftH:  func(_, h float64) float64 { return 2 * (5 - h) },
+			DriftQ:  pointwise(func(x float64) float64 { return -40 * x }),
+			Control: pointwise(func(dVdq float64) float64 { return 0.5 - 0.01*dVdq }),
+			Running: running(g, func(h, q, x float64) float64 { return 2*h - 0.01*q - x*x }),
+			Scheme:  st,
 		}
 	}
 	imp, err := SolveHJB(mk(Implicit))
@@ -109,7 +106,7 @@ func TestSchemeEquivalenceFPK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(st Stepping) *FPKProblem {
+	mk := func(st Scheme) *FPKProblem {
 		return &FPKProblem{
 			Grid:        g,
 			Time:        tm,
@@ -118,7 +115,7 @@ func TestSchemeEquivalenceFPK(t *testing.T) {
 			DriftH:      func(_, h float64) float64 { return 2 * (5 - h) },
 			DriftQ:      drift(g, func(_, q float64) float64 { return -0.3 * q / 100 * 40 }),
 			Form:        Conservative,
-			Stepping:    st,
+			Scheme:      st,
 			Renormalize: true,
 		}
 	}
@@ -170,30 +167,22 @@ func TestSolveIntoRejectsMismatchedBuffers(t *testing.T) {
 		Control: uniform(0),
 		Running: uniform(0),
 	}
-	if err := SolveHJBInto(wsWrong, nil, p, NewHJBSolution(g, tm)); err == nil {
+	if err := SolveHJBInto(wsWrong, p, NewHJBSolution(g, tm)); err == nil {
 		t.Errorf("mismatched workspace accepted")
 	}
 	ws, err := NewWorkspace(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SolveHJBInto(ws, nil, p, NewHJBSolution(gSmall, tm)); err == nil {
+	if err := SolveHJBInto(ws, p, NewHJBSolution(gSmall, tm)); err == nil {
 		t.Errorf("mismatched solution holder accepted")
 	}
 }
 
+// The unknown-scheme error lists every scheme name.
 func TestSchemeNamesDerivedFromRegistry(t *testing.T) {
-	names := SchemeNames()
-	if len(names) != len(schemeRegistry) {
-		t.Fatalf("SchemeNames has %d entries, registry has %d", len(names), len(schemeRegistry))
-	}
-	for i, sch := range schemeRegistry {
-		if names[i] != sch.Name() {
-			t.Errorf("SchemeNames[%d] = %q, registry says %q", i, names[i], sch.Name())
-		}
-	}
-	if _, err := SchemeByName("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
-		t.Errorf("unknown-scheme error should list the registry names, got %v", err)
+	if _, err := ParseScheme("nope"); err == nil || !strings.Contains(err.Error(), "implicit, explicit") {
+		t.Errorf("unknown-scheme error should list the scheme names, got %v", err)
 	}
 }
 

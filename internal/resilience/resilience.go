@@ -91,10 +91,14 @@ func (e Escalation) Validate() error {
 }
 
 // Recoverable reports whether err is a solver failure the escalation ladder
-// can act on (divergence or non-convergence). Validation errors, cancellation
-// and I/O failures are not recoverable by re-solving.
+// can act on: divergence, non-convergence, or an explicit integrator that
+// breaks its CFL bound (which rung 2's flip to explicit can cause, and which
+// rung 3's finer time mesh or a flip back to implicit cures). Validation
+// errors, cancellation and I/O failures are not recoverable by re-solving.
 func Recoverable(err error) bool {
-	return errors.Is(err, engine.ErrDiverged) || errors.Is(err, engine.ErrNotConverged)
+	var cfl *pde.ErrCFLViolation
+	return errors.Is(err, engine.ErrDiverged) || errors.Is(err, engine.ErrNotConverged) ||
+		errors.As(err, &cfl)
 }
 
 // escalate derives the configuration of retry attempt n ≥ 1 from the base
@@ -133,16 +137,10 @@ func (e Escalation) escalate(base engine.Config, attempt int) engine.Config {
 // flipScheme returns the name of the integrator the base configuration does
 // NOT use.
 func flipScheme(base engine.Config) string {
-	name := base.Scheme
-	if name == "" {
-		if sch, err := pde.SchemeFor(base.Stepping); err == nil {
-			name = sch.Name()
-		}
+	if sch, err := base.ResolveScheme(); err == nil && sch == pde.Explicit {
+		return pde.Implicit.String()
 	}
-	if name == "explicit" {
-		return "implicit"
-	}
-	return "explicit"
+	return pde.Explicit.String()
 }
 
 // Solve runs one equilibrium solve under the escalation ladder. The first

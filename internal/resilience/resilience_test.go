@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/obs"
+	"repro/internal/pde"
 )
 
 func smallConfig() (engine.Config, engine.Workload) {
@@ -117,6 +118,62 @@ func TestEscalationUnrecoverableError(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["resilience.retries"]; got != 0 {
 		t.Errorf("unrecoverable error triggered %g retries", got)
+	}
+}
+
+// cflConfig is a grid on which the explicit integrator breaks its CFL bound
+// at the default 20 time steps (ratio about 1.1) but not at 40, so rung 2's
+// flip to explicit fails and rung 3's doubled time mesh cures it.
+func cflConfig() (engine.Config, engine.Workload) {
+	cfg, w := smallConfig()
+	cfg.NH, cfg.NQ, cfg.Steps = 9, 41, 20
+	return cfg, w
+}
+
+// TestEscalationSurvivesItsOwnCFLViolation starves every attempt of
+// iterations so the ladder walks all its rungs: rung 2's switch to the
+// explicit integrator breaks the CFL bound, which must not end the ladder —
+// rung 3 refines the time mesh and the best partial still comes back.
+func TestEscalationSurvivesItsOwnCFLViolation(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	cfg, w := cflConfig()
+	cfg.MaxIters = 1
+	cfg.Obs = reg
+
+	eq, err := DefaultEscalation().Solve(context.Background(), nil, cfg, w, nil)
+	if !errors.Is(err, engine.ErrNotConverged) {
+		t.Fatalf("got %v, want the best partial wrapped in ErrNotConverged", err)
+	}
+	if eq == nil {
+		t.Fatal("ladder returned no partial equilibrium")
+	}
+	if got := reg.Snapshot().Counters["resilience.retries"]; got != 3 {
+		t.Errorf("resilience.retries = %g, want 3 (every rung ran)", got)
+	}
+}
+
+// TestEscalationRecoversExplicitCFLViolation starts from an explicit
+// configuration that breaks its CFL bound: the first attempts fail with
+// ErrCFLViolation, and rung 2's switch to the implicit integrator recovers.
+func TestEscalationRecoversExplicitCFLViolation(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	cfg, w := cflConfig()
+	cfg.Scheme = "explicit"
+	cfg.Obs = reg
+
+	if _, err := engine.Solve(cfg, w); !errors.As(err, new(*pde.ErrCFLViolation)) {
+		t.Fatalf("base solve: got %v, want a CFL violation", err)
+	}
+	eq, err := DefaultEscalation().Solve(context.Background(), nil, cfg, w, nil)
+	if err != nil {
+		t.Fatalf("escalated solve failed: %v", err)
+	}
+	if !eq.Converged || eq.Config.Scheme != "implicit" {
+		t.Errorf("recovered with converged=%t scheme %q, want a converged implicit solve", eq.Converged, eq.Config.Scheme)
+	}
+	s := reg.Snapshot()
+	if s.Counters["resilience.retries"] != 2 || s.Counters["resilience.recovered"] != 1 {
+		t.Errorf("retries %g, recovered %g, want 2 and 1", s.Counters["resilience.retries"], s.Counters["resilience.recovered"])
 	}
 }
 

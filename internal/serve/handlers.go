@@ -21,11 +21,6 @@ import (
 	"repro/internal/surrogate"
 )
 
-// maxPathSamples bounds the number of time samples in a solve response: the
-// equilibrium summary is a decision aid, not an archive, and a fixed sample
-// budget keeps response size independent of the configured time mesh.
-const maxPathSamples = 64
-
 // SolveRequest is the wire form of POST /v1/solve. Params, Solver and
 // Workload are sparse JSON documents merged onto the daemon's defaults by the
 // engine codec; TimeoutMs bounds this solve (clamped to the server maximum).
@@ -428,39 +423,20 @@ func (s *Server) resolveSolver(params, solver json.RawMessage) (engine.Config, e
 	return cfg, nil
 }
 
-// summarize downsamples an equilibrium to the wire summary.
+// summarize downsamples an equilibrium to the wire summary on the surrogate
+// table's sample grid, so exact and surrogate answers carry the same times.
 func summarize(eq *engine.Equilibrium) SolveResponse {
-	resp := SolveResponse{
-		Converged:  eq.Converged,
-		Iterations: eq.Iterations,
+	node, times := surrogate.SampleEquilibrium(eq)
+	return SolveResponse{
+		Converged:     node.Converged,
+		Iterations:    node.Iterations,
+		Residual:      node.Residual,
+		Time:          times,
+		Price:         node.Price,
+		MeanControl:   node.MeanControl,
+		MeanRemaining: node.MeanRemaining,
+		SharerFrac:    node.SharerFrac,
 	}
-	if n := len(eq.Residuals); n > 0 {
-		resp.Residual = eq.Residuals[n-1]
-	}
-	n := len(eq.Snapshots)
-	if n == 0 {
-		return resp
-	}
-	stride := 1
-	if n > maxPathSamples {
-		stride = (n + maxPathSamples - 1) / maxPathSamples
-	}
-	for i := 0; i < n; i += stride {
-		snap := eq.Snapshots[i]
-		resp.Time = append(resp.Time, snap.T)
-		resp.Price = append(resp.Price, snap.Price)
-		resp.MeanControl = append(resp.MeanControl, snap.MeanControl)
-		resp.MeanRemaining = append(resp.MeanRemaining, snap.QBar)
-		resp.SharerFrac = append(resp.SharerFrac, snap.SharerFrac)
-	}
-	if last := eq.Snapshots[n-1]; resp.Time[len(resp.Time)-1] != last.T {
-		resp.Time = append(resp.Time, last.T)
-		resp.Price = append(resp.Price, last.Price)
-		resp.MeanControl = append(resp.MeanControl, last.MeanControl)
-		resp.MeanRemaining = append(resp.MeanRemaining, last.QBar)
-		resp.SharerFrac = append(resp.SharerFrac, last.SharerFrac)
-	}
-	return resp
 }
 
 // requestError marks an error as the caller's fault (HTTP 400).

@@ -59,9 +59,11 @@ const (
 	maxTableNodes = 1 << 20
 )
 
-// maxPathSamples is the per-node time-sample budget, matching the serving
-// layer's response summaries so a surrogate answer and an engine answer carry
-// the same sample grid.
+// maxPathSamples is the per-node time-sample budget. SampleEquilibrium also
+// builds the serving layer's exact-answer summaries, so a surrogate answer
+// and an engine answer carry the same sample grid. The summary is a decision
+// aid, not an archive: a fixed budget keeps its size independent of the
+// configured time mesh.
 const maxPathSamples = 64
 
 // Axis is one lattice dimension over a workload coordinate: strictly
@@ -346,8 +348,8 @@ func (t *Table) cellCorners(cell [3]int) []int {
 }
 
 // SampleEquilibrium downsamples a solved equilibrium onto the table's
-// fixed-budget sample grid (the same stride rule as the serving layer's
-// response summaries) and returns the node plus its time vector.
+// fixed-budget sample grid and returns the node plus its time vector. The
+// serving layer's /v1/solve bodies are built from it too.
 func SampleEquilibrium(eq *engine.Equilibrium) (Node, []float64) {
 	n := Node{
 		Converged:  eq.Converged,

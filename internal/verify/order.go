@@ -63,7 +63,7 @@ func observedOrder(oracle string, d1, d2, nominal, slack float64) []Violation {
 // scheme on a smooth forward (FPK) transport problem and checks it against
 // the scheme's nominal order.
 func TemporalOrderFPK(schemeName string, baseSteps int, tol Tolerances) ([]Violation, error) {
-	sch, err := pde.SchemeByName(schemeName)
+	sch, err := pde.ParseScheme(schemeName)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func TemporalOrderFPK(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 				}
 			},
 			Form:        pde.Conservative,
-			Stepping:    sch.Stepping(),
+			Scheme:      sch,
 			Renormalize: true,
 		}
 		sol, err := pde.SolveFPK(p, lambda0)
@@ -120,7 +120,7 @@ func TemporalOrderFPK(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 	if err != nil {
 		return nil, err
 	}
-	oracle := "order-fpk-" + sch.Name()
+	oracle := "order-fpk-" + sch.String()
 	return observedOrder(oracle, d1, d2, float64(sch.Order()), tol.OrderSlack), nil
 }
 
@@ -129,7 +129,7 @@ func TemporalOrderFPK(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 // control feedback, and checks it against the scheme's nominal order. The
 // error is measured on the value function at t = 0 in the sup norm.
 func TemporalOrderHJB(schemeName string, baseSteps int, tol Tolerances) ([]Violation, error) {
-	sch, err := pde.SchemeByName(schemeName)
+	sch, err := pde.ParseScheme(schemeName)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func TemporalOrderHJB(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 					u[k] = 0.1*g.H.At(i) + 0.002*g.Q.At(j) + 0.2*x[k]
 				}
 			},
-			Stepping: sch.Stepping(),
+			Scheme: sch,
 		}
 		sol, err := pde.SolveHJB(p)
 		if err != nil {
@@ -192,6 +192,6 @@ func TemporalOrderHJB(schemeName string, baseSteps int, tol Tolerances) ([]Viola
 	}
 	d1 := sup(finals[0], finals[1])
 	d2 := sup(finals[1], finals[2])
-	oracle := "order-hjb-" + sch.Name()
+	oracle := "order-hjb-" + sch.String()
 	return observedOrder(oracle, d1, d2, float64(sch.Order()), tol.OrderSlack), nil
 }
