@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -14,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	mfgcp "repro"
 	"repro/internal/engine"
 	"repro/internal/surrogate"
 )
@@ -88,31 +86,9 @@ func precomputeCmd(args []string) (retErr error) {
 		}
 	}()
 
-	params := mfgcp.DefaultParams()
-	solver := mfgcp.DefaultSolverConfig(params)
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			return err
-		}
-		var file solveFile
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("-config %s: %w", *configPath, err)
-		}
-		if len(file.Params) > 0 {
-			if params, err = engine.DecodeParams(file.Params, params); err != nil {
-				return fmt.Errorf("-config %s: %w", *configPath, err)
-			}
-			solver.Params = params
-		}
-		if len(file.Solver) > 0 {
-			if solver, err = engine.DecodeConfig(file.Solver, solver); err != nil {
-				return fmt.Errorf("-config %s: %w", *configPath, err)
-			}
-		}
-		if len(file.Workload) > 0 {
-			return fmt.Errorf("-config %s: a Workload section is per-request; precompute sweeps the axis flags instead", *configPath)
-		}
+	solver, err := readSolverDefaults(*configPath)
+	if err != nil {
+		return err
 	}
 	// Explicit flags win over the -config file, mirroring solve/serve.
 	set := setFlags(fs)

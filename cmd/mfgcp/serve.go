@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -14,7 +13,6 @@ import (
 
 	mfgcp "repro"
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -64,32 +62,9 @@ func serveCmd(args []string) (retErr error) {
 		}
 	}()
 
-	params := mfgcp.DefaultParams()
-	solver := mfgcp.DefaultSolverConfig(params)
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			return err
-		}
-		var file solveFile
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("-config %s: %w", *configPath, err)
-		}
-		if len(file.Params) > 0 {
-			if params, err = engine.DecodeParams(file.Params, params); err != nil {
-				return fmt.Errorf("-config %s: %w", *configPath, err)
-			}
-			solver.Params = params
-		}
-		if len(file.Solver) > 0 {
-			if solver, err = engine.DecodeConfig(file.Solver, solver); err != nil {
-				return fmt.Errorf("-config %s: %w", *configPath, err)
-			}
-			params = solver.Params
-		}
-		if len(file.Workload) > 0 {
-			return fmt.Errorf("-config %s: a Workload section is per-request; the daemon config takes Params and Solver only", *configPath)
-		}
+	solver, err := readSolverDefaults(*configPath)
+	if err != nil {
+		return err
 	}
 	// Explicit flags win over the -config file.
 	set := setFlags(fs)
@@ -149,7 +124,7 @@ func serveCmd(args []string) (retErr error) {
 		DrainTimeout:         *drainTimeout,
 		SlowRequestThreshold: *slowThreshold,
 		AccessLog:            tel.logger,
-		Params:               params,
+		Params:               solver.Params,
 		Solver:               solver,
 		Obs:                  reg,
 		Registry:             reg,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,10 +10,15 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	mfgcp "repro"
+	"repro/internal/serve"
+	"repro/internal/surrogate"
 )
 
 // freePort reserves an ephemeral port and releases it for the daemon to bind.
@@ -125,6 +132,109 @@ func TestSolveConfigFile(t *testing.T) {
 	err := run([]string{"solve", "-config", bad})
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("bad config: got %v, want unknown-field error", err)
+	}
+}
+
+// TestSolveConfigSolverParams pins the one precedence rule of a solve
+// document: a Params member inside the Solver section counts in
+// `mfgcp solve -config`, exactly as in the top-level Params section and as
+// in the same body posted to /v1/solve.
+func TestSolveConfigSolverParams(t *testing.T) {
+	dir := t.TempDir()
+	grid := []string{"-nh", "5", "-nq", "11", "-steps", "12"}
+	solveArchive := func(name, doc string) []byte {
+		t.Helper()
+		cfgPath := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(cfgPath, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, name+".eq")
+		if _, err := captureStdout(t, func() error {
+			return run(append([]string{"solve", "-config", cfgPath, "-save", out}, grid...))
+		}); err != nil {
+			t.Fatalf("solve -config %s: %v", doc, err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	nested := solveArchive("nested", `{"Solver":{"Params":{"Eta1":7}}}`)
+	top := solveArchive("top", `{"Params":{"Eta1":7}}`)
+	if !bytes.Equal(nested, top) {
+		t.Fatal(`solve with {"Solver":{"Params":{"Eta1":7}}} differs from {"Params":{"Eta1":7}}`)
+	}
+	if bytes.Equal(nested, solveArchive("default", `{}`)) {
+		t.Fatal("Solver.Params.Eta1 = 7 left the default equilibrium")
+	}
+	eq, err := mfgcp.ReadEquilibrium(bytes.NewReader(nested))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	params := mfgcp.DefaultParams()
+	srv, err := serve.New(serve.Config{Addr: "127.0.0.1:0", Workers: 1, Params: params, Solver: mfgcp.DefaultSolverConfig(params)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, ln) }()
+	defer func() { cancel(); <-done }()
+	body := `{"Solver":{"Params":{"Eta1":7},"NH":5,"NQ":11,"Steps":12},"Workload":{"Requests":10,"Pop":0.3,"Timeliness":2}}`
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got serve.SolveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/solve: status %d, %v", resp.StatusCode, err)
+	}
+	want, times := surrogate.SampleEquilibrium(eq)
+	if !reflect.DeepEqual(got.Time, times) || !reflect.DeepEqual(got.Price, want.Price) ||
+		!reflect.DeepEqual(got.MeanControl, want.MeanControl) || got.Iterations != want.Iterations {
+		t.Errorf("/v1/solve answered price %v (%d iterations), the CLI solved %v (%d)",
+			got.Price, got.Iterations, want.Price, want.Iterations)
+	}
+}
+
+// TestConfigRejectsMisspelledSection pins the strict -config reader: a
+// misspelled top-level section fails solve, serve and precompute before any
+// work, as it fails a request body with 400.
+func TestConfigRejectsMisspelledSection(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	for _, tc := range []struct {
+		doc, field string
+		args       []string
+	}{
+		{`{"Worklaod": {"Requests": 8}}`, "Worklaod", []string{"solve", "-save", out}},
+		{`{"Solvr": {"NH": 5}}`, "Solvr", []string{"serve", "-addr", "127.0.0.1:0"}},
+		{`{"Parms": {"Qk": 80}}`, "Parms", []string{"precompute", "-out", out}},
+	} {
+		cfgPath := filepath.Join(dir, tc.field+".json")
+		if err := os.WriteFile(cfgPath, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- run(append(tc.args, "-config", cfgPath)) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+				t.Errorf("%s -config %s: got %v, want an unknown-field error", tc.args[0], tc.doc, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s -config %s: still running, want an immediate error", tc.args[0], tc.doc)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s wrote %s before failing", tc.args[0], out)
+		}
 	}
 }
 

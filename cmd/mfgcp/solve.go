@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -17,13 +18,47 @@ import (
 	"repro/internal/surrogate"
 )
 
-// solveFile is the -config document of `mfgcp solve`: the same shape as the
-// serving daemon's POST /v1/solve body, with sparse Params/Solver/Workload
-// sections merged onto the defaults.
-type solveFile struct {
-	Params   json.RawMessage `json:",omitempty"`
-	Solver   json.RawMessage `json:",omitempty"`
-	Workload json.RawMessage `json:",omitempty"`
+// readConfig decodes the -config file at path into dst (an engine.Request,
+// or verify's request plus Tolerances) as strictly as the daemon decodes a
+// request body: an unknown or misspelled section fails, and so does anything
+// after the document.
+func readConfig(path string, dst any) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("-config %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("-config %s: data after the JSON document", path)
+	}
+	return nil
+}
+
+// readSolverDefaults resolves the -config file of serve and precompute (none
+// when path is empty) onto the library defaults. Both take their workloads
+// elsewhere, per request or from the sweep axes, so a Workload section fails.
+func readSolverDefaults(path string) (mfgcp.SolverConfig, error) {
+	cfg := mfgcp.DefaultSolverConfig(mfgcp.DefaultParams())
+	if path == "" {
+		return cfg, nil
+	}
+	var req engine.Request
+	if err := readConfig(path, &req); err != nil {
+		return mfgcp.SolverConfig{}, err
+	}
+	if len(req.Workload) > 0 {
+		return mfgcp.SolverConfig{}, fmt.Errorf("-config %s: a Workload section is per-request; this command takes Params and Solver only", path)
+	}
+	cfg, _, err := req.Resolve(cfg)
+	if err != nil {
+		return mfgcp.SolverConfig{}, fmt.Errorf("-config %s: %w", path, err)
+	}
+	return cfg, nil
 }
 
 // solveCmd implements `mfgcp solve`: one custom equilibrium solve with
@@ -68,45 +103,28 @@ func solveCmd(args []string) (retErr error) {
 	}()
 
 	set := setFlags(fs)
-	var file solveFile
+	var req engine.Request
 	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
+		if err := readConfig(*configPath, &req); err != nil {
 			return err
 		}
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("-config %s: %w", *configPath, err)
-		}
 	}
-
-	params := mfgcp.DefaultParams()
-	if len(file.Params) > 0 {
-		var err error
-		if params, err = engine.DecodeParams(file.Params, params); err != nil {
-			return fmt.Errorf("-config %s: %w", *configPath, err)
-		}
+	cfg, w, err := req.Resolve(mfgcp.DefaultSolverConfig(mfgcp.DefaultParams()))
+	if err != nil {
+		return fmt.Errorf("-config %s: %w", *configPath, err)
 	}
 	if *qk > 0 {
-		params.Qk = *qk
-		params.SigmaQ = 0.1 * *qk
+		cfg.Params.Qk = *qk
+		cfg.Params.SigmaQ = 0.1 * *qk
 	}
 	if *eta1 > 0 {
-		params.Eta1 = *eta1
+		cfg.Params.Eta1 = *eta1
 	}
 	if *eta2 > 0 {
-		params.Eta2 = *eta2
+		cfg.Params.Eta2 = *eta2
 	}
 	if *initMean > 0 {
-		params.InitMeanFrac = *initMean
-	}
-
-	cfg := mfgcp.DefaultSolverConfig(params)
-	if len(file.Solver) > 0 {
-		var err error
-		if cfg, err = engine.DecodeConfig(file.Solver, cfg); err != nil {
-			return fmt.Errorf("-config %s: %w", *configPath, err)
-		}
-		cfg.Params = params // explicit flag overrides win over the file
+		cfg.Params.InitMeanFrac = *initMean
 	}
 	nhv, nqv, stepsv := cfg.NH, cfg.NQ, cfg.Steps
 	if *nh > 0 {
@@ -139,21 +157,19 @@ func solveCmd(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
+	params := cfg.Params
 
-	w := mfgcp.Workload{Requests: *requests, Pop: *pop, Timeliness: *timeliness}
-	if len(file.Workload) > 0 {
-		if w, err = engine.DecodeWorkload(file.Workload); err != nil {
-			return fmt.Errorf("-config %s: %w", *configPath, err)
-		}
-		if set["requests"] {
-			w.Requests = *requests
-		}
-		if set["pop"] {
-			w.Pop = *pop
-		}
-		if set["timeliness"] {
-			w.Timeliness = *timeliness
-		}
+	// The workload flags' defaults stand in for an absent Workload section;
+	// an explicit flag wins over a present one.
+	noWorkload := len(req.Workload) == 0
+	if noWorkload || set["requests"] {
+		w.Requests = *requests
+	}
+	if noWorkload || set["pop"] {
+		w.Pop = *pop
+	}
+	if noWorkload || set["timeliness"] {
+		w.Timeliness = *timeliness
 	}
 
 	if cfg.Surrogate.Path != "" {

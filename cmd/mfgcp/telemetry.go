@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -66,13 +68,16 @@ func (f *obsFlags) setup() (*telemetry, error) {
 	t.Rec = t.reg
 	t.traceOut = f.traceOut
 	if f.metricsAddr != "" {
-		srv, addr, err := obs.Serve(f.metricsAddr, t.reg)
+		ln, err := net.Listen("tcp", f.metricsAddr)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("telemetry: listen %s: %w", f.metricsAddr, err)
 		}
-		t.srv = srv
+		mux := http.NewServeMux()
+		t.reg.Mount(mux)
+		t.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+		go func() { _ = t.srv.Serve(ln) }()
 		t.logger.Info("telemetry server listening",
-			"addr", addr.String(),
+			"addr", ln.Addr().String(),
 			"endpoints", "/metrics /debug/vars /debug/pprof")
 	}
 	return t, nil

@@ -15,13 +15,10 @@ import (
 	"repro/internal/verify"
 )
 
-// verifyFile is the -config document of `mfgcp verify`: the solve-shaped
-// Params/Solver/Workload sections plus an optional Tolerances section
-// merged over verify.DefaultTolerances.
+// verifyFile is the -config document of `mfgcp verify`: the solve request
+// plus an optional Tolerances section merged over verify.DefaultTolerances.
 type verifyFile struct {
-	Params     json.RawMessage `json:",omitempty"`
-	Solver     json.RawMessage `json:",omitempty"`
-	Workload   json.RawMessage `json:",omitempty"`
+	engine.Request
 	Tolerances json.RawMessage `json:",omitempty"`
 }
 
@@ -59,35 +56,12 @@ func verifyCmd(args []string) (retErr error) {
 		opts.Tier = verify.Full
 	}
 	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
+		var file verifyFile
+		if err := readConfig(*configPath, &file); err != nil {
 			return err
 		}
-		var file verifyFile
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&file); err != nil {
+		if opts.Solver, opts.Workload, err = file.Resolve(verify.DefaultSolverConfig(mfgcp.DefaultParams())); err != nil {
 			return fmt.Errorf("-config %s: %w", *configPath, err)
-		}
-		params := mfgcp.DefaultParams()
-		if len(file.Params) > 0 {
-			if params, err = engine.DecodeParams(file.Params, params); err != nil {
-				return fmt.Errorf("-config %s: %w", *configPath, err)
-			}
-		}
-		opts.Params = params
-		if len(file.Solver) > 0 {
-			solver, err := engine.DecodeConfig(file.Solver, verify.DefaultSolverConfig(params))
-			if err != nil {
-				return fmt.Errorf("-config %s: %w", *configPath, err)
-			}
-			solver.Params = params
-			opts.Solver = solver
-		}
-		if len(file.Workload) > 0 {
-			if opts.Workload, err = engine.DecodeWorkload(file.Workload); err != nil {
-				return fmt.Errorf("-config %s: %w", *configPath, err)
-			}
 		}
 		if len(file.Tolerances) > 0 {
 			tol := verify.DefaultTolerances()

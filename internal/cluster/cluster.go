@@ -67,18 +67,16 @@ func (c Config) withDefaults() Config {
 }
 
 // PeerRequest is the wire form of POST /v1/peer/get — the intra-fleet
-// cache-fill request. Params/Solver/Workload are the original client
-// documents (the owner merges them onto its own defaults, which a fleet
+// cache-fill request. The embedded Request carries the original client
+// documents (the owner resolves them onto its own defaults, which a fleet
 // shares by construction); Key is the requester's computed cache key, which
 // the owner verifies against its own resolution so configuration drift
 // between replicas surfaces as an explicit key_mismatch instead of silently
 // poisoning caches.
 type PeerRequest struct {
-	Params    json.RawMessage `json:",omitempty"`
-	Solver    json.RawMessage `json:",omitempty"`
-	Workload  json.RawMessage `json:",omitempty"`
-	TimeoutMs int64           `json:",omitempty"`
-	Key       string          `json:",omitempty"`
+	engine.Request
+	TimeoutMs int64  `json:",omitempty"`
+	Key       string `json:",omitempty"`
 }
 
 // SourceHeader carries the owner-side provenance of a peer fill (which rung

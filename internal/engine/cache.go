@@ -67,6 +67,12 @@ func CacheKey(cfg Config, w Workload) string {
 	} else {
 		fmt.Fprintf(&b, "Scheme=%q;", cfg.Scheme)
 	}
+	// A non-default divergence threshold decides whether a request gets an
+	// answer at all, so it keys; zero (the default) adds nothing, keeping
+	// default keys, store records and surrogate tables as they were.
+	if cfg.BlowupResidual != 0 {
+		putF(&b, "Blowup", cfg.BlowupResidual)
+	}
 	// The Surrogate routing config decides which tier answers, never what
 	// the equilibrium is, so it is not part of the key.
 	// Initial density override: quantised content hash (nil means the

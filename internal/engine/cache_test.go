@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/pde"
 )
 
@@ -99,6 +101,83 @@ func TestCacheKeyCanonical(t *testing.T) {
 	warm.WarmStart = &Equilibrium{}
 	if CacheKey(warm, w) != base {
 		t.Errorf("warm-start seed leaked into the cache key")
+	}
+}
+
+// TestCacheKeyCoversEveryField perturbs every field of Config, of its
+// mec.Params and of Workload in turn: each must change CacheKey, so a field
+// added later cannot be forgotten by the key. The exclusions are listed with
+// their reasons, and perturbing them must leave the key alone.
+func TestCacheKeyCoversEveryField(t *testing.T) {
+	excluded := map[string]func(*Config){
+		// Routing: decides which tier answers, never what the equilibrium is.
+		"Surrogate": func(c *Config) { c.Surrogate = SurrogateConfig{Path: "table.mfgt", MaxErrorBound: 0.1} },
+		// A process-local telemetry handle.
+		"Obs": func(c *Config) { c.Obs = obs.NewRegistry(nil) },
+		// The equilibrium is unique (Theorem 2): the seed never changes it.
+		"WarmStart": func(c *Config) { c.WarmStart = &Equilibrium{} },
+	}
+	cfg, w := smallConfig()
+	base := CacheKey(cfg, w)
+	key := func() string { return CacheKey(cfg, w) }
+
+	perturb := func(name string, f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float()*1.5 + 1)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.String:
+			f.SetString("explicit") // Scheme, the one keyed string: the other integrator
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]float64{1, 2, 3}))
+		default:
+			t.Fatalf("%s: no perturbation for kind %s; extend this test", name, f.Kind())
+		}
+	}
+	covered := 0
+	var walk func(prefix string, s reflect.Value)
+	walk = func(prefix string, s reflect.Value) {
+		for i := 0; i < s.NumField(); i++ {
+			name := prefix + s.Type().Field(i).Name
+			f := s.Field(i)
+			if _, skip := excluded[name]; skip {
+				continue
+			}
+			if f.Kind() == reflect.Struct {
+				walk(name+".", f)
+				continue
+			}
+			old := reflect.New(f.Type()).Elem()
+			old.Set(f)
+			perturb(name, f)
+			if key() == base {
+				t.Errorf("perturbing %s left CacheKey unchanged", name)
+			}
+			f.Set(old)
+			covered++
+		}
+	}
+	walk("", reflect.ValueOf(&cfg).Elem())
+	walk("Workload.", reflect.ValueOf(&w).Elem())
+	if key() != base {
+		t.Fatal("perturbations were not restored")
+	}
+	if covered < 40 {
+		t.Errorf("only %d fields perturbed; the walk missed the nested params", covered)
+	}
+
+	for name, set := range excluded {
+		if _, ok := reflect.TypeOf(Config{}).FieldByName(name); !ok {
+			t.Errorf("exclusion %q names no Config field", name)
+		}
+		c := cfg
+		set(&c)
+		if CacheKey(c, w) != base {
+			t.Errorf("excluded field %s changed CacheKey", name)
+		}
 	}
 }
 

@@ -28,16 +28,20 @@ func seedCorpus(f *testing.F, seedFile string) {
 	f.Add([]byte(``))
 }
 
-// FuzzDecodeParams pins the external-input contract of the parameter codec:
-// whatever bytes arrive (HTTP bodies, -config files), DecodeParams either
+// FuzzDecodeParams pins the external-input contract of a request's Params
+// section: whatever bytes arrive (HTTP bodies, -config files), Resolve either
 // errors or returns a parameter set that passes Validate — never a panic,
 // never NaN/Inf smuggled past the merge — and the accepted result re-encodes
 // and re-decodes to itself (the merge is idempotent on its own output).
 func FuzzDecodeParams(f *testing.F) {
 	seedCorpus(f, "fuzz_params_seed.json")
-	base := mec.Default()
+	base := DefaultConfig(mec.Default())
+	decode := func(data []byte) (mec.Params, error) {
+		cfg, _, err := Request{Params: data}.Resolve(base)
+		return cfg.Params, err
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeParams(data, base)
+		p, err := decode(data)
 		if err != nil {
 			return
 		}
@@ -48,7 +52,7 @@ func FuzzDecodeParams(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted params do not re-encode: %v", err)
 		}
-		p2, err := DecodeParams(enc, base)
+		p2, err := decode(enc)
 		if err != nil {
 			t.Fatalf("canonical re-encoding rejected: %v\n%s", err, enc)
 		}
@@ -58,14 +62,14 @@ func FuzzDecodeParams(f *testing.F) {
 	})
 }
 
-// FuzzDecodeConfig is the same contract for the solver-config codec, whose
-// merge semantics carry nested Params and slice-valued fields: accepted
+// FuzzDecodeConfig is the same contract for a request's Solver section,
+// whose merge semantics carry nested Params and slice-valued fields: accepted
 // configurations validate and are stable under re-encode/re-decode.
 func FuzzDecodeConfig(f *testing.F) {
 	seedCorpus(f, "fuzz_config_seed.json")
 	base := DefaultConfig(mec.Default())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, err := DecodeConfig(data, base)
+		cfg, err := resolveSolver(string(data), base)
 		if err != nil {
 			return
 		}
@@ -76,7 +80,7 @@ func FuzzDecodeConfig(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted config does not re-encode: %v", err)
 		}
-		cfg2, err := DecodeConfig(enc1, base)
+		cfg2, err := resolveSolver(string(enc1), base)
 		if err != nil {
 			t.Fatalf("canonical re-encoding rejected: %v\n%s", err, enc1)
 		}

@@ -9,9 +9,10 @@ import (
 	"repro/internal/pde"
 )
 
-// This file is the JSON codec of the solver configuration — the canonical
-// wire form shared by the serving daemon's request decoder, the CLI's
-// `-config file.json` flag and library callers. The runtime-only fields
+// This file is the JSON codec of an equilibrium query: Request, the one wire
+// shape shared by the serving daemon's request bodies, the CLI's `-config
+// file.json` flag and library callers, and under it the codec of the solver
+// configuration. The runtime-only fields
 // (Obs, WarmStart) are deliberately excluded: a recorder and a warm-start
 // equilibrium are process-local handles, not configuration.
 //
@@ -85,55 +86,69 @@ func (c Config) MarshalJSON() ([]byte, error) {
 // merged result with Validate.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	shadow := c.toJSON()
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&shadow); err != nil {
+	if err := decodeStrict(data, &shadow); err != nil {
 		return fmt.Errorf("core: decode solver config: %w", err)
 	}
 	shadow.apply(c)
 	return nil
 }
 
-// DecodeConfig decodes a JSON document onto base (merge semantics) and
-// validates the result: the one entry point behind every external config
-// source — HTTP request bodies and `-config` files alike.
-func DecodeConfig(data []byte, base Config) (Config, error) {
-	cfg := base
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return Config{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
+// Request is the one wire shape of an equilibrium query: the `/v1/solve` and
+// `/v1/peer/get` bodies embed it, and the CLI's `-config` files decode into
+// it. Each section is an optional sparse JSON document.
+type Request struct {
+	Params   json.RawMessage `json:",omitempty"`
+	Solver   json.RawMessage `json:",omitempty"`
+	Workload json.RawMessage `json:",omitempty"`
 }
 
-// DecodeParams decodes a JSON document onto base (merge semantics, unknown
-// fields rejected) and validates the merged parameter set.
-func DecodeParams(data []byte, base mec.Params) (mec.Params, error) {
-	p := base
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return mec.Params{}, fmt.Errorf("core: decode params: %w", err)
+// Resolve merges the request onto base and returns the validated
+// configuration and workload. Precedence, lowest first: base, then Params,
+// then Solver (whose own Params member merges over field by field), then one
+// Validate of the result. The Workload section decodes onto the zero
+// workload. Every caller that turns request documents into a cache key
+// resolves through here, so one document always names one key.
+func (r Request) Resolve(base Config) (Config, Workload, error) {
+	cfg := base
+	if len(r.Params) > 0 {
+		if err := decodeStrict(r.Params, &cfg.Params); err != nil {
+			return Config{}, Workload{}, fmt.Errorf("core: decode params: %w", err)
+		}
 	}
-	if err := p.Validate(); err != nil {
-		return mec.Params{}, err
+	if len(r.Solver) > 0 {
+		if err := json.Unmarshal(r.Solver, &cfg); err != nil {
+			return Config{}, Workload{}, err
+		}
 	}
-	return p, nil
+	if err := cfg.Validate(); err != nil {
+		return Config{}, Workload{}, err
+	}
+	var w Workload
+	if len(r.Workload) > 0 {
+		var err error
+		if w, err = DecodeWorkload(r.Workload); err != nil {
+			return Config{}, Workload{}, err
+		}
+	}
+	return cfg, w, nil
 }
 
 // DecodeWorkload decodes a JSON workload document (unknown fields rejected)
 // and validates it.
 func DecodeWorkload(data []byte) (Workload, error) {
 	var w Workload
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
+	if err := decodeStrict(data, &w); err != nil {
 		return Workload{}, fmt.Errorf("core: decode workload: %w", err)
 	}
 	if err := w.Validate(); err != nil {
 		return Workload{}, err
 	}
 	return w, nil
+}
+
+// decodeStrict decodes data onto dst, rejecting unknown fields.
+func decodeStrict(data []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(dst)
 }

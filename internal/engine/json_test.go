@@ -46,13 +46,19 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// resolveSolver resolves a request carrying only a Solver section.
+func resolveSolver(doc string, base Config) (Config, error) {
+	cfg, _, err := Request{Solver: json.RawMessage(doc)}.Resolve(base)
+	return cfg, err
+}
+
 // TestConfigJSONMerge checks that a sparse document decoded onto a populated
 // base keeps every absent field.
 func TestConfigJSONMerge(t *testing.T) {
 	base := DefaultConfig(mec.Default())
-	cfg, err := DecodeConfig([]byte(`{"NQ": 31, "Scheme": "explicit"}`), base)
+	cfg, err := resolveSolver(`{"NQ": 31, "Scheme": "explicit"}`, base)
 	if err != nil {
-		t.Fatalf("DecodeConfig: %v", err)
+		t.Fatalf("resolve: %v", err)
 	}
 	if cfg.NQ != 31 || cfg.Scheme != "explicit" {
 		t.Errorf("overrides not applied: NQ=%d Scheme=%q", cfg.NQ, cfg.Scheme)
@@ -61,17 +67,17 @@ func TestConfigJSONMerge(t *testing.T) {
 		t.Errorf("absent fields did not keep base values: %+v", cfg)
 	}
 	// The deprecated numeric Stepping still selects the integrator.
-	cfg, err = DecodeConfig([]byte(`{"Stepping": 1}`), base)
+	cfg, err = resolveSolver(`{"Stepping": 1}`, base)
 	if err != nil {
-		t.Fatalf("DecodeConfig Stepping: %v", err)
+		t.Fatalf("resolve Stepping: %v", err)
 	}
 	if sch, err := cfg.ResolveScheme(); err != nil || sch != pde.Explicit {
 		t.Errorf(`{"Stepping": 1} resolved to %v, %v, want explicit`, sch, err)
 	}
 	// Nested params merge too.
-	cfg, err = DecodeConfig([]byte(`{"Params": {"Qk": 80}}`), base)
+	cfg, err = resolveSolver(`{"Params": {"Qk": 80}}`, base)
 	if err != nil {
-		t.Fatalf("DecodeConfig nested: %v", err)
+		t.Fatalf("resolve nested: %v", err)
 	}
 	if cfg.Params.Qk != 80 || cfg.Params.M != base.Params.M {
 		t.Errorf("nested merge wrong: Qk=%g M=%d", cfg.Params.Qk, cfg.Params.M)
@@ -97,7 +103,7 @@ func TestConfigJSONRejection(t *testing.T) {
 		{"bad params", `{"Params": {"Qk": -1}}`, "Qk"},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeConfig([]byte(tc.doc), base); err == nil {
+		if _, err := resolveSolver(tc.doc, base); err == nil {
 			t.Errorf("%s: accepted %s", tc.name, tc.doc)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
@@ -156,5 +162,74 @@ func TestWorkloadValidationRejectsNonFinite(t *testing.T) {
 	w, err := DecodeWorkload([]byte(`{"Requests": 10, "Pop": 0.3, "Timeliness": 2}`))
 	if err != nil || w != good {
 		t.Errorf("DecodeWorkload = %+v, %v", w, err)
+	}
+}
+
+// TestRequestResolvePrecedence pins the one merge rule of a request: base,
+// then Params, then Solver (its own Params member over field by field), then
+// one Validate of the result; the Workload section lands on the zero
+// workload; a bad section of any kind fails with an error naming it.
+func TestRequestResolvePrecedence(t *testing.T) {
+	base := DefaultConfig(mec.Default())
+	base.NQ = 15
+	base.WarmStart = &Equilibrium{}
+	def := base.Params
+	cases := []struct {
+		name       string
+		req        Request
+		eta1, eta2 float64
+		nq         int
+		w          Workload
+	}{
+		{"empty", Request{}, def.Eta1, def.Eta2, 15, Workload{}},
+		{"Params only", Request{Params: json.RawMessage(`{"Eta1": 7}`)}, 7, def.Eta2, 15, Workload{}},
+		{"Solver.Params only", Request{Solver: json.RawMessage(`{"Params": {"Eta1": 7}}`)}, 7, def.Eta2, 15, Workload{}},
+		{"both overlap field by field", Request{
+			Params: json.RawMessage(`{"Eta1": 7, "Eta2": 3}`),
+			Solver: json.RawMessage(`{"Params": {"Eta1": 5}, "NQ": 21}`),
+		}, 5, 3, 21, Workload{}},
+		{"Solver.Params mends an invalid Params value", Request{
+			Params: json.RawMessage(`{"Qk": -1, "Eta1": 7}`),
+			Solver: json.RawMessage(`{"Params": {"Qk": 80}}`),
+		}, 7, def.Eta2, 15, Workload{}},
+		{"workload onto zero", Request{Workload: json.RawMessage(`{"Requests": 4}`)}, def.Eta1, def.Eta2, 15, Workload{Requests: 4}},
+	}
+	for _, tc := range cases {
+		cfg, w, err := tc.req.Resolve(base)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if cfg.Params.Eta1 != tc.eta1 || cfg.Params.Eta2 != tc.eta2 || cfg.NQ != tc.nq || w != tc.w {
+			t.Errorf("%s: Eta1=%g Eta2=%g NQ=%d w=%+v, want %g %g %d %+v",
+				tc.name, cfg.Params.Eta1, cfg.Params.Eta2, cfg.NQ, w, tc.eta1, tc.eta2, tc.nq, tc.w)
+		}
+		if cfg.NH != base.NH || cfg.Params.M != def.M || cfg.WarmStart != base.WarmStart {
+			t.Errorf("%s: fields absent from the request left their base values", tc.name)
+		}
+	}
+
+	bad := []struct {
+		name, want string
+		req        Request
+	}{
+		{"unknown params field", "decode params", Request{Params: json.RawMessage(`{"Eta": 1}`)}},
+		{"invalid params value", "Qk", Request{Params: json.RawMessage(`{"Qk": -1}`)}},
+		{"unknown solver field", "decode solver config", Request{Solver: json.RawMessage(`{"Damp": 1}`)}},
+		{"invalid solver value", "Damping", Request{Solver: json.RawMessage(`{"Damping": 2}`)}},
+		{"unknown workload field", "decode workload", Request{Workload: json.RawMessage(`{"Timeless": 1}`)}},
+		{"invalid workload value", "popularity", Request{Workload: json.RawMessage(`{"Pop": 2}`)}},
+	}
+	for _, tc := range bad {
+		if _, _, err := tc.req.Resolve(base); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+
+	// The sections travel in declaration order and absent ones are omitted,
+	// so the bodies that embed a Request keep their wire bytes.
+	data, err := json.Marshal(Request{Workload: json.RawMessage(`{}`), Params: json.RawMessage(`{}`)})
+	if err != nil || string(data) != `{"Params":{},"Workload":{}}` {
+		t.Errorf("Request encodes as %s, %v", data, err)
 	}
 }

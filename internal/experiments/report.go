@@ -47,10 +47,6 @@ type Options struct {
 	Context context.Context
 }
 
-// DefaultOptions returns the options used when regenerating the paper's
-// numbers.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // Report is the outcome of one experiment.
 type Report struct {
 	ID     string

@@ -37,96 +37,6 @@ func (v Vector) Fill(x float64) {
 	}
 }
 
-// AddScaled sets v[i] += s*w[i] for all i. v and w must have equal length.
-func (v Vector) AddScaled(s float64, w Vector) error {
-	if len(v) != len(w) {
-		return fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	for i := range v {
-		v[i] += s * w[i]
-	}
-	return nil
-}
-
-// Scale multiplies every element of v by s.
-func (v Vector) Scale(s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
-// Dot returns the inner product of v and w.
-func (v Vector) Dot(w Vector) (float64, error) {
-	if len(v) != len(w) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	var s float64
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s, nil
-}
-
-// Sum returns the sum of all elements.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Max returns the maximum element. It returns -Inf for an empty vector.
-func (v Vector) Max() float64 {
-	m := math.Inf(-1)
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It returns +Inf for an empty vector.
-func (v Vector) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// NormInf returns the maximum absolute value of the elements.
-func (v Vector) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Norm2 returns the Euclidean norm.
-func (v Vector) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Norm1 returns the sum of absolute values.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // DistInf returns the sup-norm distance between v and w.
 func DistInf(v, w Vector) (float64, error) {
 	if len(v) != len(w) {
@@ -139,14 +49,4 @@ func DistInf(v, w Vector) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (v Vector) HasNaN() bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestVectorBasics(t *testing.T) {
 	v := NewVector(4)
@@ -12,78 +8,15 @@ func TestVectorBasics(t *testing.T) {
 		t.Fatalf("NewVector(4) has length %d", len(v))
 	}
 	v.Fill(2)
-	if got := v.Sum(); got != 8 {
-		t.Errorf("Sum after Fill(2) = %g, want 8", got)
+	for i, x := range v {
+		if x != 2 {
+			t.Errorf("v[%d] = %g after Fill(2)", i, x)
+		}
 	}
 	w := v.Clone()
 	w[0] = 100
 	if v[0] != 2 {
 		t.Errorf("Clone is not independent: v[0]=%g", v[0])
-	}
-	v.Scale(0.5)
-	if got := v.Sum(); got != 4 {
-		t.Errorf("Sum after Scale(0.5) = %g, want 4", got)
-	}
-}
-
-func TestVectorAddScaled(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{10, 20, 30}
-	if err := v.AddScaled(0.1, w); err != nil {
-		t.Fatalf("AddScaled: %v", err)
-	}
-	want := Vector{2, 4, 6}
-	for i := range v {
-		if math.Abs(v[i]-want[i]) > 1e-12 {
-			t.Errorf("v[%d] = %g, want %g", i, v[i], want[i])
-		}
-	}
-	if err := v.AddScaled(1, Vector{1}); err == nil {
-		t.Error("AddScaled with mismatched lengths should error")
-	}
-}
-
-func TestVectorDot(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	got, err := v.Dot(w)
-	if err != nil {
-		t.Fatalf("Dot: %v", err)
-	}
-	if got != 32 {
-		t.Errorf("Dot = %g, want 32", got)
-	}
-	if _, err := v.Dot(Vector{1}); err == nil {
-		t.Error("Dot with mismatched lengths should error")
-	}
-}
-
-func TestVectorNorms(t *testing.T) {
-	v := Vector{3, -4}
-	if got := v.Norm2(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm2 = %g, want 5", got)
-	}
-	if got := v.Norm1(); got != 7 {
-		t.Errorf("Norm1 = %g, want 7", got)
-	}
-	if got := v.NormInf(); got != 4 {
-		t.Errorf("NormInf = %g, want 4", got)
-	}
-	if got := v.Max(); got != 3 {
-		t.Errorf("Max = %g, want 3", got)
-	}
-	if got := v.Min(); got != -4 {
-		t.Errorf("Min = %g, want -4", got)
-	}
-}
-
-func TestVectorEmptyExtremes(t *testing.T) {
-	var v Vector
-	if !math.IsInf(v.Max(), -1) {
-		t.Errorf("empty Max = %g, want -Inf", v.Max())
-	}
-	if !math.IsInf(v.Min(), 1) {
-		t.Errorf("empty Min = %g, want +Inf", v.Min())
 	}
 }
 
@@ -97,53 +30,5 @@ func TestDistInf(t *testing.T) {
 	}
 	if _, err := DistInf(Vector{1}, Vector{1, 2}); err == nil {
 		t.Error("DistInf with mismatched lengths should error")
-	}
-}
-
-func TestHasNaN(t *testing.T) {
-	if (Vector{1, 2, 3}).HasNaN() {
-		t.Error("finite vector reported NaN")
-	}
-	if !(Vector{1, math.NaN()}).HasNaN() {
-		t.Error("NaN not detected")
-	}
-	if !(Vector{math.Inf(1)}).HasNaN() {
-		t.Error("Inf not detected")
-	}
-}
-
-// Property: the triangle inequality holds for Norm2.
-func TestNorm2TriangleInequality(t *testing.T) {
-	f := func(a, b [8]float64) bool {
-		v, w := Vector(a[:]), Vector(b[:])
-		sum := v.Clone()
-		if err := sum.AddScaled(1, w); err != nil {
-			return false
-		}
-		return sum.Norm2() <= v.Norm2()+w.Norm2()+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Dot(v, v) equals Norm2(v)² up to round-off.
-func TestDotNormConsistency(t *testing.T) {
-	f := func(a [6]float64) bool {
-		v := Vector(a[:])
-		for i, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				v[i] = 1 // keep magnitudes testable
-			}
-		}
-		d, err := v.Dot(v)
-		if err != nil {
-			return false
-		}
-		n := v.Norm2()
-		return math.Abs(d-n*n) <= 1e-9*(1+math.Abs(d))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

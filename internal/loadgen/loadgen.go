@@ -396,8 +396,6 @@ func validateSolveBody(data []byte) error {
 	}
 	switch body.Source {
 	case "surrogate", "cache", "store", "peer", "coalesced", "solve":
-	case "":
-		// Tolerated for one release: a pre-source daemon under test.
 	default:
 		return fmt.Errorf("loadgen: solve body with unknown source %q", body.Source)
 	}

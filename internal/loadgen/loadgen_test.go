@@ -196,7 +196,7 @@ func TestRunValidation(t *testing.T) {
 // 200 with garbage bytes must be counted in Corrupt200s and fail the run
 // unconditionally, while a well-formed summary passes.
 func TestValidateCorrupt200s(t *testing.T) {
-	good := []byte(`{"converged": true, "time": [0, 1], "price": [2, 3]}`)
+	good := []byte(`{"converged": true, "time": [0, 1], "price": [2, 3], "source": "solve"}`)
 	var n atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if n.Add(1)%3 == 0 {
@@ -243,13 +243,14 @@ func TestValidateCorrupt200s(t *testing.T) {
 		`{"time": [0], "price": [1]}`,                                         // missing converged
 		`{"converged": false, "time": [0, 1], "price": [1]}`,                  // length mismatch
 		`{"converged": true, "time": [0], "price": [1], "source": "psychic"}`, // unknown provenance
+		`{"converged": true, "time": [0], "price": [1]}`,                      // no provenance
 	} {
 		if validateSolveBody([]byte(bad)) == nil {
 			t.Errorf("validateSolveBody accepted %s", bad)
 		}
 	}
-	// Every real ladder source passes, as does a pre-source daemon body.
-	for _, src := range []string{"surrogate", "cache", "store", "peer", "coalesced", "solve", ""} {
+	// Every real ladder source passes.
+	for _, src := range []string{"surrogate", "cache", "store", "peer", "coalesced", "solve"} {
 		ok := fmt.Sprintf(`{"converged": true, "time": [0], "price": [1], "source": %q}`, src)
 		if err := validateSolveBody([]byte(ok)); err != nil {
 			t.Errorf("validateSolveBody rejected source %q: %v", src, err)
@@ -264,16 +265,20 @@ func TestScrapeServerCounters(t *testing.T) {
 	metrics := []string{
 		// Scrape 1: the daemon has history already — deltas must subtract it.
 		"# TYPE serve_solve_requests_total counter\nserve_solve_requests_total 100\n" +
-			"engine_cache_hit_total 40\nstore_hit_total 10\nserve_solve_executed_total 50\n" +
-			"serve_surrogate_hit_total 5\n" +
-			"cluster_peer_hit_total 2\ncluster_peer_miss_total 1\ncluster_owned_total 10\ncluster_forwarded_total 5\n" +
-			"store_corrupt_total_total 1\nbreaker_open_total 2\nserve_breaker_rejected_total 5\n",
+			"serve_solve_source_cache_total 40\nserve_solve_source_store_total 10\nserve_solve_executed_total 50\n" +
+			"serve_solve_source_surrogate_total 5\n" +
+			"serve_solve_source_peer_total 2\ncluster_peer_miss_total 1\ncluster_owned_total 10\ncluster_forwarded_total 5\n" +
+			"store_corrupt_total_total 1\nbreaker_open_total 2\nserve_breaker_rejected_total 5\n" +
+			// The rung lookup counters also count lookups that answered peer
+			// fills; the report must not read them.
+			"engine_cache_hit_total 900\nstore_hit_total 900\ncluster_peer_hit_total 900\nserve_surrogate_hit_total 900\n",
 		// Scrape 2, after the window.
-		"serve_solve_requests_total 200\nengine_cache_hit_total 80\nstore_hit_total 20\n" +
-			"serve_solve_executed_total 70\nserve_surrogate_hit_total 30\n" +
-			"cluster_peer_hit_total 7\ncluster_peer_miss_total 2\ncluster_owned_total 30\ncluster_forwarded_total 10\n" +
+		"serve_solve_requests_total 200\nserve_solve_source_cache_total 80\nserve_solve_source_store_total 20\n" +
+			"serve_solve_executed_total 70\nserve_solve_source_surrogate_total 30\n" +
+			"serve_solve_source_peer_total 7\ncluster_peer_miss_total 2\ncluster_owned_total 30\ncluster_forwarded_total 10\n" +
 			"store_corrupt_total_total 1\nbreaker_open_total 3\n" +
-			"serve_breaker_rejected_total 5\n",
+			"serve_breaker_rejected_total 5\n" +
+			"engine_cache_hit_total 999\nstore_hit_total 999\ncluster_peer_hit_total 999\nserve_surrogate_hit_total 999\n",
 	}
 	var scrapes atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

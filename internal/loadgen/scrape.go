@@ -14,17 +14,19 @@ import (
 // ladder ran, whether the disk tier served (and whether it shed corruption),
 // and whether the circuit breaker tripped under the offered load.
 type ServerCounters struct {
-	// SurrogateHits are answers served by the tier-0 interpolation table;
-	// CacheHits and StoreHits are answers served by the in-memory LRU and the
-	// persistent tier; SolveRequests and SolvesExecuted bound them all.
+	// SurrogateHits, CacheHits, StoreHits and PeerHits count /v1/solve 200s
+	// by the rung their body names (serve.solve.source.*): the tier-0
+	// interpolation table, the in-memory LRU, the persistent tier and a fill
+	// from the key's ring owner. Each answer counts once, so they never sum
+	// past SolveRequests; SolvesExecuted counts fresh engine solves.
 	SurrogateHits  float64 `json:"surrogate_hits"`
 	CacheHits      float64 `json:"cache_hits"`
 	StoreHits      float64 `json:"store_hits"`
 	SolveRequests  float64 `json:"solve_requests"`
 	SolvesExecuted float64 `json:"solves_executed"`
-	// PeerHits and PeerMisses count peer cache-fill round trips that answered
-	// and that degraded to a local solve; Owned and Forwarded split the local
-	// misses by ring ownership (fleet runs only).
+	// The fleet counters: PeerHits as above; PeerMisses counts peer
+	// cache-fill round trips that degraded to a local solve; Owned and
+	// Forwarded split the local misses by ring ownership.
 	PeerHits   float64 `json:"peer_hits"`
 	PeerMisses float64 `json:"peer_misses"`
 	Owned      float64 `json:"owned"`
@@ -34,8 +36,8 @@ type ServerCounters struct {
 	SurrogateHitRate float64 `json:"surrogate_hit_rate"`
 	// WarmHitRate is (SurrogateHits+CacheHits+StoreHits+PeerHits)/SolveRequests
 	// — the fraction of requests answered without a fresh local solve, across
-	// every warm tier of the ladder. The kill-and-restart chaos gate asserts it
-	// stays positive after a daemon restart.
+	// every warm tier of the ladder, at most 1. The kill-and-restart chaos gate
+	// asserts it stays positive after a daemon restart.
 	WarmHitRate float64 `json:"warm_hit_rate"`
 	// StoreCorrupt counts records the store refused to serve (CRC failures).
 	StoreCorrupt float64 `json:"store_corrupt"`
@@ -101,12 +103,12 @@ func counterDeltas(before, after map[string]float64) *ServerCounters {
 		return v
 	}
 	sc := &ServerCounters{
-		SurrogateHits:   d("serve_surrogate_hit_total"),
-		CacheHits:       d("engine_cache_hit_total"),
-		StoreHits:       d("store_hit_total"),
+		SurrogateHits:   d("serve_solve_source_surrogate_total"),
+		CacheHits:       d("serve_solve_source_cache_total"),
+		StoreHits:       d("serve_solve_source_store_total"),
 		SolveRequests:   d("serve_solve_requests_total"),
 		SolvesExecuted:  d("serve_solve_executed_total"),
-		PeerHits:        d("cluster_peer_hit_total"),
+		PeerHits:        d("serve_solve_source_peer_total"),
 		PeerMisses:      d("cluster_peer_miss_total"),
 		Owned:           d("cluster_owned_total"),
 		Forwarded:       d("cluster_forwarded_total"),
@@ -120,9 +122,9 @@ func counterDeltas(before, after map[string]float64) *ServerCounters {
 
 // fillRates derives the hit-rate fields from the raw counters. Every tier
 // that answers without running a fresh solve on this replica counts as warm —
-// surrogate, LRU, store and peer fills alike; counting only LRU/store (the
-// pre-fleet formula) under-reported warmth on surrogate- or fleet-served
-// traffic.
+// surrogate, LRU, store and peer fills alike. The counts are answers, not
+// rung lookups: an owner's LRU hit that serves a peer fill is the requester's
+// peer answer, not a second warm answer.
 func (sc *ServerCounters) fillRates() {
 	if sc.SolveRequests > 0 {
 		sc.SurrogateHitRate = sc.SurrogateHits / sc.SolveRequests

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -199,14 +200,13 @@ func TestParseLevel(t *testing.T) {
 func TestServeMetricsEndpoints(t *testing.T) {
 	r := NewRegistry(nil)
 	r.Add("served", 7)
-	srv, addr, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mux := http.NewServeMux()
+	r.Mount(mux)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	get := func(path string) string {
-		resp, err := http.Get("http://" + addr.String() + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -228,6 +228,15 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "profile") {
 		t.Errorf("/debug/pprof/ does not look like a pprof index: %.120s", body)
+	}
+	// The routes are GET-only, on the CLI's port as on the daemon's.
+	resp, err := http.Post(srv.URL+"/metrics", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /metrics: status %d, want 405", resp.StatusCode)
 	}
 }
 

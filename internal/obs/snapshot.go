@@ -5,12 +5,10 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"sort"
-	"time"
 )
 
 // HistStat is the exported summary of one histogram: the exact moment
@@ -166,29 +164,19 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	_ = s.WriteJSON(w)
 }
 
-// Serve starts an HTTP server on addr exposing
+// Mount registers the telemetry surface of r on mux, the one place it is
+// declared for the daemon's port and the CLI's -metrics-addr alike:
 //
-//	/metrics      JSON snapshot of reg
-//	/debug/vars   expvar (including reg under "mfgcp")
-//	/debug/pprof  the standard pprof handlers
-//
-// It returns the running server and its bound address (useful with ":0").
-// The caller owns shutdown via srv.Close.
-func Serve(addr string, reg *Registry) (*http.Server, net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
-	reg.PublishExpvar("mfgcp")
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr(), nil
+//	GET /metrics      r as JSON, or Prometheus text on request
+//	GET /debug/vars   expvar, with r published under "mfgcp"
+//	GET /debug/pprof  the standard pprof handlers
+func (r *Registry) Mount(mux *http.ServeMux) {
+	r.PublishExpvar("mfgcp")
+	mux.Handle("GET /metrics", r)
+	mux.Handle("GET /debug/vars", expvar.Handler())
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }

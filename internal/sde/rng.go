@@ -20,14 +20,13 @@ func NewRNG(seed int64) *rand.Rand {
 // serialising the opaque generator state.
 type CountingSource struct {
 	src   rand.Source64
-	seed  int64
 	draws uint64
 }
 
 // NewCountingSource returns a counting source seeded like NewRNG, so
 // rand.New(NewCountingSource(seed)) yields the exact stream of NewRNG(seed).
 func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
+	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
 }
 
 // Int63 implements rand.Source.
@@ -39,12 +38,8 @@ func (s *CountingSource) Uint64() uint64 { s.draws++; return s.src.Uint64() }
 // Seed implements rand.Source, resetting the draw counter.
 func (s *CountingSource) Seed(seed int64) {
 	s.src.(rand.Source).Seed(seed)
-	s.seed = seed
 	s.draws = 0
 }
-
-// SeedValue returns the seed the source was (re)initialised with.
-func (s *CountingSource) SeedValue() int64 { return s.seed }
 
 // Draws returns the number of draws consumed so far.
 func (s *CountingSource) Draws() uint64 { return s.draws }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/loadgen"
 	"repro/internal/obs"
 )
 
@@ -130,6 +131,55 @@ func TestFleetExactlyOneColdSolvePerKey(t *testing.T) {
 	owned, forwarded := counterSum(replicas, "cluster.owned"), counterSum(replicas, "cluster.forwarded")
 	if owned == 0 || forwarded == 0 {
 		t.Errorf("cluster.owned = %g, cluster.forwarded = %g: mixed-target load should exercise both paths", owned, forwarded)
+	}
+}
+
+// TestFleetLoadgenWarmHitRate drives a 3-replica fleet through loadgen's
+// generator and scrape with every key visiting every replica once. An owner
+// answers the second and third visits' peer fills from its own LRU, but each
+// /v1/solve 200 must count once, by the source its body names: the hit counts
+// never sum past the requests, and warm_hit_rate stays at most 1.
+func TestFleetLoadgenWarmHitRate(t *testing.T) {
+	replicas := startFleet(t, 3, nil)
+	targets := make([]string, len(replicas))
+	for i, r := range replicas {
+		targets[i] = r.base
+	}
+	const keys = 12
+	bodies := make([][]byte, keys)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(`{"Workload": {"Requests": %d, "Pop": 0.3, "Timeliness": 2}}`, 6+i))
+	}
+	// 40 rps for 0.9 s sends about keys × replicas requests: the bodies
+	// rotate per request and the target advances per body cycle.
+	rep, err := loadgen.Run(context.Background(), loadgen.Config{
+		Targets: targets, RPS: 40, Duration: 900 * time.Millisecond,
+		Bodies: bodies, Validate: true, ScrapeMetrics: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.Corrupt200s != 0 || rep.Succeeded == 0 {
+		t.Fatalf("fleet run failed: %+v", rep)
+	}
+	srv := rep.Server
+	if srv == nil {
+		t.Fatal("no scraped counters")
+	}
+	hits := srv.SurrogateHits + srv.CacheHits + srv.StoreHits + srv.PeerHits
+	if srv.WarmHitRate > 1 || hits > srv.SolveRequests {
+		t.Errorf("warm_hit_rate %.3f: surrogate %g + cache %g + store %g + peer %g hits over %g requests",
+			srv.WarmHitRate, srv.SurrogateHits, srv.CacheHits, srv.StoreHits, srv.PeerHits, srv.SolveRequests)
+	}
+	if srv.PeerHits == 0 {
+		t.Error("no peer answers: the run never reached the fill path")
+	}
+	var answers float64
+	for _, src := range []Source{SourceSurrogate, SourceCache, SourceStore, SourcePeer, SourceCoalesced, SourceSolve} {
+		answers += counterSum(replicas, "serve.solve.source."+string(src))
+	}
+	if answers != float64(rep.Succeeded) || answers != srv.SolveRequests {
+		t.Errorf("serve.solve.source.* sum to %g, want one per 200 (%d) and per request (%g)", answers, rep.Succeeded, srv.SolveRequests)
 	}
 }
 

@@ -5,11 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -21,14 +19,12 @@ import (
 	"repro/internal/surrogate"
 )
 
-// SolveRequest is the wire form of POST /v1/solve. Params, Solver and
-// Workload are sparse JSON documents merged onto the daemon's defaults by the
-// engine codec; TimeoutMs bounds this solve (clamped to the server maximum).
+// SolveRequest is the wire form of POST /v1/solve: the engine.Request
+// documents, resolved onto the daemon's defaults, plus TimeoutMs, which
+// bounds this solve (clamped to the server maximum).
 type SolveRequest struct {
-	Params    json.RawMessage `json:",omitempty"`
-	Solver    json.RawMessage `json:",omitempty"`
-	Workload  json.RawMessage `json:",omitempty"`
-	TimeoutMs int64           `json:",omitempty"`
+	engine.Request
+	TimeoutMs int64 `json:",omitempty"`
 }
 
 // SolveResponse summarises one mean-field equilibrium: the dynamic price path
@@ -104,16 +100,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/peer/get", s.handlePeerGet)
 	mux.HandleFunc("POST /v1/policy/epoch", s.handleEpoch)
 	if s.cfg.Registry != nil {
-		// The PR-1 observability surface, mounted on the daemon's own mux so
-		// one port serves both the API and its telemetry.
-		s.cfg.Registry.PublishExpvar("mfgcp")
-		mux.Handle("GET /metrics", s.cfg.Registry)
-		mux.Handle("GET /debug/vars", expvar.Handler())
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		// The telemetry surface, mounted on the daemon's own mux so one port
+		// serves both the API and its telemetry.
+		s.cfg.Registry.Mount(mux)
 	}
 	return s.instrument(mux)
 }
@@ -147,17 +136,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	cfg, err := s.resolveSolver(req.Params, req.Solver)
+	cfg, wl, err := req.Resolve(s.cfg.Solver)
 	if err != nil {
-		s.writeError(w, err)
+		s.writeError(w, badRequest(err))
 		return
-	}
-	wl := engine.Workload{}
-	if len(req.Workload) > 0 {
-		if wl, err = engine.DecodeWorkload(req.Workload); err != nil {
-			s.writeError(w, badRequest(err))
-			return
-		}
 	}
 
 	s.rec.Add("serve.solve.requests", 1)
@@ -170,7 +152,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			s.rec.Add("serve.surrogate.hit", 1)
 			writeSolveHeaders(w, false, lookup)
-			writeJSON(w, http.StatusOK, surrogateResponse(sum))
+			s.writeAnswer(w, surrogateResponse(sum))
 			return
 		}
 		s.rec.Add("serve.surrogate.miss", 1)
@@ -182,7 +164,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	isRetry := r.Header.Get("X-Mfgcp-Retry") != ""
 	// The raw request documents ride along so a fleet replica can forward
 	// them verbatim to the key's ring owner on a local miss.
-	docs := &cluster.PeerRequest{Params: req.Params, Solver: req.Solver, Workload: req.Workload}
+	docs := &cluster.PeerRequest{Request: req.Request}
 	eq, out, err := s.solve(ctx, cfg, wl, timeout, isRetry, docs)
 	if err != nil && !(errors.Is(err, engine.ErrNotConverged) && eq != nil) {
 		s.writeError(w, err)
@@ -192,6 +174,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeSolveHeaders(w, out.Source == SourceCoalesced, out.SolveTime)
 	resp := summarize(eq)
 	resp.Source = out.Source
+	s.writeAnswer(w, resp)
+}
+
+// writeAnswer writes one /v1/solve 200 and counts it exactly once by the rung
+// its body names, in serve.solve.source.<source>. The per-rung hit counters
+// (engine.cache.hit, store.hit, ...) also count the lookups that answer
+// peer fills and epoch solves, so only these add up to the 200s.
+func (s *Server) writeAnswer(w http.ResponseWriter, resp SolveResponse) {
+	s.rec.Add("serve.solve.source."+string(resp.Source), 1)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -223,17 +214,10 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	cfg, err := s.resolveSolver(req.Params, req.Solver)
+	cfg, wl, err := req.Resolve(s.cfg.Solver)
 	if err != nil {
-		s.writeError(w, err)
+		s.writeError(w, badRequest(err))
 		return
-	}
-	wl := engine.Workload{}
-	if len(req.Workload) > 0 {
-		if wl, err = engine.DecodeWorkload(req.Workload); err != nil {
-			s.writeError(w, badRequest(err))
-			return
-		}
 	}
 	key := engine.CacheKey(cfg, wl)
 	if req.Key != "" && req.Key != key {
@@ -297,9 +281,9 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	cfg, err := s.resolveSolver(req.Params, req.Solver)
+	cfg, _, err := engine.Request{Params: req.Params, Solver: req.Solver}.Resolve(s.cfg.Solver)
 	if err != nil {
-		s.writeError(w, err)
+		s.writeError(w, badRequest(err))
 		return
 	}
 	p := cfg.Params
@@ -396,31 +380,6 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		resp.Contents[k] = c
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// resolveSolver merges the request's sparse Params/Solver documents onto the
-// daemon defaults and wires the daemon's recorder into the resulting config.
-func (s *Server) resolveSolver(params, solver json.RawMessage) (engine.Config, error) {
-	p := s.cfg.Params
-	if len(params) > 0 {
-		var err error
-		if p, err = engine.DecodeParams(params, p); err != nil {
-			return engine.Config{}, badRequest(err)
-		}
-	}
-	cfg := s.cfg.Solver
-	cfg.Params = p
-	if len(solver) > 0 {
-		var err error
-		if cfg, err = engine.DecodeConfig(solver, cfg); err != nil {
-			return engine.Config{}, badRequest(err)
-		}
-	} else if err := cfg.Validate(); err != nil {
-		return engine.Config{}, badRequest(err)
-	}
-	cfg.Obs = s.rec
-	cfg.WarmStart = nil
-	return cfg, nil
 }
 
 // summarize downsamples an equilibrium to the wire summary on the surrogate

@@ -100,8 +100,8 @@ type Config struct {
 	// Params are the default model constants requests merge onto (zero
 	// value → mec.Default()).
 	Params mec.Params
-	// Solver is the default solver configuration requests merge onto (zero
-	// value → engine.DefaultConfig(Params)).
+	// Solver is the default solver configuration requests resolve onto
+	// (engine.Request.Resolve; zero value → engine.DefaultConfig(Params)).
 	Solver engine.Config
 	// Obs receives the serve.* metrics and, through the solver configs, the
 	// engine.* and core.solver.* telemetry. Nil means no-op.
@@ -124,9 +124,6 @@ type Config struct {
 	// CacheDiskBytes bounds the disk tier (default 256 MiB); the oldest
 	// segments are compacted away past it.
 	CacheDiskBytes int64
-	// CacheSegmentBytes overrides the segment roll threshold (default 8 MiB;
-	// tests shrink it to force rolls).
-	CacheSegmentBytes int64
 	// Breaker configures the circuit breaker around engine solves (zero
 	// value: trip after 5 consecutive divergence/timeout failures, fail fast
 	// for 5s, one half-open probe). Failures < 0 disables it.
@@ -222,9 +219,11 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: default params: %w", err)
 	}
-	if cfg.Solver.Params != cfg.Params {
-		cfg.Solver.Params = cfg.Params
-	}
+	// The defaults every request resolves onto: the daemon's params, its
+	// recorder, and never a process-local warm start.
+	cfg.Solver.Params = cfg.Params
+	cfg.Solver.Obs = obs.OrNop(cfg.Obs)
+	cfg.Solver.WarmStart = nil
 	if err := cfg.Solver.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: default solver config: %w", err)
 	}
@@ -237,7 +236,6 @@ func New(cfg Config) (*Server, error) {
 		disk, err = store.Open(store.Config{
 			Dir:          cfg.CacheDir,
 			MaxDiskBytes: cfg.CacheDiskBytes,
-			SegmentBytes: cfg.CacheSegmentBytes,
 			Obs:          cfg.Obs,
 			Log:          cfg.AccessLog,
 		})

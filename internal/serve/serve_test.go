@@ -385,6 +385,41 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestBlowupResidualKeysAnswers pins that a non-default BlowupResidual, which
+// decides whether a request gets an answer at all, is part of the answer's
+// identity: a request that diverges under a tight threshold keeps diverging
+// after the same workload has been solved under the default one, instead of
+// being answered from that solve's cache entry. One worker makes both
+// thresholds run on the same worker's session memo, which is keyed the same
+// way, so the default request must not inherit the tight threshold either.
+func TestBlowupResidualKeysAnswers(t *testing.T) {
+	cfg, _ := testConfig(t)
+	cfg.Workers = 1
+	base, _ := startDaemon(t, cfg)
+	const (
+		tight = `{"Solver":{"NH":5,"NQ":11,"Steps":12,"BlowupResidual":0.05},"Workload":{"Requests":10,"Pop":0.3,"Timeliness":2}}`
+		plain = `{"Solver":{"NH":5,"NQ":11,"Steps":12},"Workload":{"Requests":10,"Pop":0.3,"Timeliness":2}}`
+	)
+	for i, step := range []struct {
+		body   string
+		status int
+		source Source
+	}{
+		{tight, http.StatusUnprocessableEntity, ""},
+		{plain, http.StatusOK, SourceSolve},
+		{tight, http.StatusUnprocessableEntity, ""},
+		{plain, http.StatusOK, SourceCache},
+	} {
+		resp, data := postSolve(t, http.DefaultClient, base, step.body)
+		if resp.StatusCode != step.status {
+			t.Fatalf("step %d: status %d, want %d (%s)", i, resp.StatusCode, step.status, data)
+		}
+		if step.source != "" && sourceOf(t, data) != step.source {
+			t.Errorf("step %d: source %q, want %q", i, sourceOf(t, data), step.source)
+		}
+	}
+}
+
 // TestEpochEndpoint prepares one epoch through the daemon and checks the
 // per-content strategies and the cache sharing with /v1/solve.
 func TestEpochEndpoint(t *testing.T) {

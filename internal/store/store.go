@@ -471,13 +471,6 @@ func (s *Store) DiskBytes() int64 {
 	return s.total
 }
 
-// Segments returns the number of segment files.
-func (s *Store) Segments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.segs)
-}
-
 func (s *Store) warn(msg string, args ...any) {
 	if s.log != nil {
 		s.log.Warn("store: "+msg, args...)

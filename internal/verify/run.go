@@ -13,15 +13,15 @@ import (
 )
 
 // Options configures a verification run. Zero-valued fields select the
-// defaults: calibrated parameters, the small verification grid, the default
-// workload, DefaultTolerances, tier Quick.
+// defaults: the small verification grid over the calibrated parameters, the
+// default workload, DefaultTolerances, tier Quick.
 type Options struct {
 	Tier Tier
 	Seed int64
 	// Cases is the property-sweep size (0 selects the tier default: 3 for
 	// quick, 16 for full).
-	Cases    int
-	Params   mec.Params
+	Cases int
+	// Solver carries the model parameters too (Solver.Params).
 	Solver   engine.Config
 	Workload engine.Workload
 	Tol      Tolerances
@@ -49,13 +49,9 @@ func (o Options) normalise() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Params.Qk == 0 {
-		o.Params = mec.Default()
-	}
 	if o.Solver.NH == 0 {
-		o.Solver = DefaultSolverConfig(o.Params)
+		o.Solver = DefaultSolverConfig(mec.Default())
 	}
-	o.Solver.Params = o.Params
 	if o.Workload == (engine.Workload{}) {
 		o.Workload = engine.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
 	}
@@ -76,7 +72,7 @@ func (o Options) normalise() Options {
 // differential: a 12-EDP, 4-content MFG-CP market over 3 epochs, seeded
 // from the run seed.
 func (o Options) simConfig() sim.Config {
-	p := o.Params
+	p := o.Solver.Params
 	p.M = 12
 	p.K = 4
 	cfg := sim.DefaultConfig(p, policy.NewMFGCP())
@@ -131,7 +127,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			return propertySweep(ctx, opts, tol)
 		}},
 		{name: "eq21/monotone-clamp", fn: func() ([]Violation, error) {
-			out := ControlMonotone(opts.Params, 101)
+			out := ControlMonotone(opts.Solver.Params, 101)
 			gen := NewGen(opts.Seed + 17)
 			for i := 0; i < 3; i++ {
 				out = append(out, ControlMonotone(gen.Params(), 101)...)
