@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/pde"
 )
 
 // CacheKey builds the canonical lookup key of one equilibrium computation:
@@ -62,7 +63,7 @@ func CacheKey(cfg Config, w Workload) string {
 	putF(&b, "Tol", cfg.Tol)
 	putF(&b, "Damping", cfg.Damping)
 	fmt.Fprintf(&b, "Form=%d;Share=%t;", int(cfg.FPKForm), cfg.ShareEnabled)
-	if sch, err := cfg.ResolveScheme(); err == nil {
+	if sch, err := pde.ParseScheme(cfg.Scheme); err == nil {
 		fmt.Fprintf(&b, "Scheme=%s;", sch)
 	} else {
 		fmt.Fprintf(&b, "Scheme=%q;", cfg.Scheme)

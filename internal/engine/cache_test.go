@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/pde"
 )
 
 // TestCacheKeyCanonical checks the canonicalisation contract: identical
@@ -75,24 +74,12 @@ func TestCacheKeyCanonical(t *testing.T) {
 		t.Errorf("changing a model parameter kept the key")
 	}
 
-	// The scheme name is canonical: "", "implicit" and the implicit Stepping
-	// constant all resolve to the same integrator and must share a key, as
-	// do "explicit" and the deprecated explicit Stepping; a name set beside
-	// Stepping wins.
+	// The scheme name is canonical: "" and "implicit" resolve to the same
+	// integrator and must share a key.
 	named := cfg
 	named.Scheme = "implicit"
 	if CacheKey(named, w) != base {
 		t.Errorf("explicit %q scheme name diverged from the default key", named.Scheme)
-	}
-	stepping := cfg
-	stepping.Stepping = pde.Explicit
-	if CacheKey(stepping, w) != CacheKey(scheme, w) {
-		t.Errorf("Stepping: pde.Explicit and Scheme: %q produced different keys", scheme.Scheme)
-	}
-	both := named
-	both.Stepping = pde.Explicit
-	if CacheKey(both, w) != base {
-		t.Errorf("Scheme %q beside Stepping: pde.Explicit did not resolve to implicit", both.Scheme)
 	}
 
 	// Warm start must NOT enter the key: the equilibrium is unique

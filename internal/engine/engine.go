@@ -12,8 +12,7 @@
 //     allocations and repeated solves reuse the same buffers;
 //   - one pde.Scheme time-integrator choice (implicit splitting by default,
 //     the CFL-bounded explicit integrator as an ablation), named by
-//     Config.Scheme and resolved once by Config.ResolveScheme; the numeric
-//     Config.Stepping it replaces is deprecated;
+//     Config.Scheme and resolved by pde.ParseScheme;
 //   - a bounded, concurrency-safe Cache of solved equilibria keyed by a
 //     canonical encoding of (quantised params, workload, grid resolution),
 //     giving the policy and simulation layers warm-start reuse across
@@ -91,32 +90,10 @@ type Config struct {
 	// default; pde.Advective reproduces the paper-literal Eq. 15).
 	FPKForm pde.FPKForm
 
-	// Stepping selects the time integrator when Scheme is empty.
-	//
-	// Deprecated: use Scheme.
-	Stepping pde.Scheme
-
 	// Scheme selects the time integrator of both PDEs by name: "implicit"
-	// (the default) or "explicit", the CFL-bounded ablation. The empty
-	// string defers to the deprecated Stepping.
+	// (the default, also selected by the empty string) or "explicit", the
+	// CFL-bounded ablation.
 	Scheme string
-
-	// ShareEnabled distinguishes MFG-CP (true) from the MFG baseline
-	// without peer sharing (false).
-	ShareEnabled bool
-
-	// InitLambda optionally overrides the initial density (flattened over
-	// the grid). When nil, the Section-V initialisation is used: Gaussian
-	// over q with mean InitMeanFrac·Qk and sd InitStdFrac·Qk, and the OU
-	// stationary Gaussian over h.
-	InitLambda []float64
-
-	// WarmStart optionally seeds the best-response iteration with the
-	// strategy and density paths of a previously solved equilibrium on the
-	// same grid and time mesh (Algorithm 1 runs one solve per content per
-	// epoch; slowly-varying workloads converge in far fewer iterations from
-	// the previous epoch's fixed point).
-	WarmStart *Equilibrium
 
 	// Surrogate points solves at a precomputed interpolation table (written
 	// by `mfgcp precompute`): serving layers consult the table before the
@@ -127,12 +104,29 @@ type Config struct {
 	// cache.
 	Surrogate SurrogateConfig
 
+	// ShareEnabled distinguishes MFG-CP (true) from the MFG baseline
+	// without peer sharing (false).
+	ShareEnabled bool
+
+	// InitLambda optionally overrides the initial density (flattened over
+	// the grid). When nil, the Section-V initialisation is used: Gaussian
+	// over q with mean InitMeanFrac·Qk and sd InitStdFrac·Qk, and the OU
+	// stationary Gaussian over h.
+	InitLambda []float64 `json:",omitempty"`
+
+	// WarmStart optionally seeds the best-response iteration with the
+	// strategy and density paths of a previously solved equilibrium on the
+	// same grid and time mesh (Algorithm 1 runs one solve per content per
+	// epoch; slowly-varying workloads converge in far fewer iterations from
+	// the previous epoch's fixed point).
+	WarmStart *Equilibrium `json:"-"`
+
 	// Obs receives solver telemetry — per-iteration residual events, HJB and
 	// FPK pass spans, convergence counters ("core.solver.*" names) and the
 	// engine-layer session/cache counters ("engine.*" names). Nil means
 	// no-op: library users and tests opt in explicitly, and the hot loops pay
 	// nothing by default. The field is dropped from serialised archives.
-	Obs obs.Recorder
+	Obs obs.Recorder `json:"-"`
 }
 
 // SurrogateConfig routes solves at a precomputed equilibrium table. The zero
@@ -197,21 +191,10 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.BlowupResidual) || math.IsInf(c.BlowupResidual, 0) || c.BlowupResidual < 0 {
 		return fmt.Errorf("core: BlowupResidual must be non-negative and finite, got %g", c.BlowupResidual)
 	}
-	if _, err := c.ResolveScheme(); err != nil {
+	if _, err := pde.ParseScheme(c.Scheme); err != nil {
 		return err
 	}
 	return c.Surrogate.Validate()
-}
-
-// ResolveScheme returns the configured time integrator: Scheme by name when
-// set, otherwise the deprecated Stepping value. It is the one place the two
-// fields are reconciled; validation, sessions, cache keys and the recovery
-// ladder all resolve through it.
-func (c Config) ResolveScheme() (pde.Scheme, error) {
-	if c.Scheme != "" {
-		return pde.ParseScheme(c.Scheme)
-	}
-	return c.Stepping, c.Stepping.Validate()
 }
 
 // Equilibrium is the solved mean-field equilibrium for one content over one

@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/mec"
-	"repro/internal/pde"
+	"slices"
 )
 
 // This file is the JSON codec of an equilibrium query: Request, the one wire
 // shape shared by the serving daemon's request bodies, the CLI's `-config
 // file.json` flag and library callers, and under it the codec of the solver
-// configuration. The runtime-only fields
-// (Obs, WarmStart) are deliberately excluded: a recorder and a warm-start
-// equilibrium are process-local handles, not configuration.
+// configuration. Config is its own wire shape: every exported field travels
+// under its own name, except the runtime-only Obs and WarmStart, which are
+// tagged `json:"-"` — a recorder and a warm-start equilibrium are
+// process-local handles, not configuration.
 //
 // Unmarshalling MERGES onto the receiver: fields absent from the JSON keep
 // the receiver's current value, so decoding a sparse document onto
@@ -24,72 +23,21 @@ import (
 // grammar has no literal for them, and Validate rejects any that a library
 // caller constructs directly.
 
-// configJSON mirrors Config's serialisable surface.
-type configJSON struct {
-	Params         mec.Params
-	NH, NQ, Steps  int
-	MaxIters       int
-	Tol            float64
-	Damping        float64
-	BlowupResidual float64
-	FPKForm        int
-	Stepping       int
-	Scheme         string
-	Surrogate      SurrogateConfig
-	ShareEnabled   bool
-	InitLambda     []float64 `json:",omitempty"`
-}
-
-func (c Config) toJSON() configJSON {
-	return configJSON{
-		Params:         c.Params,
-		NH:             c.NH,
-		NQ:             c.NQ,
-		Steps:          c.Steps,
-		MaxIters:       c.MaxIters,
-		Tol:            c.Tol,
-		Damping:        c.Damping,
-		BlowupResidual: c.BlowupResidual,
-		FPKForm:        int(c.FPKForm),
-		Stepping:       int(c.Stepping),
-		Scheme:         c.Scheme,
-		Surrogate:      c.Surrogate,
-		ShareEnabled:   c.ShareEnabled,
-		InitLambda:     c.InitLambda,
-	}
-}
-
-func (j configJSON) apply(c *Config) {
-	c.Params = j.Params
-	c.NH, c.NQ, c.Steps = j.NH, j.NQ, j.Steps
-	c.MaxIters = j.MaxIters
-	c.Tol = j.Tol
-	c.Damping = j.Damping
-	c.BlowupResidual = j.BlowupResidual
-	c.FPKForm = pde.FPKForm(j.FPKForm)
-	c.Stepping = pde.Scheme(j.Stepping)
-	c.Scheme = j.Scheme
-	c.Surrogate = j.Surrogate
-	c.ShareEnabled = j.ShareEnabled
-	c.InitLambda = j.InitLambda
-}
-
-// MarshalJSON implements json.Marshaler, emitting the serialisable subset of
-// the configuration (Obs and WarmStart are process-local and dropped).
-func (c Config) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.toJSON())
-}
-
 // UnmarshalJSON implements json.Unmarshaler with merge semantics: fields
 // absent from data keep the receiver's current values, unknown fields are an
-// error. Obs and WarmStart are preserved untouched. Callers validate the
-// merged result with Validate.
+// error, and on error the receiver is unchanged. Obs and WarmStart are never
+// decoded. Callers validate the merged result with Validate.
 func (c *Config) UnmarshalJSON(data []byte) error {
-	shadow := c.toJSON()
+	// configJSON is Config without its methods, so decoding does not recurse.
+	type configJSON Config
+	shadow := configJSON(*c)
+	// The decoder writes a JSON array into the slice's existing elements;
+	// give it a copy so the receiver never shares the write.
+	shadow.InitLambda = slices.Clone(c.InitLambda)
 	if err := decodeStrict(data, &shadow); err != nil {
 		return fmt.Errorf("core: decode solver config: %w", err)
 	}
-	shadow.apply(c)
+	*c = Config(shadow)
 	return nil
 }
 

@@ -23,8 +23,8 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	custom.Damping = 0.35
 	custom.BlowupResidual = 1e6
 	custom.FPKForm = pde.Advective
-	custom.Stepping = pde.Explicit
 	custom.Scheme = "explicit"
+	custom.Surrogate = SurrogateConfig{Path: "table.mfgt", MaxErrorBound: 0.01}
 	custom.ShareEnabled = false
 	custom.InitLambda = []float64{1, 2, 3}
 
@@ -66,14 +66,6 @@ func TestConfigJSONMerge(t *testing.T) {
 	if cfg.NH != base.NH || cfg.Tol != base.Tol || cfg.Params != base.Params {
 		t.Errorf("absent fields did not keep base values: %+v", cfg)
 	}
-	// The deprecated numeric Stepping still selects the integrator.
-	cfg, err = resolveSolver(`{"Stepping": 1}`, base)
-	if err != nil {
-		t.Fatalf("resolve Stepping: %v", err)
-	}
-	if sch, err := cfg.ResolveScheme(); err != nil || sch != pde.Explicit {
-		t.Errorf(`{"Stepping": 1} resolved to %v, %v, want explicit`, sch, err)
-	}
 	// Nested params merge too.
 	cfg, err = resolveSolver(`{"Params": {"Qk": 80}}`, base)
 	if err != nil {
@@ -94,12 +86,13 @@ func TestConfigJSONRejection(t *testing.T) {
 		{"unknown key", `{"Damp": 0.5}`, "unknown field"},
 		{"retired kernel block", `{"Kernel": {"Workers": 2}}`, "unknown field"},
 		{"malformed", `{"NH": }`, "invalid character"},
+		{"type error", `{"NH": "7"}`, "Go struct field configJSON.NH of type int"},
 		{"zero tol", `{"Tol": 0}`, "Tol"},
 		{"bad damping", `{"Damping": 1.5}`, "Damping"},
 		{"tiny grid", `{"NH": 1}`, "grid"},
 		{"negative blowup", `{"BlowupResidual": -1}`, "BlowupResidual"},
 		{"bad scheme", `{"Scheme": "upwind"}`, "scheme"},
-		{"bad stepping", `{"Stepping": 7}`, "unknown scheme"},
+		{"retired stepping", `{"Stepping": 1}`, "unknown field \"Stepping\""},
 		{"bad params", `{"Params": {"Qk": -1}}`, "Qk"},
 	}
 	for _, tc := range cases {
@@ -107,6 +100,19 @@ func TestConfigJSONRejection(t *testing.T) {
 			t.Errorf("%s: accepted %s", tc.name, tc.doc)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+
+	// A failed decode leaves the receiver as it was, the elements of its
+	// InitLambda included.
+	for _, doc := range []string{`{"InitLambda": [9, 9], "NQ": 5, "Damp": 0.5}`, `{"InitLambda": [9], "NH": "7"}`} {
+		got, want := base, base
+		got.InitLambda, want.InitLambda = []float64{1, 2, 3}, []float64{1, 2, 3}
+		if err := json.Unmarshal([]byte(doc), &got); err == nil {
+			t.Errorf("decoded %s", doc)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("failed decode of %s changed the receiver:\n got %+v\nwant %+v", doc, got, want)
 		}
 	}
 }

@@ -60,15 +60,10 @@ type legacyArchive struct {
 	Eq      *Equilibrium
 }
 
-// WriteTo serialises the equilibrium and returns the number of bytes written.
-// The telemetry recorder (Config.Obs) is stripped first, along the whole
-// warm-start chain: it is runtime wiring, not equilibrium state, and gob
-// cannot encode arbitrary Recorder implementations. Unlike
-// MarshalEquilibrium, WriteTo keeps the warm-start chain in the header.
+// WriteTo writes the archive MarshalEquilibrium encodes and returns the
+// number of bytes written.
 func (eq *Equilibrium) WriteTo(w io.Writer) (int64, error) {
-	clean := *eq
-	clean.Config = stripRuntime(clean.Config)
-	data, err := encodeArchive(&clean)
+	data, err := MarshalEquilibrium(eq)
 	if err != nil {
 		return 0, err
 	}
@@ -77,18 +72,6 @@ func (eq *Equilibrium) WriteTo(w io.Writer) (int64, error) {
 		return int64(n), fmt.Errorf("core: write equilibrium: %w", err)
 	}
 	return int64(n), nil
-}
-
-// stripRuntime clears the non-serialisable runtime fields of a Config,
-// following the warm-start chain.
-func stripRuntime(c Config) Config {
-	c.Obs = nil
-	if c.WarmStart != nil {
-		ws := *c.WarmStart
-		ws.Config = stripRuntime(ws.Config)
-		c.WarmStart = &ws
-	}
-	return c
 }
 
 // ReadEquilibrium reads r to the end and decodes the archive it holds.
@@ -100,12 +83,15 @@ func ReadEquilibrium(r io.Reader) (*Equilibrium, error) {
 	return UnmarshalEquilibrium(data)
 }
 
-// MarshalEquilibrium serialises eq for storage and the wire. Unlike WriteTo
-// it also prunes the warm-start ancestry: every solve records the equilibrium
-// it was seeded from in Config.WarmStart, so epoch-over-epoch warm starting
-// grows an unbounded chain that would bloat snapshots without influencing any
-// later computation (warm starts only read the strategy and density paths of
-// the equilibrium itself, never its ancestor's).
+// MarshalEquilibrium serialises eq for storage and the wire. It drops the
+// runtime-only fields of the config first. The telemetry recorder (Obs) is
+// runtime wiring, not equilibrium state, and gob cannot encode arbitrary
+// Recorder implementations. The warm-start ancestry goes too: every solve
+// records the equilibrium it was seeded from in Config.WarmStart, so
+// epoch-over-epoch warm starting grows an unbounded chain that would bloat
+// snapshots without influencing any later computation (warm starts only read
+// the strategy and density paths of the equilibrium itself, never its
+// ancestor's).
 func MarshalEquilibrium(eq *Equilibrium) ([]byte, error) {
 	if eq == nil {
 		return nil, fmt.Errorf("core: marshal nil equilibrium")

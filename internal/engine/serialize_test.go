@@ -355,37 +355,27 @@ func TestMarshalEquilibriumRejectsRaggedPaths(t *testing.T) {
 	}
 }
 
-// TestWriteToKeepsWarmStartChain pins the one difference between the two
-// encoders: WriteTo keeps the warm-start chain, MarshalEquilibrium prunes it.
-func TestWriteToKeepsWarmStartChain(t *testing.T) {
+// TestWriteToMatchesMarshalEquilibrium pins the one archive encoder: both
+// entry points write the same bytes, and neither keeps a warm-start chain.
+func TestWriteToMatchesMarshalEquilibrium(t *testing.T) {
 	eq := specialEquilibrium()
-	var buf bytes.Buffer
-	if _, err := eq.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), mustMarshal(t, eq)) {
-		t.Error("without a warm start, WriteTo and MarshalEquilibrium write different archives")
-	}
-
-	eq.Config.WarmStart = specialEquilibrium()
-	buf.Reset()
-	if _, err := eq.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadEquilibrium(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Config.WarmStart == nil {
-		t.Fatal("WriteTo dropped the warm-start chain")
-	}
-	samePathBits(t, back.Config.WarmStart, eq.Config.WarmStart)
-	pruned, err := UnmarshalEquilibrium(mustMarshal(t, eq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Config.WarmStart != nil {
-		t.Error("MarshalEquilibrium kept the warm-start chain")
+	for _, warm := range []*Equilibrium{nil, specialEquilibrium()} {
+		eq.Config.WarmStart = warm
+		var buf bytes.Buffer
+		if _, err := eq.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		blob := mustMarshal(t, eq)
+		if !bytes.Equal(buf.Bytes(), blob) {
+			t.Errorf("warm start %v: WriteTo and MarshalEquilibrium write different archives", warm != nil)
+		}
+		back, err := UnmarshalEquilibrium(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Config.WarmStart != nil {
+			t.Errorf("warm start %v: the archive kept the warm-start chain", warm != nil)
+		}
 	}
 }
 

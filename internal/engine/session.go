@@ -90,7 +90,7 @@ func NewSession(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := cfg.ResolveScheme()
+	scheme, err := pde.ParseScheme(cfg.Scheme)
 	if err != nil {
 		return nil, err
 	}

@@ -417,7 +417,7 @@ func TestSolveExplicitStepping(t *testing.T) {
 	// the schemes stays small through the fixed-point iteration.
 	cfg := solverConfig()
 	cfg.Steps = 240
-	cfg.Stepping = pde.Explicit
+	cfg.Scheme = "explicit"
 	eq, err := Solve(cfg, defaultWorkload())
 	if err != nil {
 		t.Fatalf("explicit solve: %v", err)

@@ -109,7 +109,7 @@ func TestLURandomRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SolveDense: %v", err)
 		}
-		d, _ := DistInf(got, x)
+		d := distInf(got, x)
 		if d > 1e-8 {
 			t.Fatalf("trial %d: error %g", trial, d)
 		}

@@ -8,11 +8,7 @@
 // nothing once buffers are reused.
 package linalg
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "errors"
 
 // ErrDimensionMismatch is returned when two operands have incompatible sizes.
 var ErrDimensionMismatch = errors.New("linalg: dimension mismatch")
@@ -35,18 +31,4 @@ func (v Vector) Fill(x float64) {
 	for i := range v {
 		v[i] = x
 	}
-}
-
-// DistInf returns the sup-norm distance between v and w.
-func DistInf(v, w Vector) (float64, error) {
-	if len(v) != len(w) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	var m float64
-	for i := range v {
-		if d := math.Abs(v[i] - w[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
 }

@@ -19,16 +19,3 @@ func TestVectorBasics(t *testing.T) {
 		t.Errorf("Clone is not independent: v[0]=%g", v[0])
 	}
 }
-
-func TestDistInf(t *testing.T) {
-	d, err := DistInf(Vector{1, 2, 3}, Vector{1, 5, 3})
-	if err != nil {
-		t.Fatalf("DistInf: %v", err)
-	}
-	if d != 3 {
-		t.Errorf("DistInf = %g, want 3", d)
-	}
-	if _, err := DistInf(Vector{1}, Vector{1, 2}); err == nil {
-		t.Error("DistInf with mismatched lengths should error")
-	}
-}

@@ -35,9 +35,6 @@ func NewRegistry(logger *slog.Logger) *Registry {
 	}
 }
 
-// Logger returns the trace logger (nil when metrics-only).
-func (r *Registry) Logger() *slog.Logger { return r.logger }
-
 // counter is an atomically-updated float64 accumulator.
 type counter struct{ bits atomic.Uint64 }
 
@@ -108,11 +105,6 @@ func (r *Registry) histFor(name string) *Histogram {
 	}
 	return h
 }
-
-// Histogram returns the named live histogram, creating it when absent — the
-// point-read path for quantile queries (e.g. an SLO probe asking for
-// `Quantile(0.99)` of "serve.request.seconds") without a full Snapshot.
-func (r *Registry) Histogram(name string) *Histogram { return r.histFor(name) }
 
 // SetRuntimeMetrics toggles Go runtime telemetry (goroutines, heap bytes, GC
 // pause histogram, GOMAXPROCS — the go.* names) being sampled into every

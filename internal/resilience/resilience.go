@@ -137,7 +137,7 @@ func (e Escalation) escalate(base engine.Config, attempt int) engine.Config {
 // flipScheme returns the name of the integrator the base configuration does
 // NOT use.
 func flipScheme(base engine.Config) string {
-	if sch, err := base.ResolveScheme(); err == nil && sch == pde.Explicit {
+	if sch, err := pde.ParseScheme(base.Scheme); err == nil && sch == pde.Explicit {
 		return pde.Implicit.String()
 	}
 	return pde.Explicit.String()

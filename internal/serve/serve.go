@@ -97,8 +97,9 @@ type Config struct {
 	DrainTimeout time.Duration
 	// MaxBodyBytes caps request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// Params are the default model constants requests merge onto (zero
-	// value → mec.Default()).
+	// Params are the default model constants requests merge onto. A zero
+	// value takes Solver.Params, and mec.Default() when that is zero too;
+	// set both only to the same value.
 	Params mec.Params
 	// Solver is the default solver configuration requests resolve onto
 	// (engine.Request.Resolve; zero value → engine.DefaultConfig(Params)).
@@ -175,11 +176,20 @@ func (c Config) withDefaults() Config {
 	if c.SlowRequestThreshold <= 0 {
 		c.SlowRequestThreshold = time.Second
 	}
-	if c.Params.K == 0 && c.Params.M == 0 {
+	// Params and Solver.Params name the same defaults: a zero one takes the
+	// other's value, and mec.Default() when both are zero.
+	zero := mec.Params{}
+	if c.Params == zero {
+		c.Params = c.Solver.Params
+	}
+	if c.Params == zero {
 		c.Params = mec.Default()
 	}
 	if c.Solver.NH == 0 && c.Solver.NQ == 0 {
 		c.Solver = engine.DefaultConfig(c.Params)
+	}
+	if c.Solver.Params == zero {
+		c.Solver.Params = c.Params
 	}
 	return c
 }
@@ -199,6 +209,7 @@ type Server struct {
 	jobs     chan *flight
 	mu       sync.Mutex
 	inflight map[string]*flight
+	fresh    map[net.Conn]struct{} // accepted connections without a request yet
 	epochSem chan struct{}
 
 	// lifeCtx outlives the run context so SIGTERM drains in-flight solves
@@ -219,9 +230,11 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: default params: %w", err)
 	}
-	// The defaults every request resolves onto: the daemon's params, its
-	// recorder, and never a process-local warm start.
-	cfg.Solver.Params = cfg.Params
+	if cfg.Solver.Params != cfg.Params {
+		return nil, errors.New("serve: Params and Solver.Params are both set and differ; set one of them")
+	}
+	// The defaults every request resolves onto carry the daemon's recorder
+	// and never a process-local warm start.
 	cfg.Solver.Obs = obs.OrNop(cfg.Obs)
 	cfg.Solver.WarmStart = nil
 	if err := cfg.Solver.Validate(); err != nil {
@@ -281,6 +294,7 @@ func New(cfg Config) (*Server, error) {
 		retries:    newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
 		jobs:       make(chan *flight, cfg.QueueDepth),
 		inflight:   make(map[string]*flight),
+		fresh:      make(map[net.Conn]struct{}),
 		epochSem:   make(chan struct{}, epochSlots),
 		lifeCtx:    lifeCtx,
 		lifeCancel: lifeCancel,
@@ -327,7 +341,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if s.cluster != nil {
 		s.cluster.Start()
 	}
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second, ConnState: s.trackFresh}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	s.ready.Store(true)
@@ -350,12 +364,36 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	defer kill.Stop()
 	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
+	// Shutdown closes idle connections at once but waits 5 s for one that
+	// has not sent a request yet. No request on it is in flight, so close it
+	// now, as trackFresh closes one accepted from here on.
+	s.mu.Lock()
+	for c := range s.fresh {
+		_ = c.Close()
+	}
+	s.mu.Unlock()
 	err := srv.Shutdown(dctx)
 	s.stop()
 	if err != nil {
 		return fmt.Errorf("serve: drain: %w", err)
 	}
 	return nil
+}
+
+// trackFresh is the http.Server ConnState hook: it keeps the set of
+// connections that have not sent a request yet, and closes one accepted
+// during the drain.
+func (s *Server) trackFresh(c net.Conn, st http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(s.fresh, c)
+	case s.draining.Load():
+		_ = c.Close()
+	default:
+		s.fresh[c] = struct{}{}
+	}
 }
 
 // stop closes the solver pool, flushes the disk tier and releases the life

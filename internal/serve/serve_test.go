@@ -348,6 +348,79 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestDrainClosesSilentConnection pins that a connection that never sends a
+// request does not hold up the drain: http.Server.Shutdown alone waits 5 s
+// for one before it closes it.
+func TestDrainClosesSilentConnection(t *testing.T) {
+	cfg, _ := testConfig(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ctx, ln) }()
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The listener accepts in order, so once a request dialled later is
+	// answered, the silent connection has been accepted too.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Serve returned %v after drain, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after drain")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("drain took %v with a silent connection open, want under 1s", d)
+	}
+}
+
+// TestNewReconcilesParams pins that Params and Solver.Params name one set of
+// defaults: a zero Params takes a set Solver's, and two different values fail
+// New instead of one silently replacing the other.
+func TestNewReconcilesParams(t *testing.T) {
+	p := mec.Default()
+	p.Eta1 = 7
+	solver := engine.DefaultConfig(p)
+	s, err := New(Config{Solver: solver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, _, err := engine.Request{}.Resolve(s.cfg.Solver)
+	if err != nil || got.Params != p || s.cfg.Params != p {
+		t.Errorf("Solver.Params.Eta1 = 7 resolved to Eta1 %g (daemon Params Eta1 %g), %v",
+			got.Params.Eta1, s.cfg.Params.Eta1, err)
+	}
+	// The same value twice, as `mfgcp serve` passes it, is one setting.
+	if s, err := New(Config{Params: p, Solver: solver}); err != nil {
+		t.Errorf("equal Params and Solver.Params: %v", err)
+	} else {
+		s.Close()
+	}
+	if _, err := New(Config{Params: mec.Default(), Solver: solver}); err == nil ||
+		!strings.Contains(err.Error(), "Params and Solver.Params") {
+		t.Errorf("differing Params and Solver.Params: New error %v, want one naming both", err)
+	}
+}
+
 // TestRequestValidation drives the 400 path: unknown top-level keys, unknown
 // solver keys and non-finite-rejecting workload validation.
 func TestRequestValidation(t *testing.T) {
@@ -365,6 +438,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown top-level key", `{"Grid": 5}`, "unknown field"},
 		{"unknown solver key", `{"Solver": {"Damp": 0.5}}`, "unknown field"},
 		{"retired solver kernel block", `{"Solver": {"Kernel": {"Workers": 2}}}`, "unknown field"},
+		{"retired solver stepping", `{"Solver": {"Stepping": 1}}`, `unknown field "Stepping"`},
 		{"invalid solver value", `{"Solver": {"Tol": -1}}`, "Tol"},
 		{"invalid params", `{"Params": {"Qk": -3}}`, "Qk"},
 		{"invalid workload", `{"Workload": {"Pop": 1.7}}`, "popularity"},

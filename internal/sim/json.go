@@ -6,76 +6,54 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/engine"
-	"repro/internal/mec"
 	"repro/internal/policy"
-	"repro/internal/resilience"
 )
 
 // JSON codec of the market configuration — the wire form behind the CLI's
 // `market -config file.json` flag and any service endpoint that launches
-// market runs. The policy is carried by its canonical name ("mfg-cp", "mfg",
-// "rr", "mpc", "udcs"); policy tuning beyond the name, and the runtime-only
-// fields (Obs, Context, Trace), are process-local and excluded from the wire
-// form. Unmarshalling merges onto the receiver, so sparse documents decode
-// onto DefaultConfig; unknown keys are rejected.
+// market runs. Config is its own wire shape but for the policy: every
+// exported field travels under its own name, the runtime-only fields (Obs,
+// Context, Trace) are tagged `json:"-"`, and the policy follows them as its
+// canonical name ("mfg-cp", "mfg", "rr", "mpc", "udcs"); policy tuning beyond
+// the name is process-local. Unmarshalling merges onto the receiver, so
+// sparse documents decode onto DefaultConfig; unknown keys are rejected.
 
-// configJSON mirrors Config's serialisable surface.
+// configJSON is the wire form: the config's own fields, then the policy by
+// name.
 type configJSON struct {
-	Params              mec.Params
-	Policy              string `json:",omitempty"`
-	Solver              engine.Config
-	Epochs              int
-	StepsPerEpoch       int
-	RequestsPerEDP      float64
-	Seed                int64
-	HeterogeneousDemand bool
-	Requesters          RequesterConfig
-	ExactInterference   bool
-	EqCacheSize         int
-	Area                float64
-	Faults              *FaultPlan             `json:",omitempty"`
-	Recovery            *resilience.Escalation `json:",omitempty"`
-	Checkpoint          CheckpointConfig
+	marketConfig
+	Policy string `json:",omitempty"`
 }
 
-func (c Config) toJSON() configJSON {
-	j := configJSON{
-		Params:              c.Params,
-		Solver:              c.Solver,
-		Epochs:              c.Epochs,
-		StepsPerEpoch:       c.StepsPerEpoch,
-		RequestsPerEDP:      c.RequestsPerEDP,
-		Seed:                c.Seed,
-		HeterogeneousDemand: c.HeterogeneousDemand,
-		Requesters:          c.Requesters,
-		ExactInterference:   c.ExactInterference,
-		EqCacheSize:         c.EqCacheSize,
-		Area:                c.Area,
-		Faults:              c.Faults,
-		Recovery:            c.Recovery,
-		Checkpoint:          c.Checkpoint,
-	}
+// marketConfig is Config without its methods, so the codec does not recurse.
+type marketConfig Config
+
+// MarshalJSON implements json.Marshaler, carrying the policy by name.
+func (c Config) MarshalJSON() ([]byte, error) {
+	j := configJSON{marketConfig: marketConfig(c)}
 	if c.Policy != nil {
 		j.Policy = strings.ToLower(c.Policy.Name())
 	}
-	return j
-}
-
-// MarshalJSON implements json.Marshaler, carrying the policy by name and
-// dropping the runtime-only fields (Obs, Context, Trace).
-func (c Config) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.toJSON())
+	return json.Marshal(j)
 }
 
 // UnmarshalJSON implements json.Unmarshaler with merge semantics: fields
 // absent from data keep the receiver's current values, unknown fields are an
-// error. A "Policy" name instantiates a fresh policy via policy.ByName; when
-// absent the receiver's policy instance is kept. Callers validate the merged
-// result with Validate.
+// error, and on error the receiver is unchanged. A "Policy" name
+// instantiates a fresh policy via policy.ByName; when absent the receiver's
+// policy instance is kept. Callers validate the merged result with Validate.
 func (c *Config) UnmarshalJSON(data []byte) error {
-	shadow := c.toJSON()
-	shadow.Policy = "" // only an explicit name replaces the policy instance
+	shadow := configJSON{marketConfig: marketConfig(*c)}
+	// The decoder writes through pointers; give it copies so the receiver's
+	// fault plan and ladder never share the write.
+	if c.Faults != nil {
+		f := *c.Faults
+		shadow.Faults = &f
+	}
+	if c.Recovery != nil {
+		r := *c.Recovery
+		shadow.Recovery = &r
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&shadow); err != nil {
@@ -86,22 +64,9 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("sim: decode market config: %w", err)
 		}
-		c.Policy = pol
+		shadow.marketConfig.Policy = pol
 	}
-	c.Params = shadow.Params
-	c.Solver = shadow.Solver
-	c.Epochs = shadow.Epochs
-	c.StepsPerEpoch = shadow.StepsPerEpoch
-	c.RequestsPerEDP = shadow.RequestsPerEDP
-	c.Seed = shadow.Seed
-	c.HeterogeneousDemand = shadow.HeterogeneousDemand
-	c.Requesters = shadow.Requesters
-	c.ExactInterference = shadow.ExactInterference
-	c.EqCacheSize = shadow.EqCacheSize
-	c.Area = shadow.Area
-	c.Faults = shadow.Faults
-	c.Recovery = shadow.Recovery
-	c.Checkpoint = shadow.Checkpoint
+	*c = Config(shadow.marketConfig)
 	return nil
 }
 

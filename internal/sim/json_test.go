@@ -1,18 +1,23 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/mec"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/resilience"
+	"repro/internal/trace"
 )
 
 // TestMarketConfigJSONRoundTrip checks Marshal → Unmarshal reproduces the
 // serialisable market configuration, including the policy (by name), the
-// nested solver config and the resilience blocks.
+// nested solver config and the resilience blocks, and that the runtime-only
+// fields neither reach the wire nor are lost by a merge.
 func TestMarketConfigJSONRoundTrip(t *testing.T) {
 	p := mec.Default()
 	p.M, p.K = 12, 4
@@ -32,10 +37,29 @@ func TestMarketConfigJSONRoundTrip(t *testing.T) {
 	cfg.Recovery = &ladder
 	cfg.Checkpoint = CheckpointConfig{Dir: "/tmp/ck", Every: 2}
 	cfg.Solver.NQ = 21
+	cfg.Trace = &trace.Dataset{}
+	cfg.Obs = obs.NewRegistry(nil)
+	cfg.Context = context.Background()
 
 	data, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(data, &members); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Trace", "Obs", "Context"} {
+		if _, ok := members[name]; ok {
+			t.Errorf("runtime field %s reached the wire: %s", name, data)
+		}
+	}
+	merged := cfg
+	if err := json.Unmarshal([]byte(`{"Seed": 3}`), &merged); err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	if merged.Trace != cfg.Trace || merged.Obs != cfg.Obs || merged.Context != cfg.Context || merged.Seed != 3 {
+		t.Errorf("merge lost a runtime field or missed Seed: %+v", merged)
 	}
 	base := DefaultConfig(mec.Default(), nil)
 	got, err := DecodeConfig(data, base)
@@ -97,6 +121,30 @@ func TestMarketConfigJSONMergeAndRejection(t *testing.T) {
 			t.Errorf("%s: accepted %s", tc.name, tc.doc)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+
+	// A failed decode leaves the receiver as it was, the plans its pointers
+	// reach included.
+	withPlans := func() Config {
+		c := base
+		ladder := resilience.DefaultEscalation()
+		c.Faults, c.Recovery = &FaultPlan{Seed: 7, EDPChurn: 0.1}, &ladder
+		c.Solver.InitLambda = []float64{1, 2, 3}
+		return c
+	}
+	for _, doc := range []string{
+		`{"Faults": {"EDPChurn": 0.5}, "Recovery": {"MaxAttempts": 9}, "Epoch": 3}`,
+		`{"Seed": 4, "Policy": "lfu"}`,
+		`{"Epochs": "7"}`,
+		`{"Area": 5, "Solver": {"InitLambda": [9], "Damp": 1}}`,
+	} {
+		got := withPlans()
+		if err := json.Unmarshal([]byte(doc), &got); err == nil {
+			t.Errorf("decoded %s", doc)
+		}
+		if want := withPlans(); !reflect.DeepEqual(got, want) {
+			t.Errorf("failed decode of %s changed the receiver:\n got %+v\nwant %+v", doc, got, want)
 		}
 	}
 }

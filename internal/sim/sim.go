@@ -34,7 +34,7 @@ import (
 // Config parametrises one market run.
 type Config struct {
 	Params mec.Params
-	Policy policy.Policy
+	Policy policy.Policy `json:"-"` // travels in JSON by name (MarshalJSON)
 	Solver engine.Config // passed to MFG policies via the epoch context
 
 	Epochs        int
@@ -46,7 +46,7 @@ type Config struct {
 
 	// Trace supplies the demand process; when nil a default synthetic trace
 	// is generated from Seed.
-	Trace *trace.Dataset
+	Trace *trace.Dataset `json:"-"`
 
 	// HeterogeneousDemand adds per-EDP Poisson noise to the request counts.
 	// The default (false) gives every EDP the epoch's mean demand, matching
@@ -82,19 +82,19 @@ type Config struct {
 	// occupancy gauges ("sim.*" names). Nil means no-op. When the solver
 	// config carries no recorder of its own it inherits this one, so one
 	// injection instruments the whole Algorithm-1 pipeline.
-	Obs obs.Recorder
+	Obs obs.Recorder `json:"-"`
 
 	// Faults, when set, injects deterministic seeded faults (EDP churn,
 	// dropped peer shares, forced solver failures) and switches the epoch
 	// loop from abort-on-error to graceful degradation under the plan's
 	// error budget.
-	Faults *FaultPlan
+	Faults *FaultPlan `json:",omitempty"`
 
 	// Recovery, when set, is installed on policies that support divergence
 	// recovery (see the recoverySetting interface): failing equilibrium
 	// solves are retried under the bounded escalation ladder before the
 	// epoch is declared failed.
-	Recovery *resilience.Escalation
+	Recovery *resilience.Escalation `json:",omitempty"`
 
 	// Checkpoint configures epoch-boundary snapshots and resume (zero value
 	// disables both).
@@ -104,7 +104,7 @@ type Config struct {
 	// epoch loop checks it at step granularity and the solver at iteration
 	// granularity. RunContext's argument takes precedence. Nil means
 	// context.Background().
-	Context context.Context
+	Context context.Context `json:"-"`
 }
 
 // DefaultConfig returns the simulation settings used by the experiments.
