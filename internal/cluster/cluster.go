@@ -340,15 +340,24 @@ func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (eq
 	if resp.ContentLength > c.cfg.MaxBlobBytes {
 		return nil, "", fmt.Errorf("cluster: peer blob exceeds %d bytes", c.cfg.MaxBlobBytes)
 	}
-	blob, err := readBlob(resp, c.cfg.MaxBlobBytes)
-	if err != nil {
+	// A body with a declared length is decoded as it arrives. A chunked one
+	// is read with a bound of MaxBlobBytes+1 bytes first, so an over-size
+	// body shows as longer than the limit.
+	answer := &bodyReader{r: resp.Body, left: max(resp.ContentLength, 0)}
+	if resp.ContentLength >= 0 {
+		eq, err = engine.DecodeEquilibrium(answer, resp.ContentLength)
+	} else if blob, rerr := io.ReadAll(io.LimitReader(answer, c.cfg.MaxBlobBytes+1)); rerr == nil {
+		if int64(len(blob)) > c.cfg.MaxBlobBytes {
+			return nil, "", fmt.Errorf("cluster: peer blob exceeds %d bytes", c.cfg.MaxBlobBytes)
+		}
+		eq, err = engine.UnmarshalEquilibrium(blob)
+	}
+	if answer.err != nil {
+		// The answer broke off mid-body: route around the owner as if it
+		// were unreachable.
 		c.MarkDown(owner)
-		return nil, "", fmt.Errorf("cluster: read peer blob: %w", err)
+		return nil, "", fmt.Errorf("cluster: read peer blob: %w", answer.err)
 	}
-	if int64(len(blob)) > c.cfg.MaxBlobBytes {
-		return nil, "", fmt.Errorf("cluster: peer blob exceeds %d bytes", c.cfg.MaxBlobBytes)
-	}
-	eq, err = engine.UnmarshalEquilibrium(blob)
 	if err != nil {
 		// The bytes arrived but do not decode: treat like corruption — drop
 		// the answer and let the caller re-solve; never serve garbage.
@@ -357,16 +366,22 @@ func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (eq
 	return eq, resp.Header.Get(SourceHeader), nil
 }
 
-// readBlob reads a peer answer of at most limit bytes. A declared length
-// sizes one buffer up front; a body without one (chunked) is read with a
-// bound of limit+1 bytes, so an over-size body shows as longer than limit.
-func readBlob(resp *http.Response, limit int64) ([]byte, error) {
-	if resp.ContentLength < 0 {
-		return io.ReadAll(io.LimitReader(resp.Body, limit+1))
+// bodyReader reads a peer answer and keeps its first transport failure: a
+// read error, or an end before the declared bytes.
+type bodyReader struct {
+	r    io.Reader
+	left int64 // declared bytes not read yet
+	err  error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.left -= int64(n)
+	if err != nil && b.err == nil && (err != io.EOF || b.left > 0) {
+		b.err = err
+		if err == io.EOF {
+			b.err = io.ErrUnexpectedEOF
+		}
 	}
-	blob := make([]byte, resp.ContentLength)
-	if _, err := io.ReadFull(resp.Body, blob); err != nil {
-		return nil, err
-	}
-	return blob, nil
+	return n, err
 }

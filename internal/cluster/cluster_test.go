@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -247,6 +248,59 @@ func TestFetchOversizeBlob(t *testing.T) {
 		if !c.Healthy(owner.URL) {
 			t.Errorf("declared length %v: an over-size answer marked the peer down", declared)
 		}
+	}
+}
+
+// pathBlob is the archive of a small equilibrium with a 2×3 bulk.
+func pathBlob(t *testing.T) []byte {
+	t.Helper()
+	path := func() [][]float64 { return [][]float64{{1, 2, 3}, {4, 5, 6}} }
+	eq := &engine.Equilibrium{Converged: true, Iterations: 2, Residuals: []float64{1e-4, 1e-7},
+		HJB: &pde.HJBSolution{V: path(), X: path()}, FPK: &pde.FPKSolution{Lambda: path()}}
+	blob, err := engine.MarshalEquilibrium(eq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestFetchDeclaredBodyFaults separates the two ways a declared-length
+// answer can fail. A body that ends before its declared length is a
+// transport failure and marks the owner down. A body that arrives whole but
+// whose header disagrees with its length is a format failure: the fetch
+// fails and the owner stays routable.
+func TestFetchDeclaredBodyFaults(t *testing.T) {
+	blob := pathBlob(t)
+	cases := []struct {
+		name     string
+		declared int
+		body     []byte
+		wantErr  bool
+		wantDown bool
+	}{
+		{"whole archive", len(blob), blob, false, false},
+		{"body ends early", len(blob), blob[:len(blob)-24], true, true},
+		{"header disagrees with length", len(blob) - 24, blob[:len(blob)-24], true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Content-Length", strconv.Itoa(tc.declared))
+				_, _ = w.Write(tc.body)
+			}))
+			defer owner.Close()
+			c := testFleet(t, "http://self:1", "http://self:1", owner.URL)
+			eq, _, err := c.Fetch(context.Background(), owner.URL, PeerRequest{Key: "k"})
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want an error %v", err, tc.wantErr)
+			}
+			if err == nil && (len(eq.HJB.V) != 2 || eq.FPK.Lambda[1][2] != 6) {
+				t.Errorf("fetched paths %v / %v", eq.HJB.V, eq.FPK.Lambda)
+			}
+			if down := !c.Healthy(owner.URL); down != tc.wantDown {
+				t.Errorf("owner marked down = %v, want %v (err %v)", down, tc.wantDown, err)
+			}
+		})
 	}
 }
 

@@ -109,8 +109,9 @@ type Config struct {
 	ShareEnabled bool
 
 	// InitLambda optionally overrides the initial density (flattened over
-	// the grid). When nil, the Section-V initialisation is used: Gaussian
-	// over q with mean InitMeanFrac·Qk and sd InitStdFrac·Qk, and the OU
+	// the grid): one finite, non-negative value per node, with a positive
+	// sum. When nil, the Section-V initialisation is used: Gaussian over q
+	// with mean InitMeanFrac·Qk and sd InitStdFrac·Qk, and the OU
 	// stationary Gaussian over h.
 	InitLambda []float64 `json:",omitempty"`
 
@@ -194,7 +195,32 @@ func (c Config) Validate() error {
 	if _, err := pde.ParseScheme(c.Scheme); err != nil {
 		return err
 	}
+	if err := c.validateInitLambda(); err != nil {
+		return err
+	}
 	return c.Surrogate.Validate()
+}
+
+// validateInitLambda checks an initial-density override: one value per grid
+// node, each finite and non-negative, with a positive total mass.
+func (c Config) validateInitLambda() error {
+	if c.InitLambda == nil {
+		return nil
+	}
+	if len(c.InitLambda) != c.NH*c.NQ {
+		return fmt.Errorf("core: InitLambda has %d nodes, grid has %d", len(c.InitLambda), c.NH*c.NQ)
+	}
+	var mass float64
+	for k, v := range c.InitLambda {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return fmt.Errorf("core: InitLambda[%d] must be non-negative and finite, got %g", k, v)
+		}
+		mass += v
+	}
+	if !(mass > 0) {
+		return fmt.Errorf("core: InitLambda must have a positive total mass, got %g", mass)
+	}
+	return nil
 }
 
 // Equilibrium is the solved mean-field equilibrium for one content over one

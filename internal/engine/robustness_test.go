@@ -36,6 +36,13 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"NaN BlowupResidual", func(c *Config) { c.BlowupResidual = math.NaN() }},
 		{"+Inf BlowupResidual", func(c *Config) { c.BlowupResidual = math.Inf(1) }},
 		{"negative BlowupResidual", func(c *Config) { c.BlowupResidual = -1 }},
+		{"short InitLambda", func(c *Config) { c.InitLambda = []float64{1, 2} }},
+		{"empty InitLambda", func(c *Config) { c.InitLambda = []float64{} }},
+		{"long InitLambda", func(c *Config) { c.InitLambda = uniformLambda(c, c.NH*c.NQ+1) }},
+		{"NaN InitLambda node", func(c *Config) { c.InitLambda = uniformLambda(c, 0); c.InitLambda[7] = math.NaN() }},
+		{"+Inf InitLambda node", func(c *Config) { c.InitLambda = uniformLambda(c, 0); c.InitLambda[7] = math.Inf(1) }},
+		{"negative InitLambda node", func(c *Config) { c.InitLambda = uniformLambda(c, 0); c.InitLambda[7] = -1e-9 }},
+		{"zero-mass InitLambda", func(c *Config) { c.InitLambda = make([]float64, c.NH*c.NQ) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,6 +56,25 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatalf("Validate rejected the default config: %v", err)
 	}
+	withLambda := base
+	withLambda.InitLambda = uniformLambda(&withLambda, 0)
+	withLambda.InitLambda[0] = 0
+	if err := withLambda.Validate(); err != nil {
+		t.Fatalf("Validate rejected a uniform initial density with one empty node: %v", err)
+	}
+}
+
+// uniformLambda returns n equal density values, or one per grid node of c
+// when n is 0.
+func uniformLambda(c *Config, n int) []float64 {
+	if n == 0 {
+		n = c.NH * c.NQ
+	}
+	lambda := make([]float64, n)
+	for k := range lambda {
+		lambda[k] = 1
+	}
+	return lambda
 }
 
 // TestSolveContextCanceled verifies a solve under an already-cancelled context
@@ -138,8 +164,9 @@ func TestSolveDivergenceDetection(t *testing.T) {
 // TestNaNIterateDiverges pins the residual's NaN propagation: a NaN anywhere
 // in an iterate must reach the divergence guard and never read as a zero
 // residual. A warm start whose strategy path is all NaN fails with
-// ErrDiverged, and an initial density with one +Inf node fails with an
-// error, instead of either returning a converged equilibrium.
+// ErrDiverged, and a warm start whose density path has one +Inf node fails
+// with an error, instead of either returning a converged equilibrium. An
+// initial density with a +Inf node is refused before any solve.
 func TestNaNIterateDiverges(t *testing.T) {
 	cfg, w := smallConfig()
 	s, err := NewSession(cfg)
@@ -163,17 +190,25 @@ func TestNaNIterateDiverges(t *testing.T) {
 		t.Fatalf("diverged solve returned an equilibrium (converged %v)", eq.Converged)
 	}
 
+	warm, err = s.Solve(w, nil)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	for _, level := range warm.FPK.Lambda {
+		level[len(level)/2] = math.Inf(1)
+	}
+	if eq, err := s.Solve(w, warm); err == nil {
+		t.Fatalf("solve from an infinite density path succeeded (converged %v, %d iterations)",
+			eq.Converged, eq.Iterations)
+	} else if eq != nil && eq.Converged {
+		t.Fatalf("solve from an infinite density path returned a converged equilibrium with %v", err)
+	}
+
 	lambda := append([]float64(nil), s.lambda0...)
 	lambda[len(lambda)/2] = math.Inf(1)
 	cfg.InitLambda = lambda
-	if s, err = NewSession(cfg); err != nil {
-		t.Fatalf("NewSession with an infinite initial density: %v", err)
-	}
-	if eq, err := s.Solve(w, nil); err == nil {
-		t.Fatalf("solve from an infinite initial density succeeded (converged %v, %d iterations)",
-			eq.Converged, eq.Iterations)
-	} else if eq != nil && eq.Converged {
-		t.Fatalf("solve from an infinite initial density returned a converged equilibrium with %v", err)
+	if _, err := NewSession(cfg); err == nil {
+		t.Fatal("NewSession accepted an infinite initial density")
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/mec"
 	"repro/internal/pde"
@@ -265,21 +268,136 @@ func TestV1ArchiveDecodes(t *testing.T) {
 	}
 }
 
+// TestDecodedLevelsAreCapped appends past every path and level of a decoded
+// and a solved equilibrium, both of which share one backing array among
+// their three paths: no append may reach a neighbouring level or path.
 func TestDecodedLevelsAreCapped(t *testing.T) {
-	blob := mustMarshal(t, solveSmall(t))
-	eq, err := UnmarshalEquilibrium(blob)
+	solved := solveSmall(t)
+	blob := mustMarshal(t, solved)
+	decoded, err := UnmarshalEquilibrium(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	marker := math.Float64frombits(0x7ff8_0000_0000_0bad)
+	for name, eq := range map[string]*Equilibrium{"decoded": decoded, "solved": solved} {
+		for _, path := range [][][]float64{eq.HJB.V, eq.HJB.X, eq.FPK.Lambda} {
+			_ = append(path[0], marker)           // onto the path's next level if uncapped
+			_ = append(path[len(path)-1], marker) // onto the next path's first level
+			_ = append(path, nil)                 // over the next path's first level header
+		}
+		if !bytes.Equal(mustMarshal(t, eq), blob) {
+			t.Errorf("%s: appending to a level changed the equilibrium", name)
+		}
+	}
+}
+
+// loopArchive is the reference encoder: the archive framed by hand, its
+// header gob-encoded on its own and its bulk encoded one element at a time.
+func loopArchive(t *testing.T, eq *Equilibrium) []byte {
+	t.Helper()
+	hjb, fpk := *eq.HJB, *eq.FPK
+	hjb.V, hjb.X, fpk.Lambda = nil, nil, nil
+	head := *eq
+	head.Config.Obs, head.Config.WarmStart = nil, nil
+	head.HJB, head.FPK = &hjb, &fpk
+	var header bytes.Buffer
+	if err := gob.NewEncoder(&header).Encode(archiveHeader{Levels: len(eq.HJB.V), Width: len(eq.HJB.V[0]), Eq: &head}); err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(archiveMagic), archiveVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(header.Len()))
+	out = append(out, header.Bytes()...)
 	for _, path := range [][][]float64{eq.HJB.V, eq.HJB.X, eq.FPK.Lambda} {
-		_ = append(path[0], marker)           // onto the path's next level if uncapped
-		_ = append(path[len(path)-1], marker) // onto the next path's first level
-		_ = append(path, nil)                 // over the next path's first level header
+		for _, level := range path {
+			bulk := make([]byte, 8*len(level))
+			encodeFloatsLoop(bulk, level)
+			out = append(out, bulk...)
+		}
 	}
+	return out
+}
+
+// writeLog keeps what it is written and the size of every write.
+type writeLog struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestStreamRoundTripBitExact streams archives through Archive.WriteTo and
+// DecodeEquilibrium. The streamed bytes equal MarshalEquilibrium's and the
+// element-loop reference's, reach the writer in writes of stageBytes, and
+// decode bit for bit from a reader that returns half of each request.
+func TestStreamRoundTripBitExact(t *testing.T) {
+	solved, err := Solve(DefaultConfig(mec.Default()), defaultWorkload())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	for name, eq := range map[string]*Equilibrium{"special values": specialEquilibrium(), "default grid": solved} {
+		t.Run(name, func(t *testing.T) {
+			a, err := NewArchive(eq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log writeLog
+			n, err := a.WriteTo(&log)
+			if err != nil {
+				t.Fatalf("WriteTo: %v", err)
+			}
+			if n != a.Size() || int64(log.Len()) != a.Size() {
+				t.Fatalf("WriteTo reported %d bytes and wrote %d, Size is %d", n, log.Len(), a.Size())
+			}
+			if !bytes.Equal(log.Bytes(), mustMarshal(t, eq)) {
+				t.Error("streamed bytes differ from MarshalEquilibrium's")
+			}
+			if !bytes.Equal(log.Bytes(), loopArchive(t, eq)) {
+				t.Error("streamed bytes differ from the element-loop reference's")
+			}
+			if want := int((a.Size() + stageBytes - 1) / stageBytes); len(log.sizes) != want {
+				t.Errorf("%d writes for %d bytes, want %d", len(log.sizes), a.Size(), want)
+			}
+			for _, size := range log.sizes[:len(log.sizes)-1] {
+				if size != stageBytes {
+					t.Errorf("a write of %d bytes, want %d", size, stageBytes)
+				}
+			}
+			back, err := DecodeEquilibrium(iotest.HalfReader(&log.Buffer), a.Size())
+			if err != nil {
+				t.Fatalf("DecodeEquilibrium: %v", err)
+			}
+			samePathBits(t, back, eq)
+			if !sameBits(reflect.ValueOf(back), reflect.ValueOf(eq)) {
+				t.Error("stream round trip changed a header field")
+			}
+		})
+	}
+}
+
+// TestPortableFloatCodec runs the codec down the element-loop branch that
+// hosts other than little-endian ones take: the archive bytes and the
+// decoded bits are the same as on the raw-memory branch.
+func TestPortableFloatCodec(t *testing.T) {
+	eq := specialEquilibrium()
+	blob := mustMarshal(t, eq)
+	native := littleEndian
+	littleEndian = false
+	defer func() { littleEndian = native }()
 	if !bytes.Equal(mustMarshal(t, eq), blob) {
-		t.Error("appending to a decoded level changed the equilibrium")
+		t.Error("MarshalEquilibrium writes different bytes")
 	}
+	var buf bytes.Buffer
+	if _, err := eq.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), blob) {
+		t.Errorf("WriteTo writes different bytes (err %v)", err)
+	}
+	back, err := DecodeEquilibrium(iotest.HalfReader(bytes.NewReader(blob)), int64(len(blob)))
+	if err != nil {
+		t.Fatalf("DecodeEquilibrium: %v", err)
+	}
+	samePathBits(t, back, eq)
 }
 
 // craftArchive frames a v2 archive around a hand-made path shape and bulk.
@@ -296,7 +414,9 @@ func craftArchive(t *testing.T, levels, width int, bulk []byte) []byte {
 	return append(append(out, header.Bytes()...), bulk...)
 }
 
-func TestUnmarshalEquilibriumRejects(t *testing.T) {
+// rejectedArchives holds malformed archives every decoder must refuse, each
+// whole: its declared size is its length.
+func rejectedArchives(t *testing.T) map[string][]byte {
 	blob := mustMarshal(t, specialEquilibrium())
 	patch := func(at int, b ...byte) []byte {
 		out := append([]byte(nil), blob...)
@@ -322,13 +442,77 @@ func TestUnmarshalEquilibriumRejects(t *testing.T) {
 		"shape and bulk disagree": craftArchive(t, 3, 3, bulk),
 		"v1 of a future version":  v1Archive(t, 3, specialEquilibrium()),
 	}
-	for name, data := range cases {
+	return cases
+}
+
+// wellFormedCrafted is the crafted archive whose shape matches its bulk.
+func wellFormedCrafted(t *testing.T) []byte {
+	blob := mustMarshal(t, specialEquilibrium())
+	bulk := blob[archivePrefix+int(binary.LittleEndian.Uint32(blob[len(archiveMagic)+1:])):]
+	return craftArchive(t, 2, 3, bulk)
+}
+
+func TestUnmarshalEquilibriumRejects(t *testing.T) {
+	for name, data := range rejectedArchives(t) {
 		if _, err := UnmarshalEquilibrium(data); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	if _, err := UnmarshalEquilibrium(craftArchive(t, 2, 3, bulk)); err != nil {
+	if _, err := UnmarshalEquilibrium(wellFormedCrafted(t)); err != nil {
 		t.Errorf("the well-formed crafted archive is rejected: %v", err)
+	}
+}
+
+// TestDecodeEquilibriumRejects drives the stream decoder one byte per read:
+// it refuses every malformed archive, and a body that ends before its
+// declared size or runs past it.
+func TestDecodeEquilibriumRejects(t *testing.T) {
+	decode := func(data []byte, size int) error {
+		_, err := DecodeEquilibrium(iotest.OneByteReader(bytes.NewReader(data)), int64(size))
+		return err
+	}
+	for name, data := range rejectedArchives(t) {
+		if decode(data, len(data)) == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	if crafted := wellFormedCrafted(t); decode(crafted, len(crafted)) != nil {
+		t.Error("the well-formed crafted archive is rejected")
+	}
+	for name, blob := range map[string][]byte{"v2": mustMarshal(t, specialEquilibrium()), "v1": v1Archive(t, 1, specialEquilibrium())} {
+		if err := decode(blob, len(blob)); err != nil {
+			t.Fatalf("%s: the whole archive is rejected: %v", name, err)
+		}
+		for _, cut := range []int{1, 24, len(blob) - archivePrefix, len(blob) - 1, len(blob)} {
+			err := decode(blob[:len(blob)-cut], len(blob))
+			if err == nil || (cut <= 24 && !errors.Is(err, io.ErrUnexpectedEOF)) {
+				t.Errorf("%s: a body %d bytes shorter than declared: err = %v", name, cut, err)
+			}
+		}
+		if err := decode(append(append([]byte(nil), blob...), 0), len(blob)); err == nil || !strings.Contains(err.Error(), "longer than") {
+			t.Errorf("%s: a body longer than declared: err = %v", name, err)
+		}
+	}
+	if _, err := DecodeEquilibrium(strings.NewReader(""), -1); err == nil {
+		t.Error("a negative declared size decoded")
+	}
+}
+
+// TestDecodeChecksShapeBeforeAllocating declares a 64 MiB archive whose
+// header describes a 2×3 bulk: the decoder must refuse it from the prefix
+// and header alone, without allocating for the declared size.
+func TestDecodeChecksShapeBeforeAllocating(t *testing.T) {
+	crafted := wellFormedCrafted(t)
+	const declared = 64 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeEquilibrium(bytes.NewReader(crafted), declared)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "does not hold") {
+		t.Fatalf("err = %v, want the bulk-shape refusal", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("refusing the archive allocated %d bytes", grew)
 	}
 }
 
@@ -380,7 +564,9 @@ func TestWriteToMatchesMarshalEquilibrium(t *testing.T) {
 }
 
 // BenchmarkEquilibriumCodec times one default-grid archive (3 × 121 × 793
-// path values) through each direction of the codec.
+// path values) through each direction of the codec, in memory and streamed:
+// stream-encode writes to io.Discard, stream-decode reads from a
+// bytes.Reader.
 func BenchmarkEquilibriumCodec(b *testing.B) {
 	eq, err := Solve(DefaultConfig(mec.Default()), defaultWorkload())
 	if err != nil {
@@ -399,6 +585,24 @@ func BenchmarkEquilibriumCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := UnmarshalEquilibrium(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := eq.WriteTo(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		var r bytes.Reader
+		for i := 0; i < b.N; i++ {
+			r.Reset(blob)
+			if _, err := DecodeEquilibrium(&r, int64(len(blob))); err != nil {
 				b.Fatal(err)
 			}
 		}

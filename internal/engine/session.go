@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/grid"
@@ -46,6 +47,7 @@ type Session struct {
 	ws      *pde.Workspace
 	hjb     *pde.HJBSolution
 	fpk     *pde.FPKSolution
+	paths   []float64 // the backing array of hjb.V, hjb.X and fpk.Lambda
 	hjbProb *pde.HJBProblem
 	fpkProb *pde.FPKProblem
 
@@ -108,7 +110,7 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 
 	// Initial density.
-	lambda0 := cfg.InitLambda
+	lambda0 := slices.Clone(cfg.InitLambda)
 	if lambda0 == nil {
 		sdH := math.Sqrt(channel.OU().StationaryVar())
 		if sdH < 1e-3 {
@@ -118,8 +120,6 @@ func NewSession(cfg Config) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-	} else if len(lambda0) != g.Size() {
-		return nil, fmt.Errorf("core: InitLambda has %d nodes, grid has %d", len(lambda0), g.Size())
 	}
 
 	s := &Session{
@@ -129,8 +129,7 @@ func NewSession(cfg Config) (*Session, error) {
 		channel:    channel,
 		est:        est,
 		ws:         ws,
-		hjb:        pde.NewHJBSolution(g, tm),
-		fpk:        pde.NewFPKSolution(g, tm),
+		paths:      make([]float64, 3*(cfg.Steps+1)*g.Size()),
 		lambda0:    lambda0,
 		lambdaPath: make([][]float64, cfg.Steps+1),
 		xPath:      make([][]float64, cfg.Steps+1),
@@ -142,6 +141,9 @@ func NewSession(cfg Config) (*Session, error) {
 		qkRate:     make([]float64, g.H.N),
 		row:        make([]mec.QTerms, g.Q.N),
 	}
+	v, x, lambda := splitPaths(s.paths, cfg.Steps+1, g.Size())
+	s.hjb = &pde.HJBSolution{Grid: g, Time: tm, V: v, X: x}
+	s.fpk = &pde.FPKSolution{Grid: g, Time: tm, Lambda: lambda, RawMass: make([]float64, cfg.Steps+1)}
 	for n := range s.xPath {
 		s.xPath[n] = g.NewField()
 		ctx, err := mec.NewUtilityContext(p, channel)
@@ -348,25 +350,23 @@ func (s *Session) iterate(iter int) (float64, error) {
 }
 
 // export copies the session's reusable buffers into a standalone Equilibrium
-// (the session is immediately reusable for the next solve).
+// (the session is immediately reusable for the next solve). The three paths
+// share one backing array, laid out as an archive's bulk, as the session's
+// own do.
 func (s *Session) export(warm *Equilibrium) *Equilibrium {
 	cfg := s.cfg
 	cfg.WarmStart = warm
+	v, x, lambda := splitPaths(slices.Clone(s.paths), len(s.hjb.V), s.g.Size())
 	eq := &Equilibrium{
 		Config:   cfg,
 		Workload: s.workload,
 		Grid:     s.g,
 		Time:     s.tm,
-		HJB: &pde.HJBSolution{
-			Grid: s.g,
-			Time: s.tm,
-			V:    copyPath(s.hjb.V),
-			X:    copyPath(s.hjb.X),
-		},
+		HJB:      &pde.HJBSolution{Grid: s.g, Time: s.tm, V: v, X: x},
 		FPK: &pde.FPKSolution{
 			Grid:    s.g,
 			Time:    s.tm,
-			Lambda:  copyPath(s.fpk.Lambda),
+			Lambda:  lambda,
 			RawMass: append([]float64(nil), s.fpk.RawMass...),
 		},
 		Snapshots:  append([]Snapshot(nil), s.snaps...),
@@ -374,14 +374,6 @@ func (s *Session) export(warm *Equilibrium) *Equilibrium {
 		Iterations: len(s.residuals),
 	}
 	return eq
-}
-
-func copyPath(src [][]float64) [][]float64 {
-	dst := make([][]float64, len(src))
-	for n := range src {
-		dst[n] = append([]float64(nil), src[n]...)
-	}
-	return dst
 }
 
 // Solve runs the iterative best-response learning scheme (Algorithm 2):

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/mec"
@@ -91,6 +92,55 @@ func TestSessionZeroAllocParallelKernel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestExportAllocatesOneBackingArray pins the layout of a solved
+// equilibrium: its three paths are copied into one backing array, so an
+// export makes a handful of allocations however many time levels the grid
+// has (one per level before).
+func TestExportAllocatesOneBackingArray(t *testing.T) {
+	cfg, w := smallConfig()
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	if _, err := s.Solve(w, nil); err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	// The equilibrium, its two solutions, the backing array, the level
+	// headers, RawMass, Snapshots and Residuals.
+	const want = 8
+	if allocs := testing.AllocsPerRun(10, func() { s.export(nil) }); allocs > want {
+		t.Errorf("export allocates %.0f objects for %d time levels, want at most %d", allocs, cfg.Steps+1, want)
+	}
+}
+
+// TestNewSessionCopiesInitLambda checks that a session owns its initial
+// density: overwriting the caller's slice after NewSession changes nothing.
+func TestNewSessionCopiesInitLambda(t *testing.T) {
+	cfg, w := smallConfig()
+	ref, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	want, err := ref.Solve(w, nil)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	lambda := append([]float64(nil), ref.lambda0...)
+	cfg.InitLambda = lambda
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession with an initial density: %v", err)
+	}
+	for k := range lambda {
+		lambda[k] = math.NaN()
+	}
+	got, err := s.Solve(w, nil)
+	if err != nil {
+		t.Fatalf("Solve after the caller overwrote its initial density: %v", err)
+	}
+	samePathBits(t, got, want)
 }
 
 // TestSessionSolveMatchesOneShot confirms the reusable-session path and the

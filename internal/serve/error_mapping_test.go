@@ -12,6 +12,10 @@ import (
 	"time"
 )
 
+// cflViolationBody asks the test daemon's 7×15 grid for an explicit solve
+// with 3 time steps, which breaks the scheme's CFL bound.
+const cflViolationBody = `{"Solver": {"Scheme": "explicit", "Steps": 3}, "Workload": {"Requests": 12, "Pop": 0.3, "Timeliness": 2}}`
+
 // TestErrorCodeMapping pins the full error contract of POST /v1/solve in one
 // table: every failure class maps onto its documented HTTP status and
 // structured error kind. This is the mapping clients key their retry logic
@@ -48,6 +52,19 @@ func TestErrorCodeMapping(t *testing.T) {
 		{
 			name:       "non-finite parameter",
 			body:       `{"Params": {"Qk": 1e999}}`,
+			wantStatus: http.StatusBadRequest,
+			wantKind:   "invalid_request",
+		},
+		{
+			name:       "short InitLambda",
+			body:       `{"Solver": {"InitLambda": [1, 2]}, "Workload": {"Requests": 12, "Pop": 0.3, "Timeliness": 2}}`,
+			wantStatus: http.StatusBadRequest,
+			wantKind:   "invalid_request",
+		},
+		{
+			name:       "explicit scheme breaks the CFL bound",
+			workers:    true,
+			body:       cflViolationBody,
 			wantStatus: http.StatusBadRequest,
 			wantKind:   "invalid_request",
 		},
@@ -178,5 +195,37 @@ func TestErrorCodeMapping(t *testing.T) {
 				t.Error("error envelope carries no message")
 			}
 		})
+	}
+}
+
+// TestCFLViolationsLeaveBreakerClosed sends five requests that break the
+// explicit scheme's CFL bound, the default breaker's whole failure streak.
+// Each is the client's error, so none counts against solver health and a
+// well-formed request afterwards still solves.
+func TestCFLViolationsLeaveBreakerClosed(t *testing.T) {
+	cfg, reg := testConfig(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ctx, ln) }()
+	t.Cleanup(func() { cancel(); <-done })
+	base := "http://" + ln.Addr().String()
+	for i := 0; i < 5; i++ {
+		if resp, data := postSolve(t, http.DefaultClient, base, cflViolationBody); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("CFL violation %d: status %d body %s, want 400", i+1, resp.StatusCode, data)
+		}
+	}
+	if resp, data := postSolve(t, http.DefaultClient, base, `{"Workload": {"Requests": 12, "Pop": 0.3, "Timeliness": 2}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("default request after five CFL violations: status %d body %s, want 200", resp.StatusCode, data)
+	}
+	if got := reg.Snapshot().Counters["breaker.open"]; got != 0 {
+		t.Errorf("breaker.open = %g, want 0", got)
 	}
 }

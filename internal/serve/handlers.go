@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/obs"
+	"repro/internal/pde"
 	"repro/internal/policy"
 	"repro/internal/surrogate"
 )
@@ -199,7 +200,7 @@ func writeSolveHeaders(w http.ResponseWriter, coalesced bool, solveTime time.Dur
 // cold solve for a key executes exactly once fleet-wide — concurrent fills
 // from many replicas coalesce on the owner's singleflight — and a fill never
 // re-forwards (no routing loops). The response body is the full equilibrium
-// archive (engine.MarshalEquilibrium, sized by Content-Length), not the
+// archive (engine.Archive, streamed after its Content-Length), not the
 // downsampled JSON summary, so the requester's promoted LRU entry serves
 // byte-identical bodies afterwards. The surrogate tier is deliberately
 // skipped: the requester already consulted its own copy of the table, and an
@@ -241,17 +242,17 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	blob, err := engine.MarshalEquilibrium(eq)
+	arch, err := engine.NewArchive(eq)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+	w.Header().Set("Content-Length", strconv.FormatInt(arch.Size(), 10))
 	w.Header().Set(cluster.SourceHeader, string(out.Source))
 	w.Header().Set(cluster.ConvergedHeader, strconv.FormatBool(eq.Converged))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
+	_, _ = arch.WriteTo(w)
 }
 
 // surrogateResponse shapes one interpolated table answer as a solve response.
@@ -434,7 +435,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	var reqErr requestError
 	var open *breakerOpenError
 	switch {
-	case errors.As(err, &reqErr):
+	case errors.As(err, &reqErr), errors.As(err, new(*pde.ErrCFLViolation)):
 		kind, status = "invalid_request", http.StatusBadRequest
 	case errors.As(err, &open):
 		kind, status = "breaker_open", http.StatusServiceUnavailable

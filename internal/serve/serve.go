@@ -64,6 +64,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mec"
 	"repro/internal/obs"
+	"repro/internal/pde"
 	"repro/internal/store"
 	"repro/internal/surrogate"
 )
@@ -677,13 +678,14 @@ func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
 }
 
 // classifySolve maps a solve error onto breaker evidence: divergence and
-// deadlines are solver failures, a drain cancellation is neutral, and
-// ErrNotConverged is a served 200 (success as far as solver health goes).
+// deadlines are solver failures, a drain cancellation and a request that
+// breaks the explicit scheme's CFL bound are neutral, and ErrNotConverged is
+// a served 200 (success as far as solver health goes).
 func classifySolve(err error) solveVerdict {
 	switch {
 	case err == nil, errors.Is(err, engine.ErrNotConverged):
 		return verdictSuccess
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled), errors.As(err, new(*pde.ErrCFLViolation)):
 		return verdictNeutral
 	default:
 		return verdictFailure
