@@ -30,12 +30,12 @@ func serveCmd(args []string) (retErr error) {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	workers := fs.Int("workers", 0, "solver worker pool size (0 = one per CPU)")
 	queue := fs.Int("queue", 64, "pending-solve queue depth (a full queue sheds with 429)")
-	eqCache := fs.Int("eq-cache", 256, "equilibrium cache capacity (entries)")
+	eqCache := fs.Int("eq-cache", 256, "answer cache capacity (entries; an answer is the few-KB /v1/solve summary)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request solve deadline")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "upper bound on request-supplied deadlines")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	slowThreshold := fs.Duration("slow", time.Second, "access-log slow-request threshold (warn level + stage breakdown)")
-	cacheDir := fs.String("cache-dir", "", "persistent equilibrium cache directory (empty = memory-only; survives restarts and SIGKILL)")
+	cacheDir := fs.String("cache-dir", "", "persistent answer cache directory (empty = memory-only; survives restarts and SIGKILL)")
 	cacheDiskBytes := fs.Int64("cache-disk-bytes", 256<<20, "disk budget for -cache-dir; oldest segments compact away past it")
 	breakerFailures := fs.Int("breaker-failures", 5, "consecutive solve failures that open the circuit breaker (-1 disables)")
 	breakerOpen := fs.Duration("breaker-open", 5*time.Second, "how long an open breaker fails fast (503) before a half-open probe")

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/surrogate"
 )
 
 // Config parametrises one replica's view of the fleet. The member list is
@@ -37,8 +38,6 @@ type Config struct {
 	// failing its probe (or a fill round trip) leaves the routable ring until
 	// a probe succeeds again.
 	ProbeInterval time.Duration
-	// MaxBlobBytes bounds one fetched equilibrium blob (default 64 MiB).
-	MaxBlobBytes int64
 	// Obs receives the cluster.* metrics. Nil means no-op.
 	Obs obs.Recorder
 	// Client overrides the HTTP client used for fills and probes (tests);
@@ -60,9 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.MaxBlobBytes <= 0 {
-		c.MaxBlobBytes = 64 << 20
-	}
 	return c
 }
 
@@ -81,12 +77,19 @@ type PeerRequest struct {
 
 // SourceHeader carries the owner-side provenance of a peer fill (which rung
 // of the owner's ladder answered), and ConvergedHeader whether the returned
-// equilibrium converged — advisory diagnostics; the blob itself is
-// authoritative.
+// answer converged — advisory diagnostics; the body itself is authoritative.
+// AnswerContentType marks a body as one encoded answer
+// (surrogate.EncodeAnswer); a fill refuses a body of any other type.
 const (
-	SourceHeader    = "X-Mfgcp-Source"
-	ConvergedHeader = "X-Mfgcp-Converged"
+	SourceHeader      = "X-Mfgcp-Source"
+	ConvergedHeader   = "X-Mfgcp-Converged"
+	AnswerContentType = "application/vnd.mfgcp.answer+json"
 )
+
+// maxAnswerBytes bounds one peer-fill body at the daemon's default
+// request-body cap; an encoded answer, at most 65 samples per series, is
+// under 10 KB.
+const maxAnswerBytes = 1 << 20
 
 // Cluster is one replica's routing brain: the ring over the static member
 // set, the dynamic health view, and the peer-fill client.
@@ -300,12 +303,15 @@ func (e *peerError) Error() string {
 	return fmt.Sprintf("cluster: peer answered %d (%s)", e.status, e.kind)
 }
 
-// Fetch asks owner for the equilibrium of req.Key via POST /v1/peer/get and
-// decodes the returned blob. The round trip is bounded by PeerTimeout and the
-// caller's context, whichever ends first. Transport failures mark the owner
-// down (fast failover) before returning; application-level refusals do not.
-// The returned source is the owner-side provenance header.
-func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (eq *engine.Equilibrium, source string, err error) {
+// Fetch asks owner for the answer of req.Key via POST /v1/peer/get and
+// decodes the returned body. The round trip is bounded by PeerTimeout and the
+// caller's context, whichever ends first. Transport failures — no connection,
+// a read error, a body that ends before its declared length — mark the owner
+// down (fast failover) before returning; application-level refusals and a
+// body that arrives whole but is not an answer (an older owner's archive, an
+// over-size or undecodable body) do not. The returned source is the
+// owner-side provenance header.
+func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (ans *surrogate.Summary, source string, err error) {
 	body, err := json.Marshal(preq)
 	if err != nil {
 		return nil, "", fmt.Errorf("cluster: encode peer request: %w", err)
@@ -337,51 +343,28 @@ func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (eq
 		_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&envelope)
 		return nil, "", &peerError{status: resp.StatusCode, kind: envelope.Error.Kind}
 	}
-	if resp.ContentLength > c.cfg.MaxBlobBytes {
-		return nil, "", fmt.Errorf("cluster: peer blob exceeds %d bytes", c.cfg.MaxBlobBytes)
+	if ct := resp.Header.Get("Content-Type"); ct != AnswerContentType {
+		// A healthy owner of another version: the fill misses, the owner
+		// stays routable.
+		return nil, "", fmt.Errorf("cluster: peer body is %q, not an answer", ct)
 	}
-	// A body with a declared length is decoded as it arrives. A chunked one
-	// is read with a bound of MaxBlobBytes+1 bytes first, so an over-size
-	// body shows as longer than the limit.
-	answer := &bodyReader{r: resp.Body, left: max(resp.ContentLength, 0)}
-	if resp.ContentLength >= 0 {
-		eq, err = engine.DecodeEquilibrium(answer, resp.ContentLength)
-	} else if blob, rerr := io.ReadAll(io.LimitReader(answer, c.cfg.MaxBlobBytes+1)); rerr == nil {
-		if int64(len(blob)) > c.cfg.MaxBlobBytes {
-			return nil, "", fmt.Errorf("cluster: peer blob exceeds %d bytes", c.cfg.MaxBlobBytes)
-		}
-		eq, err = engine.UnmarshalEquilibrium(blob)
+	if resp.ContentLength > maxAnswerBytes {
+		return nil, "", fmt.Errorf("cluster: peer answer of %d bytes exceeds %d", resp.ContentLength, maxAnswerBytes)
 	}
-	if answer.err != nil {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes+1))
+	if err != nil {
 		// The answer broke off mid-body: route around the owner as if it
 		// were unreachable.
 		c.MarkDown(owner)
-		return nil, "", fmt.Errorf("cluster: read peer blob: %w", answer.err)
+		return nil, "", fmt.Errorf("cluster: read peer answer: %w", err)
 	}
-	if err != nil {
+	if len(data) > maxAnswerBytes {
+		return nil, "", fmt.Errorf("cluster: peer answer exceeds %d bytes", maxAnswerBytes)
+	}
+	if ans, err = surrogate.DecodeAnswer(data); err != nil {
 		// The bytes arrived but do not decode: treat like corruption — drop
 		// the answer and let the caller re-solve; never serve garbage.
-		return nil, "", fmt.Errorf("cluster: decode peer blob: %w", err)
+		return nil, "", fmt.Errorf("cluster: decode peer answer: %w", err)
 	}
-	return eq, resp.Header.Get(SourceHeader), nil
-}
-
-// bodyReader reads a peer answer and keeps its first transport failure: a
-// read error, or an end before the declared bytes.
-type bodyReader struct {
-	r    io.Reader
-	left int64 // declared bytes not read yet
-	err  error
-}
-
-func (b *bodyReader) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
-	b.left -= int64(n)
-	if err != nil && b.err == nil && (err != io.EOF || b.left > 0) {
-		b.err = err
-		if err == io.EOF {
-			b.err = io.ErrUnexpectedEOF
-		}
-	}
-	return n, err
+	return ans, resp.Header.Get(SourceHeader), nil
 }

@@ -11,8 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
-	"repro/internal/pde"
+	"repro/internal/surrogate"
 )
 
 func testFleet(t *testing.T, self string, peers ...string) *Cluster {
@@ -133,13 +132,20 @@ func TestProbeFlipsHealth(t *testing.T) {
 	waitHealth(true)
 }
 
-func TestFetchRoundTrip(t *testing.T) {
-	eq := &engine.Equilibrium{Converged: true, Iterations: 3, Residuals: []float64{1e-7},
-		HJB: &pde.HJBSolution{}, FPK: &pde.FPKSolution{}}
-	blob, err := engine.MarshalEquilibrium(eq)
+// answerBody encodes a small answer of two samples.
+func answerBody(t *testing.T) []byte {
+	t.Helper()
+	two := func(a, b float64) []float64 { return []float64{a, b} }
+	body, err := surrogate.EncodeAnswer(&surrogate.Summary{Converged: true, Iterations: 3, Residual: 1e-7,
+		Time: two(0, 1), Price: two(1.5, 1.4), MeanControl: two(0.2, 0.25), MeanRemaining: two(3, 2.8), SharerFrac: two(0.1, 0.15)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return body
+}
+
+func TestFetchRoundTrip(t *testing.T) {
+	blob := answerBody(t)
 	var gotKey atomic.Value
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/peer/get" {
@@ -151,6 +157,7 @@ func TestFetchRoundTrip(t *testing.T) {
 			t.Errorf("decode peer request: %v", err)
 		}
 		gotKey.Store(preq.Key)
+		w.Header().Set("Content-Type", AnswerContentType)
 		w.Header().Set(SourceHeader, "cache")
 		w.Header().Set(ConvergedHeader, "true")
 		_, _ = w.Write(blob)
@@ -162,8 +169,8 @@ func TestFetchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Converged || got.Iterations != 3 {
-		t.Errorf("fetched equilibrium %+v, want converged 3-iteration", got)
+	if !got.Converged || got.Iterations != 3 || got.Price[1] != 1.4 {
+		t.Errorf("fetched answer %+v, want converged 3-iteration", got)
 	}
 	if source != "cache" {
 		t.Errorf("source = %q, want cache", source)
@@ -211,13 +218,17 @@ func TestFetchApplicationRefusal(t *testing.T) {
 
 func TestFetchGarbageBlob(t *testing.T) {
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		_, _ = w.Write([]byte("not a gob blob"))
+		w.Header().Set("Content-Type", AnswerContentType)
+		_, _ = w.Write([]byte("not an answer"))
 	}))
 	defer owner.Close()
 
 	c := testFleet(t, "http://self:1", "http://self:1", owner.URL)
 	if _, _, err := c.Fetch(context.Background(), owner.URL, PeerRequest{Key: "k"}); err == nil {
-		t.Fatal("garbage blob decoded successfully")
+		t.Fatal("garbage body decoded successfully")
+	}
+	if !c.Healthy(owner.URL) {
+		t.Error("a whole body that does not decode marked the peer down")
 	}
 }
 
@@ -227,18 +238,19 @@ func TestFetchOversizeBlob(t *testing.T) {
 	// one and then sends nothing, so reading would wait out PeerTimeout.
 	for _, declared := range []bool{false, true} {
 		owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", AnswerContentType)
 			if declared {
-				w.Header().Set("Content-Length", "4096")
+				w.Header().Set("Content-Length", strconv.Itoa(2*maxAnswerBytes))
 				w.WriteHeader(http.StatusOK)
 				w.(http.Flusher).Flush()
 				<-r.Context().Done()
 				return
 			}
-			_, _ = w.Write(make([]byte, 4096))
+			_, _ = w.Write(make([]byte, maxAnswerBytes+1))
 		}))
 		defer owner.Close()
 
-		c, err := New(Config{Self: "http://self:1", Peers: []string{"http://self:1", owner.URL}, MaxBlobBytes: 1024, PeerTimeout: 5 * time.Second})
+		c, err := New(Config{Self: "http://self:1", Peers: []string{"http://self:1", owner.URL}, PeerTimeout: 5 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,26 +263,13 @@ func TestFetchOversizeBlob(t *testing.T) {
 	}
 }
 
-// pathBlob is the archive of a small equilibrium with a 2×3 bulk.
-func pathBlob(t *testing.T) []byte {
-	t.Helper()
-	path := func() [][]float64 { return [][]float64{{1, 2, 3}, {4, 5, 6}} }
-	eq := &engine.Equilibrium{Converged: true, Iterations: 2, Residuals: []float64{1e-4, 1e-7},
-		HJB: &pde.HJBSolution{V: path(), X: path()}, FPK: &pde.FPKSolution{Lambda: path()}}
-	blob, err := engine.MarshalEquilibrium(eq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
-}
-
 // TestFetchDeclaredBodyFaults separates the two ways a declared-length
 // answer can fail. A body that ends before its declared length is a
 // transport failure and marks the owner down. A body that arrives whole but
-// whose header disagrees with its length is a format failure: the fetch
-// fails and the owner stays routable.
+// is cut short of a whole answer, its declared length agreeing, is a format
+// failure: the fetch fails and the owner stays routable.
 func TestFetchDeclaredBodyFaults(t *testing.T) {
-	blob := pathBlob(t)
+	blob := answerBody(t)
 	cases := []struct {
 		name     string
 		declared int
@@ -278,29 +277,51 @@ func TestFetchDeclaredBodyFaults(t *testing.T) {
 		wantErr  bool
 		wantDown bool
 	}{
-		{"whole archive", len(blob), blob, false, false},
+		{"whole answer", len(blob), blob, false, false},
 		{"body ends early", len(blob), blob[:len(blob)-24], true, true},
-		{"header disagrees with length", len(blob) - 24, blob[:len(blob)-24], true, false},
+		{"whole body cut short of an answer", len(blob) - 24, blob[:len(blob)-24], true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Content-Type", AnswerContentType)
 				w.Header().Set("Content-Length", strconv.Itoa(tc.declared))
 				_, _ = w.Write(tc.body)
 			}))
 			defer owner.Close()
 			c := testFleet(t, "http://self:1", "http://self:1", owner.URL)
-			eq, _, err := c.Fetch(context.Background(), owner.URL, PeerRequest{Key: "k"})
+			ans, _, err := c.Fetch(context.Background(), owner.URL, PeerRequest{Key: "k"})
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err = %v, want an error %v", err, tc.wantErr)
 			}
-			if err == nil && (len(eq.HJB.V) != 2 || eq.FPK.Lambda[1][2] != 6) {
-				t.Errorf("fetched paths %v / %v", eq.HJB.V, eq.FPK.Lambda)
+			if err == nil && (len(ans.Time) != 2 || ans.SharerFrac[1] != 0.15) {
+				t.Errorf("fetched series %v / %v", ans.Time, ans.SharerFrac)
 			}
 			if down := !c.Healthy(owner.URL); down != tc.wantDown {
 				t.Errorf("owner marked down = %v, want %v (err %v)", down, tc.wantDown, err)
 			}
 		})
+	}
+}
+
+// TestFetchRefusesOtherContentTypes: a healthy owner of another version
+// answers with an archive (application/octet-stream) or some other body.
+// Either is a failed fill that leaves the owner routable, even when the
+// bytes would decode as an answer.
+func TestFetchRefusesOtherContentTypes(t *testing.T) {
+	for _, ct := range []string{"application/octet-stream", "application/json", ""} {
+		owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", ct)
+			_, _ = w.Write(answerBody(t))
+		}))
+		c := testFleet(t, "http://self:1", "http://self:1", owner.URL)
+		if _, _, err := c.Fetch(context.Background(), owner.URL, PeerRequest{Key: "k"}); err == nil || !strings.Contains(err.Error(), "not an answer") {
+			t.Errorf("Content-Type %q: err = %v, want a refusal", ct, err)
+		}
+		if !c.Healthy(owner.URL) {
+			t.Errorf("Content-Type %q marked the peer down", ct)
+		}
+		owner.Close()
 	}
 }
 

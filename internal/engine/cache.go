@@ -105,13 +105,15 @@ func putF(b *strings.Builder, name string, v float64) {
 	fmt.Fprintf(b, "%s=%.9g;", name, v)
 }
 
-// Cache is a bounded, concurrency-safe equilibrium store with LRU eviction,
-// shared by the policy layer's parallel per-content solves and the
-// simulator's epoch loop: an epoch whose (params, workload) matches an
-// already-solved one reuses the stored equilibrium instead of cold-starting
-// Algorithm 2. Lookups and insertions report "engine.cache.hit",
-// "engine.cache.miss" and "engine.cache.evictions" to the given recorder.
-type Cache struct {
+// LRU is a bounded, concurrency-safe map from canonical keys to shared
+// values with least-recently-used eviction. It is the one LRU of the module:
+// Cache instantiates it over equilibria for the policy layer's parallel
+// per-content solves and the simulator's epoch loop, and the serving daemon
+// instantiates it over the answers it serves. Values are shared, not copied,
+// so callers must treat them as immutable. Lookups and insertions report
+// "engine.cache.hit", "engine.cache.miss" and "engine.cache.evictions" to the
+// given recorder.
+type LRU[T any] struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used
@@ -120,33 +122,46 @@ type Cache struct {
 	hits, misses, evictions uint64
 }
 
-type cacheEntry struct {
-	key string
-	eq  *Equilibrium
+// LRUEntry is one (key, value) pair, as LRU.Export returns it.
+type LRUEntry[T any] struct {
+	Key   string
+	Value *T
 }
 
-// NewCache returns a cache bounded to capacity equilibria. Capacity must be
+// Cache is the equilibrium LRU: an epoch whose (params, workload) matches an
+// already-solved one reuses the stored equilibrium instead of cold-starting
+// Algorithm 2.
+type Cache = LRU[Equilibrium]
+
+// CacheExportEntry is one (key, equilibrium) pair exported by Cache.Export.
+type CacheExportEntry = LRUEntry[Equilibrium]
+
+// NewLRU returns an LRU bounded to capacity values. Capacity must be
 // positive.
-func NewCache(capacity int) (*Cache, error) {
+func NewLRU[T any](capacity int) (*LRU[T], error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("engine: cache capacity must be ≥ 1, got %d", capacity)
 	}
-	return &Cache{
+	return &LRU[T]{
 		cap:     capacity,
 		order:   list.New(),
 		entries: make(map[string]*list.Element, capacity),
 	}, nil
 }
 
-// Get returns the equilibrium stored under key, marking it most recently
-// used. rec (nil means no-op) receives the hit/miss counter.
-func (c *Cache) Get(rec obs.Recorder, key string) (*Equilibrium, bool) {
+// NewCache returns an equilibrium cache bounded to capacity equilibria.
+// Capacity must be positive.
+func NewCache(capacity int) (*Cache, error) { return NewLRU[Equilibrium](capacity) }
+
+// Get returns the value stored under key, marking it most recently used. rec
+// (nil means no-op) receives the hit/miss counter.
+func (c *LRU[T]) Get(rec obs.Recorder, key string) (*T, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
-	var eq *Equilibrium
+	var v *T
 	if ok {
 		c.order.MoveToFront(el)
-		eq = el.Value.(*cacheEntry).eq
+		v = el.Value.(*LRUEntry[T]).Value
 		c.hits++
 	} else {
 		c.misses++
@@ -158,26 +173,27 @@ func (c *Cache) Get(rec obs.Recorder, key string) (*Equilibrium, bool) {
 	} else {
 		r.Add("engine.cache.miss", 1)
 	}
-	return eq, ok
+	return v, ok
 }
 
-// Put stores eq under key, evicting the least recently used entry when the
-// bound is exceeded. Storing under an existing key refreshes the entry.
-func (c *Cache) Put(rec obs.Recorder, key string, eq *Equilibrium) {
-	if eq == nil {
+// Put stores v under key, evicting the least recently used entry when the
+// bound is exceeded. Storing under an existing key refreshes the entry; a nil
+// v is not stored.
+func (c *LRU[T]) Put(rec obs.Recorder, key string, v *T) {
+	if v == nil {
 		return
 	}
 	var evicted uint64
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).eq = eq
+		el.Value.(*LRUEntry[T]).Value = v
 		c.order.MoveToFront(el)
 	} else {
-		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, eq: eq})
+		c.entries[key] = c.order.PushFront(&LRUEntry[T]{Key: key, Value: v})
 		for c.order.Len() > c.cap {
 			last := c.order.Back()
 			c.order.Remove(last)
-			delete(c.entries, last.Value.(*cacheEntry).key)
+			delete(c.entries, last.Value.(*LRUEntry[T]).Key)
 			c.evictions++
 			evicted++
 		}
@@ -188,23 +204,16 @@ func (c *Cache) Put(rec obs.Recorder, key string, eq *Equilibrium) {
 	}
 }
 
-// CacheExportEntry is one (key, equilibrium) pair exported by Cache.Export.
-type CacheExportEntry struct {
-	Key string
-	Eq  *Equilibrium
-}
-
-// Export returns the cache contents ordered from least- to most-recently
-// used, so Restore on a fresh cache of the same capacity reproduces both the
-// entries and the LRU eviction order. The checkpoint layer persists these
-// across process restarts.
-func (c *Cache) Export() []CacheExportEntry {
+// Export returns the contents ordered from least- to most-recently used, so
+// Restore on a fresh LRU of the same capacity reproduces both the entries and
+// the eviction order. The checkpoint layer persists an equilibrium cache's
+// export across process restarts.
+func (c *LRU[T]) Export() []LRUEntry[T] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CacheExportEntry, 0, c.order.Len())
+	out := make([]LRUEntry[T], 0, c.order.Len())
 	for el := c.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, CacheExportEntry{Key: e.key, Eq: e.eq})
+		out = append(out, *el.Value.(*LRUEntry[T]))
 	}
 	return out
 }
@@ -212,24 +221,24 @@ func (c *Cache) Export() []CacheExportEntry {
 // Restore inserts the exported entries in order (least recently used first),
 // rebuilding the LRU state captured by Export. Restoring does not touch the
 // hit/miss counters and records no metrics.
-func (c *Cache) Restore(entries []CacheExportEntry) {
+func (c *LRU[T]) Restore(entries []LRUEntry[T]) {
 	for _, e := range entries {
-		c.Put(nil, e.Key, e.Eq)
+		c.Put(nil, e.Key, e.Value)
 	}
 }
 
-// Len returns the number of stored equilibria.
-func (c *Cache) Len() int {
+// Len returns the number of stored values.
+func (c *LRU[T]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
 // Capacity returns the configured bound.
-func (c *Cache) Capacity() int { return c.cap }
+func (c *LRU[T]) Capacity() int { return c.cap }
 
 // Stats returns the lifetime hit/miss/eviction counters.
-func (c *Cache) Stats() (hits, misses, evictions uint64) {
+func (c *LRU[T]) Stats() (hits, misses, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions

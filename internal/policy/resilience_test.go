@@ -38,7 +38,7 @@ func TestNonConvergedNeverCached(t *testing.T) {
 		t.Fatal("no solve ended non-converged: the scenario does not exercise the guard")
 	}
 	for _, e := range cache.Export() {
-		if !e.Eq.Converged {
+		if !e.Value.Converged {
 			t.Fatalf("non-converged equilibrium cached under %q", e.Key)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
+	"repro/internal/surrogate"
 )
 
 // fleetReplica is one in-process member of a test fleet.
@@ -276,7 +278,7 @@ func TestFleetPeerAnswerPromoted(t *testing.T) {
 		t.Errorf("repeat triggered another peer fill: cluster.peer_hit = %g, want 1", hits)
 	}
 
-	// A peer reply declares its archive's length up front.
+	// A peer reply is one answer, whole, under its own Content-Type.
 	presp, err := http.Post(nonOwner.base+"/v1/peer/get", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -289,12 +291,29 @@ func TestFleetPeerAnswerPromoted(t *testing.T) {
 	if got := presp.Header.Get("Content-Length"); got != strconv.Itoa(len(blob)) {
 		t.Errorf("peer reply Content-Length %q, body has %d bytes", got, len(blob))
 	}
-	if got := presp.Header.Get("Content-Type"); got != "application/octet-stream" {
-		t.Errorf("peer reply Content-Type %q, want application/octet-stream", got)
+	if got := presp.Header.Get("Content-Type"); got != cluster.AnswerContentType {
+		t.Errorf("peer reply Content-Type %q, want %s", got, cluster.AnswerContentType)
 	}
-	if _, err := engine.UnmarshalEquilibrium(blob); err != nil {
-		t.Errorf("peer reply does not decode: %v", err)
+	if len(blob) > 64<<10 {
+		t.Errorf("peer reply of %d bytes, want an answer under 64 KiB", len(blob))
 	}
+	ans, err := surrogate.DecodeAnswer(blob)
+	if err != nil {
+		t.Fatalf("peer reply does not decode: %v", err)
+	}
+	if got := bodyWithoutSource(t, mustJSON(t, response(ans, SourcePeer))); !bytes.Equal(got, bodyWithoutSource(t, data)) {
+		t.Errorf("peer reply answer differs from the served body:\n%s\nvs\n%s", got, data)
+	}
+}
+
+// mustJSON encodes v as a handler writes it.
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestLateRequestReusesFinishedFlight pins the singleflight's LRU re-check:
@@ -386,6 +405,135 @@ func TestLateRequestReusesFinishedFlight(t *testing.T) {
 	} {
 		if got := snap.Counters[c.name]; got != c.want {
 			t.Errorf("%s = %g, want %g", c.name, got, c.want)
+		}
+	}
+}
+
+// TestExactRungsServeIdenticalBytes pins the response-bytes contract of the
+// exact rungs: for every key, the body a fresh single daemon's solve gives is
+// the body of a solve, a coalesced join, an LRU hit, a store hit after a
+// restart and a peer fill in a 3-replica fleet, byte for byte once the source
+// value is blanked.
+func TestExactRungsServeIdenticalBytes(t *testing.T) {
+	workloads := []engine.Workload{
+		{Requests: 8, Pop: 0.25, Timeliness: 2},
+		{Requests: 21, Pop: 0.6, Timeliness: 3},
+		{Requests: 3, Pop: 0.1, Timeliness: 1},
+	}
+	bodies := make([]string, len(workloads))
+	for i, w := range workloads {
+		bodies[i] = fmt.Sprintf(`{"Workload": {"Requests": %g, "Pop": %g, "Timeliness": %g}}`, w.Requests, w.Pop, w.Timeliness)
+	}
+	blank := func(t *testing.T, data []byte) (Source, []byte) {
+		t.Helper()
+		src := sourceOf(t, data)
+		field := []byte(`"source":"` + string(src) + `"`)
+		if bytes.Count(data, field) != 1 {
+			t.Fatalf("body %s does not name its source once", data)
+		}
+		return src, bytes.Replace(data, field, []byte(`"source":""`), 1)
+	}
+
+	// The reference: a fresh single daemon's cold solves.
+	want := make([][]byte, len(bodies))
+	cfg, _ := testConfig(t)
+	base, _ := startDaemon(t, cfg)
+	for i, body := range bodies {
+		resp, data := postSolve(t, http.DefaultClient, base, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reference %d: status %d body %s", i, resp.StatusCode, data)
+		}
+		_, want[i] = blank(t, data)
+	}
+	seen := map[Source]int{}
+	check := func(t *testing.T, i int, resp *http.Response, data []byte, rungs ...Source) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("key %d: status %d body %s", i, resp.StatusCode, data)
+		}
+		src, got := blank(t, data)
+		if !slices.Contains(rungs, src) {
+			t.Errorf("key %d answered by %q, want one of %v", i, src, rungs)
+		}
+		seen[src]++
+		if !bytes.Equal(got, want[i]) {
+			t.Errorf("key %d from %q:\n%s\nwant\n%s", i, src, got, want[i])
+		}
+	}
+
+	// Solve and coalesced: every key's two requests wait on one flight
+	// before the worker pool starts.
+	dir := t.TempDir()
+	cfg, reg := testConfig(t)
+	cfg.CacheDir = dir
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	type reply struct {
+		resp *http.Response
+		data []byte
+	}
+	replies := make([][2]reply, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		for j := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, data := postSolve(t, http.DefaultClient, ts.URL, body)
+				replies[i][j] = reply{resp, data}
+			}()
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); reg.Snapshot().Counters["serve.solve.coalesced"] < float64(len(bodies)); {
+		if time.Now().After(deadline) {
+			t.Fatal("the second requests never joined the first ones' flights")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ctx, ln) }()
+	wg.Wait()
+	for i := range bodies {
+		for _, r := range replies[i] {
+			check(t, i, r.resp, r.data, SourceSolve, SourceCoalesced)
+		}
+		resp, data := postSolve(t, http.DefaultClient, ts.URL, bodies[i])
+		check(t, i, resp, data, SourceCache)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	// Store: a restart over the same directory.
+	cfg, _ = testConfig(t)
+	cfg.CacheDir = dir
+	base, _ = startDaemon(t, cfg)
+	for i, body := range bodies {
+		resp, data := postSolve(t, http.DefaultClient, base, body)
+		check(t, i, resp, data, SourceStore)
+	}
+
+	// Peer: each key asked first of a replica that does not own it.
+	replicas := startFleet(t, 3, nil)
+	for i, body := range bodies {
+		j := firstVisitor(t, replicas, engine.CacheKey(replicas[0].srv.cfg.Solver, workloads[i]), false)
+		resp, data := postSolve(t, http.DefaultClient, replicas[j].base, body)
+		check(t, i, resp, data, SourcePeer)
+	}
+
+	for _, src := range []Source{SourceSolve, SourceCoalesced, SourceCache, SourceStore, SourcePeer} {
+		if seen[src] != len(bodies) {
+			t.Errorf("%d answers from %q, want %d (one per key): %v", seen[src], src, len(bodies), seen)
 		}
 	}
 }

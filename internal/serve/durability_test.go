@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/store"
+	"repro/internal/surrogate"
 )
 
 // startDaemon runs the full daemon (workers + drain path) and returns its
@@ -105,17 +106,21 @@ func TestStoreTierWarmRestart(t *testing.T) {
 	}
 }
 
-// TestStoreTierReadsV1Records is the upgrade contract of the archive format:
-// a daemon started over a store whose records an older build wrote as
-// format-v1 archives answers those keys from the store, with the body a fresh
-// solve gives, and persists what it solves itself in the current format.
+// TestStoreTierReadsV1Records is the upgrade contract of the store: a daemon
+// started over a store whose records older builds wrote as equilibrium
+// archives — format v1 (gob of the whole equilibrium) and format v2 (the raw
+// float64 paths behind a gob header) — answers those keys from the store,
+// with the body a fresh solve gives, and persists what it solves itself as
+// an answer record.
 func TestStoreTierReadsV1Records(t *testing.T) {
-	stored := []string{
+	v1Stored := []string{
 		`{"Workload": {"Requests": 11, "Pop": 0.35, "Timeliness": 3}}`,
 		`{"Workload": {"Requests": 7, "Pop": 0.2, "Timeliness": 1}}`,
 	}
+	v2Stored := `{"Workload": {"Requests": 9, "Pop": 0.45, "Timeliness": 2}}`
 	later := `{"Workload": {"Requests": 13, "Pop": 0.4, "Timeliness": 2}}`
-	// v1Archive is the layout every record of an older build has.
+	stored := append(v1Stored, v2Stored)
+	// v1Archive is the layout every record of the oldest builds has.
 	type v1Archive struct {
 		Version int
 		Eq      *engine.Equilibrium
@@ -140,7 +145,7 @@ func TestStoreTierReadsV1Records(t *testing.T) {
 		fresh[body] = bodyWithoutSource(t, data)
 	}
 
-	// The store as an older build left it: gob of {Version 1, Eq} per key.
+	// The store as older builds left it: a v1 or a v2 archive per key.
 	dir := t.TempDir()
 	st, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
@@ -151,11 +156,19 @@ func TestStoreTierReadsV1Records(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v1 bytes.Buffer
-		if err := gob.NewEncoder(&v1).Encode(v1Archive{Version: 1, Eq: eq}); err != nil {
-			t.Fatal(err)
+		var record []byte
+		if body == v2Stored {
+			if record, err = engine.MarshalEquilibrium(eq); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			var v1 bytes.Buffer
+			if err := gob.NewEncoder(&v1).Encode(v1Archive{Version: 1, Eq: eq}); err != nil {
+				t.Fatal(err)
+			}
+			record = v1.Bytes()
 		}
-		st.Put(engine.CacheKey(cfg.Solver, workloadOf(body)), v1.Bytes())
+		st.Put(engine.CacheKey(cfg.Solver, workloadOf(body)), record)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -167,18 +180,18 @@ func TestStoreTierReadsV1Records(t *testing.T) {
 	for _, body := range stored {
 		resp, data := postSolve(t, http.DefaultClient, base2, body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("v1 record: status %d body %s", resp.StatusCode, data)
+			t.Fatalf("archive record: status %d body %s", resp.StatusCode, data)
 		}
 		if got := sourceOf(t, data); got != SourceStore {
-			t.Errorf("v1 record answered from %q, want %q", got, SourceStore)
+			t.Errorf("archive record answered from %q, want %q", got, SourceStore)
 		}
 		if !bytes.Equal(bodyWithoutSource(t, data), fresh[body]) {
-			t.Errorf("v1 record body differs from a fresh solve:\n%s\nvs\n%s", data, fresh[body])
+			t.Errorf("archive record body differs from a fresh solve:\n%s\nvs\n%s", data, fresh[body])
 		}
 	}
 	snap := reg2.Snapshot()
 	if got := snap.Counters["serve.solve.executed"]; got != 0 {
-		t.Errorf("v1 records were re-solved: serve.solve.executed = %g, want 0", got)
+		t.Errorf("archive records were re-solved: serve.solve.executed = %g, want 0", got)
 	}
 	if got := snap.Counters["serve.store.decode.errors"]; got != 0 {
 		t.Errorf("serve.store.decode.errors = %g, want 0", got)
@@ -188,8 +201,8 @@ func TestStoreTierReadsV1Records(t *testing.T) {
 	}
 	drain2()
 
-	// The key solved after the upgrade is persisted in the current format:
-	// not a v1 archive, and exactly what MarshalEquilibrium writes for it.
+	// The key solved after the upgrade is persisted as an answer record, not
+	// an archive, and it holds the body a fresh solve gives.
 	st2, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -199,15 +212,73 @@ func TestStoreTierReadsV1Records(t *testing.T) {
 	if !ok {
 		t.Fatal("the post-upgrade solve was not persisted")
 	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v1Archive{}); err == nil {
-		t.Error("the post-upgrade record is a v1 archive")
+	if _, err := engine.UnmarshalEquilibrium(blob); err == nil {
+		t.Error("the post-upgrade record is an equilibrium archive")
 	}
-	eq, err := engine.UnmarshalEquilibrium(blob)
+	ans, err := surrogate.DecodeAnswer(blob)
 	if err != nil {
 		t.Fatalf("decode the post-upgrade record: %v", err)
 	}
-	if again, err := engine.MarshalEquilibrium(eq); err != nil || !bytes.Equal(again, blob) {
-		t.Errorf("the post-upgrade record is not in the current format (re-marshal err %v)", err)
+	if got := bodyWithoutSource(t, mustJSON(t, response(ans, SourceStore))); !bytes.Equal(got, fresh[later]) {
+		t.Errorf("the post-upgrade record holds another answer:\n%s\nvs\n%s", got, fresh[later])
+	}
+}
+
+// TestStoreTierSupersedesUndecodableRecords: a record whose checksum holds
+// but whose blob this build cannot decode (here a newer answer version) is a
+// miss, and the re-solve's answer supersedes it on disk, so the next restart
+// answers the key from the store instead of solving it again.
+func TestStoreTierSupersedesUndecodableRecords(t *testing.T) {
+	body := `{"Workload": {"Requests": 10, "Pop": 0.3, "Timeliness": 2}}`
+	cfg, _ := testConfig(t)
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put(engine.CacheKey(cfg.Solver, engine.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}),
+		[]byte(`{"answer":2,"converged":true}`))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var first []byte
+	for run, want := range []struct {
+		source                             Source
+		executed, decodeErrors, duplicates float64
+	}{
+		{SourceSolve, 1, 1, 0},
+		{SourceStore, 0, 0, 0},
+	} {
+		cfg, reg := testConfig(t)
+		cfg.CacheDir = dir
+		base, drain := startDaemon(t, cfg)
+		resp, data := postSolve(t, http.DefaultClient, base, body)
+		drain()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d body %s", run, resp.StatusCode, data)
+		}
+		if got := sourceOf(t, data); got != want.source {
+			t.Errorf("run %d: source %q, want %q", run, got, want.source)
+		}
+		if first == nil {
+			first = bodyWithoutSource(t, data)
+		} else if !bytes.Equal(bodyWithoutSource(t, data), first) {
+			t.Errorf("run %d: body differs from the re-solve's", run)
+		}
+		snap := reg.Snapshot()
+		for _, c := range []struct {
+			name string
+			want float64
+		}{
+			{"serve.solve.executed", want.executed},
+			{"serve.store.decode.errors", want.decodeErrors},
+			{"store.put.duplicate", want.duplicates},
+		} {
+			if got := snap.Counters[c.name]; got != c.want {
+				t.Errorf("run %d: %s = %g, want %g", run, c.name, got, c.want)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -153,7 +154,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			s.rec.Add("serve.surrogate.hit", 1)
 			writeSolveHeaders(w, false, lookup)
-			s.writeAnswer(w, surrogateResponse(sum))
+			s.writeAnswer(w, response(sum, SourceSurrogate))
 			return
 		}
 		s.rec.Add("serve.surrogate.miss", 1)
@@ -166,16 +167,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The raw request documents ride along so a fleet replica can forward
 	// them verbatim to the key's ring owner on a local miss.
 	docs := &cluster.PeerRequest{Request: req.Request}
-	eq, out, err := s.solve(ctx, cfg, wl, timeout, isRetry, docs)
-	if err != nil && !(errors.Is(err, engine.ErrNotConverged) && eq != nil) {
+	ans, out, err := s.solve(ctx, cfg, wl, timeout, isRetry, docs)
+	if err != nil && !(errors.Is(err, engine.ErrNotConverged) && ans != nil) {
 		s.writeError(w, err)
 		return
 	}
 
 	writeSolveHeaders(w, out.Source == SourceCoalesced, out.SolveTime)
-	resp := summarize(eq)
-	resp.Source = out.Source
-	s.writeAnswer(w, resp)
+	s.writeAnswer(w, response(ans, out.Source))
 }
 
 // writeAnswer writes one /v1/solve 200 and counts it exactly once by the rung
@@ -199,12 +198,12 @@ func writeSolveHeaders(w http.ResponseWriter, coalesced bool, solveTime time.Dur
 // store → singleflight → workers) with the cluster tier disabled, so every
 // cold solve for a key executes exactly once fleet-wide — concurrent fills
 // from many replicas coalesce on the owner's singleflight — and a fill never
-// re-forwards (no routing loops). The response body is the full equilibrium
-// archive (engine.Archive, streamed after its Content-Length), not the
-// downsampled JSON summary, so the requester's promoted LRU entry serves
-// byte-identical bodies afterwards. The surrogate tier is deliberately
-// skipped: the requester already consulted its own copy of the table, and an
-// interpolated summary has no equilibrium to promote.
+// re-forwards (no routing loops). The response body is the answer itself,
+// encoded whole (surrogate.EncodeAnswer) under cluster.AnswerContentType:
+// the requester serves and promotes exactly what the owner would serve, so
+// every replica's body for a key is byte-identical. The surrogate tier is
+// deliberately skipped: the requester already consulted its own copy of the
+// table, and an interpolated answer must not be promoted as an exact one.
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		s.writeError(w, badRequest(errors.New("serve: peer endpoint disabled (no -peers configured)")))
@@ -237,26 +236,26 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	timeout := s.clampTimeout(req.TimeoutMs)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout+time.Second)
 	defer cancel()
-	eq, out, err := s.solve(ctx, cfg, wl, timeout, false, nil)
-	if err != nil && !(errors.Is(err, engine.ErrNotConverged) && eq != nil) {
+	ans, out, err := s.solve(ctx, cfg, wl, timeout, false, nil)
+	if err != nil && !(errors.Is(err, engine.ErrNotConverged) && ans != nil) {
 		s.writeError(w, err)
 		return
 	}
-	arch, err := engine.NewArchive(eq)
+	body, err := surrogate.EncodeAnswer(ans)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(arch.Size(), 10))
+	w.Header().Set("Content-Type", cluster.AnswerContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set(cluster.SourceHeader, string(out.Source))
-	w.Header().Set(cluster.ConvergedHeader, strconv.FormatBool(eq.Converged))
+	w.Header().Set(cluster.ConvergedHeader, strconv.FormatBool(ans.Converged))
 	w.WriteHeader(http.StatusOK)
-	_, _ = arch.WriteTo(w)
+	_, _ = w.Write(body)
 }
 
-// surrogateResponse shapes one interpolated table answer as a solve response.
-func surrogateResponse(sum *surrogate.Summary) SolveResponse {
+// response shapes one answer as a /v1/solve body from the rung src.
+func response(sum *surrogate.Summary, src Source) SolveResponse {
 	return SolveResponse{
 		Converged:     sum.Converged,
 		Iterations:    sum.Iterations,
@@ -266,16 +265,21 @@ func surrogateResponse(sum *surrogate.Summary) SolveResponse {
 		MeanControl:   sum.MeanControl,
 		MeanRemaining: sum.MeanRemaining,
 		SharerFrac:    sum.SharerFrac,
-		Source:        SourceSurrogate,
+		Source:        src,
 		ErrorBound:    sum.ErrorBound,
 	}
 }
 
 // handleEpoch prepares one epoch of per-content strategies through
-// policy.MFGCP.Prepare, sharing the daemon's equilibrium cache and worker
+// policy.MFGCP.Prepare, sharing the daemon's LRU of answers and worker
 // budget. Concurrent epoch requests beyond the semaphore are shed with 429:
 // each one fans out into up to K solves, so admission control has to happen
 // before Prepare, not inside it.
+//
+// The LRU holds answers, not equilibria, so the sharing happens here rather
+// than through Prepare's equilibrium cache: a content whose answer is cached
+// takes its row from it and leaves the set Prepare solves, and the converged
+// answers of the contents Prepare solves are published for /v1/solve.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	var req EpochRequest
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
@@ -336,8 +340,25 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		catalog.Contents[k].Timeliness = workloads[k].Timeliness
 		catalog.Contents[k].Requests = workloads[k].Requests
 	}
-	pol.Cache = s.cache
 	pol.Workers = s.cfg.Workers
+
+	// Prepare keys content k by its solver config with the policy's sharing
+	// mode; a cached content joins the epoch with no demand left to solve.
+	keyCfg := cfg
+	keyCfg.ShareEnabled = pol.Share
+	keys := make([]string, p.K)
+	answers := make([]*surrogate.Summary, p.K)
+	unsolved := slices.Clone(workloads)
+	for k, wl := range workloads {
+		if wl.Requests <= 0 {
+			continue
+		}
+		keys[k] = engine.CacheKey(keyCfg, wl)
+		if ans, ok := s.cache.Get(s.rec, keys[k]); ok {
+			answers[k] = ans
+			unsolved[k].Requests = 0
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(s.lifeCtx, s.clampTimeout(req.TimeoutMs))
 	defer cancel()
@@ -349,7 +370,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	ectx := policy.EpochContext{
 		Params:    p,
 		Catalog:   catalog,
-		Workloads: workloads,
+		Workloads: unsolved,
 		Solver:    cfg,
 		Epoch:     req.Epoch,
 		Seed:      req.Seed,
@@ -368,11 +389,18 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	for k := 0; k < p.K; k++ {
 		c := EpochContent{Content: k, Admission: 1}
 		if eq, err := pol.Equilibrium(k); err == nil && eq != nil {
+			answers[k] = surrogate.Summarize(eq)
+			if answers[k].Converged {
+				s.cache.Put(s.rec, keys[k], answers[k])
+			}
+		}
+		if ans := answers[k]; ans != nil {
 			c.Requested = true
-			c.Converged = eq.Converged
-			c.Iterations = eq.Iterations
-			if n := len(eq.Snapshots); n > 0 {
-				c.FinalPrice = eq.Snapshots[n-1].Price
+			c.Converged = ans.Converged
+			c.Iterations = ans.Iterations
+			if n := len(ans.Price); n > 0 {
+				// The last sample is the last time level's price.
+				c.FinalPrice = ans.Price[n-1]
 			}
 		}
 		if a, err := pol.Admission(k); err == nil {
@@ -381,22 +409,6 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		resp.Contents[k] = c
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// summarize downsamples an equilibrium to the wire summary on the surrogate
-// table's sample grid, so exact and surrogate answers carry the same times.
-func summarize(eq *engine.Equilibrium) SolveResponse {
-	node, times := surrogate.SampleEquilibrium(eq)
-	return SolveResponse{
-		Converged:     node.Converged,
-		Iterations:    node.Iterations,
-		Residual:      node.Residual,
-		Time:          times,
-		Price:         node.Price,
-		MeanControl:   node.MeanControl,
-		MeanRemaining: node.MeanRemaining,
-		SharerFrac:    node.SharerFrac,
-	}
 }
 
 // requestError marks an error as the caller's fault (HTTP 400).

@@ -7,12 +7,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/pde"
+	"repro/internal/surrogate"
 )
 
 // peerOwnedBody returns a solve body whose canonical key the ring assigns to
@@ -34,11 +36,9 @@ func peerOwnedBody(t *testing.T, solver engine.Config, self, fakeOwner string) s
 	return ""
 }
 
-// peerBlob marshals a minimal (but decodable) equilibrium for a fake
-// owner to return.
-func peerBlob(t *testing.T, converged bool) []byte {
-	t.Helper()
-	eq := &engine.Equilibrium{
+// peerEquilibrium is a minimal equilibrium for a fake owner to answer with.
+func peerEquilibrium(converged bool) *engine.Equilibrium {
+	return &engine.Equilibrium{
 		Converged:  converged,
 		Iterations: 5,
 		Residuals:  []float64{1e-3},
@@ -49,19 +49,35 @@ func peerBlob(t *testing.T, converged bool) []byte {
 			{T: 1, Price: 1.4, MeanControl: 0.25, QBar: 2.8, SharerFrac: 0.15},
 		},
 	}
-	blob, err := engine.MarshalEquilibrium(eq)
+}
+
+// peerAnswer encodes peerEquilibrium's answer.
+func peerAnswer(t *testing.T, converged bool) []byte {
+	t.Helper()
+	body, err := surrogate.EncodeAnswer(surrogate.Summarize(peerEquilibrium(converged)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blob
+	return body
+}
+
+// peerReply is a fake owner's 200 carrying body under contentType.
+func peerReply(contentType string, converged bool, body []byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", contentType)
+		w.Header().Set(cluster.SourceHeader, "cache")
+		w.Header().Set(cluster.ConvergedHeader, strconv.FormatBool(converged))
+		_, _ = w.Write(body)
+	}
 }
 
 // TestPeerFailureMapping pins the fleet's availability contract in one table:
 // no peer-fill failure mode may ever surface as a client-visible error. A
-// slow, dead, drifted or garbage-spewing owner degrades the request to the
-// local solve ladder (source "solve"); a healthy owner's answer is served
-// with source "peer", and only a CONVERGED peer answer is promoted into the
-// local LRU.
+// slow, dead, drifted, garbage-spewing or other-version owner degrades the
+// request to the local solve ladder (source "solve"); a healthy owner's
+// answer is served with source "peer", and only a CONVERGED peer answer is
+// promoted into the local LRU. Only a transport failure takes the owner off
+// the ring.
 func TestPeerFailureMapping(t *testing.T) {
 	tests := []struct {
 		name string
@@ -77,16 +93,12 @@ func TestPeerFailureMapping(t *testing.T) {
 		wantPeerHit   float64
 		wantPeerMiss  float64
 		wantExecuted  float64 // local solves
+		wantDown      bool    // the fill took the owner off the ring
 	}{
 		{
 			name: "converged peer answer served and promoted",
 			owner: func(t *testing.T) http.HandlerFunc {
-				blob := peerBlob(t, true)
-				return func(w http.ResponseWriter, r *http.Request) {
-					w.Header().Set(cluster.SourceHeader, "cache")
-					w.Header().Set(cluster.ConvergedHeader, "true")
-					_, _ = w.Write(blob)
-				}
+				return peerReply(cluster.AnswerContentType, true, peerAnswer(t, true))
 			},
 			wantSource:    SourcePeer,
 			wantConverged: true,
@@ -96,11 +108,7 @@ func TestPeerFailureMapping(t *testing.T) {
 		{
 			name: "non-converged peer answer served but NOT promoted",
 			owner: func(t *testing.T) http.HandlerFunc {
-				blob := peerBlob(t, false)
-				return func(w http.ResponseWriter, r *http.Request) {
-					w.Header().Set(cluster.ConvergedHeader, "false")
-					_, _ = w.Write(blob)
-				}
+				return peerReply(cluster.AnswerContentType, false, peerAnswer(t, false))
 			},
 			wantSource:  SourcePeer,
 			wantCached:  0,
@@ -115,6 +123,7 @@ func TestPeerFailureMapping(t *testing.T) {
 			wantCached:    1,
 			wantPeerMiss:  1,
 			wantExecuted:  1,
+			wantDown:      true,
 		},
 		{
 			name:          "peer unreachable degrades to local cold solve",
@@ -124,6 +133,7 @@ func TestPeerFailureMapping(t *testing.T) {
 			wantCached:    1,
 			wantPeerMiss:  1,
 			wantExecuted:  1,
+			wantDown:      true,
 		},
 		{
 			name: "peer key mismatch (config drift) degrades to local cold solve",
@@ -142,9 +152,34 @@ func TestPeerFailureMapping(t *testing.T) {
 		{
 			name: "peer garbage blob degrades to local cold solve",
 			owner: func(t *testing.T) http.HandlerFunc {
-				return func(w http.ResponseWriter, r *http.Request) {
-					_, _ = w.Write([]byte("these bytes are not an equilibrium"))
+				return peerReply(cluster.AnswerContentType, true, []byte("these bytes are not an answer"))
+			},
+			wantSource:    SourceSolve,
+			wantConverged: true,
+			wantCached:    1,
+			wantPeerMiss:  1,
+			wantExecuted:  1,
+		},
+		{
+			// An owner still on the archive protocol during a rollout.
+			name: "older owner's archive body degrades to local cold solve",
+			owner: func(t *testing.T) http.HandlerFunc {
+				arch, err := engine.MarshalEquilibrium(peerEquilibrium(true))
+				if err != nil {
+					t.Fatal(err)
 				}
+				return peerReply("application/octet-stream", true, arch)
+			},
+			wantSource:    SourceSolve,
+			wantConverged: true,
+			wantCached:    1,
+			wantPeerMiss:  1,
+			wantExecuted:  1,
+		},
+		{
+			name: "answer bytes under another Content-Type degrade to local cold solve",
+			owner: func(t *testing.T) http.HandlerFunc {
+				return peerReply("application/json", true, peerAnswer(t, true))
 			},
 			wantSource:    SourceSolve,
 			wantConverged: true,
@@ -231,6 +266,9 @@ func TestPeerFailureMapping(t *testing.T) {
 				if got := snap.Counters[c.name]; got != c.want {
 					t.Errorf("%s = %g, want %g", c.name, got, c.want)
 				}
+			}
+			if down := !s.cluster.Healthy(fakeURL); down != tt.wantDown {
+				t.Errorf("owner marked down = %v, want %v", down, tt.wantDown)
 			}
 		})
 	}

@@ -8,8 +8,12 @@
 // The hot path amortises everything the engine layer built for exactly this
 // purpose:
 //
-//   - a shared bounded engine.Cache: a warm repeat of a solved (params,
-//     workload, grid, scheme) key answers without touching the solver;
+//   - a shared bounded LRU of answers: a warm repeat of a solved (params,
+//     workload, grid, scheme) key answers without touching the solver. An
+//     answer (surrogate.Summary) is what a /v1/solve body carries — the
+//     sampled price, mean-control and q̄ paths plus convergence diagnostics,
+//     a few KB — so every rung below the surrogate table holds answers, not
+//     equilibria;
 //   - per-worker engine.Sessions behind a bounded worker pool, so steady
 //     traffic runs on pre-allocated PDE workspaces;
 //   - singleflight coalescing: concurrent identical requests share one solve
@@ -28,7 +32,7 @@
 //
 // The durable tier (CacheDir) extends the ladder below the LRU: an LRU miss
 // consults the append-only segment store (internal/store), promotes a hit
-// back into the LRU, and every converged solve is persisted write-behind, so
+// back into the LRU, and every converged answer is persisted write-behind, so
 // a restarted daemon answers its working set from disk instead of
 // cold-starting the PDE path. Overload protection layers on top: a circuit
 // breaker around engine solves fails fast with 503 once divergence/timeout
@@ -85,7 +89,7 @@ type Config struct {
 	// QueueDepth bounds the pending-solve queue; a full queue sheds load
 	// with 429 (default 64).
 	QueueDepth int
-	// CacheSize bounds the shared equilibrium cache (default 256 entries).
+	// CacheSize bounds the shared LRU of answers (default 256 entries).
 	CacheSize int
 	// DefaultTimeout bounds one solve when the request carries no
 	// timeout_ms (default 30s); MaxTimeout caps what a request may ask for
@@ -119,7 +123,7 @@ type Config struct {
 	// warning level and counts them in serve.request.slow (default 1s).
 	SlowRequestThreshold time.Duration
 	// CacheDir, when set, enables the persistent disk tier below the LRU: an
-	// append-only segment store of solved equilibria that survives restarts
+	// append-only segment store of converged answers that survives restarts
 	// and SIGKILL (crash recovery truncates torn tails and skips corrupt
 	// records). Empty disables the tier.
 	CacheDir string
@@ -195,12 +199,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the daemon state: the shared equilibrium cache, the bounded
-// worker pool and the singleflight table of in-flight solves.
+// Server is the daemon state: the shared LRU of answers, the bounded worker
+// pool and the singleflight table of in-flight solves.
 type Server struct {
 	cfg       Config
 	rec       obs.Recorder
-	cache     *engine.Cache
+	cache     *engine.LRU[surrogate.Summary]
 	store     *store.Store     // nil when CacheDir is unset
 	surrogate *surrogate.Table // nil when the tier-0 table is disabled
 	cluster   *cluster.Cluster // nil when the fleet tier is disabled
@@ -241,7 +245,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Solver.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: default solver config: %w", err)
 	}
-	cache, err := engine.NewCache(cfg.CacheSize)
+	cache, err := engine.NewLRU[surrogate.Summary](cfg.CacheSize)
 	if err != nil {
 		return nil, err
 	}
@@ -302,9 +306,8 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Cache exposes the shared equilibrium cache (tests and the epoch handler
-// use it).
-func (s *Server) Cache() *engine.Cache { return s.cache }
+// Cache exposes the shared LRU of answers (tests use it).
+func (s *Server) Cache() *engine.LRU[surrogate.Summary] { return s.cache }
 
 // Store exposes the persistent disk tier (nil when CacheDir is unset); tests
 // use it to flush and inspect the write-behind queue.
@@ -434,7 +437,7 @@ type flight struct {
 	probe     bool          // this flight holds the breaker's half-open probe slot
 
 	done      chan struct{}
-	eq        *engine.Equilibrium
+	ans       *surrogate.Summary // the solve's answer, summarised once for every waiter
 	err       error
 	solveTime time.Duration
 }
@@ -455,27 +458,27 @@ type solveOutcome struct {
 // free). docs carries the original client request documents for peer
 // forwarding; nil disables the cluster tier for this call — peer-originated
 // requests pass nil so a fill is answered locally and never re-forwarded.
-func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload, timeout time.Duration, isRetry bool, docs *cluster.PeerRequest) (*engine.Equilibrium, solveOutcome, error) {
+func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload, timeout time.Duration, isRetry bool, docs *cluster.PeerRequest) (*surrogate.Summary, solveOutcome, error) {
 	tr := obs.ReqTraceFrom(ctx)
 	key := engine.CacheKey(cfg, w)
 	lookupStart := time.Now()
-	eq, hit := s.cache.Get(s.rec, key)
+	ans, hit := s.cache.Get(s.rec, key)
 	lookup := time.Since(lookupStart)
 	s.rec.Observe("serve.cache.lookup.seconds", lookup.Seconds())
 	tr.Observe("cache_lookup", lookup)
 	if hit {
-		return eq, solveOutcome{Source: SourceCache}, nil
+		return ans, solveOutcome{Source: SourceCache}, nil
 	}
-	if eq, ok := s.storeGet(key, tr); ok {
-		return eq, solveOutcome{Source: SourceStore}, nil
+	if ans, ok := s.storeGet(key, tr); ok {
+		return ans, solveOutcome{Source: SourceStore}, nil
 	}
 	if s.cluster != nil && docs != nil {
 		if owner, self := s.cluster.Owner(key); self {
 			s.rec.Add("cluster.owned", 1)
 		} else {
 			s.rec.Add("cluster.forwarded", 1)
-			if eq, ok := s.peerFill(ctx, owner, key, *docs, timeout, tr); ok {
-				return eq, solveOutcome{Source: SourcePeer}, nil
+			if ans, ok := s.peerFill(ctx, owner, key, *docs, timeout, tr); ok {
+				return ans, solveOutcome{Source: SourcePeer}, nil
 			}
 			// The owner could not answer (down, slow, drifted, or returned
 			// garbage): degrade to a local cold solve below — availability
@@ -490,10 +493,10 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 		// it put its answer in the LRU before leaving inflight, so look
 		// again under the lock before starting a second solve. Only the hit
 		// is counted; the miss above already was.
-		if eq, hit := s.cache.Get(nil, key); hit {
+		if ans, hit := s.cache.Get(nil, key); hit {
 			s.mu.Unlock()
 			s.rec.Add("engine.cache.hit", 1)
-			return eq, solveOutcome{Source: SourceCache}, nil
+			return ans, solveOutcome{Source: SourceCache}, nil
 		}
 		// This request is about to trigger a fresh engine solve: the overload
 		// defences gate here, not earlier, so reads and coalesced joins keep
@@ -542,7 +545,7 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 			tr.Observe("solve", f.solveTime)
 		}
 		out.SolveTime = f.solveTime
-		return f.eq, out, f.err
+		return f.ans, out, f.err
 	case <-ctx.Done():
 		s.rec.Add("serve.solve.abandoned", 1)
 		return nil, out, fmt.Errorf("serve: request abandoned: %w", ctx.Err())
@@ -550,22 +553,24 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 }
 
 // storeGet consults the persistent tier after an LRU miss and promotes a hit
-// back into the LRU so the next repeat is a memory hit. A blob that fails to
-// decode is treated as a miss (the store already refuses CRC-invalid bytes,
-// so such a blob is in a format this build cannot read, such as a newer
-// build's archive, not corrupt).
-func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*engine.Equilibrium, bool) {
+// back into the LRU so the next repeat is a memory hit. A record that does
+// not decode is treated as a miss and forgotten, so the re-solve's answer
+// supersedes it (the store already refuses CRC-invalid bytes, so such a
+// record is in a format this build cannot read, such as a newer build's, not
+// corrupt).
+func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*surrogate.Summary, bool) {
 	if s.store == nil {
 		return nil, false
 	}
 	start := time.Now()
 	blob, ok := s.store.Get(key)
-	var eq *engine.Equilibrium
+	var ans *surrogate.Summary
 	if ok {
 		var err error
-		if eq, err = engine.UnmarshalEquilibrium(blob); err != nil {
+		if ans, err = decodeRecord(blob); err != nil {
 			s.rec.Add("serve.store.decode.errors", 1)
-			eq, ok = nil, false
+			s.store.Forget(key)
+			ok = false
 		}
 	}
 	dur := time.Since(start)
@@ -574,34 +579,48 @@ func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*engine.Equilibrium, bo
 	if !ok {
 		return nil, false
 	}
-	s.cache.Put(s.rec, key, eq)
-	return eq, true
+	s.cache.Put(s.rec, key, ans)
+	return ans, true
 }
 
-// peerFill asks the key's ring owner for the equilibrium via /v1/peer/get.
-// Returns ok=false on any failure — timeout, refusal, decode error, or a nil
-// blob — in which case the caller degrades to its local solve ladder; a peer
-// problem must never surface as a client-visible error. Only converged
-// answers are promoted into the local LRU: a non-converged partial is served
-// to the client that asked (matching local ladder semantics) but caching it
-// would replay an unconverged fixed point to every future repeat.
-func (s *Server) peerFill(ctx context.Context, owner, key string, preq cluster.PeerRequest, timeout time.Duration, tr *obs.ReqTrace) (*engine.Equilibrium, bool) {
+// decodeRecord reads one store record: an encoded answer, or an equilibrium
+// archive (format v1 or v2) that an older build wrote, summarised here.
+func decodeRecord(blob []byte) (*surrogate.Summary, error) {
+	if ans, err := surrogate.DecodeAnswer(blob); err == nil {
+		return ans, nil
+	}
+	eq, err := engine.UnmarshalEquilibrium(blob)
+	if err != nil {
+		return nil, err
+	}
+	return surrogate.Summarize(eq), nil
+}
+
+// peerFill asks the key's ring owner for the answer via /v1/peer/get.
+// Returns ok=false on any failure — timeout, refusal, a body that is not an
+// answer, or a decode error — in which case the caller degrades to its local
+// solve ladder; a peer problem must never surface as a client-visible error.
+// Only converged answers are promoted into the local LRU: a non-converged
+// partial is served to the client that asked (matching local ladder
+// semantics) but caching it would replay an unconverged fixed point to every
+// future repeat.
+func (s *Server) peerFill(ctx context.Context, owner, key string, preq cluster.PeerRequest, timeout time.Duration, tr *obs.ReqTrace) (*surrogate.Summary, bool) {
 	preq.Key = key
 	preq.TimeoutMs = timeout.Milliseconds()
 	start := time.Now()
-	eq, _, err := s.cluster.Fetch(ctx, owner, preq)
+	ans, _, err := s.cluster.Fetch(ctx, owner, preq)
 	dur := time.Since(start)
 	s.rec.Observe("cluster.peer.seconds", dur.Seconds())
 	tr.Observe("peer_fill", dur)
-	if err != nil || eq == nil {
+	if err != nil {
 		s.rec.Add("cluster.peer_miss", 1)
 		return nil, false
 	}
 	s.rec.Add("cluster.peer_hit", 1)
-	if eq.Converged {
-		s.cache.Put(s.rec, key, eq)
+	if ans.Converged {
+		s.cache.Put(s.rec, key, ans)
 	}
-	return eq, true
+	return ans, true
 }
 
 // maxSessionsPerWorker bounds the per-worker session memo: serving traffic
@@ -618,7 +637,8 @@ func (s *Server) worker() {
 }
 
 // runFlight executes one coalesced solve on this worker's warm session and
-// publishes the result to every waiter.
+// publishes its answer to every waiter. The equilibrium itself is dropped
+// here: only the answer is served, cached and persisted.
 func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
 	defer func() {
 		s.mu.Lock()
@@ -669,11 +689,14 @@ func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
 	eq, err := sess.SolveContext(ctx, f.w, nil)
 	f.solveTime = time.Since(start)
 	s.rec.Observe("serve.solve.seconds", f.solveTime.Seconds())
-	f.eq, f.err = eq, err
+	f.err = err
+	if eq != nil {
+		f.ans = surrogate.Summarize(eq)
+	}
 	s.breaker.onResult(classifySolve(err), f.probe)
-	if err == nil && eq != nil && eq.Converged {
-		s.cache.Put(s.rec, f.key, eq)
-		s.persist(f.key, eq)
+	if err == nil && f.ans != nil && f.ans.Converged {
+		s.cache.Put(s.rec, f.key, f.ans)
+		s.persist(f.key, f.ans)
 	}
 }
 
@@ -692,15 +715,16 @@ func classifySolve(err error) solveVerdict {
 	}
 }
 
-// persist hands one converged equilibrium to the disk tier, write-behind.
-// Only converged results ever reach the store: a non-converged partial answer
-// is a 200 for the client that asked, but persisting it would replay an
-// unconverged fixed point to every future restart.
-func (s *Server) persist(key string, eq *engine.Equilibrium) {
+// persist hands one converged answer to the disk tier as an encoded answer
+// record, write-behind. Only converged answers ever reach the store: a
+// non-converged partial answer is a 200 for the client that asked, but
+// persisting it would replay an unconverged fixed point to every future
+// restart.
+func (s *Server) persist(key string, ans *surrogate.Summary) {
 	if s.store == nil {
 		return
 	}
-	blob, err := engine.MarshalEquilibrium(eq)
+	blob, err := surrogate.EncodeAnswer(ans)
 	if err != nil {
 		s.rec.Add("serve.store.encode.errors", 1)
 		return

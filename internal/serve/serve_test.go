@@ -563,6 +563,55 @@ func TestEpochEndpoint(t *testing.T) {
 	}
 }
 
+// TestEpochSharesAnswersWithSolve pins the epoch endpoint's sharing with
+// /v1/solve in both directions through the LRU of answers: a content whose
+// answer /v1/solve cached takes its row from it without a solve, a content
+// the epoch solved answers /v1/solve from the cache, and the epoch body is
+// byte-identical to a fresh daemon's.
+func TestEpochSharesAnswersWithSolve(t *testing.T) {
+	workload := func(i int) string {
+		return fmt.Sprintf(`{"Requests": %d, "Pop": %g, "Timeliness": 2}`, 5+i, 0.1+0.1*float64(i))
+	}
+	epoch := fmt.Sprintf(`{"Params": {"K": 3, "M": 50}, "Workloads": [%s, %s, %s], "Epoch": 1, "Seed": 7}`,
+		workload(0), workload(1), workload(2))
+	solve := func(i int) string {
+		return fmt.Sprintf(`{"Params": {"K": 3, "M": 50}, "Workload": %s}`, workload(i))
+	}
+
+	cfg, _ := testConfig(t)
+	fresh, _ := startDaemon(t, cfg)
+	resp, want := postSolve2(t, fresh+"/v1/policy/epoch", epoch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fresh epoch: status %d body %s", resp.StatusCode, want)
+	}
+
+	cfg, reg := testConfig(t)
+	base, _ := startDaemon(t, cfg)
+	if resp, data := postSolve(t, http.DefaultClient, base, solve(0)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve content 0: status %d body %s", resp.StatusCode, data)
+	}
+	hits := reg.Snapshot().Counters["engine.cache.hit"]
+	resp, got := postSolve2(t, base+"/v1/policy/epoch", epoch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("epoch: status %d body %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("epoch body over a cached answer differs from a fresh daemon's:\n%s\nvs\n%s", got, want)
+	}
+	if n := reg.Snapshot().Counters["engine.cache.hit"] - hits; n != 1 {
+		t.Errorf("the epoch hit the cache %g times, want 1 (content 0)", n)
+	}
+	for i := 1; i < 3; i++ {
+		resp, data := postSolve(t, http.DefaultClient, base, solve(i))
+		if resp.StatusCode != http.StatusOK || sourceOf(t, data) != SourceCache {
+			t.Errorf("solve content %d after the epoch: status %d body %s, want a cache answer", i, resp.StatusCode, data)
+		}
+	}
+	if got := reg.Snapshot().Counters["serve.solve.executed"]; got != 1 {
+		t.Errorf("serve.solve.executed = %g, want 1 (content 0 before the epoch)", got)
+	}
+}
+
 func postSolve2(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))

@@ -9,7 +9,7 @@ const (
 	// SourceSurrogate: answered by the tier-0 precomputed interpolation
 	// table, with the cell's declared error bound attached.
 	SourceSurrogate Source = "surrogate"
-	// SourceCache: answered by the in-memory LRU of solved equilibria.
+	// SourceCache: answered by the in-memory LRU of answers.
 	SourceCache Source = "cache"
 	// SourceStore: answered by the persistent disk tier (and promoted into
 	// the LRU on the way out).
@@ -18,7 +18,7 @@ const (
 	// (and, when converged, promoted into the local LRU on the way out).
 	SourcePeer Source = "peer"
 	// SourceCoalesced: this request joined another request's in-flight solve
-	// and shares its freshly computed equilibrium.
+	// and shares its freshly computed answer.
 	SourceCoalesced Source = "coalesced"
 	// SourceSolve: a fresh engine solve ran for this request.
 	SourceSolve Source = "solve"

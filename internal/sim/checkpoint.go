@@ -277,7 +277,7 @@ func snapshotRun(cfg *Config, agents []edp, requesters *requesterPopulation, res
 	}
 	if cache != nil {
 		for _, e := range cache.Export() {
-			blob, err := engine.MarshalEquilibrium(e.Eq)
+			blob, err := engine.MarshalEquilibrium(e.Value)
 			if err != nil {
 				return nil, fmt.Errorf("sim: checkpoint cache entry %q: %w", e.Key, err)
 			}
@@ -323,7 +323,7 @@ func restoreRun(ck *Checkpoint, cfg *Config, agents []edp, requesters *requester
 			if err != nil {
 				return fmt.Errorf("sim: restore cache entry %q: %w", ck.CacheKeys[i], err)
 			}
-			entries[i] = engine.CacheExportEntry{Key: ck.CacheKeys[i], Eq: eq}
+			entries[i] = engine.CacheExportEntry{Key: ck.CacheKeys[i], Value: eq}
 		}
 		cache.Restore(entries)
 	}

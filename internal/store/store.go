@@ -22,8 +22,9 @@
 //   - the disk budget is enforced by segment-granular compaction: when total
 //     bytes exceed MaxDiskBytes the oldest sealed segments are deleted and
 //     their keys evicted. Keys are immutable (the mean-field equilibrium for
-//     a key is unique), so records are never superseded and dropping the
-//     oldest segment evicts exactly the coldest-by-insertion entries.
+//     a key is unique), so a record is superseded only after Forget, and
+//     dropping the oldest segment evicts exactly the coldest-by-insertion
+//     entries.
 package store
 
 import (
@@ -195,7 +196,7 @@ func (s *Store) recover() error {
 				"dropped_bytes", int64(len(data))-res.validLen)
 		}
 		for _, r := range res.records {
-			// Later segments win, though keys are immutable in practice.
+			// A later record of a key wins: Forget lets a Put supersede one.
 			s.index[r.key] = recordLoc{seg: id, off: r.off, size: r.size}
 		}
 		recovered += len(res.records)
@@ -285,13 +286,23 @@ func (s *Store) Get(key string) ([]byte, bool) {
 
 // dropCorrupt removes a record that failed read-time verification.
 func (s *Store) dropCorrupt(key, reason string, err error) {
+	s.Forget(key)
+	s.rec.Add("store.corrupt.total", 1)
+	s.rec.Add("store.miss", 1)
+	s.warn("dropped corrupt record", "reason", reason, "error", err)
+}
+
+// Forget drops key from the index, so the next Put of it appends a record
+// that supersedes the one on disk (recovery indexes a later record of a key
+// over an earlier one). The serving layer calls it for a record whose
+// checksum holds but whose blob it cannot decode, such as one a newer build
+// wrote; otherwise that record would turn every re-solve's Put into a
+// duplicate and leave the key cold on every restart.
+func (s *Store) Forget(key string) {
 	s.mu.Lock()
 	delete(s.index, key)
 	s.publishGauges()
 	s.mu.Unlock()
-	s.rec.Add("store.corrupt.total", 1)
-	s.rec.Add("store.miss", 1)
-	s.warn("dropped corrupt record", "reason", reason, "error", err)
 }
 
 // Put schedules the blob for persistence under key. It never blocks: with

@@ -60,7 +60,7 @@ const (
 )
 
 // maxPathSamples is the per-node time-sample budget. SampleEquilibrium also
-// builds the serving layer's exact-answer summaries, so a surrogate answer
+// builds the serving layer's exact answers (Summarize), so a surrogate answer
 // and an engine answer carry the same sample grid. The summary is a decision
 // aid, not an archive: a fixed budget keeps its size independent of the
 // configured time mesh.
@@ -120,20 +120,22 @@ type Table struct {
 	SafetyFactor float64
 }
 
-// Summary is one interpolated surrogate answer, shaped like the serving
-// layer's solve response plus the cell's declared error bound.
+// Summary is one /v1/solve answer, shaped like the serving layer's solve
+// response: an interpolated table answer with the cell's declared error
+// bound, or an exact one (Summarize) whose ErrorBound is 0. Its JSON form is
+// the body of an encoded answer (EncodeAnswer).
 type Summary struct {
-	Converged  bool
-	Iterations int
-	Residual   float64
+	Converged  bool    `json:"converged"`
+	Iterations int     `json:"iterations"`
+	Residual   float64 `json:"residual"`
 
-	Time          []float64
-	Price         []float64
-	MeanControl   []float64
-	MeanRemaining []float64
-	SharerFrac    []float64
+	Time          []float64 `json:"time"`
+	Price         []float64 `json:"price"`
+	MeanControl   []float64 `json:"mean_control"`
+	MeanRemaining []float64 `json:"mean_remaining"`
+	SharerFrac    []float64 `json:"sharer_frac"`
 
-	ErrorBound float64
+	ErrorBound float64 `json:"error_bound,omitempty"`
 }
 
 // Quantise rounds v to the engine.CacheKey quantum (9 significant digits),
@@ -348,8 +350,8 @@ func (t *Table) cellCorners(cell [3]int) []int {
 }
 
 // SampleEquilibrium downsamples a solved equilibrium onto the table's
-// fixed-budget sample grid and returns the node plus its time vector. The
-// serving layer's /v1/solve bodies are built from it too.
+// fixed-budget sample grid and returns the node plus its time vector.
+// Summarize builds the serving layer's exact answers from it too.
 func SampleEquilibrium(eq *engine.Equilibrium) (Node, []float64) {
 	n := Node{
 		Converged:  eq.Converged,
