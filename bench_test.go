@@ -306,6 +306,24 @@ func BenchmarkMarketEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkMarketEpochMFGCP runs three MFG-CP market epochs per iteration
+// on the simulator's default solver grid, so after the first epoch each
+// epoch's Prepare runs while the one before it trades.
+func BenchmarkMarketEpochMFGCP(b *testing.B) {
+	p := mec.Default()
+	p.M = 50
+	p.K = 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := sim.DefaultConfig(p, policy.NewMFGCP())
+		cfg.Epochs = 3
+		cfg.StepsPerEpoch = 30
+		if _, err := sim.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRolloutEnsemble(b *testing.B) {
 	eq, err := engine.Solve(quickSolver(), benchWorkload)
 	if err != nil {

@@ -37,17 +37,19 @@ type Snapshot struct {
 }
 
 // Estimator computes mean-field snapshots from a density λ and a control
-// field x on a fixed state grid. Between calls it holds only what the grid
-// and the parameters fix, the q node coordinates and the q-only smooth steps
-// of the case probabilities, so it never changes after construction and the
-// fixed-point iteration of Algorithm 2 still rebuilds every snapshot from
-// the freshest λ and x* each round.
+// field x on a fixed state grid. Between calls it holds what the grid and the
+// parameters fix, the q node coordinates and the q-only smooth steps of the
+// case probabilities, plus one q-long scratch row, so the fixed-point
+// iteration of Algorithm 2 still rebuilds every snapshot from the freshest λ
+// and x* each round. The scratch row makes an estimator safe for one
+// goroutine at a time, like the session that owns it.
 type Estimator struct {
 	P mec.Params
 	G grid.Grid2D
 
 	q   []float64       // q node coordinates
 	own []mec.CaseSteps // the case probabilities' smooth steps at each q node
+	p3  []float64       // scratch: the Case-3 weight at each q node for one snapshot's q̄
 }
 
 // NewEstimator validates the parameters and returns an estimator on g.
@@ -55,7 +57,7 @@ func NewEstimator(p mec.Params, g grid.Grid2D) (*Estimator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Estimator{P: p, G: g, q: g.Q.Nodes(), own: make([]mec.CaseSteps, g.Q.N)}
+	e := &Estimator{P: p, G: g, q: g.Q.Nodes(), own: make([]mec.CaseSteps, g.Q.N), p3: make([]float64, g.Q.N)}
 	for j, q := range e.q {
 		e.own[j] = mec.CaseStepsAt(&e.P, q)
 	}
@@ -63,43 +65,38 @@ func NewEstimator(p mec.Params, g grid.Grid2D) (*Estimator, error) {
 }
 
 // Snapshot computes every estimator quantity at time t from the density
-// lambda and the control field x (both flattened over the grid). All five
-// trapezoid moments sharing the density weights are fused into two passes
-// with separate accumulators (the Case-3 pass needs the finished q̄), so the
-// call performs no heap allocations and one traversal less than computing
-// each moment independently — while accumulating every moment in the exact
-// same node order, keeping the results bit-identical to the unfused form.
+// lambda and the control field x (both flattened over the grid). The
+// trapezoid mass and the four trapezoid moments sharing the density weights
+// are fused into one pass with separate accumulators, and the Case-3 moment,
+// which needs the finished q̄, takes a second; the call performs no heap
+// allocations. Every accumulator sums its nodes in the order of computing it
+// on its own (the mass in numerics.Integral2D's order: per h-row, the two
+// halved end nodes, then the interior), so the results are bit-identical to
+// the unfused form.
 func (e *Estimator) Snapshot(t float64, lambda, x []float64) (Snapshot, error) {
 	g := e.G
 	if len(lambda) != g.Size() || len(x) != g.Size() {
 		return Snapshot{}, fmt.Errorf("core: Snapshot: lambda %d, x %d, grid %d", len(lambda), len(x), g.Size())
 	}
-	// Normalising constant: the solvers keep ∫∫λ = 1, but dividing by the
-	// actual quadrature mass makes the estimator robust to round-off and to
-	// callers handing in unnormalised histograms.
-	massV, err := numerics.Integral2D(g, lambda)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if massV <= 0 {
-		return Snapshot{}, fmt.Errorf("core: Snapshot: density mass %g is not positive", massV)
-	}
-
 	aq := e.P.AlphaQ()
 	nh, nq := g.H.N, g.Q.N
 	cell := g.CellArea()
 
-	var meanXSum, qBarSum, sharerSum, lowSum, highSum float64
+	var massSum, meanXSum, qBarSum, sharerSum, lowSum, highSum float64
 	for i := 0; i < nh; i++ {
 		wi := 1.0
 		if i == 0 || i == nh-1 {
 			wi = 0.5
 		}
 		row := i * nq
+		var rowMass float64
+		rowMass += 0.5 * (lambda[row] + lambda[row+nq-1])
 		for j := 0; j < nq; j++ {
 			wj := 1.0
 			if j == 0 || j == nq-1 {
 				wj = 0.5
+			} else {
+				rowMass += lambda[row+j]
 			}
 			q := e.q[j]
 			lam := lambda[row+j]
@@ -113,6 +110,14 @@ func (e *Estimator) Snapshot(t float64, lambda, x []float64) (Snapshot, error) {
 				highSum += w * lam * q
 			}
 		}
+		massSum += wi * rowMass
+	}
+	// Normalising constant: the solvers keep ∫∫λ = 1, but dividing by the
+	// actual quadrature mass makes the estimator robust to round-off and to
+	// callers handing in unnormalised histograms.
+	massV := massSum * cell
+	if massV <= 0 {
+		return Snapshot{}, fmt.Errorf("core: Snapshot: density mass %g is not positive", massV)
 	}
 	meanX := meanXSum * cell / massV
 	qBar := qBarSum * cell / massV
@@ -121,8 +126,13 @@ func (e *Estimator) Snapshot(t float64, lambda, x []float64) (Snapshot, error) {
 	// Case-3 fraction: smoothed probability that an EDP misses and the
 	// average peer misses too, integrated over the population. A second pass
 	// because the case probabilities depend on the finished q̄: the steps at
-	// q̄ are evaluated once here, those at each q node once per estimator.
+	// q̄ are evaluated once here, those at each q node once per estimator, and
+	// their product, the Case-3 weight, once per q node here.
 	peer := mec.CaseStepsAt(&e.P, qBar)
+	p3 := e.p3
+	for j := range p3 {
+		p3[j] = e.own[j].Cases(peer).P3
+	}
 	var case3Sum float64
 	for i := 0; i < nh; i++ {
 		wi := 1.0
@@ -135,7 +145,7 @@ func (e *Estimator) Snapshot(t float64, lambda, x []float64) (Snapshot, error) {
 			if j == 0 || j == nq-1 {
 				wj = 0.5
 			}
-			case3Sum += wi * wj * lambda[row+j] * e.own[j].Cases(peer).P3
+			case3Sum += wi * wj * lambda[row+j] * p3[j]
 		}
 	}
 	case3Frac := case3Sum * cell / massV

@@ -115,7 +115,7 @@ func FuzzUnmarshalEquilibrium(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eq, err := UnmarshalEquilibrium(data)
-		streamed, serr := DecodeEquilibrium(iotest.HalfReader(bytes.NewReader(data)), int64(len(data)))
+		streamed, serr := decodeEquilibrium(iotest.HalfReader(bytes.NewReader(data)), int64(len(data)))
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("UnmarshalEquilibrium error %v, stream decoder error %v", err, serr)
 		}

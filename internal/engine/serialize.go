@@ -38,9 +38,9 @@ import (
 // header, so new Config, Params and Snapshot fields travel without codec
 // changes.
 //
-// The archive streams both ways. An Archive encodes the prefix and header
+// The archive streams both ways. An archive encodes the prefix and header
 // first, so its size is known before the first byte is written, and then
-// writes the bulk from the paths' own memory. DecodeEquilibrium checks the
+// writes the bulk from the paths' own memory. decodeEquilibrium checks the
 // prefix and header against the declared size before it allocates for the
 // bulk, and then reads the bulk straight into the paths' one backing array.
 // On a little-endian host a float64's memory is its archive encoding, so the
@@ -59,7 +59,7 @@ const (
 
 	legacyVersion = 1
 
-	// stageBytes sizes the buffer Archive.WriteTo stages the bulk through,
+	// stageBytes sizes the buffer Equilibrium.WriteTo stages the bulk through,
 	// so an unbuffered writer (a socket, a file) sees a few large writes
 	// instead of one per time level.
 	stageBytes = 256 << 10
@@ -77,16 +77,16 @@ type legacyArchive struct {
 	Eq      *Equilibrium
 }
 
-// Archive is one equilibrium encoded up to its bulk: the prefix and gob
+// archive is one equilibrium encoded up to its bulk: the prefix and gob
 // header are bytes, the three paths are still the equilibrium's own. The
 // equilibrium's paths must not change until the archive is written.
-type Archive struct {
+type archive struct {
 	head  []byte // prefix and gob header
 	paths [3][][]float64
-	size  int64
+	size  int64 // the archive's length in bytes
 }
 
-// NewArchive encodes eq's prefix and header. It drops the runtime-only
+// newArchive encodes eq's prefix and header. It drops the runtime-only
 // fields of the config first. The telemetry recorder (Obs) is runtime
 // wiring, not equilibrium state, and gob cannot encode arbitrary Recorder
 // implementations. The warm-start ancestry goes too: every solve records the
@@ -94,7 +94,7 @@ type Archive struct {
 // warm starting grows an unbounded chain that would bloat snapshots without
 // influencing any later computation (warm starts only read the strategy and
 // density paths of the equilibrium itself, never its ancestor's).
-func NewArchive(eq *Equilibrium) (*Archive, error) {
+func newArchive(eq *Equilibrium) (*archive, error) {
 	if eq == nil {
 		return nil, fmt.Errorf("core: marshal nil equilibrium")
 	}
@@ -124,22 +124,23 @@ func NewArchive(eq *Equilibrium) (*Archive, error) {
 	copy(out, archiveMagic)
 	out[len(archiveMagic)] = archiveVersion
 	binary.LittleEndian.PutUint32(out[len(archiveMagic)+1:], uint32(headerLen))
-	return &Archive{head: out, paths: paths, size: int64(len(out)) + 24*int64(levels)*int64(width)}, nil
+	return &archive{head: out, paths: paths, size: int64(len(out)) + 24*int64(levels)*int64(width)}, nil
 }
 
-// Size is the archive's length in bytes.
-func (a *Archive) Size() int64 { return a.size }
-
-// stages holds the buffers Archive.WriteTo stages the bulk through.
+// stages holds the buffers Equilibrium.WriteTo stages the bulk through.
 var stages = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, stageBytes) }}
 
-// WriteTo writes the archive to w through a staging buffer of stageBytes
+// WriteTo writes eq's archive to w through a staging buffer of stageBytes
 // and returns the number of bytes written.
-func (a *Archive) WriteTo(w io.Writer) (int64, error) {
+func (eq *Equilibrium) WriteTo(w io.Writer) (int64, error) {
+	a, err := newArchive(eq)
+	if err != nil {
+		return 0, err
+	}
 	cw := &countingWriter{w: w}
 	bw := stages.Get().(*bufio.Writer)
 	bw.Reset(cw)
-	err := a.write(bw)
+	err = a.write(bw)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -153,7 +154,7 @@ func (a *Archive) WriteTo(w io.Writer) (int64, error) {
 
 // write writes the archive to w as it is: the prefix and header, then one
 // write per time level.
-func (a *Archive) write(w io.Writer) error {
+func (a *archive) write(w io.Writer) error {
 	if _, err := w.Write(a.head); err != nil {
 		return err
 	}
@@ -179,18 +180,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteTo writes eq's archive to w and returns the number of bytes written.
-func (eq *Equilibrium) WriteTo(w io.Writer) (int64, error) {
-	a, err := NewArchive(eq)
-	if err != nil {
-		return 0, err
-	}
-	return a.WriteTo(w)
-}
-
 // MarshalEquilibrium returns eq's archive for storage and the wire.
 func MarshalEquilibrium(eq *Equilibrium) ([]byte, error) {
-	a, err := NewArchive(eq)
+	a, err := newArchive(eq)
 	if err != nil {
 		return nil, err
 	}
@@ -211,16 +203,16 @@ func ReadEquilibrium(r io.Reader) (*Equilibrium, error) {
 // UnmarshalEquilibrium decodes an archive written by MarshalEquilibrium or
 // WriteTo, in either format. It never panics on hostile input.
 func UnmarshalEquilibrium(data []byte) (*Equilibrium, error) {
-	return DecodeEquilibrium(bytes.NewReader(data), int64(len(data)))
+	return decodeEquilibrium(bytes.NewReader(data), int64(len(data)))
 }
 
-// DecodeEquilibrium decodes the size-byte archive r delivers, in either
+// decodeEquilibrium decodes the size-byte archive r delivers, in either
 // format, and refuses a reader that ends before size bytes or holds more. A
 // v2 archive's version, header length and path shape must agree with size
 // before the decoder allocates for the bulk, which it then reads straight
 // into the equilibrium's paths; the caller bounds size. It never panics on
 // hostile input.
-func DecodeEquilibrium(r io.Reader, size int64) (*Equilibrium, error) {
+func decodeEquilibrium(r io.Reader, size int64) (*Equilibrium, error) {
 	if uint64(size) > math.MaxInt {
 		return nil, fmt.Errorf("core: equilibrium archive size %d is out of range", size)
 	}

@@ -328,8 +328,8 @@ func (w *writeLog) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestStreamRoundTripBitExact streams archives through Archive.WriteTo and
-// DecodeEquilibrium. The streamed bytes equal MarshalEquilibrium's and the
+// TestStreamRoundTripBitExact streams archives through Equilibrium.WriteTo
+// and decodeEquilibrium. The streamed bytes equal MarshalEquilibrium's and the
 // element-loop reference's, reach the writer in writes of stageBytes, and
 // decode bit for bit from a reader that returns half of each request.
 func TestStreamRoundTripBitExact(t *testing.T) {
@@ -339,17 +339,17 @@ func TestStreamRoundTripBitExact(t *testing.T) {
 	}
 	for name, eq := range map[string]*Equilibrium{"special values": specialEquilibrium(), "default grid": solved} {
 		t.Run(name, func(t *testing.T) {
-			a, err := NewArchive(eq)
+			a, err := newArchive(eq)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var log writeLog
-			n, err := a.WriteTo(&log)
+			n, err := eq.WriteTo(&log)
 			if err != nil {
 				t.Fatalf("WriteTo: %v", err)
 			}
-			if n != a.Size() || int64(log.Len()) != a.Size() {
-				t.Fatalf("WriteTo reported %d bytes and wrote %d, Size is %d", n, log.Len(), a.Size())
+			if n != a.size || int64(log.Len()) != a.size {
+				t.Fatalf("WriteTo reported %d bytes and wrote %d, the archive is %d", n, log.Len(), a.size)
 			}
 			if !bytes.Equal(log.Bytes(), mustMarshal(t, eq)) {
 				t.Error("streamed bytes differ from MarshalEquilibrium's")
@@ -357,17 +357,17 @@ func TestStreamRoundTripBitExact(t *testing.T) {
 			if !bytes.Equal(log.Bytes(), loopArchive(t, eq)) {
 				t.Error("streamed bytes differ from the element-loop reference's")
 			}
-			if want := int((a.Size() + stageBytes - 1) / stageBytes); len(log.sizes) != want {
-				t.Errorf("%d writes for %d bytes, want %d", len(log.sizes), a.Size(), want)
+			if want := int((a.size + stageBytes - 1) / stageBytes); len(log.sizes) != want {
+				t.Errorf("%d writes for %d bytes, want %d", len(log.sizes), a.size, want)
 			}
 			for _, size := range log.sizes[:len(log.sizes)-1] {
 				if size != stageBytes {
 					t.Errorf("a write of %d bytes, want %d", size, stageBytes)
 				}
 			}
-			back, err := DecodeEquilibrium(iotest.HalfReader(&log.Buffer), a.Size())
+			back, err := decodeEquilibrium(iotest.HalfReader(&log.Buffer), a.size)
 			if err != nil {
-				t.Fatalf("DecodeEquilibrium: %v", err)
+				t.Fatalf("decodeEquilibrium: %v", err)
 			}
 			samePathBits(t, back, eq)
 			if !sameBits(reflect.ValueOf(back), reflect.ValueOf(eq)) {
@@ -393,9 +393,9 @@ func TestPortableFloatCodec(t *testing.T) {
 	if _, err := eq.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), blob) {
 		t.Errorf("WriteTo writes different bytes (err %v)", err)
 	}
-	back, err := DecodeEquilibrium(iotest.HalfReader(bytes.NewReader(blob)), int64(len(blob)))
+	back, err := decodeEquilibrium(iotest.HalfReader(bytes.NewReader(blob)), int64(len(blob)))
 	if err != nil {
-		t.Fatalf("DecodeEquilibrium: %v", err)
+		t.Fatalf("decodeEquilibrium: %v", err)
 	}
 	samePathBits(t, back, eq)
 }
@@ -468,7 +468,7 @@ func TestUnmarshalEquilibriumRejects(t *testing.T) {
 // declared size or runs past it.
 func TestDecodeEquilibriumRejects(t *testing.T) {
 	decode := func(data []byte, size int) error {
-		_, err := DecodeEquilibrium(iotest.OneByteReader(bytes.NewReader(data)), int64(size))
+		_, err := decodeEquilibrium(iotest.OneByteReader(bytes.NewReader(data)), int64(size))
 		return err
 	}
 	for name, data := range rejectedArchives(t) {
@@ -493,7 +493,7 @@ func TestDecodeEquilibriumRejects(t *testing.T) {
 			t.Errorf("%s: a body longer than declared: err = %v", name, err)
 		}
 	}
-	if _, err := DecodeEquilibrium(strings.NewReader(""), -1); err == nil {
+	if _, err := decodeEquilibrium(strings.NewReader(""), -1); err == nil {
 		t.Error("a negative declared size decoded")
 	}
 }
@@ -506,7 +506,7 @@ func TestDecodeChecksShapeBeforeAllocating(t *testing.T) {
 	const declared = 64 << 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := DecodeEquilibrium(bytes.NewReader(crafted), declared)
+	_, err := decodeEquilibrium(bytes.NewReader(crafted), declared)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "does not hold") {
 		t.Fatalf("err = %v, want the bulk-shape refusal", err)
@@ -602,7 +602,7 @@ func BenchmarkEquilibriumCodec(b *testing.B) {
 		var r bytes.Reader
 		for i := 0; i < b.N; i++ {
 			r.Reset(blob)
-			if _, err := DecodeEquilibrium(&r, int64(len(blob))); err != nil {
+			if _, err := decodeEquilibrium(&r, int64(len(blob))); err != nil {
 				b.Fatal(err)
 			}
 		}

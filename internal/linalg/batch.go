@@ -10,7 +10,8 @@ import (
 // coefficient set, so the O(n) Thomas elimination runs once per sweep instead
 // of once per line, and the interleaved substitution walks the flattened
 // field with unit stride. Lines with coefficients of their own, such as the
-// q-lines, are solved together by TridiagLines instead.
+// q-lines, cannot share a factorisation; the PDE layer solves those in its
+// own lock-step sweep, which builds each row as it eliminates it.
 //
 // The type parameter admits only float64 (see Float). Usage: fill A, B and C
 // (same layout as Tridiag: A[0] and C[n-1] ignored), call Factorize, then any

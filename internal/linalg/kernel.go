@@ -18,10 +18,13 @@ type Float interface {
 	~float64
 }
 
-// tinyPivot is the zero-pivot threshold of the Thomas factorisation: far
+// TinyPivot is the zero-pivot threshold of the Thomas factorisation: far
 // below any diagonally-dominant system the PDE schemes assemble, far above
-// the smallest normal magnitude so the comparison itself stays exact.
-const tinyPivot = 1e-300
+// the smallest normal magnitude so the comparison itself stays exact. A
+// kernel outside this package that fuses the same elimination into its own
+// loop (the PDE layer's lock-step q-sweep) flags the pivots this package's
+// solves flag by comparing against it.
+const TinyPivot = 1e-300
 
 func absT[T Float](x T) T {
 	if x < 0 {
@@ -40,14 +43,14 @@ func thomasFactor[T Float](a, b, c, cp, beta []T) int {
 		return -1
 	}
 	piv := b[0]
-	if absT(piv) < tinyPivot {
+	if absT(piv) < TinyPivot {
 		return 0
 	}
 	beta[0] = piv
 	cp[0] = c[0] / piv
 	for i := 1; i < n; i++ {
 		piv = b[i] - a[i]*cp[i-1]
-		if absT(piv) < tinyPivot {
+		if absT(piv) < TinyPivot {
 			return i
 		}
 		beta[i] = piv

@@ -201,18 +201,19 @@ func SolveFPKInto(ws *Workspace, p *FPKProblem, lambda0 []float64, sol *FPKSolut
 
 		m := mass(next, cell)
 		sol.RawMass[n+1] = m
+		// One pass renormalises (a scale of 1 leaves every value as it is)
+		// and clips the tiny negative undershoots that renormalisation of
+		// the advective form can introduce (the conservative form never does).
+		scale := 1.0
 		if p.Renormalize && m > 0 {
-			inv := sol.RawMass[0] / m
-			for k := range next {
-				next[k] *= inv
-			}
+			scale = sol.RawMass[0] / m
 		}
-		// Clip the tiny negative undershoots that renormalisation of the
-		// advective form can introduce (the conservative form never does).
-		for k := range next {
-			if next[k] < 0 {
-				next[k] = 0
+		for k, v := range next {
+			v *= scale
+			if v < 0 {
+				v = 0
 			}
+			next[k] = v
 		}
 	}
 	rec.Add("pde.fpk.solves", 1)

@@ -1,7 +1,6 @@
 package pde
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -12,9 +11,10 @@ import (
 )
 
 // Workspace owns every reusable buffer the operator-split integrators need on
-// one grid resolution: the shared batched h-line system, the interleaved
-// q-line systems, the line sweepers, the q-drift field of the level being
-// swept and the gradient/source scratch fields.
+// one grid resolution: the shared batched h-line system, the q-drift field of
+// the level being swept and the lock-step q-sweep's normalised
+// super-diagonals, the line sweepers of the explicit path, and the
+// gradient/source scratch fields.
 // A Workspace is created once per solver session and reused across time
 // steps, best-response iterations and repeated solves, so the steady-state
 // iteration loop of the engine performs no heap allocations. A Workspace is
@@ -22,13 +22,12 @@ import (
 type Workspace struct {
 	g grid.Grid2D
 
-	batH   *linalg.TridiagBatch[float64] // shared-coefficient implicit h-phase
-	bH     []float64                     // h-drift cache, len nh
-	bQ     []float64                     // q-drift field of the level being swept
-	qLines *linalg.TridiagLines          // implicit q-phase: nh lines of nq rows, lock-step
-	qx     []float64                     // q-phase right-hand sides, interleaved like qLines
-	swH    *sweeper                      // h-line sweeper (explicit path)
-	swQ    *sweeper                      // q-line sweeper (explicit path)
+	batH *linalg.TridiagBatch[float64] // shared-coefficient implicit h-phase
+	bH   []float64                     // h-drift cache, len nh
+	bQ   []float64                     // q-drift field of the level being swept
+	qcp  []float64                     // implicit q-phase: normalised super-diagonals, laid out like bQ
+	swH  *sweeper                      // h-line sweeper (explicit path)
+	swQ  *sweeper                      // q-line sweeper (explicit path)
 
 	grad []float64 // ∂qV estimate feeding the closed-form control
 	work []float64 // explicit-source scratch W = V^{n+1} + dt·U
@@ -44,16 +43,15 @@ func NewWorkspace(g grid.Grid2D) (*Workspace, error) {
 	}
 	nh, nq := g.H.N, g.Q.N
 	return &Workspace{
-		g:      g,
-		batH:   linalg.NewTridiagBatch[float64](nh),
-		bH:     make([]float64, nh),
-		bQ:     g.NewField(),
-		qLines: linalg.NewTridiagLines(nq, nh),
-		qx:     make([]float64, nq*nh),
-		swH:    newSweeper(nh),
-		swQ:    newSweeper(nq),
-		grad:   g.NewField(),
-		work:   g.NewField(),
+		g:    g,
+		batH: linalg.NewTridiagBatch[float64](nh),
+		bH:   make([]float64, nh),
+		bQ:   g.NewField(),
+		qcp:  g.NewField(),
+		swH:  newSweeper(nh),
+		swQ:  newSweeper(nq),
+		grad: g.NewField(),
+		work: g.NewField(),
 	}, nil
 }
 
@@ -128,51 +126,11 @@ func (s Scheme) Order() int { return 1 }
 // runs directly on the flattened field (unit stride, no gather/scatter).
 func (ws *Workspace) hPhaseImplicit(field []float64, op operator, dt, dx, diff float64) error {
 	bat := ws.batH
-	assemble(op, bat.A, bat.B, bat.C, 1, ws.bH, dt, dx, diff)
+	assemble(op, bat.A, bat.B, bat.C, ws.bH, dt, dx, diff)
 	if err := bat.Factorize(); err != nil {
 		return err
 	}
 	return bat.SolveInterleaved(field, ws.g.Q.N)
-}
-
-// loadQLine assembles q-line i of the implicit q-phase from its drifts b
-// straight into the interleaved systems (system i, stride nh) and loads the
-// line's field values as its right-hand side.
-func (ws *Workspace) loadQLine(i int, op operator, line, b []float64, dt, dx, diff float64) {
-	nh := ws.g.H.N
-	ql := ws.qLines
-	assemble(op, ql.A[i:], ql.B[i:], ql.C[i:], nh, b, dt, dx, diff)
-	for j, v := range line {
-		ws.qx[j*nh+i] = v
-	}
-}
-
-// solveQLines solves every loaded q-line in one lock-step call and writes
-// line i into row i of field (which may be the field the lines were loaded
-// from).
-func (ws *Workspace) solveQLines(field []float64) error {
-	if err := ws.qLines.Solve(ws.qx); err != nil {
-		return err
-	}
-	nh, nq := ws.g.H.N, ws.g.Q.N
-	for i := 0; i < nh; i++ {
-		row := field[i*nq : (i+1)*nq]
-		for j := range row {
-			row[j] = ws.qx[j*nh+i]
-		}
-	}
-	return nil
-}
-
-// qSweepError reports a failed lock-step q-phase with the lowest failing
-// line as the row (its h-index), followed by that line's own solve error:
-// the text solving the lines one by one gives.
-func qSweepError(eq string, t float64, err error) error {
-	var le *linalg.LineError
-	if errors.As(err, &le) {
-		return fmt.Errorf("pde: %s q-sweep at t=%.4g, row %d: %w", eq, t, le.Line, le.Err)
-	}
-	return fmt.Errorf("pde: %s q-sweep at t=%.4g: %w", eq, t, err)
 }
 
 // loadHDrift caches the h-drifts at the current time level, shared by every
@@ -190,9 +148,9 @@ func (ws *Workspace) loadHDrift(t float64, driftH func(t, h float64) float64) {
 // alias). The Lie splitting sweeps every q-column in h first (stride nq, in
 // place on src), then every h-row in q (stride 1, src → dst). The implicit
 // h-phase is batched (one factorisation for all columns) and the implicit
-// q-phase solves all rows in lock-step (one call for all lines); the
-// explicit phases sweep one line at a time. It emits the per-dimension
-// "pde.hjb.sweeps" counters and sweep timings.
+// q-phase solves all rows in one lock-step sweep; the explicit phases sweep
+// one line at a time. It emits the per-dimension "pde.hjb.sweeps" counters
+// and sweep timings.
 func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error {
 	g := p.Grid
 	impl := p.Scheme == Implicit
@@ -225,26 +183,22 @@ func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) er
 		sweepStart = time.Now()
 	}
 
-	// Each q-row assembles from its row of the level's drift field, which
-	// the model evaluates from the frozen control field in one call.
+	// The q-rows are built from the level's drift field, which the model
+	// evaluates from the frozen control field in one call.
 	p.DriftQ(n, x, ws.bQ)
-	sw := ws.swQ
-	for i := 0; i < nh; i++ {
-		row := i * nq
-		b := ws.bQ[row : row+nq]
-		if impl {
-			ws.loadQLine(i, opBackwardValue, src[row:row+nq], b, dt, g.Q.Step(), p.DiffQ)
-			continue
-		}
-		copy(sw.rhs, src[row:row+nq])
-		if err := cflError(sw.explicitBackwardValue(b, dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
-			return fmt.Errorf("pde: HJB q-sweep at t=%.4g, row %d: %w", t, i, err)
-		}
-		copy(dst[row:row+nq], sw.sol)
-	}
 	if impl {
-		if err := ws.solveQLines(dst); err != nil {
-			return qSweepError("HJB", t, err)
+		if err := ws.qSweep("HJB", t, opBackwardValue, dst, src, dt, g.Q.Step(), p.DiffQ); err != nil {
+			return err
+		}
+	} else {
+		sw := ws.swQ
+		for i := 0; i < nh; i++ {
+			row := i * nq
+			copy(sw.rhs, src[row:row+nq])
+			if err := cflError(sw.explicitBackwardValue(ws.bQ[row:row+nq], dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
+				return fmt.Errorf("pde: HJB q-sweep at t=%.4g, row %d: %w", t, i, err)
+			}
+			copy(dst[row:row+nq], sw.sol)
 		}
 	}
 	rec.Add("pde.hjb.sweeps", float64(nh))
@@ -294,23 +248,19 @@ func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
 	}
 
 	p.DriftQ(n, ws.bQ)
-	sw := ws.swQ
-	for i := 0; i < nh; i++ {
-		row := i * nq
-		b := ws.bQ[row : row+nq]
-		if impl {
-			ws.loadQLine(i, op, lambda[row:row+nq], b, dt, g.Q.Step(), p.DiffQ)
-			continue
-		}
-		copy(sw.rhs, lambda[row:row+nq])
-		if err := cflError(sw.explicitForwardConservative(b, dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
-			return fmt.Errorf("pde: FPK q-sweep at t=%.4g, row %d: %w", t, i, err)
-		}
-		copy(lambda[row:row+nq], sw.sol)
-	}
 	if impl {
-		if err := ws.solveQLines(lambda); err != nil {
-			return qSweepError("FPK", t, err)
+		if err := ws.qSweep("FPK", t, op, lambda, lambda, dt, g.Q.Step(), p.DiffQ); err != nil {
+			return err
+		}
+	} else {
+		sw := ws.swQ
+		for i := 0; i < nh; i++ {
+			row := i * nq
+			copy(sw.rhs, lambda[row:row+nq])
+			if err := cflError(sw.explicitForwardConservative(ws.bQ[row:row+nq], dt, g.Q.Step(), p.DiffQ), p.Time.Steps); err != nil {
+				return fmt.Errorf("pde: FPK q-sweep at t=%.4g, row %d: %w", t, i, err)
+			}
+			copy(lambda[row:row+nq], sw.sol)
 		}
 	}
 	rec.Add("pde.fpk.sweeps", float64(nh))

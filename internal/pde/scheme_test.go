@@ -188,25 +188,23 @@ func TestSchemeNamesDerivedFromRegistry(t *testing.T) {
 
 // A vanishing pivot in the lock-step q-phase names the lowest failing q-line
 // as the row and that line's first zero pivot: the text solving the lines
-// one by one gives.
+// one by one gives. The zero pivots come through the sweep's own inputs: with
+// no diffusion and a negative step dt = −0.25, a row whose drift is 4·dq has
+// the diagonal 1 + dt·4 = 0 and no sub-diagonal, so its pivot is exactly 0.
 func TestQSweepSingularErrorNamesLine(t *testing.T) {
 	g, _ := schemeTestGrid(t)
 	ws, err := NewWorkspace(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nh, nq := g.H.N, g.Q.N
-	field := g.NewField()
-	drift := make([]float64, nq)
-	for i := 0; i < nh; i++ {
-		ws.loadQLine(i, opBackwardValue, field[i*nq:(i+1)*nq], drift, 0.01, g.Q.Step(), 1)
-	}
+	nq := g.Q.N
+	dq := g.Q.Step()
 	// Zero pivots at (line 4, row 2), (line 1, row 7) and (line 1, row 9).
 	for _, lr := range [][2]int{{4, 2}, {1, 7}, {1, 9}} {
-		k := lr[1]*nh + lr[0]
-		ws.qLines.A[k], ws.qLines.B[k] = 0, 0
+		ws.bQ[lr[0]*nq+lr[1]] = 4 * dq
 	}
-	err = qSweepError("HJB", 0.25, ws.solveQLines(field))
+	field := g.NewField()
+	err = ws.qSweep("HJB", 0.25, opBackwardValue, field, field, -0.25, dq, 0)
 	if !errors.Is(err, linalg.ErrSingular) {
 		t.Fatalf("got %v, want ErrSingular", err)
 	}

@@ -27,11 +27,11 @@
 // The sweeps run on one serial float64 kernel: within one h-sweep every grid
 // line shares its coefficient set, so the tridiagonal system is factorised
 // once and all lines are substituted through it in place; q-lines have
-// line-dependent coefficients, so every q-line of a sweep is assembled into
-// one interleaved set of systems and all of them are solved in lock-step,
-// row by row. Both kernels keep the per-line arithmetic of the scalar Thomas
-// algorithm exactly, so they are bit-identical to solving each line on its
-// own.
+// line-dependent coefficients, so one fused sweep per operator builds each
+// row of every q-line from the drift field as it reaches it and solves all
+// lines in lock-step, row by row, on the field itself (qsweep.go). Both
+// kernels keep the per-line arithmetic of the scalar Thomas algorithm
+// exactly, so they are bit-identical to solving each line on its own.
 package pde
 
 import "fmt"
@@ -85,44 +85,83 @@ func scatter(field, src []float64, start, stride, n int) {
 	}
 }
 
+// The implicit operators are assembled row by row from three small row
+// helpers, one per operator: each turns a row's drifts into the weights that
+// row's A, B and C entries are formed from. The h-phase assembly below and
+// the fused q-sweeps (qsweep.go) build every row through them, so the two
+// phases evaluate one set of expressions in one order. Each helper is kept
+// within the inliner's budget: a helper the compiler does not inline turns
+// every row of a q-sweep into a call.
+
+// backwardWeights returns the off-diagonal weights of L v = b·∂v + D·∂²v at
+// i−1 and i+1 for the nodal drift bi: upwind advection (forward difference
+// for b ≥ 0, backward otherwise) plus the diffusion dd = D/dx² on both.
+func backwardWeights(bi, dx, dd float64) (lo, up float64) {
+	if bi >= 0 {
+		up += bi / dx
+	} else {
+		lo += -bi / dx
+	}
+	lo += dd
+	up += dd
+	return lo, up
+}
+
+// advectiveWeights returns the off-diagonal weights of b·∂ − D·∂² at i−1 and
+// i+1 for the nodal drift bi, both ≤ 0: upwind advection (backward
+// difference for b ≥ 0, which keeps the scheme monotone) minus the diffusion
+// dd = D/dx².
+func advectiveWeights(bi, dx, dd float64) (lo, up float64) {
+	if bi >= 0 {
+		lo += -bi / dx
+	} else {
+		up += bi / dx
+	}
+	lo -= dd
+	up -= dd
+	return lo, up
+}
+
+// upperFace and lowerFace return what the conservative flux through the face
+// i+1/2 (interface drift bf) and the face i−1/2 add to row i: r = dt/dx times
+// the upwind drift plus the diffusion dd = D/dx on the diagonal, and on the
+// super- or sub-diagonal respectively.
+func upperFace(bf, r, dd float64) (diag, up float64) {
+	return r * (posPart(bf) + dd), r * (negPart(bf) - dd)
+}
+
+func lowerFace(bf, r, dd float64) (diag, lo float64) {
+	return r * (-negPart(bf) + dd), r * (-posPart(bf) - dd)
+}
+
 // assembleBackwardValue assembles the implicit backward (HJB) operator
 //
 //	(I − dt·L) v_new = v_old,   L v = b(x)·∂v + D·∂²v
 //
 // with upwind advection and homogeneous Neumann boundaries (∂v/∂n = 0) into
-// the diagonals (A, B, C) from the nodal drifts b; row i lands at i·stride.
-// The matrix is an M-matrix with unit row sums minus the off-diagonal mass,
-// hence diagonally dominant.
-func assembleBackwardValue(A, B, C []float64, stride int, b []float64, dt, dx, diff float64) {
+// the diagonals (A, B, C) from the nodal drifts b. The matrix is an M-matrix
+// with unit row sums minus the off-diagonal mass, hence diagonally dominant.
+func assembleBackwardValue(A, B, C, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	dd := diff / (dx * dx) // D/dx²
 	for i := 0; i < n; i++ {
-		k := i * stride
-		bi := b[i]
-		var lo, up float64 // off-diagonal weights of L at i−1 and i+1
-		if bi >= 0 {
-			up += bi / dx // forward difference b(v_{i+1}−v_i)/dx
-		} else {
-			lo += -bi / dx // backward difference b(v_i−v_{i−1})/dx
-		}
-		lo += dd
-		up += dd
+		lo, up := backwardWeights(b[i], dx, dd)
 		// Neumann boundaries fold the ghost node into the diagonal: the
 		// ghost value equals the boundary value, so the off-diagonal weight
 		// moves onto the diagonal, cancelling there.
 		switch i {
 		case 0:
-			A[k] = 0
-			B[k] = 1 + dt*up
-			C[k] = -dt * up
+			A[i] = 0
+			B[i] = 1 + dt*up
+			C[i] = -dt * up
 		case n - 1:
-			A[k] = -dt * lo
-			B[k] = 1 + dt*lo
-			C[k] = 0
+			A[i] = -dt * lo
+			B[i] = 1 + dt*lo
+			C[i] = 0
 		default:
-			A[k] = -dt * lo
-			B[k] = 1 + dt*(lo+up)
-			C[k] = -dt * up
+			A[i] = -dt * lo
+			B[i] = 1 + dt*(lo+up)
+			C[i] = -dt * up
 		}
 	}
 }
@@ -133,38 +172,29 @@ func assembleBackwardValue(A, B, C []float64, stride int, b []float64, dt, dx, d
 //	(I + dt·div F) λ_new = λ_old,
 //	F_{i+1/2} = b⁺_{i+1/2} λ_i + b⁻_{i+1/2} λ_{i+1} − D (λ_{i+1}−λ_i)/dx.
 //
-// Interface drifts are arithmetic means of the nodal drifts b; row i lands at
-// i·stride. The matrix has unit column sums, so Σλ is conserved to
-// round-off, and it is an M-matrix, so positivity is preserved.
-func assembleForwardConservative(A, B, C []float64, stride int, b []float64, dt, dx, diff float64) {
+// Interface drifts are arithmetic means of the nodal drifts b. The matrix has
+// unit column sums, so Σλ is conserved to round-off, and it is an M-matrix,
+// so positivity is preserved.
+func assembleForwardConservative(A, B, C, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	r := dt / dx
 	dd := diff / dx // D/dx (flux units)
 	for i := 0; i < n; i++ {
-		var bUp, bLo float64 // interface drifts at i+1/2 and i−1/2
-		if i < n-1 {
-			bUp = 0.5 * (b[i] + b[i+1])
-		}
-		if i > 0 {
-			bLo = 0.5 * (b[i-1] + b[i])
-		}
-		bUpP, bUpM := posPart(bUp), negPart(bUp)
-		bLoP, bLoM := posPart(bLo), negPart(bLo)
-
 		diag := 1.0
 		var lo, up float64
 		if i < n-1 { // flux through the upper face exists
-			diag += r * (bUpP + dd)
-			up = r * (bUpM - dd)
+			d, u := upperFace(0.5*(b[i]+b[i+1]), r, dd)
+			diag += d
+			up = u
 		}
 		if i > 0 { // flux through the lower face exists
-			diag += r * (-bLoM + dd)
-			lo = r * (-bLoP - dd)
+			d, l := lowerFace(0.5*(b[i-1]+b[i]), r, dd)
+			diag += d
+			lo = l
 		}
-		k := i * stride
-		A[k] = lo
-		B[k] = diag
-		C[k] = up
+		A[i] = lo
+		B[i] = diag
+		C[i] = up
 	}
 }
 
@@ -173,37 +203,27 @@ func assembleForwardConservative(A, B, C []float64, stride int, b []float64, dt,
 //
 //	(I + dt·(b·∂ − D·∂²)) λ_new = λ_old
 //
-// with upwind advection and Neumann boundaries; row i lands at i·stride. This
-// form does not conserve mass when the drift varies in space (the missing
-// λ·∂b term); the FPK solver optionally renormalises and reports the raw
-// drift.
-func assembleForwardAdvective(A, B, C []float64, stride int, b []float64, dt, dx, diff float64) {
+// with upwind advection and Neumann boundaries. This form does not conserve
+// mass when the drift varies in space (the missing λ·∂b term); the FPK
+// solver optionally renormalises and reports the raw drift.
+func assembleForwardAdvective(A, B, C, b []float64, dt, dx, diff float64) {
 	n := len(b)
 	dd := diff / (dx * dx)
 	for i := 0; i < n; i++ {
-		k := i * stride
-		bi := b[i]
-		var lo, up float64 // off-diagonal weights of (b∂ − D∂²), to be ≤ 0
-		if bi >= 0 {
-			lo += -bi / dx // backward difference keeps the scheme monotone
-		} else {
-			up += bi / dx
-		}
-		lo -= dd
-		up -= dd
+		lo, up := advectiveWeights(b[i], dx, dd)
 		switch i {
 		case 0:
-			A[k] = 0
-			B[k] = 1 - dt*up
-			C[k] = dt * up
+			A[i] = 0
+			B[i] = 1 - dt*up
+			C[i] = dt * up
 		case n - 1:
-			A[k] = dt * lo
-			B[k] = 1 - dt*lo
-			C[k] = 0
+			A[i] = dt * lo
+			B[i] = 1 - dt*lo
+			C[i] = 0
 		default:
-			A[k] = dt * lo
-			B[k] = 1 - dt*(lo+up)
-			C[k] = dt * up
+			A[i] = dt * lo
+			B[i] = 1 - dt*(lo+up)
+			C[i] = dt * up
 		}
 	}
 }
@@ -218,16 +238,15 @@ const (
 )
 
 // assemble assembles the selected operator from the nodal drifts b into the
-// diagonals (A, B, C), row i at i·stride: stride 1 for the shared h-phase
-// system, the line count for one line of the interleaved q-phase systems.
-func assemble(op operator, A, B, C []float64, stride int, b []float64, dt, dx, diff float64) {
+// diagonals (A, B, C).
+func assemble(op operator, A, B, C, b []float64, dt, dx, diff float64) {
 	switch op {
 	case opBackwardValue:
-		assembleBackwardValue(A, B, C, stride, b, dt, dx, diff)
+		assembleBackwardValue(A, B, C, b, dt, dx, diff)
 	case opForwardConservative:
-		assembleForwardConservative(A, B, C, stride, b, dt, dx, diff)
+		assembleForwardConservative(A, B, C, b, dt, dx, diff)
 	default:
-		assembleForwardAdvective(A, B, C, stride, b, dt, dx, diff)
+		assembleForwardAdvective(A, B, C, b, dt, dx, diff)
 	}
 }
 

@@ -59,9 +59,34 @@ type MFGCP struct {
 	// so the epoch loop can configure resilience uniformly.
 	Recovery *resilience.Escalation
 
+	mfgcpStrategy // what the last Prepare or RestoreState left for trading
+}
+
+// mfgcpStrategy is one prepared epoch of MFG-CP: the per-content equilibria
+// and knapsack admissions that Rate reads. Prepare and RestoreState replace
+// both slices rather than writing into the ones they hold, so a copy of the
+// struct taken between two Prepare calls stays valid and unchanged while the
+// next one runs.
+type mfgcpStrategy struct {
 	equilibria []*engine.Equilibrium // per content; nil when not requested
 	admit      []float64             // knapsack admission fraction per content (nil = all 1)
 	k          int
+}
+
+// frozenMFGCP is the read-only strategy view Freeze returns.
+type frozenMFGCP struct {
+	mfgcpStrategy
+	share bool
+}
+
+// SharingEnabled implements Strategy.
+func (f *frozenMFGCP) SharingEnabled() bool { return f.share }
+
+// Freeze returns a read-only view of the strategy the last Prepare (or
+// RestoreState) left. Later Prepare calls do not change it, so an epoch can
+// trade on it while the next epoch's Prepare runs on another goroutine.
+func (p *MFGCP) Freeze() Strategy {
+	return &frozenMFGCP{mfgcpStrategy: p.mfgcpStrategy, share: p.Share}
 }
 
 // NewMFGCP returns the full MFG-CP policy.
@@ -260,10 +285,10 @@ func (p *MFGCP) applyCapacity(ctx *EpochContext) error {
 	return nil
 }
 
-// Rate implements Policy by evaluating the equilibrium feedback strategy,
+// Rate implements Strategy by evaluating the equilibrium feedback strategy,
 // scaled by the knapsack admission fraction when a capacity budget is set.
 // Contents outside K' are not cached.
-func (p *MFGCP) Rate(_, k int, t, h, q float64) (float64, error) {
+func (p *mfgcpStrategy) Rate(_, k int, t, h, q float64) (float64, error) {
 	if err := checkContent(k, p.k); err != nil {
 		return 0, err
 	}

@@ -62,13 +62,19 @@ func (c *EpochContext) Validate() error {
 
 // Policy is a per-epoch caching strategy. Prepare is called once at the start
 // of each epoch (this is the "strategy determination" step whose cost
-// Table II compares); Rate is then queried for every EDP at every simulation
-// step and must be cheap and side-effect free.
+// Table II compares); the Strategy it leaves is then queried for every EDP at
+// every simulation step.
 type Policy interface {
 	// Name identifies the policy in reports ("MFG-CP", "RR", ...).
 	Name() string
 	// Prepare computes the epoch's strategy.
 	Prepare(ctx *EpochContext) error
+	Strategy
+}
+
+// Strategy is the trading half of a Policy: what the epoch's trading reads of
+// the last Prepare. Rate must be cheap and side-effect free.
+type Strategy interface {
 	// Rate returns the caching rate x ∈ [0,1] applied by EDP edp to content
 	// k at epoch-relative time t in state (h, q).
 	Rate(edp, k int, t, h, q float64) (float64, error)

@@ -409,3 +409,57 @@ func TestMFGCPCapacityBudget(t *testing.T) {
 		t.Error("bad index should error")
 	}
 }
+
+// A frozen MFG-CP strategy keeps answering with the epoch it was taken from
+// while later Prepare calls replace the live one: the view the simulator
+// trades on while the next epoch prepares.
+func TestMFGCPFreezeSurvivesNextPrepare(t *testing.T) {
+	ctx := testContext(t, 4)
+	p := NewMFGCP()
+	p.Capacity = 1.5 // admissions too, so both slices the view holds are exercised
+	if err := p.Prepare(ctx); err != nil {
+		t.Fatal(err)
+	}
+	frozen := p.Freeze()
+	type state struct{ h, q float64 }
+	probes := []state{{3, 10}, {5, 40}, {8, 70}}
+	want := make([]float64, 0, len(probes)*ctx.Params.K)
+	for k := 0; k < ctx.Params.K; k++ {
+		for _, s := range probes {
+			x, err := p.Rate(0, k, 0.5, s.h, s.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, x)
+		}
+	}
+
+	// The next epoch: contents 0 and 1 lose their demand, the rest shift.
+	ctx.Epoch = 1
+	ctx.Workloads[0].Requests, ctx.Workloads[1].Requests = 0, 0
+	for k := 2; k < ctx.Params.K; k++ {
+		ctx.Workloads[k].Requests *= 3
+	}
+	if err := p.Prepare(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if live, _ := p.Rate(0, 0, 0.5, 3, 10); live != 0 {
+		t.Fatalf("content 0 lost its demand but the live strategy still caches it at %v", live)
+	}
+	i := 0
+	for k := 0; k < ctx.Params.K; k++ {
+		for _, s := range probes {
+			got, err := frozen.Rate(0, k, 0.5, s.h, s.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("content %d at %+v: frozen view reads %v after the next Prepare, %v before", k, s, got, want[i])
+			}
+			i++
+		}
+	}
+	if frozen.SharingEnabled() != p.SharingEnabled() || NewMFG().Freeze().SharingEnabled() {
+		t.Error("a frozen view must keep its policy's sharing mode")
+	}
+}

@@ -236,11 +236,46 @@ func (ck *Checkpoint) sane() error {
 	return nil
 }
 
-// snapshotRun captures the complete mutable run state after a completed
-// epoch: nextEpoch is the first epoch a resumed run executes and draws the
-// simulation-stream position at that boundary.
+// heldState is the part of an epoch-boundary snapshot the next epoch's
+// Prepare may change: the policy's prepared strategy and the equilibrium
+// cache. It is taken when the epoch's strategy is ready, before the next
+// Prepare starts, and the rest of the snapshot after the epoch trades.
+type heldState struct {
+	policy     []byte
+	cacheKeys  []string
+	cacheBlobs [][]byte
+}
+
+// holdState captures the policy's prepared strategy (nil for stateless
+// policies) and the equilibrium cache in LRU order.
+func holdState(cfg *Config, cache *engine.Cache) (*heldState, error) {
+	h := &heldState{}
+	if pc, ok := cfg.Policy.(policyCheckpointer); ok {
+		st, err := pc.CheckpointState()
+		if err != nil {
+			return nil, fmt.Errorf("sim: checkpoint policy state: %w", err)
+		}
+		h.policy = st
+	}
+	if cache != nil {
+		for _, e := range cache.Export() {
+			blob, err := engine.MarshalEquilibrium(e.Value)
+			if err != nil {
+				return nil, fmt.Errorf("sim: checkpoint cache entry %q: %w", e.Key, err)
+			}
+			h.cacheKeys = append(h.cacheKeys, e.Key)
+			h.cacheBlobs = append(h.cacheBlobs, blob)
+		}
+	}
+	return h, nil
+}
+
+// snapshotRun assembles the complete mutable run state after a completed
+// epoch from the state held at the epoch's strategy: nextEpoch is the first
+// epoch a resumed run executes and draws the simulation-stream position at
+// that boundary.
 func snapshotRun(cfg *Config, agents []edp, requesters *requesterPopulation, res *Result,
-	cache *engine.Cache, nextEpoch int, draws uint64, prepared bool, degraded int) (*Checkpoint, error) {
+	held *heldState, nextEpoch int, draws uint64, prepared bool, degraded int) *Checkpoint {
 	p := cfg.Params
 	ck := &Checkpoint{
 		Seed:           cfg.Seed,
@@ -258,6 +293,9 @@ func snapshotRun(cfg *Config, agents []edp, requesters *requesterPopulation, res
 		Ledgers:        append([]Ledger(nil), res.Ledgers...),
 		Stats:          append([]EpochStats(nil), res.Stats...),
 		StrategyTime:   res.StrategyTime,
+		PolicyState:    held.policy,
+		CacheKeys:      held.cacheKeys,
+		CacheBlobs:     held.cacheBlobs,
 	}
 	for i, a := range agents {
 		ck.Agents[i] = AgentState{X: a.x, Y: a.y, H: a.h, Q: append([]float64(nil), a.q...)}
@@ -268,24 +306,7 @@ func snapshotRun(cfg *Config, agents []edp, requesters *requesterPopulation, res
 			ck.Requesters[i] = RequesterState{X: r.x, Y: r.y, H: r.h, Home: r.home}
 		}
 	}
-	if pc, ok := cfg.Policy.(policyCheckpointer); ok {
-		st, err := pc.CheckpointState()
-		if err != nil {
-			return nil, fmt.Errorf("sim: checkpoint policy state: %w", err)
-		}
-		ck.PolicyState = st
-	}
-	if cache != nil {
-		for _, e := range cache.Export() {
-			blob, err := engine.MarshalEquilibrium(e.Value)
-			if err != nil {
-				return nil, fmt.Errorf("sim: checkpoint cache entry %q: %w", e.Key, err)
-			}
-			ck.CacheKeys = append(ck.CacheKeys, e.Key)
-			ck.CacheBlobs = append(ck.CacheBlobs, blob)
-		}
-	}
-	return ck, nil
+	return ck
 }
 
 // restoreRun applies a validated snapshot onto freshly initialised run state.

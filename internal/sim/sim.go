@@ -291,6 +291,13 @@ func Run(cfg Config) (*Result, error) {
 // deadlines are honoured at simulation-step granularity (and forwarded to the
 // strategy-determination solves at best-response-iteration granularity). On
 // interruption the partial Result is returned with ErrInterrupted.
+//
+// When the next epoch's workloads are known before an epoch trades — the
+// policy can freeze its strategy (see strategyFreezer) and demand is not
+// requester-level — the epoch trades on a frozen view of its strategy while
+// the next epoch's Prepare runs on its own goroutine. The results are those
+// of running the epochs one after another, bit for bit, and RunContext never
+// returns while a Prepare it started is running.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -422,108 +429,139 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	var fallback policy.Policy // lazily built RR baseline for degraded epochs
 
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		if ctx.Err() != nil {
-			return interrupted(epoch, 0)
-		}
-		epochSpan := rec.Start("sim.epoch")
-		// --- Demand refresh (Algorithm 1, lines 4–5 and 8).
+	// plan computes an epoch's demand and workloads (Algorithm 1, lines 4–5
+	// and 8), refreshes the catalogue, and realises the epoch's fault
+	// schedule (deterministic from the plan seed, independent of the
+	// simulation stream). Requester-level demand draws from the simulation
+	// stream, so it is planned at the epoch's start; otherwise planning draws
+	// nothing, and the per-EDP draws of HeterogeneousDemand are left to the
+	// epoch's start, where they keep their place in the stream.
+	plan := func(epoch int) (*epochPlan, error) {
 		shares, err := ds.DayShares(epoch % ds.Days)
 		if err != nil {
 			return nil, err
 		}
-		var reqs [][]float64          // per-EDP, per-content request counts
-		var reqTimeliness [][]float64 // per-EDP, per-content declared L (requester level)
-		meanReqs := make([]float64, p.K)
-		epochTimeliness := append([]float64(nil), timeliness...)
+		pl := &epochPlan{
+			meanReqs:   make([]float64, p.K),
+			timeliness: append([]float64(nil), timeliness...),
+		}
 		if requesters != nil {
 			// Requester-level demand: mobility, nearest-EDP association,
 			// per-request content draws and timeliness declarations.
 			requesters.move(rng)
-			reqs, reqTimeliness = requesters.demand(agents, shares, timeliness, p.LMax, rng)
+			pl.reqs, pl.reqTimeliness = requesters.demand(agents, shares, timeliness, p.LMax, rng)
 			for k := 0; k < p.K; k++ {
 				var total, lSum float64
 				for i := 0; i < p.M; i++ {
-					total += reqs[i][k]
-					lSum += reqs[i][k] * reqTimeliness[i][k]
+					total += pl.reqs[i][k]
+					lSum += pl.reqs[i][k] * pl.reqTimeliness[i][k]
 				}
-				meanReqs[k] = total / float64(p.M)
+				pl.meanReqs[k] = total / float64(p.M)
 				if total > 0 {
-					epochTimeliness[k] = lSum / total
+					pl.timeliness[k] = lSum / total
 				}
 			}
 		} else {
-			for k := range meanReqs {
-				meanReqs[k] = cfg.RequestsPerEDP * shares[k]
-			}
-			reqs = make([][]float64, p.M)
-			for i := range reqs {
-				reqs[i] = make([]float64, p.K)
-				for k := range reqs[i] {
-					if cfg.HeterogeneousDemand {
-						lam := meanReqs[k]
-						noisy := lam + math.Sqrt(math.Max(lam, 0))*rng.NormFloat64()
-						reqs[i][k] = math.Max(0, math.Round(noisy))
-					} else {
-						reqs[i][k] = meanReqs[k]
-					}
-				}
+			for k := range pl.meanReqs {
+				pl.meanReqs[k] = cfg.RequestsPerEDP * shares[k]
 			}
 		}
-		if err := catalog.UpdatePopularity(meanReqs); err != nil {
+		if err := catalog.UpdatePopularity(pl.meanReqs); err != nil {
 			return nil, err
 		}
-		workloads := make([]engine.Workload, p.K)
-		for k := range workloads {
-			workloads[k] = engine.Workload{
-				Requests:   meanReqs[k],
+		pl.workloads = make([]engine.Workload, p.K)
+		for k := range pl.workloads {
+			pl.workloads[k] = engine.Workload{
+				Requests:   pl.meanReqs[k],
 				Pop:        catalog.Contents[k].Pop,
-				Timeliness: epochTimeliness[k],
+				Timeliness: pl.timeliness[k],
 			}
 		}
-
-		// --- Fault schedule for the epoch (deterministic from the plan seed,
-		// independent of the simulation stream).
-		var ef *epochFaults
 		if cfg.Faults != nil {
-			ef = cfg.Faults.epochFaults(epoch, p.M, cfg.StepsPerEpoch)
-			if ef.churned > 0 {
-				rec.Add("sim.fault.churned_edps", float64(ef.churned))
-			}
+			pl.faults = cfg.Faults.epochFaults(epoch, p.M, cfg.StepsPerEpoch)
 		}
-
-		// --- Strategy determination (Algorithm 1 line 9 / Table II timing).
-		// Under a fault plan a failed (or fault-forced-to-fail) solve degrades
-		// the epoch — reusing the last prepared strategy, or the RR baseline
-		// when no epoch ever prepared — instead of aborting the run.
-		pctx := &policy.EpochContext{
+		pl.ctx = &policy.EpochContext{
 			Params:    p,
 			Catalog:   catalog,
-			Workloads: workloads,
+			Workloads: pl.workloads,
 			Solver:    cfg.Solver,
 			Epoch:     epoch,
 			Seed:      cfg.Seed,
 			M:         p.M,
 			Ctx:       ctx,
 		}
-		activePol := cfg.Policy
+		return pl, nil
+	}
+
+	// Epoch overlap: an epoch trades on a frozen view of its strategy while
+	// the next epoch's Prepare runs on its own goroutine. That needs the next
+	// epoch's workloads before this epoch trades, so the simulator overlaps
+	// when the policy can freeze its strategy and demand is not
+	// requester-level. next is the next epoch's plan, with its Prepare
+	// running when it overlaps; a run never returns while one is pending.
+	freezer, _ := cfg.Policy.(strategyFreezer)
+	overlap := freezer != nil && requesters == nil
+	var next *epochPlan
+	defer func() {
+		if next != nil && next.prep != nil {
+			next.prep.wait()
+		}
+	}()
+	tradeEnd := time.Now() // when the previous epoch's trading ended, or the run began
+
+	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
+		if ctx.Err() != nil {
+			return interrupted(epoch, 0)
+		}
+		epochSpan := rec.Start("sim.epoch")
+		pl := next
+		next = nil
+		if pl == nil {
+			if pl, err = plan(epoch); err != nil {
+				return nil, err
+			}
+		}
+		workloads, ef := pl.workloads, pl.faults
+		if ef != nil && ef.churned > 0 {
+			rec.Add("sim.fault.churned_edps", float64(ef.churned))
+		}
+
+		// --- Strategy determination (Algorithm 1 line 9 / Table II timing).
+		// Under a fault plan a failed (or fault-forced-to-fail) solve degrades
+		// the epoch — reusing the last prepared strategy, or the RR baseline
+		// when no epoch ever prepared — instead of aborting the run. A Prepare
+		// that ran ahead is timed on its own goroutine.
+		var strategy policy.Strategy // nil until the epoch falls back to RR
 		degraded := false
 		start := time.Now()
+		var ahead time.Duration // strategy time spent before this epoch's start
+		ready := start          // when the epoch's strategy was ready
 		if ef != nil && ef.solverFail {
 			rec.Add("sim.fault.solver_forced", 1)
 			degraded = true
-		} else if err := cfg.Policy.Prepare(pctx); err != nil {
-			if ctx.Err() != nil {
-				return interrupted(epoch, 0)
-			}
-			if cfg.Faults == nil {
-				return nil, fmt.Errorf("sim: epoch %d: %w", epoch, err)
-			}
-			rec.Add("sim.fault.solver_errors", 1)
-			rec.Event("sim.degraded", slog.Int("epoch", epoch), slog.String("cause", err.Error()))
-			degraded = true
 		} else {
-			prepared = true
+			var err error
+			if pl.prep != nil {
+				ahead, err = pl.prep.wait()
+				start, ready = time.Now(), pl.prep.end
+				rec.Add("sim.epochs.overlapped", 1)
+			} else {
+				err = cfg.Policy.Prepare(pl.ctx)
+				ready = time.Now()
+			}
+			if err != nil {
+				if ctx.Err() != nil {
+					return interrupted(epoch, 0)
+				}
+				if cfg.Faults == nil {
+					return nil, fmt.Errorf("sim: epoch %d: %w", epoch, err)
+				}
+				rec.Add("sim.fault.solver_errors", 1)
+				rec.Event("sim.degraded", slog.Int("epoch", epoch), slog.String("cause", err.Error()))
+				degraded = true
+			} else {
+				prepared = true
+			}
 		}
 		if degraded {
 			degradedEpochs++
@@ -539,14 +577,67 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				if fallback == nil {
 					fallback = policy.NewRR()
 				}
-				if err := fallback.Prepare(pctx); err != nil {
+				if err := fallback.Prepare(pl.ctx); err != nil {
 					return nil, fmt.Errorf("sim: epoch %d: fallback: %w", epoch, err)
 				}
-				activePol = fallback
+				strategy = fallback
+				ready = time.Now()
 			}
 		}
-		prepTime := time.Since(start)
+		prepTime := ahead + time.Since(start)
 		res.StrategyTime += prepTime
+		wait := ready.Sub(tradeEnd)
+		if wait < 0 {
+			wait = 0 // the Prepare finished before the previous epoch's trading did
+		}
+		rec.Observe("sim.strategy.wait.seconds", wait.Seconds())
+
+		// The epoch trades on a frozen view of its strategy, and a checkpoint
+		// of the epoch holds the policy and equilibrium cache as they are
+		// now: both must be taken before the next epoch's Prepare starts.
+		if strategy == nil {
+			strategy = cfg.Policy
+			if freezer != nil {
+				strategy = freezer.Freeze()
+			}
+		}
+		every := cfg.Checkpoint.Every
+		if every < 1 {
+			every = 1
+		}
+		var held *heldState
+		if cfg.Checkpoint.Dir != "" && ((epoch+1)%every == 0 || epoch == cfg.Epochs-1) {
+			if held, err = holdState(&cfg, eqCache); err != nil {
+				return nil, fmt.Errorf("sim: epoch %d: %w", epoch, err)
+			}
+		}
+		if overlap && epoch+1 < cfg.Epochs {
+			// A planning error resurfaces when the next epoch plans itself.
+			if next, err = plan(epoch + 1); err != nil {
+				next = nil
+			} else if next.faults == nil || !next.faults.solverFail {
+				next.prep = startPrepare(cfg.Policy, next.ctx)
+			}
+		}
+
+		// Per-EDP request counts; HeterogeneousDemand's Poisson noise draws
+		// from the simulation stream here, at the epoch's start.
+		reqs, reqTimeliness := pl.reqs, pl.reqTimeliness
+		if reqs == nil {
+			reqs = make([][]float64, p.M)
+			for i := range reqs {
+				reqs[i] = make([]float64, p.K)
+				for k := range reqs[i] {
+					if cfg.HeterogeneousDemand {
+						lam := pl.meanReqs[k]
+						noisy := lam + math.Sqrt(math.Max(lam, 0))*rng.NormFloat64()
+						reqs[i][k] = math.Max(0, math.Round(noisy))
+					} else {
+						reqs[i][k] = pl.meanReqs[k]
+					}
+				}
+			}
+		}
 
 		// --- Trading and state evolution (Algorithm 1 lines 10–14).
 		es := EpochStats{Epoch: epoch, StrategyTime: prepTime}
@@ -610,7 +701,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 						xs[i] = 0
 						continue
 					}
-					x, err := activePol.Rate(i, k, t, agents[i].h, agents[i].q[k])
+					x, err := strategy.Rate(i, k, t, agents[i].h, agents[i].q[k])
 					if err != nil {
 						tally.flush(rec)
 						return nil, fmt.Errorf("sim: epoch %d step %d: %w", epoch, s, err)
@@ -651,7 +742,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					default:
 						j := peerIndex(rng, p.M, i)
 						peer := &agents[j]
-						peerQualified := activePol.SharingEnabled() && peer.q[k] <= alphaQ &&
+						peerQualified := strategy.SharingEnabled() && peer.q[k] <= alphaQ &&
 							(ef == nil || ef.active(j, s))
 						if peerQualified && ef != nil && ef.dropShare() {
 							// The share transaction is dropped on the wire: the
@@ -702,6 +793,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			tally.flush(rec)
 		}
+		tradeEnd = time.Now()
 
 		// Epoch aggregation.
 		var remain float64
@@ -738,30 +830,64 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			slog.Float64("mean_utility", es.MeanUtility),
 			slog.Float64("mean_price", es.MeanPrice),
 			slog.Float64("mean_remaining", es.MeanRemain),
-			slog.Duration("strategy_time", prepTime))
+			slog.Duration("strategy_time", prepTime),
+			slog.Duration("strategy_wait", wait),
+			slog.Bool("overlapped", pl.prep != nil))
 
 		// --- Epoch-boundary snapshot.
-		if cfg.Checkpoint.Dir != "" {
-			every := cfg.Checkpoint.Every
-			if every < 1 {
-				every = 1
+		if held != nil {
+			ck := snapshotRun(&cfg, agents, requesters, res, held, epoch+1, src.Draws(), prepared, degradedEpochs)
+			if err := WriteCheckpoint(cfg.Checkpoint.Dir, ck); err != nil {
+				return nil, fmt.Errorf("sim: epoch %d: %w", epoch, err)
 			}
-			if (epoch+1)%every == 0 || epoch == cfg.Epochs-1 {
-				ck, err := snapshotRun(&cfg, agents, requesters, res, eqCache,
-					epoch+1, src.Draws(), prepared, degradedEpochs)
-				if err != nil {
-					return nil, fmt.Errorf("sim: epoch %d: %w", epoch, err)
-				}
-				if err := WriteCheckpoint(cfg.Checkpoint.Dir, ck); err != nil {
-					return nil, fmt.Errorf("sim: epoch %d: %w", epoch, err)
-				}
-				rec.Add("sim.checkpoint.writes", 1)
-			}
+			rec.Add("sim.checkpoint.writes", 1)
 		}
 	}
 
 	finish()
 	return res, nil
+}
+
+// epochPlan is what one epoch needs before it trades: its demand, the
+// workloads and EpochContext its strategy determination reads, its fault
+// schedule, and — when it runs ahead of the epoch — its Prepare.
+type epochPlan struct {
+	meanReqs   []float64 // mean per-EDP request count per content
+	timeliness []float64 // declared timeliness per content
+	// reqs and reqTimeliness are the per-EDP, per-content request counts and
+	// declared timeliness of requester-level demand; nil otherwise.
+	reqs, reqTimeliness [][]float64
+	workloads           []engine.Workload
+	faults              *epochFaults // nil without a fault plan
+	ctx                 *policy.EpochContext
+	prep                *prepareCall // the epoch's Prepare when it runs ahead; nil otherwise
+}
+
+// prepareCall is a Policy.Prepare running on its own goroutine.
+type prepareCall struct {
+	done chan struct{}
+	err  error
+	took time.Duration // wall time of the Prepare call
+	end  time.Time     // when it returned
+}
+
+// startPrepare runs pol.Prepare(pctx) on a new goroutine and times it there.
+func startPrepare(pol policy.Policy, pctx *policy.EpochContext) *prepareCall {
+	c := &prepareCall{done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		start := time.Now()
+		c.err = pol.Prepare(pctx)
+		c.end = time.Now()
+		c.took = c.end.Sub(start)
+	}()
+	return c
+}
+
+// wait blocks until the Prepare returns and reports its wall time and error.
+func (c *prepareCall) wait() (time.Duration, error) {
+	<-c.done
+	return c.took, c.err
 }
 
 // serviceTally counts one step's served requests and service cases, so a
@@ -801,6 +927,16 @@ type equilibriumCaching interface {
 // escalation ladder for their equilibrium solves (policy.MFGCP).
 type recoverySetting interface {
 	SetRecovery(*resilience.Escalation)
+}
+
+// strategyFreezer is implemented by policies whose prepared strategy can be
+// read while their next Prepare runs (policy.MFGCP): Freeze returns a
+// read-only view of the last prepared strategy that later Prepare calls
+// leave unchanged. The simulator feature-tests for it to trade one epoch
+// while the next epoch's strategy is determined; the baselines, whose
+// Prepare takes microseconds, run their epochs one after another.
+type strategyFreezer interface {
+	Freeze() policy.Strategy
 }
 
 // policyCheckpointer is implemented by policies whose prepared strategy must
