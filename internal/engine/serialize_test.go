@@ -233,6 +233,9 @@ func TestArchiveRoundTripBitExact(t *testing.T) {
 	for name, eq := range map[string]*Equilibrium{"special values": specialEquilibrium(), "default grid": solved} {
 		t.Run(name, func(t *testing.T) {
 			blob := mustMarshal(t, eq)
+			if !bytes.Equal(blob, loopArchive(t, eq)) {
+				t.Error("the archive differs from the element-loop reference's")
+			}
 			back, err := UnmarshalEquilibrium(blob)
 			if err != nil {
 				t.Fatalf("UnmarshalEquilibrium: %v", err)
@@ -328,10 +331,11 @@ func (w *writeLog) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestStreamRoundTripBitExact streams archives through Equilibrium.WriteTo
-// and decodeEquilibrium. The streamed bytes equal MarshalEquilibrium's and the
-// element-loop reference's, reach the writer in writes of stageBytes, and
-// decode bit for bit from a reader that returns half of each request.
+// TestStreamRoundTripBitExact sends archives through the io entry points,
+// Equilibrium.WriteTo and ReadEquilibrium. WriteTo hands the writer the whole
+// archive in one write, its bytes equal MarshalEquilibrium's and the
+// element-loop reference's, and ReadEquilibrium decodes them bit for bit
+// from a reader that returns half of each request.
 func TestStreamRoundTripBitExact(t *testing.T) {
 	solved, err := Solve(DefaultConfig(mec.Default()), defaultWorkload())
 	if err != nil {
@@ -339,39 +343,31 @@ func TestStreamRoundTripBitExact(t *testing.T) {
 	}
 	for name, eq := range map[string]*Equilibrium{"special values": specialEquilibrium(), "default grid": solved} {
 		t.Run(name, func(t *testing.T) {
-			a, err := newArchive(eq)
-			if err != nil {
-				t.Fatal(err)
-			}
+			blob := mustMarshal(t, eq)
 			var log writeLog
 			n, err := eq.WriteTo(&log)
 			if err != nil {
 				t.Fatalf("WriteTo: %v", err)
 			}
-			if n != a.size || int64(log.Len()) != a.size {
-				t.Fatalf("WriteTo reported %d bytes and wrote %d, the archive is %d", n, log.Len(), a.size)
+			if n != int64(len(blob)) || log.Len() != len(blob) {
+				t.Fatalf("WriteTo reported %d bytes and wrote %d, the archive is %d", n, log.Len(), len(blob))
 			}
-			if !bytes.Equal(log.Bytes(), mustMarshal(t, eq)) {
-				t.Error("streamed bytes differ from MarshalEquilibrium's")
+			if len(log.sizes) != 1 {
+				t.Errorf("WriteTo made %d writes, want 1", len(log.sizes))
+			}
+			if !bytes.Equal(log.Bytes(), blob) {
+				t.Error("written bytes differ from MarshalEquilibrium's")
 			}
 			if !bytes.Equal(log.Bytes(), loopArchive(t, eq)) {
-				t.Error("streamed bytes differ from the element-loop reference's")
+				t.Error("written bytes differ from the element-loop reference's")
 			}
-			if want := int((a.size + stageBytes - 1) / stageBytes); len(log.sizes) != want {
-				t.Errorf("%d writes for %d bytes, want %d", len(log.sizes), a.size, want)
-			}
-			for _, size := range log.sizes[:len(log.sizes)-1] {
-				if size != stageBytes {
-					t.Errorf("a write of %d bytes, want %d", size, stageBytes)
-				}
-			}
-			back, err := decodeEquilibrium(iotest.HalfReader(&log.Buffer), a.size)
+			back, err := ReadEquilibrium(iotest.HalfReader(&log.Buffer))
 			if err != nil {
-				t.Fatalf("decodeEquilibrium: %v", err)
+				t.Fatalf("ReadEquilibrium: %v", err)
 			}
 			samePathBits(t, back, eq)
 			if !sameBits(reflect.ValueOf(back), reflect.ValueOf(eq)) {
-				t.Error("stream round trip changed a header field")
+				t.Error("the round trip changed a header field")
 			}
 		})
 	}
@@ -393,9 +389,9 @@ func TestPortableFloatCodec(t *testing.T) {
 	if _, err := eq.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), blob) {
 		t.Errorf("WriteTo writes different bytes (err %v)", err)
 	}
-	back, err := decodeEquilibrium(iotest.HalfReader(bytes.NewReader(blob)), int64(len(blob)))
+	back, err := UnmarshalEquilibrium(blob)
 	if err != nil {
-		t.Fatalf("decodeEquilibrium: %v", err)
+		t.Fatalf("UnmarshalEquilibrium: %v", err)
 	}
 	samePathBits(t, back, eq)
 }
@@ -414,8 +410,7 @@ func craftArchive(t *testing.T, levels, width int, bulk []byte) []byte {
 	return append(append(out, header.Bytes()...), bulk...)
 }
 
-// rejectedArchives holds malformed archives every decoder must refuse, each
-// whole: its declared size is its length.
+// rejectedArchives holds malformed archives UnmarshalEquilibrium must refuse.
 func rejectedArchives(t *testing.T) map[string][]byte {
 	blob := mustMarshal(t, specialEquilibrium())
 	patch := func(at int, b ...byte) []byte {
@@ -445,13 +440,20 @@ func rejectedArchives(t *testing.T) map[string][]byte {
 	return cases
 }
 
-// wellFormedCrafted is the crafted archive whose shape matches its bulk.
-func wellFormedCrafted(t *testing.T) []byte {
+// specialBulk is the 2×3 bulk of specialEquilibrium's archive.
+func specialBulk(t *testing.T) []byte {
 	blob := mustMarshal(t, specialEquilibrium())
-	bulk := blob[archivePrefix+int(binary.LittleEndian.Uint32(blob[len(archiveMagic)+1:])):]
-	return craftArchive(t, 2, 3, bulk)
+	return blob[archivePrefix+int(binary.LittleEndian.Uint32(blob[len(archiveMagic)+1:])):]
 }
 
+// wellFormedCrafted is the crafted archive whose shape matches its bulk.
+func wellFormedCrafted(t *testing.T) []byte {
+	return craftArchive(t, 2, 3, specialBulk(t))
+}
+
+// TestUnmarshalEquilibriumRejects feeds the decoder every malformed archive
+// (a v2 archive with one trailing byte among them), and v1 and v2 archives
+// cut short.
 func TestUnmarshalEquilibriumRejects(t *testing.T) {
 	for name, data := range rejectedArchives(t) {
 		if _, err := UnmarshalEquilibrium(data); err == nil {
@@ -461,52 +463,60 @@ func TestUnmarshalEquilibriumRejects(t *testing.T) {
 	if _, err := UnmarshalEquilibrium(wellFormedCrafted(t)); err != nil {
 		t.Errorf("the well-formed crafted archive is rejected: %v", err)
 	}
-}
-
-// TestDecodeEquilibriumRejects drives the stream decoder one byte per read:
-// it refuses every malformed archive, and a body that ends before its
-// declared size or runs past it.
-func TestDecodeEquilibriumRejects(t *testing.T) {
-	decode := func(data []byte, size int) error {
-		_, err := decodeEquilibrium(iotest.OneByteReader(bytes.NewReader(data)), int64(size))
-		return err
-	}
-	for name, data := range rejectedArchives(t) {
-		if decode(data, len(data)) == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-	if crafted := wellFormedCrafted(t); decode(crafted, len(crafted)) != nil {
-		t.Error("the well-formed crafted archive is rejected")
-	}
 	for name, blob := range map[string][]byte{"v2": mustMarshal(t, specialEquilibrium()), "v1": v1Archive(t, 1, specialEquilibrium())} {
-		if err := decode(blob, len(blob)); err != nil {
+		if _, err := UnmarshalEquilibrium(blob); err != nil {
 			t.Fatalf("%s: the whole archive is rejected: %v", name, err)
 		}
 		for _, cut := range []int{1, 24, len(blob) - archivePrefix, len(blob) - 1, len(blob)} {
-			err := decode(blob[:len(blob)-cut], len(blob))
-			if err == nil || (cut <= 24 && !errors.Is(err, io.ErrUnexpectedEOF)) {
-				t.Errorf("%s: a body %d bytes shorter than declared: err = %v", name, cut, err)
+			if _, err := UnmarshalEquilibrium(blob[:len(blob)-cut]); err == nil {
+				t.Errorf("%s: the archive cut %d bytes short decoded", name, cut)
 			}
 		}
-		if err := decode(append(append([]byte(nil), blob...), 0), len(blob)); err == nil || !strings.Contains(err.Error(), "longer than") {
-			t.Errorf("%s: a body longer than declared: err = %v", name, err)
-		}
-	}
-	if _, err := decodeEquilibrium(strings.NewReader(""), -1); err == nil {
-		t.Error("a negative declared size decoded")
 	}
 }
 
-// TestDecodeChecksShapeBeforeAllocating declares a 64 MiB archive whose
-// header describes a 2×3 bulk: the decoder must refuse it from the prefix
-// and header alone, without allocating for the declared size.
+// TestDecodeEquilibriumRejects drives ReadEquilibrium one byte per read: it
+// refuses every malformed archive (a v2 archive with one trailing byte among
+// them) and a v1 or v2 body that ends early, and passes on the reader's own
+// error.
+func TestDecodeEquilibriumRejects(t *testing.T) {
+	read := func(r io.Reader) error {
+		_, err := ReadEquilibrium(iotest.OneByteReader(r))
+		return err
+	}
+	for name, data := range rejectedArchives(t) {
+		if read(bytes.NewReader(data)) == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	if read(bytes.NewReader(wellFormedCrafted(t))) != nil {
+		t.Error("the well-formed crafted archive is rejected")
+	}
+	for name, blob := range map[string][]byte{"v2": mustMarshal(t, specialEquilibrium()), "v1": v1Archive(t, 1, specialEquilibrium())} {
+		if err := read(bytes.NewReader(blob)); err != nil {
+			t.Fatalf("%s: the whole archive is rejected: %v", name, err)
+		}
+		for _, cut := range []int{1, 24, len(blob) - archivePrefix, len(blob) - 1, len(blob)} {
+			if read(bytes.NewReader(blob[:len(blob)-cut])) == nil {
+				t.Errorf("%s: a body %d bytes short decoded", name, cut)
+			}
+		}
+		broken := errors.New("connection reset")
+		err := read(io.MultiReader(bytes.NewReader(blob[:len(blob)/2]), iotest.ErrReader(broken)))
+		if !errors.Is(err, broken) {
+			t.Errorf("%s: a reader failing halfway: err = %v, want %v", name, err, broken)
+		}
+	}
+}
+
+// TestDecodeChecksShapeBeforeAllocating frames a 2×3 bulk behind a header
+// that declares 48 MiB of paths: the decoder must refuse it from the prefix
+// and header alone, without allocating for the declared shape.
 func TestDecodeChecksShapeBeforeAllocating(t *testing.T) {
-	crafted := wellFormedCrafted(t)
-	const declared = 64 << 20
+	crafted := craftArchive(t, 2<<10, 1<<10, specialBulk(t))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodeEquilibrium(bytes.NewReader(crafted), declared)
+	_, err := UnmarshalEquilibrium(crafted)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "does not hold") {
 		t.Fatalf("err = %v, want the bulk-shape refusal", err)
@@ -564,14 +574,16 @@ func TestWriteToMatchesMarshalEquilibrium(t *testing.T) {
 }
 
 // BenchmarkEquilibriumCodec times one default-grid archive (3 × 121 × 793
-// path values) through each direction of the codec, in memory and streamed:
-// stream-encode writes to io.Discard, stream-decode reads from a
-// bytes.Reader.
+// path values) through each direction of the codec. The equilibrium stays
+// live to the end, so both directions run against the same live heap: a
+// decode allocates an archive's worth per op, and the GC's pace follows the
+// live heap.
 func BenchmarkEquilibriumCodec(b *testing.B) {
 	eq, err := Solve(DefaultConfig(mec.Default()), defaultWorkload())
 	if err != nil {
 		b.Fatalf("Solve: %v", err)
 	}
+	defer runtime.KeepAlive(eq)
 	blob := mustMarshal(b, eq)
 	b.Run("marshal", func(b *testing.B) {
 		b.ReportAllocs()
@@ -585,24 +597,6 @@ func BenchmarkEquilibriumCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := UnmarshalEquilibrium(blob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stream-encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eq.WriteTo(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stream-decode", func(b *testing.B) {
-		b.ReportAllocs()
-		var r bytes.Reader
-		for i := 0; i < b.N; i++ {
-			r.Reset(blob)
-			if _, err := decodeEquilibrium(&r, int64(len(blob))); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -51,14 +51,13 @@ func equilibriaEqual(t *testing.T, a, b []*engine.Equilibrium) {
 	}
 }
 
-func prepared(t *testing.T, workers int, cache *engine.Cache) []*engine.Equilibrium {
+func prepared(t *testing.T, cache *engine.Cache) []*engine.Equilibrium {
 	t.Helper()
 	ctx := testContext(t, 10)
 	p := NewMFGCP()
-	p.Workers = workers
 	p.Cache = cache
 	if err := p.Prepare(ctx); err != nil {
-		t.Fatalf("Prepare (workers=%d): %v", workers, err)
+		t.Fatalf("Prepare (GOMAXPROCS=%d): %v", runtime.GOMAXPROCS(0), err)
 	}
 	out := make([]*engine.Equilibrium, ctx.Params.K)
 	for k := range out {
@@ -75,17 +74,19 @@ func prepared(t *testing.T, workers int, cache *engine.Cache) []*engine.Equilibr
 // with the same seed and context produce identical Equilibrium trajectories,
 // regardless of goroutine scheduling.
 func TestPrepareDeterministicAcrossRuns(t *testing.T) {
-	a := prepared(t, 0, nil)
-	b := prepared(t, 0, nil)
+	a := prepared(t, nil)
+	b := prepared(t, nil)
 	equilibriaEqual(t, a, b)
 }
 
-// TestPrepareDeterministicAcrossWorkerCounts checks that the worker count is
-// purely a throughput knob: sequential and fully parallel Prepare agree
-// bit-for-bit.
+// TestPrepareDeterministicAcrossWorkerCounts checks that Prepare's pool size,
+// one worker per GOMAXPROCS, is purely a throughput knob: sequential and
+// fully parallel Prepare agree bit-for-bit.
 func TestPrepareDeterministicAcrossWorkerCounts(t *testing.T) {
-	seq := prepared(t, 1, nil)
-	par := prepared(t, runtime.NumCPU(), nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq := prepared(t, nil)
+	runtime.GOMAXPROCS(runtime.NumCPU())
+	par := prepared(t, nil)
 	equilibriaEqual(t, seq, par)
 }
 
@@ -97,9 +98,9 @@ func TestPrepareCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := prepared(t, 0, cache)
+	first := prepared(t, cache)
 	_, missesAfterFirst, _ := cache.Stats()
-	second := prepared(t, 0, cache)
+	second := prepared(t, cache)
 	equilibriaEqual(t, first, second)
 	_, misses, _ := cache.Stats()
 	if misses != missesAfterFirst {
@@ -110,5 +111,5 @@ func TestPrepareCacheReuse(t *testing.T) {
 		t.Errorf("second identical epoch recorded no cache hits")
 	}
 	// The cached solve must be byte-identical to an uncached one.
-	equilibriaEqual(t, prepared(t, 0, nil), second)
+	equilibriaEqual(t, prepared(t, nil), second)
 }

@@ -26,11 +26,6 @@ type MFGCP struct {
 	// TolerateNonConvergence accepts the partial equilibrium when the
 	// best-response iteration hits ψ_th, instead of failing the epoch.
 	TolerateNonConvergence bool
-	// Workers bounds the number of per-content equilibria solved
-	// concurrently during Prepare; 0 means one worker per CPU. The contents
-	// of one epoch are independent, so the result is identical to the
-	// sequential solve.
-	Workers int
 	// DisableWarmStart turns off seeding each epoch's solves with the
 	// previous epoch's equilibria. Warm starting exploits the slow drift of
 	// demand across epochs (Algorithm 1's assumption) and typically halves
@@ -188,13 +183,10 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 		jobs = append(jobs, solveJob{content: k, key: key, warm: warmFor(k)})
 	}
 
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	// One worker per usable CPU, the module's rule for concurrent solves. The
+	// contents of one epoch are independent, so the result is identical to
+	// the sequential solve.
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	results := make([]*engine.Equilibrium, len(jobs))
 	errs := make([]error, len(jobs))
 	next := make(chan int)

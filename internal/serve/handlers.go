@@ -8,13 +8,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/mec"
 	"repro/internal/obs"
 	"repro/internal/pde"
 	"repro/internal/policy"
@@ -58,6 +57,8 @@ type SolveResponse struct {
 // per-content workload descriptors (one per content, length must equal
 // Params.K) for which the MFG-CP policy determines the epoch's caching
 // strategies. Policy selects "mfg-cp" (default) or the sharing-free "mfg".
+// Epoch is echoed back. Seed is accepted and unused: it would seed the
+// knapsack's utility estimate, and the daemon sets no capacity.
 type EpochRequest struct {
 	Params    json.RawMessage   `json:",omitempty"`
 	Solver    json.RawMessage   `json:",omitempty"`
@@ -270,16 +271,15 @@ func response(sum *surrogate.Summary, src Source) SolveResponse {
 	}
 }
 
-// handleEpoch prepares one epoch of per-content strategies through
-// policy.MFGCP.Prepare, sharing the daemon's LRU of answers and worker
-// budget. Concurrent epoch requests beyond the semaphore are shed with 429:
-// each one fans out into up to K solves, so admission control has to happen
-// before Prepare, not inside it.
-//
-// The LRU holds answers, not equilibria, so the sharing happens here rather
-// than through Prepare's equilibrium cache: a content whose answer is cached
-// takes its row from it and leaves the set Prepare solves, and the converged
-// answers of the contents Prepare solves are published for /v1/solve.
+// handleEpoch determines one epoch of per-content strategies (Algorithm 1's
+// strategy step) by running each requested content through the serving
+// ladder the way a /v1/solve of it runs, keyed by the solver config with the
+// policy's sharing mode. Epochs and /v1/solve therefore share the LRU, the
+// store, singleflight, the worker pool, the queue and the breaker. At most
+// Workers contents of one epoch (and no more than the queue holds) are in
+// flight at a time, so an epoch never sheds its own contents from the queue.
+// Epoch solves are neither forwarded to peers nor retries, and the
+// lowest-numbered failing content decides an error response.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	var req EpochRequest
 	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
@@ -319,82 +319,53 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest(fmt.Errorf("serve: policy %q has no equilibrium strategy; the epoch endpoint serves mfg-cp and mfg", name)))
 		return
 	}
+	cfg.ShareEnabled = pol.Share
 
 	s.rec.Add("serve.epoch.requests", 1)
-	select {
-	case s.epochSem <- struct{}{}:
-		defer func() { <-s.epochSem }()
-	default:
-		s.rec.Add("serve.epoch.shed", 1)
-		s.writeError(w, ErrOverloaded)
-		return
-	}
-
-	catalog, err := mec.NewCatalog(p)
-	if err != nil {
-		s.writeError(w, badRequest(err))
-		return
-	}
-	for k := range catalog.Contents {
-		catalog.Contents[k].Pop = workloads[k].Pop
-		catalog.Contents[k].Timeliness = workloads[k].Timeliness
-		catalog.Contents[k].Requests = workloads[k].Requests
-	}
-	pol.Workers = s.cfg.Workers
-
-	// Prepare keys content k by its solver config with the policy's sharing
-	// mode; a cached content joins the epoch with no demand left to solve.
-	keyCfg := cfg
-	keyCfg.ShareEnabled = pol.Share
-	keys := make([]string, p.K)
-	answers := make([]*surrogate.Summary, p.K)
-	unsolved := slices.Clone(workloads)
-	for k, wl := range workloads {
-		if wl.Requests <= 0 {
-			continue
-		}
-		keys[k] = engine.CacheKey(keyCfg, wl)
-		if ans, ok := s.cache.Get(s.rec, keys[k]); ok {
-			answers[k] = ans
-			unsolved[k].Requests = 0
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(s.lifeCtx, s.clampTimeout(req.TimeoutMs))
+	timeout := s.clampTimeout(req.TimeoutMs)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	if tr := obs.ReqTraceFrom(r.Context()); tr != nil {
-		// Epoch preparation runs under the daemon's life context; carry the
-		// request's trace across so per-content solves attribute to it.
-		ctx = obs.WithReqTrace(ctx, tr)
-	}
-	ectx := policy.EpochContext{
-		Params:    p,
-		Catalog:   catalog,
-		Workloads: unsolved,
-		Solver:    cfg,
-		Epoch:     req.Epoch,
-		Seed:      req.Seed,
-		M:         p.M,
-		Ctx:       ctx,
-	}
+	answers := make([]*surrogate.Summary, p.K)
+	errs := make([]error, p.K)
+	slots := make(chan struct{}, min(s.cfg.Workers, s.cfg.QueueDepth))
+	var wg sync.WaitGroup
 	s.rec.Add("serve.epoch.executed", 1)
 	start := time.Now()
-	if err := pol.Prepare(&ectx); err != nil {
-		s.writeError(w, err)
-		return
+	for k, wl := range workloads {
+		if wl.Requests <= 0 {
+			continue // not in K': no demand this epoch
+		}
+		slots <- struct{}{}
+		if err := ctx.Err(); err != nil {
+			// The epoch is past its deadline or its client left: start no
+			// more solves for it.
+			errs[k] = fmt.Errorf("serve: content %d: %w", k, err)
+			<-slots
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			ans, _, err := s.solve(ctx, cfg, wl, timeout, false, nil)
+			if err != nil && !(errors.Is(err, engine.ErrNotConverged) && ans != nil) {
+				errs[k] = fmt.Errorf("serve: content %d: %w", k, err)
+			}
+			answers[k] = ans
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
 	}
 	s.rec.Observe("serve.epoch.seconds", time.Since(start).Seconds())
 
 	resp := EpochResponse{Policy: pol.Name(), Epoch: req.Epoch, Contents: make([]EpochContent, p.K)}
-	for k := 0; k < p.K; k++ {
+	for k, ans := range answers {
 		c := EpochContent{Content: k, Admission: 1}
-		if eq, err := pol.Equilibrium(k); err == nil && eq != nil {
-			answers[k] = surrogate.Summarize(eq)
-			if answers[k].Converged {
-				s.cache.Put(s.rec, keys[k], answers[k])
-			}
-		}
-		if ans := answers[k]; ans != nil {
+		if ans != nil {
 			c.Requested = true
 			c.Converged = ans.Converged
 			c.Iterations = ans.Iterations
@@ -402,9 +373,6 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 				// The last sample is the last time level's price.
 				c.FinalPrice = ans.Price[n-1]
 			}
-		}
-		if a, err := pol.Admission(k); err == nil {
-			c.Admission = a
 		}
 		resp.Contents[k] = c
 	}

@@ -215,7 +215,7 @@ type Server struct {
 	mu       sync.Mutex
 	inflight map[string]*flight
 	fresh    map[net.Conn]struct{} // accepted connections without a request yet
-	epochSem chan struct{}
+	stopped  bool                  // jobs is closed: no flight may start
 
 	// lifeCtx outlives the run context so SIGTERM drains in-flight solves
 	// instead of cancelling them; lifeCancel fires only when the drain
@@ -283,10 +283,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	epochSlots := cfg.Workers / 2
-	if epochSlots < 1 {
-		epochSlots = 1
-	}
 	lifeCtx, lifeCancel := context.WithCancel(context.Background())
 	return &Server{
 		cfg:        cfg,
@@ -300,7 +296,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:       make(chan *flight, cfg.QueueDepth),
 		inflight:   make(map[string]*flight),
 		fresh:      make(map[net.Conn]struct{}),
-		epochSem:   make(chan struct{}, epochSlots),
 		lifeCtx:    lifeCtx,
 		lifeCancel: lifeCancel,
 	}, nil
@@ -406,7 +401,12 @@ func (s *Server) stop() {
 	if s.cluster != nil {
 		s.cluster.Stop()
 	}
+	// A handler the drain budget outlived may still reach the ladder; it
+	// finds the pool stopped instead of sending on the closed queue.
+	s.mu.Lock()
+	s.stopped = true
 	close(s.jobs)
+	s.mu.Unlock()
 	s.workerWG.Wait()
 	if s.store != nil {
 		// Workers are done, so no more Puts race the drain; Close empties the
@@ -497,6 +497,10 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 			s.mu.Unlock()
 			s.rec.Add("engine.cache.hit", 1)
 			return ans, solveOutcome{Source: SourceCache}, nil
+		}
+		if s.stopped {
+			s.mu.Unlock()
+			return nil, solveOutcome{}, fmt.Errorf("serve: solver pool stopped: %w", context.Canceled)
 		}
 		// This request is about to trigger a fresh engine solve: the overload
 		// defences gate here, not earlier, so reads and coalesced joins keep

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -601,14 +602,158 @@ func TestEpochSharesAnswersWithSolve(t *testing.T) {
 	if n := reg.Snapshot().Counters["engine.cache.hit"] - hits; n != 1 {
 		t.Errorf("the epoch hit the cache %g times, want 1 (content 0)", n)
 	}
-	for i := 1; i < 3; i++ {
+	for i := 0; i < 3; i++ {
 		resp, data := postSolve(t, http.DefaultClient, base, solve(i))
 		if resp.StatusCode != http.StatusOK || sourceOf(t, data) != SourceCache {
 			t.Errorf("solve content %d after the epoch: status %d body %s, want a cache answer", i, resp.StatusCode, data)
 		}
 	}
-	if got := reg.Snapshot().Counters["serve.solve.executed"]; got != 1 {
-		t.Errorf("serve.solve.executed = %g, want 1 (content 0 before the epoch)", got)
+	// Epoch contents run on the worker pool like /v1/solve misses: content 0
+	// before the epoch, then the epoch's contents 1 and 2.
+	if got := reg.Snapshot().Counters["serve.solve.executed"]; got != 3 {
+		t.Errorf("serve.solve.executed = %g, want 3 (content 0 before the epoch, 1 and 2 in it)", got)
+	}
+}
+
+// epochRequest is an epoch body over k requested contents with distinct
+// workloads, and solveRequest the /v1/solve body of its content i: the two
+// resolve content i to the same key.
+func epochRequest(k int) string {
+	workloads := make([]string, k)
+	for i := range workloads {
+		workloads[i] = epochWorkload(i)
+	}
+	return fmt.Sprintf(`{"Params": {"K": %d, "M": 50}, "Workloads": [%s], "Epoch": 1, "Seed": 7}`, k, strings.Join(workloads, ","))
+}
+
+func solveRequest(k, i int) string {
+	return fmt.Sprintf(`{"Params": {"K": %d, "M": 50}, "Workload": %s}`, k, epochWorkload(i))
+}
+
+func epochWorkload(i int) string {
+	return fmt.Sprintf(`{"Requests": %d, "Pop": %g, "Timeliness": 2}`, 5+i, 0.1+0.05*float64(i))
+}
+
+// TestEpochCoalescesWithSolve runs an epoch and a /v1/solve of its one
+// content at the same time: they share one engine solve, whichever of
+// singleflight and the LRU joins them.
+func TestEpochCoalescesWithSolve(t *testing.T) {
+	cfg, reg := testConfig(t)
+	base, _ := startDaemon(t, cfg)
+	var wg sync.WaitGroup
+	statuses := make([]int, 2)
+	for i, req := range []struct{ url, body string }{
+		{base + "/v1/policy/epoch", epochRequest(1)},
+		{base + "/v1/solve", solveRequest(1, 0)},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(req.url, "application/json", strings.NewReader(req.body))
+			if err != nil {
+				t.Errorf("POST %s: %v", req.url, err)
+				return
+			}
+			resp.Body.Close()
+			statuses[i] = resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	if statuses[0] != http.StatusOK || statuses[1] != http.StatusOK {
+		t.Fatalf("epoch and solve statuses %v, want both 200", statuses)
+	}
+	if got := reg.Snapshot().Counters["core.solver.solves"]; got != 1 {
+		t.Errorf("core.solver.solves = %g, want 1", got)
+	}
+}
+
+// TestEpochAnswersPersist restarts a daemon over the cache directory an epoch
+// filled: the restarted daemon answers each epoch content's /v1/solve from
+// the store.
+func TestEpochAnswersPersist(t *testing.T) {
+	dir := t.TempDir()
+	cfg, _ := testConfig(t)
+	cfg.CacheDir = dir
+	base, drain := startDaemon(t, cfg)
+	if resp, data := postSolve2(t, base+"/v1/policy/epoch", epochRequest(2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("epoch: status %d body %s", resp.StatusCode, data)
+	}
+	drain()
+
+	cfg, reg := testConfig(t)
+	cfg.CacheDir = dir
+	base, _ = startDaemon(t, cfg)
+	for i := 0; i < 2; i++ {
+		resp, data := postSolve(t, http.DefaultClient, base, solveRequest(2, i))
+		if resp.StatusCode != http.StatusOK || sourceOf(t, data) != SourceStore {
+			t.Errorf("content %d after the restart: status %d body %s, want a store answer", i, resp.StatusCode, data)
+		}
+	}
+	if got := reg.Snapshot().Counters["serve.solve.executed"]; got != 0 {
+		t.Errorf("the restarted daemon solved %g times, want 0", got)
+	}
+}
+
+// TestEpochBeyondQueueDepth sends an epoch of eight contents to a daemon whose
+// queue holds one: the epoch keeps no more contents in flight than the queue
+// holds, so it never sheds its own contents.
+func TestEpochBeyondQueueDepth(t *testing.T) {
+	cfg, _ := testConfig(t)
+	cfg.QueueDepth = 1
+	base, _ := startDaemon(t, cfg)
+	resp, data := postSolve2(t, base+"/v1/policy/epoch", epochRequest(8))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("epoch: status %d body %s, want 200", resp.StatusCode, data)
+	}
+	var er EpochResponse
+	if err := json.Unmarshal(data, &er); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range er.Contents {
+		if !c.Requested || !c.Converged {
+			t.Errorf("content %d: %+v, want requested and converged", c.Content, c)
+		}
+	}
+}
+
+// TestEpochBreakerOpen trips the breaker with one diverging solve: an epoch
+// whose contents need fresh solves then fails fast with 503 breaker_open,
+// naming its first content.
+func TestEpochBreakerOpen(t *testing.T) {
+	cfg, _ := testConfig(t)
+	cfg.Breaker = BreakerConfig{Failures: 1, OpenFor: time.Minute}
+	base, _ := startDaemon(t, cfg)
+	resp, data := postSolve(t, http.DefaultClient, base,
+		`{"Solver": {"BlowupResidual": 1e-12}, "Workload": {"Requests": 12, "Pop": 0.3, "Timeliness": 2}}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("breaker trip solve: status %d body %s, want 422", resp.StatusCode, data)
+	}
+	resp, data = postSolve2(t, base+"/v1/policy/epoch", epochRequest(3))
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("epoch: status %d body %s, want 503 with Retry-After", resp.StatusCode, data)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(data, &eb); err != nil || eb.Error.Kind != "breaker_open" {
+		t.Fatalf("epoch body %s, want kind breaker_open", data)
+	}
+	if !strings.HasPrefix(eb.Error.Message, "serve: content 0: ") {
+		t.Errorf("message %q does not name content 0", eb.Error.Message)
+	}
+}
+
+// TestSolveAfterStop reaches the ladder after the worker pool stopped, as a
+// handler the drain budget outlived does: the miss fails as interrupted
+// instead of sending on the closed queue.
+func TestSolveAfterStop(t *testing.T) {
+	cfg, _ := testConfig(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.stop()
+	_, _, err = s.solve(context.Background(), s.cfg.Solver, engine.Workload{Requests: 5, Pop: 0.2, Timeliness: 2}, time.Second, false, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("solve after stop: err = %v, want context.Canceled", err)
 	}
 }
 

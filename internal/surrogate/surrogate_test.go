@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -239,12 +240,48 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 func TestSaveIsAtomic(t *testing.T) {
 	tab := testTable(t)
-	path := filepath.Join(t.TempDir(), "table.mfgt")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "table.mfgt")
 	if err := tab.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind after Save")
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %v (err %v), want the table alone", entries, err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Errorf("table mode %v (err %v), want 0644", info.Mode(), err)
+	}
+}
+
+// TestConcurrentSavesPublishWholeTables saves one table to one path from four
+// goroutines at once, round after round: every save succeeds, the table at
+// the path always decodes, and no temp file is left behind.
+func TestConcurrentSavesPublishWholeTables(t *testing.T) {
+	tab := testTable(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.mfgt")
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = tab.Save(path)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: save %d: %v", round, i, err)
+			}
+		}
+		if _, err := Load(path); err != nil {
+			t.Fatalf("round %d: the saved table does not load: %v", round, err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %v (err %v), want the table alone", entries, err)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 
 	"repro/internal/engine"
@@ -413,20 +414,36 @@ func (t *Table) Encode() ([]byte, error) {
 	return append(out, blob.Bytes()...), nil
 }
 
-// Save writes the framed table atomically (temp file + rename), so a crashed
-// precompute never leaves a torn table where a daemon would look for one.
+// Save writes the framed table atomically: into a temp file of its own in
+// the destination directory, synced and closed before it is renamed over
+// path, and removed if any step fails. A crashed precompute or host never
+// leaves a torn table where a daemon would look for one, and concurrent saves
+// to one path each publish a whole table.
 func (t *Table) Save(path string) error {
 	data, err := t.Encode()
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("surrogate: write table: %w", err)
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("surrogate: save table: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("surrogate: commit table: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644) // CreateTemp's file is private; tables stay 0644
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("surrogate: save table: %w", err)
 	}
 	return nil
 }
