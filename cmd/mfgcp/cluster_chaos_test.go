@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -127,10 +128,12 @@ func TestClusterKillReplicaChaos(t *testing.T) {
 	// the window. Validation gates the one unforgivable failure: a 200 whose
 	// body is not a coherent equilibrium. Errors and timeouts are expected —
 	// a third of the targets is a corpse for most of the window.
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	repCh := make(chan *loadgen.Report, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		rep, err := loadgen.Run(t.Context(), loadgen.Config{
+		rep, err := loadgen.Run(ctx, loadgen.Config{
 			Targets:       bases,
 			RPS:           120,
 			Duration:      4 * time.Second,

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/sde"
 )
@@ -12,45 +11,23 @@ import (
 // (distinct Brownian paths, common initial state and equilibrium). The result
 // approximates the expected trajectory E[q(t)], E[U(t)], … that the paper's
 // convergence figures plot; single paths carry ±ϱq√t of diffusion noise that
-// would obscure the shapes. Members are simulated concurrently (one worker
-// per CPU); the deterministic per-member seeds make the average independent
-// of scheduling.
+// would obscure the shapes. Members are simulated concurrently through Each;
+// the deterministic per-member seeds make the average independent of
+// scheduling.
 func (eq *Equilibrium) EnsembleRollout(h0, q0 float64, seed int64, n int) (*Rollout, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: ensemble size must be ≥ 1, got %d", n)
 	}
 	members := make([]*Rollout, n)
-	errs := make([]error, n)
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
+	if err := Each(n, runtime.GOMAXPROCS(0), func(_, i int) (err error) {
+		members[i], err = eq.SimulateRollout(h0, q0, sde.DeriveSeed(seed, i))
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				members[i], errs[i] = eq.SimulateRollout(h0, q0, sde.DeriveSeed(seed, i))
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	var avg *Rollout
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if avg == nil {
-			avg = members[i]
-			continue
-		}
-		accumulate(avg, members[i])
+	avg := members[0]
+	for _, m := range members[1:] {
+		accumulate(avg, m)
 	}
 	scale := 1 / float64(n)
 	for _, f := range rolloutFields(avg) {

@@ -238,12 +238,19 @@ func decodeFloatsLoop(vals []float64, src []byte) {
 	}
 }
 
-// decodeLegacy reads a v1 archive. It accepts exactly the equilibria the v2
-// encoder can write back, so every decoded archive re-marshals.
+// decodeLegacy reads a v1 archive: one gob value and nothing after it. It
+// accepts exactly the equilibria the v2 encoder can write back, so every
+// decoded archive re-marshals.
 func decodeLegacy(data []byte) (*Equilibrium, error) {
 	var arch legacyArchive
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&arch); err != nil {
+	// A bytes.Reader is an io.ByteReader, so gob reads no further than its
+	// own messages and whatever it leaves unread trails the archive.
+	r := bytes.NewReader(data)
+	if err := gob.NewDecoder(r).Decode(&arch); err != nil {
 		return nil, fmt.Errorf("core: decode equilibrium: %w", err)
+	}
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("core: %d bytes trail the equilibrium archive", r.Len())
 	}
 	if arch.Version != legacyVersion {
 		return nil, fmt.Errorf("core: equilibrium archive version %d, want %d", arch.Version, legacyVersion)

@@ -436,6 +436,8 @@ func rejectedArchives(t *testing.T) map[string][]byte {
 		"overflowing shape":       craftArchive(t, math.MaxInt/2, 3, bulk),
 		"shape and bulk disagree": craftArchive(t, 3, 3, bulk),
 		"v1 of a future version":  v1Archive(t, 3, specialEquilibrium()),
+		"v1 with a trailing byte": append(v1Archive(t, 1, specialEquilibrium()), 0),
+		"v1 written twice":        bytes.Repeat(v1Archive(t, 1, specialEquilibrium()), 2),
 	}
 	return cases
 }

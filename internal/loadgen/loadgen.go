@@ -29,11 +29,9 @@ import (
 
 // Config parametrises one load-generation run.
 type Config struct {
-	// Target is the base URL of a running serve daemon
-	// (e.g. "http://127.0.0.1:8080").
-	Target string
-	// Targets, when set, sprays the load across a fleet: requests rotate
-	// round-robin over these base URLs (Target is ignored). With ScrapeMetrics
+	// Targets are the base URLs of running serve daemons (e.g.
+	// "http://127.0.0.1:8080"), at least one. Requests rotate round-robin
+	// over them, so several spray the load across a fleet. With ScrapeMetrics
 	// on, every member is scraped and the report carries both per-replica
 	// counters (Report.Replicas) and the fleet-wide aggregate (Report.Server)
 	// — including the cluster routing counters owned/forwarded/peer_hit/
@@ -153,10 +151,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	targets := cfg.Targets
 	if len(targets) == 0 {
-		if cfg.Target == "" {
-			return nil, fmt.Errorf("loadgen: Target is required")
-		}
-		targets = []string{cfg.Target}
+		return nil, fmt.Errorf("loadgen: Targets is required")
 	}
 	if len(cfg.Bodies) == 0 {
 		return nil, fmt.Errorf("loadgen: at least one request body is required")

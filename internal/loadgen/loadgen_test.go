@@ -31,7 +31,7 @@ func TestRunClassification(t *testing.T) {
 	defer srv.Close()
 
 	rep, err := Run(context.Background(), Config{
-		Target:   srv.URL,
+		Targets:  []string{srv.URL},
 		RPS:      200,
 		Duration: 250 * time.Millisecond,
 		Bodies:   body,
@@ -69,7 +69,7 @@ func TestRunTimeoutClassification(t *testing.T) {
 	defer func() { close(release); srv.Close() }()
 
 	rep, err := Run(context.Background(), Config{
-		Target:   srv.URL,
+		Targets:  []string{srv.URL},
 		RPS:      100,
 		Duration: 150 * time.Millisecond,
 		Timeout:  20 * time.Millisecond,
@@ -102,7 +102,7 @@ func TestSLOVerdict(t *testing.T) {
 	base := Config{RPS: 100, Duration: 150 * time.Millisecond, Bodies: body}
 
 	cfg := base
-	cfg.Target = ok.URL
+	cfg.Targets = []string{ok.URL}
 	cfg.SLO = SLO{P99Ms: 60_000, MaxErrorRate: 0.5, MaxShedRate: 0.5, MaxTimeoutRate: 0.5}
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestSLOVerdict(t *testing.T) {
 	}
 
 	cfg = base
-	cfg.Target = broken.URL
+	cfg.Targets = []string{broken.URL}
 	cfg.SLO = SLO{MaxErrorRate: 0}
 	rep, err = Run(context.Background(), cfg)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestReportJSONShape(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer srv.Close()
 	rep, err := Run(context.Background(), Config{
-		Target: srv.URL, RPS: 100, Duration: 100 * time.Millisecond, Bodies: body,
+		Targets: []string{srv.URL}, RPS: 100, Duration: 100 * time.Millisecond, Bodies: body,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,12 +182,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Bodies: body}); err == nil {
 		t.Error("missing target accepted")
 	}
-	if _, err := Run(context.Background(), Config{Target: "http://127.0.0.1:1"}); err == nil {
+	if _, err := Run(context.Background(), Config{Targets: []string{"http://127.0.0.1:1"}}); err == nil {
 		t.Error("missing bodies accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, Config{Target: "http://127.0.0.1:1", Bodies: body}); err == nil {
+	if _, err := Run(ctx, Config{Targets: []string{"http://127.0.0.1:1"}, Bodies: body}); err == nil {
 		t.Error("pre-cancelled context produced a report")
 	}
 }
@@ -208,7 +208,7 @@ func TestValidateCorrupt200s(t *testing.T) {
 	defer srv.Close()
 
 	rep, err := Run(context.Background(), Config{
-		Target:   srv.URL,
+		Targets:  []string{srv.URL},
 		RPS:      200,
 		Duration: 200 * time.Millisecond,
 		Bodies:   body,
@@ -229,7 +229,7 @@ func TestValidateCorrupt200s(t *testing.T) {
 	}))
 	defer clean.Close()
 	rep, err = Run(context.Background(), Config{
-		Target: clean.URL, RPS: 100, Duration: 100 * time.Millisecond, Bodies: body, Validate: true,
+		Targets: []string{clean.URL}, RPS: 100, Duration: 100 * time.Millisecond, Bodies: body, Validate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestScrapeServerCounters(t *testing.T) {
 	defer srv.Close()
 
 	rep, err := Run(context.Background(), Config{
-		Target:        srv.URL,
+		Targets:       []string{srv.URL},
 		RPS:           100,
 		Duration:      100 * time.Millisecond,
 		Bodies:        body,

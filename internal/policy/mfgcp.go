@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/resilience"
@@ -58,30 +57,27 @@ type MFGCP struct {
 }
 
 // mfgcpStrategy is one prepared epoch of MFG-CP: the per-content equilibria
-// and knapsack admissions that Rate reads. Prepare and RestoreState replace
-// both slices rather than writing into the ones they hold, so a copy of the
-// struct taken between two Prepare calls stays valid and unchanged while the
-// next one runs.
+// and knapsack admissions that Rate reads, and the sharing mode they were
+// solved under. Prepare and RestoreState build a whole new value and install
+// it only once it is complete, so a failed Prepare leaves the last prepared
+// strategy in place, and a copy taken between two Prepare calls stays valid
+// and unchanged while the next one runs.
 type mfgcpStrategy struct {
 	equilibria []*engine.Equilibrium // per content; nil when not requested
 	admit      []float64             // knapsack admission fraction per content (nil = all 1)
 	k          int
-}
-
-// frozenMFGCP is the read-only strategy view Freeze returns.
-type frozenMFGCP struct {
-	mfgcpStrategy
-	share bool
+	share      bool
 }
 
 // SharingEnabled implements Strategy.
-func (f *frozenMFGCP) SharingEnabled() bool { return f.share }
+func (s *mfgcpStrategy) SharingEnabled() bool { return s.share }
 
 // Freeze returns a read-only view of the strategy the last Prepare (or
 // RestoreState) left. Later Prepare calls do not change it, so an epoch can
 // trade on it while the next epoch's Prepare runs on another goroutine.
 func (p *MFGCP) Freeze() Strategy {
-	return &frozenMFGCP{mfgcpStrategy: p.mfgcpStrategy, share: p.Share}
+	s := p.mfgcpStrategy
+	return &s
 }
 
 // NewMFGCP returns the full MFG-CP policy.
@@ -112,7 +108,8 @@ func (p *MFGCP) SetEquilibriumCache(c *engine.Cache) { p.Cache = c }
 func (p *MFGCP) SetRecovery(e *resilience.Escalation) { p.Recovery = e }
 
 // Prepare solves one equilibrium per content in the epoch's caching set
-// K' = {k : |I_k| > 0} (Algorithm 1 line 5).
+// K' = {k : |I_k| > 0} (Algorithm 1 line 5). On failure it returns the lowest
+// failing content's error and keeps the strategy it had.
 func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	if err := ctx.Validate(); err != nil {
 		return err
@@ -120,9 +117,8 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	cfg := ctx.Solver
 	cfg.Params = ctx.Params
 	cfg.ShareEnabled = p.Share
-	p.k = ctx.Params.K
 	previous := p.equilibria
-	p.equilibria = make([]*engine.Equilibrium, p.k)
+	equilibria := make([]*engine.Equilibrium, ctx.Params.K)
 
 	warmFor := func(k int) *engine.Equilibrium {
 		if p.DisableWarmStart || k >= len(previous) {
@@ -164,14 +160,14 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	var jobs []solveJob
 	pending := make(map[string]int) // key → index into jobs
 	alias := make(map[int]int)      // content → job index it shares
-	for k := 0; k < p.k; k++ {
+	for k := range equilibria {
 		if ctx.Workloads[k].Requests <= 0 {
 			continue // not in K': no demand this epoch
 		}
 		key := engine.CacheKey(cfg, ctx.Workloads[k])
 		if p.Cache != nil {
 			if eq, ok := p.Cache.Get(cfg.Obs, key); ok {
-				p.equilibria[k] = eq
+				equilibria[k] = eq
 				continue
 			}
 		}
@@ -183,53 +179,39 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 		jobs = append(jobs, solveJob{content: k, key: key, warm: warmFor(k)})
 	}
 
-	// One worker per usable CPU, the module's rule for concurrent solves. The
-	// contents of one epoch are independent, so the result is identical to
-	// the sequential solve.
-	workers := min(runtime.GOMAXPROCS(0), len(jobs))
+	// One worker per usable CPU, the module's rule for concurrent solves, each
+	// with an engine session built on its first solve: the grid, tridiagonal
+	// sweepers and value/density holders are reused across every solve the
+	// worker picks up. The contents of one epoch are independent, so the
+	// result is identical to the sequential solve.
+	workers := runtime.GOMAXPROCS(0)
+	sessions := make([]*engine.Session, workers)
 	results := make([]*engine.Equilibrium, len(jobs))
-	errs := make([]error, len(jobs))
-	next := make(chan int)
 	cctx := ctx.Context()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One pre-allocated engine session per worker: the grid,
-			// tridiagonal sweepers and value/density holders are reused
-			// across every solve the worker picks up.
-			s, err := engine.NewSession(cfg)
-			if err != nil {
-				for j := range next {
-					errs[j] = fmt.Errorf("policy: %s: content %d: %w", p.Name(), jobs[j].content, err)
-				}
-				return
+	if err := engine.Each(len(jobs), workers, func(w, j int) error {
+		job := jobs[j]
+		var err error
+		if sessions[w] == nil {
+			if sessions[w], err = engine.NewSession(cfg); err != nil {
+				return fmt.Errorf("policy: %s: content %d: %w", p.Name(), job.content, err)
 			}
-			for j := range next {
-				job := jobs[j]
-				var eq *engine.Equilibrium
-				var err error
-				if p.Recovery != nil {
-					// The recovery ladder reuses the worker's session for the
-					// first attempt and escalates on throwaway sessions.
-					eq, err = p.Recovery.Solve(cctx, s, cfg, ctx.Workloads[job.content], job.warm)
-				} else {
-					eq, err = s.SolveContext(cctx, ctx.Workloads[job.content], job.warm)
-				}
-				if err != nil && !(errors.Is(err, engine.ErrNotConverged) && p.TolerateNonConvergence && eq != nil) {
-					errs[j] = fmt.Errorf("policy: %s: content %d: %w", p.Name(), job.content, err)
-					continue
-				}
-				results[j] = eq
-			}
-		}()
+		}
+		var eq *engine.Equilibrium
+		if p.Recovery != nil {
+			// The recovery ladder reuses the worker's session for the first
+			// attempt and escalates on throwaway sessions.
+			eq, err = p.Recovery.Solve(cctx, sessions[w], cfg, ctx.Workloads[job.content], job.warm)
+		} else {
+			eq, err = sessions[w].SolveContext(cctx, ctx.Workloads[job.content], job.warm)
+		}
+		if err != nil && !(errors.Is(err, engine.ErrNotConverged) && p.TolerateNonConvergence && eq != nil) {
+			return fmt.Errorf("policy: %s: content %d: %w", p.Name(), job.content, err)
+		}
+		results[j] = eq
+		return nil
+	}); err != nil {
+		return err
 	}
-	for j := range jobs {
-		next <- j
-	}
-	close(next)
-	wg.Wait()
 
 	// Sequential post-pass in content order: results land in slots indexed
 	// by content, and fresh equilibria publish to the cache in job order, so
@@ -237,44 +219,46 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	// (non-converged but tolerated) equilibria are used for the epoch but not
 	// cached, so later epochs retry them from scratch.
 	for j, job := range jobs {
-		if errs[j] != nil {
-			return errs[j]
-		}
-		p.equilibria[job.content] = results[j]
+		equilibria[job.content] = results[j]
 		if p.Cache != nil && results[j] != nil && results[j].Converged {
 			p.Cache.Put(cfg.Obs, job.key, results[j])
 		}
 	}
 	for k, j := range alias {
-		p.equilibria[k] = results[j]
+		equilibria[k] = results[j]
 	}
-	return p.applyCapacity(ctx)
+	admit, err := p.applyCapacity(equilibria, ctx.Seed)
+	if err != nil {
+		return err
+	}
+	p.mfgcpStrategy = mfgcpStrategy{equilibria: equilibria, admit: admit, k: ctx.Params.K, share: p.Share}
+	return nil
 }
 
-// applyCapacity derives the knapsack admission fractions when a capacity
-// budget is configured (Section IV-C Remark).
-func (p *MFGCP) applyCapacity(ctx *EpochContext) error {
-	p.admit = nil
+// applyCapacity derives the knapsack admission fractions of an epoch's
+// equilibria when a capacity budget is configured (Section IV-C Remark); nil
+// admits every content whole.
+func (p *MFGCP) applyCapacity(equilibria []*engine.Equilibrium, seed int64) ([]float64, error) {
 	if p.Capacity <= 0 {
-		return nil
+		return nil, nil
 	}
 	paths := p.CapacityPaths
 	if paths <= 0 {
 		paths = 16
 	}
-	items, err := CapacityItems(p.equilibria, ctx.Seed, paths)
+	items, err := CapacityItems(equilibria, seed, paths)
 	if err != nil {
-		return fmt.Errorf("policy: %s: capacity items: %w", p.Name(), err)
+		return nil, fmt.Errorf("policy: %s: capacity items: %w", p.Name(), err)
 	}
 	frac, err := AllocateFractional(items, p.Capacity)
 	if err != nil {
-		return fmt.Errorf("policy: %s: capacity allocation: %w", p.Name(), err)
+		return nil, fmt.Errorf("policy: %s: capacity allocation: %w", p.Name(), err)
 	}
-	p.admit = make([]float64, p.k)
+	admit := make([]float64, len(equilibria))
 	for i, it := range items {
-		p.admit[it.Content] = frac[i]
+		admit[it.Content] = frac[i]
 	}
-	return nil
+	return admit, nil
 }
 
 // Rate implements Strategy by evaluating the equilibrium feedback strategy,
@@ -376,12 +360,11 @@ func (p *MFGCP) RestoreState(data []byte) error {
 		}
 		equilibria[k] = eq
 	}
-	p.k = st.K
-	p.equilibria = equilibria
-	p.admit = nil
+	var admit []float64
 	if len(st.Admit) > 0 {
-		p.admit = st.Admit
+		admit = st.Admit
 	}
+	p.mfgcpStrategy = mfgcpStrategy{equilibria: equilibria, admit: admit, k: st.K, share: p.Share}
 	return nil
 }
 

@@ -3,9 +3,11 @@ package policy
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -92,6 +94,47 @@ func TestPrepareWithRecoveryLadder(t *testing.T) {
 	recovered.SetRecovery(&e)
 	if err := recovered.Prepare(ctx); err != nil {
 		t.Fatalf("Prepare with recovery ladder failed: %v", err)
+	}
+}
+
+// TestPrepareFailureStopsAndKeepsStrategy pins what a failed Prepare does:
+// no content starts once one has failed, and the strategy of the last
+// successful Prepare stays in place, whole.
+func TestPrepareFailureStopsAndKeepsStrategy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := testContext(t, 8)
+	p := NewMFGCP()
+	p.TolerateNonConvergence = false
+	p.DisableWarmStart = true // every solve of the failing epoch starts cold
+	p.Capacity = 1.5          // admissions too, so both slices are checked
+	if err := p.Prepare(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := p.mfgcpStrategy
+
+	reg := obs.NewRegistry(nil)
+	ctx.Epoch = 1
+	ctx.Solver.MaxIters = 1 // every solve stops non-converged
+	ctx.Solver.Obs = reg
+	if err := p.Prepare(ctx); !errors.Is(err, engine.ErrNotConverged) {
+		t.Fatalf("iteration-starved strict Prepare: got %v, want ErrNotConverged", err)
+	}
+	if n := reg.Snapshot().Counters["core.solver.solves"]; n >= float64(ctx.Params.K) {
+		t.Errorf("%g solves after the first content failed, want fewer than K = %d", n, ctx.Params.K)
+	}
+	after := p.mfgcpStrategy
+	if after.k != before.k || len(after.equilibria) != len(before.equilibria) || len(after.admit) != len(before.admit) {
+		t.Fatalf("failed Prepare changed the strategy's shape: k %d → %d", before.k, after.k)
+	}
+	for k := range before.equilibria {
+		if after.equilibria[k] != before.equilibria[k] {
+			t.Errorf("content %d: failed Prepare replaced the equilibrium", k)
+		}
+	}
+	for k := range before.admit {
+		if after.admit[k] != before.admit[k] {
+			t.Errorf("content %d: failed Prepare changed the admission %g → %g", k, before.admit[k], after.admit[k])
+		}
 	}
 }
 

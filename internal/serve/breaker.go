@@ -25,8 +25,8 @@ import (
 //	half-open ──(probe succeeds)──▶ closed
 //	half-open ──(probe fails)──▶ open (timer restarts)
 //
-// Half-open admits at most Probes concurrent solves; everything else keeps
-// failing fast until a probe lands. Only divergence and deadline failures
+// Half-open admits one probe solve at a time; everything else keeps failing
+// fast until the probe lands. Only divergence and deadline failures
 // count — ErrNotConverged is a served 200 and a client-abandoned wait says
 // nothing about solver health.
 
@@ -38,8 +38,6 @@ type BreakerConfig struct {
 	// OpenFor is how long an open breaker rejects solves before letting a
 	// half-open probe through (default 5s).
 	OpenFor time.Duration
-	// Probes bounds the concurrent half-open probe solves (default 1).
-	Probes int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -48,9 +46,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = 5 * time.Second
-	}
-	if c.Probes <= 0 {
-		c.Probes = 1
 	}
 	return c
 }
@@ -99,7 +94,7 @@ type breaker struct {
 	state    breakerState
 	fails    int       // consecutive failures while closed
 	openedAt time.Time // start of the current open window
-	probes   int       // in-flight half-open probes
+	probing  bool      // a half-open probe is in flight
 }
 
 func newBreaker(cfg BreakerConfig, rec obs.Recorder) *breaker {
@@ -129,12 +124,12 @@ func (b *breaker) Allow() (probe bool, retryAfter time.Duration, ok bool) {
 		b.setStateLocked(breakerHalfOpen)
 		fallthrough
 	default: // half-open
-		if b.probes < b.cfg.Probes {
-			b.probes++
+		if !b.probing {
+			b.probing = true
 			b.rec.Add("breaker.probes", 1)
 			return true, 0, true
 		}
-		// Probes are out; everyone else waits a full window.
+		// The probe is out; everyone else waits a full window.
 		return false, b.cfg.OpenFor, false
 	}
 }
@@ -146,7 +141,7 @@ func (b *breaker) abortProbe(probe bool) {
 		return
 	}
 	b.mu.Lock()
-	b.probes--
+	b.probing = false
 	b.mu.Unlock()
 }
 
@@ -160,7 +155,7 @@ func (b *breaker) onResult(outcome solveVerdict, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
-		b.probes--
+		b.probing = false
 	}
 	switch outcome {
 	case verdictNeutral:

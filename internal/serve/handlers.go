@@ -9,7 +9,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -326,39 +325,26 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	answers := make([]*surrogate.Summary, p.K)
-	errs := make([]error, p.K)
-	slots := make(chan struct{}, min(s.cfg.Workers, s.cfg.QueueDepth))
-	var wg sync.WaitGroup
 	s.rec.Add("serve.epoch.executed", 1)
 	start := time.Now()
-	for k, wl := range workloads {
-		if wl.Requests <= 0 {
-			continue // not in K': no demand this epoch
+	if err := engine.Each(p.K, min(s.cfg.Workers, s.cfg.QueueDepth), func(_, k int) error {
+		if workloads[k].Requests <= 0 {
+			return nil // not in K': no demand this epoch
 		}
-		slots <- struct{}{}
 		if err := ctx.Err(); err != nil {
 			// The epoch is past its deadline or its client left: start no
 			// more solves for it.
-			errs[k] = fmt.Errorf("serve: content %d: %w", k, err)
-			<-slots
-			break
+			return fmt.Errorf("serve: content %d: %w", k, err)
 		}
-		wg.Add(1)
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			ans, _, err := s.solve(ctx, cfg, wl, timeout, false, nil)
-			if err != nil && !(errors.Is(err, engine.ErrNotConverged) && ans != nil) {
-				errs[k] = fmt.Errorf("serve: content %d: %w", k, err)
-			}
-			answers[k] = ans
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			s.writeError(w, err)
-			return
+		ans, _, err := s.solve(ctx, cfg, workloads[k], timeout, false, nil)
+		if err != nil && !(errors.Is(err, engine.ErrNotConverged) && ans != nil) {
+			return fmt.Errorf("serve: content %d: %w", k, err)
 		}
+		answers[k] = ans
+		return nil
+	}); err != nil {
+		s.writeError(w, err)
+		return
 	}
 	s.rec.Observe("serve.epoch.seconds", time.Since(start).Seconds())
 

@@ -25,6 +25,31 @@ func (f *flakyPolicy) Prepare(ctx *policy.EpochContext) error {
 	return f.Policy.Prepare(ctx)
 }
 
+// starvedMFGCP is a strict MFG-CP whose own solves fail on the scheduled
+// epochs: it caps their best-response iterations at 1, so Prepare fails with
+// ErrNotConverged from inside the policy. It embeds *policy.MFGCP, so unlike
+// flakyPolicy it keeps Freeze and the overlapped epoch path.
+type starvedMFGCP struct {
+	*policy.MFGCP
+	starveOn map[int]bool
+}
+
+func (s *starvedMFGCP) Prepare(ctx *policy.EpochContext) error {
+	if s.starveOn[ctx.Epoch] {
+		starved := *ctx
+		starved.Solver.MaxIters = 1
+		ctx = &starved
+	}
+	return s.MFGCP.Prepare(ctx)
+}
+
+// strictMFGCP is MFG-CP failing the epoch on any non-converged solve.
+func strictMFGCP() *policy.MFGCP {
+	p := policy.NewMFGCP()
+	p.TolerateNonConvergence = false
+	return p
+}
+
 // prepareOnce prepares its embedded policy at most once and then freezes —
 // the reference behaviour for "keep serving the last-good strategy".
 type prepareOnce struct {
@@ -81,15 +106,17 @@ func assertSameDynamics(t *testing.T, want, got *Result) {
 // strategy determination under a fault plan, differentially: with no strategy
 // ever prepared the run must behave exactly like the RR baseline, and with an
 // earlier epoch prepared it must keep serving that last-good strategy (not
-// the fallback). Each case's expected dynamics come from an independent
-// fault-free run that realises the contract directly.
+// the fallback), also when the failure comes from the policy's own solves.
+// Each case's expected dynamics come from an independent fault-free run that
+// realises the contract directly.
 func TestForcedFailureFallbacks(t *testing.T) {
 	const epochs = 3
 	tests := []struct {
 		name        string
 		failOn      map[int]bool
-		wantErrors  float64 // sim.fault.solver_errors
-		wantDegrade float64 // sim.fault.degraded_epochs
+		starveOn    map[int]bool // fail a strict MFG-CP's own solves instead
+		wantErrors  float64      // sim.fault.solver_errors
+		wantDegrade float64      // sim.fault.degraded_epochs
 		reference   func(t *testing.T) *Result
 	}{
 		{
@@ -123,6 +150,21 @@ func TestForcedFailureFallbacks(t *testing.T) {
 			},
 		},
 		{
+			name:        "own-solver-failures-reuse-last-good",
+			starveOn:    map[int]bool{1: true, 2: true},
+			wantErrors:  2,
+			wantDegrade: 2,
+			reference: func(t *testing.T) *Result {
+				cfg := quickConfig(t, &prepareOnce{Policy: strictMFGCP()})
+				cfg.Epochs = epochs
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("reference last-good run: %v", err)
+				}
+				return res
+			},
+		},
+		{
 			name:        "recovers-after-initial-fallback",
 			failOn:      map[int]bool{0: true},
 			wantErrors:  1,
@@ -133,7 +175,11 @@ func TestForcedFailureFallbacks(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			reg := obs.NewRegistry(nil)
-			cfg := quickConfig(t, &flakyPolicy{Policy: policy.NewMFGCP(), failOn: tt.failOn})
+			var pol policy.Policy = &flakyPolicy{Policy: policy.NewMFGCP(), failOn: tt.failOn}
+			if tt.starveOn != nil {
+				pol = &starvedMFGCP{MFGCP: strictMFGCP(), starveOn: tt.starveOn}
+			}
+			cfg := quickConfig(t, pol)
 			cfg.Epochs = epochs
 			cfg.Faults = &FaultPlan{} // enables degradation, injects nothing itself
 			cfg.Obs = reg

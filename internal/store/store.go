@@ -49,9 +49,6 @@ type Config struct {
 	// SegmentBytes is the roll threshold of the active segment (default
 	// 8 MiB). Tests shrink it to force rolls and compaction.
 	SegmentBytes int64
-	// QueueDepth bounds the write-behind queue; a full queue drops the write
-	// and counts store.put.dropped (default 256).
-	QueueDepth int
 	// Obs receives the store.* metrics. Nil means no-op.
 	Obs obs.Recorder
 	// Log receives recovery and corruption warnings. Nil disables logging.
@@ -67,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SegmentBytes > c.MaxDiskBytes {
 		c.SegmentBytes = c.MaxDiskBytes
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
 	}
 	return c
 }
@@ -122,6 +116,12 @@ type putReq struct {
 
 const segSuffix = ".seg"
 
+// putQueueDepth bounds the write-behind queue; a full queue drops the write
+// and counts store.put.dropped. At four times the daemon's default solve
+// queue (64) it holds the put of every queued and running solve while the
+// writer is stalled on a segment roll.
+const putQueueDepth = 256
+
 // Open opens (or creates) the store in cfg.Dir and recovers its index by
 // scanning every segment. Recovery is forgiving by design: torn tails are
 // truncated, corrupt records skipped and counted; only genuine I/O and
@@ -139,7 +139,7 @@ func Open(cfg Config) (*Store, error) {
 		rec:   obs.OrNop(cfg.Obs),
 		log:   cfg.Log,
 		index: make(map[string]recordLoc),
-		putCh: make(chan putReq, cfg.QueueDepth),
+		putCh: make(chan putReq, putQueueDepth),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err

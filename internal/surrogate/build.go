@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -147,8 +146,9 @@ func Build(ctx context.Context, bc BuildConfig) (*Table, error) {
 	}
 	times := make([][]float64, total)
 	start := time.Now()
-	if err := solveAll(ctx, cfg, workers, workloads, func(i int, eq *engine.Equilibrium) {
+	if err := solveEach(ctx, cfg, workers, workloads, nil, func(i int, eq *engine.Equilibrium) error {
 		t.Nodes[i], times[i] = SampleEquilibrium(eq)
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -298,77 +298,36 @@ func (t *Table) summaryError(w engine.Workload, eq *engine.Equilibrium) (float64
 	return worst, nil
 }
 
-// solveAll solves every workload with a warm-session worker pool, requiring
+// solveEach solves every workload whose skip entry is unset (skip may be
+// nil) through engine.Each, on one warm engine.Session per worker, requiring
 // each solve to produce an equilibrium (converged or not). ErrNotConverged
 // keeps the partial result (the node is later excluded from the trust region
-// through its cells); any other failure aborts.
-func solveAll(ctx context.Context, cfg engine.Config, workers int, ws []engine.Workload, sink func(int, *engine.Equilibrium)) error {
-	return solveEach(ctx, cfg, workers, ws, nil, func(i int, eq *engine.Equilibrium) error {
-		sink(i, eq)
-		return nil
-	})
-}
-
-// solveEach is the shared pool: one warm engine.Session per worker, indices
-// with skip[i] omitted. sink runs on the worker goroutine; it must only
-// touch index-i state.
+// through its cells); any other failure aborts with the lowest failing
+// index's error. sink runs on the worker goroutine; it must only touch
+// index-i state.
 func solveEach(ctx context.Context, cfg engine.Config, workers int, ws []engine.Workload, skip []bool, sink func(int, *engine.Equilibrium) error) error {
-	if workers > len(ws) {
-		workers = len(ws)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess, err := engine.NewSession(cfg)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			for i := range jobs {
-				eq, err := sess.SolveContext(ctx, ws[i], nil)
-				if err != nil && !errors.Is(err, engine.ErrNotConverged) {
-					errCh <- fmt.Errorf("surrogate: solve %+v: %w", ws[i], err)
-					return
-				}
-				if eq == nil {
-					errCh <- fmt.Errorf("surrogate: solve %+v returned no equilibrium", ws[i])
-					return
-				}
-				if err := sink(i, eq); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for i := range ws {
+	sessions := make([]*engine.Session, min(workers, len(ws)))
+	return engine.Each(len(ws), workers, func(w, i int) error {
 		if skip != nil && skip[i] {
-			continue
+			return nil
 		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		case err := <-errCh:
-			close(jobs)
-			wg.Wait()
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return ctx.Err()
+		if sessions[w] == nil {
+			s, err := engine.NewSession(cfg)
+			if err != nil {
+				return err
+			}
+			sessions[w] = s
+		}
+		eq, err := sessions[w].SolveContext(ctx, ws[i], nil)
+		if err != nil && !errors.Is(err, engine.ErrNotConverged) {
+			return fmt.Errorf("surrogate: solve %+v: %w", ws[i], err)
+		}
+		if eq == nil {
+			return fmt.Errorf("surrogate: solve %+v returned no equilibrium", ws[i])
+		}
+		return sink(i, eq)
+	})
 }

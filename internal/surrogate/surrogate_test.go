@@ -2,9 +2,11 @@ package surrogate
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -302,6 +304,24 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 		tc.mutate(&bc)
 		if _, err := Build(context.Background(), bc); err == nil {
 			t.Errorf("%s: Build accepted", tc.name)
+		}
+	}
+}
+
+// TestBuildReportsLowestFailingNode makes two lattice nodes diverge (a tight
+// blow-up threshold trips on the high-demand nodes 2 and 3 of four) and
+// requires Build to report the lower one, the failure a sequential sweep
+// meets first, whatever the pool size.
+func TestBuildReportsLowestFailingNode(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		bc := buildConfig()
+		bc.Config.BlowupResidual = 0.5
+		bc.Requests = AxisSpec{Min: 0, Max: 12, N: 4}
+		bc.Pop = AxisSpec{Min: 0.3, N: 1}
+		bc.Workers = workers
+		_, err := Build(context.Background(), bc)
+		if !errors.Is(err, engine.ErrDiverged) || !strings.Contains(err.Error(), "{Requests:8 ") {
+			t.Errorf("Workers %d: Build returned %v, want node 2's (Requests 8) divergence", workers, err)
 		}
 	}
 }
