@@ -95,10 +95,10 @@ func FuzzDecodeConfig(f *testing.F) {
 }
 
 // FuzzUnmarshalEquilibrium pins the archive decoder's contract on the bytes
-// of checkpoints, `solve -save` files and the store records of older builds:
-// whatever arrives, it errors or returns an equilibrium — never a panic — and
-// every equilibrium accepted re-marshals to an archive that decodes to the
-// same values.
+// of checkpoints and `solve -save` files (the serving daemon's store records
+// are answers and never reach it): whatever arrives, it errors or returns an
+// equilibrium — never a panic — and every equilibrium accepted re-marshals to
+// an archive that decodes to the same values.
 func FuzzUnmarshalEquilibrium(f *testing.F) {
 	cfg := DefaultConfig(mec.Default())
 	cfg.NH, cfg.NQ, cfg.Steps = 3, 5, 4

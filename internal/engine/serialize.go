@@ -161,8 +161,14 @@ func UnmarshalEquilibrium(data []byte) (*Equilibrium, error) {
 	}
 	header, bulk := data[archivePrefix:archivePrefix+int(headerLen)], data[archivePrefix+int(headerLen):]
 	var h archiveHeader
-	if err := gob.NewDecoder(bytes.NewReader(header)).Decode(&h); err != nil {
+	// As in decodeLegacy, the bytes.Reader keeps gob to its own value, and
+	// the header length must count exactly that value.
+	r := bytes.NewReader(header)
+	if err := gob.NewDecoder(r).Decode(&h); err != nil {
 		return nil, fmt.Errorf("core: decode equilibrium header: %w", err)
+	}
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("core: %d bytes trail the equilibrium header", r.Len())
 	}
 	if err := checkOutputs(h.Eq); err != nil {
 		return nil, err

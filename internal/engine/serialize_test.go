@@ -419,7 +419,11 @@ func rejectedArchives(t *testing.T) map[string][]byte {
 		return out
 	}
 	lenAt := len(archiveMagic) + 1
-	bulk := blob[archivePrefix+int(binary.LittleEndian.Uint32(blob[lenAt:])):]
+	headerLen := binary.LittleEndian.Uint32(blob[lenAt:])
+	bulk := blob[archivePrefix+int(headerLen):]
+	// The header length counts one zero byte more, inserted before the bulk.
+	padded := binary.LittleEndian.AppendUint32(append([]byte(nil), blob[:lenAt]...), headerLen+1)
+	padded = append(append(append(padded, blob[archivePrefix:archivePrefix+int(headerLen)]...), 0), bulk...)
 	cases := map[string][]byte{
 		"truncated bulk":          blob[:len(blob)-8],
 		"truncated float":         blob[:len(blob)-1],
@@ -430,6 +434,7 @@ func rejectedArchives(t *testing.T) map[string][]byte {
 		"magic only":              []byte(archiveMagic),
 		"truncated prefix":        blob[:archivePrefix-1],
 		"garbage header":          patch(archivePrefix, 0xff, 0xff, 0xff),
+		"padded header":           padded,
 		"negative levels":         craftArchive(t, -2, -3, bulk),
 		"negative width":          craftArchive(t, 2, -3, bulk),
 		"zero-width levels":       craftArchive(t, 1<<30, 0, nil),

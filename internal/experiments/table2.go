@@ -133,6 +133,5 @@ func strategyContext(m int, opt Options) (*policy.EpochContext, error) {
 		Solver:    solver,
 		Epoch:     0,
 		Seed:      opt.Seed,
-		M:         m,
 	}, nil
 }

@@ -33,8 +33,8 @@ func (p *RR) Prepare(ctx *EpochContext) error {
 		return err
 	}
 	p.k = ctx.Params.K
-	p.rates = make([][]float64, ctx.M)
-	for i := 0; i < ctx.M; i++ {
+	p.rates = make([][]float64, ctx.Params.M)
+	for i := 0; i < ctx.Params.M; i++ {
 		rng := sde.NewChildRNG(ctx.Seed, i*7919+ctx.Epoch)
 		row := make([]float64, p.k)
 		for k := range row {
@@ -99,7 +99,7 @@ func (p *MPC) Prepare(ctx *EpochContext) error {
 		n = 1
 	}
 	var hot []int
-	for i := 0; i < ctx.M; i++ {
+	for i := 0; i < ctx.Params.M; i++ {
 		hot = ctx.Catalog.HotSet(n) // each EDP ranks on its own
 	}
 	p.hot = make(map[int]bool, len(hot))

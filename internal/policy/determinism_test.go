@@ -54,8 +54,8 @@ func equilibriaEqual(t *testing.T, a, b []*engine.Equilibrium) {
 func prepared(t *testing.T, cache *engine.Cache) []*engine.Equilibrium {
 	t.Helper()
 	ctx := testContext(t, 10)
+	ctx.Cache = cache
 	p := NewMFGCP()
-	p.Cache = cache
 	if err := p.Prepare(ctx); err != nil {
 		t.Fatalf("Prepare (GOMAXPROCS=%d): %v", runtime.GOMAXPROCS(0), err)
 	}

@@ -9,7 +9,6 @@ import (
 	"runtime"
 
 	"repro/internal/engine"
-	"repro/internal/resilience"
 )
 
 // MFGCP is the proposed framework: one mean-field equilibrium per requested
@@ -40,18 +39,6 @@ type MFGCP struct {
 	// CapacityPaths is the ensemble size used to estimate each content's
 	// utility value for the knapsack (default 16).
 	CapacityPaths int
-	// Cache, when set, stores solved equilibria keyed by the canonical
-	// (params, workload, grid) hash. Contents whose key hits skip the solve
-	// entirely; the equilibrium is unique (Theorem 2), so a cached fixed
-	// point answers regardless of how it was seeded. Install it with
-	// SetEquilibriumCache so the epoch loop can share one cache across
-	// policies and epochs.
-	Cache *engine.Cache
-	// Recovery, when set, retries diverged or non-converged solves under the
-	// bounded escalation ladder (deeper damping → scheme switch → time-mesh
-	// refinement) before giving up on the epoch. Install it with SetRecovery
-	// so the epoch loop can configure resilience uniformly.
-	Recovery *resilience.Escalation
 
 	mfgcpStrategy // what the last Prepare or RestoreState left for trading
 }
@@ -97,19 +84,10 @@ func (p *MFGCP) Name() string {
 // SharingEnabled implements Policy.
 func (p *MFGCP) SharingEnabled() bool { return p.Share }
 
-// SetEquilibriumCache installs (or removes, with nil) the shared equilibrium
-// cache consulted by Prepare. The simulator plumbs its per-run cache through
-// this method.
-func (p *MFGCP) SetEquilibriumCache(c *engine.Cache) { p.Cache = c }
-
-// SetRecovery installs (or removes, with nil) the divergence-recovery ladder
-// applied to failing solves. The simulator plumbs its configured escalation
-// through this method.
-func (p *MFGCP) SetRecovery(e *resilience.Escalation) { p.Recovery = e }
-
 // Prepare solves one equilibrium per content in the epoch's caching set
-// K' = {k : |I_k| > 0} (Algorithm 1 line 5). On failure it returns the lowest
-// failing content's error and keeps the strategy it had.
+// K' = {k : |I_k| > 0} (Algorithm 1 line 5), through the epoch's Cache and
+// Recovery ladder when the context carries them. On failure it returns the
+// lowest failing content's error and keeps the strategy it had.
 func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	if err := ctx.Validate(); err != nil {
 		return err
@@ -165,8 +143,8 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 			continue // not in K': no demand this epoch
 		}
 		key := engine.CacheKey(cfg, ctx.Workloads[k])
-		if p.Cache != nil {
-			if eq, ok := p.Cache.Get(cfg.Obs, key); ok {
+		if ctx.Cache != nil {
+			if eq, ok := ctx.Cache.Get(cfg.Obs, key); ok {
 				equilibria[k] = eq
 				continue
 			}
@@ -197,10 +175,10 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 			}
 		}
 		var eq *engine.Equilibrium
-		if p.Recovery != nil {
+		if ctx.Recovery != nil {
 			// The recovery ladder reuses the worker's session for the first
 			// attempt and escalates on throwaway sessions.
-			eq, err = p.Recovery.Solve(cctx, sessions[w], cfg, ctx.Workloads[job.content], job.warm)
+			eq, err = ctx.Recovery.Solve(cctx, sessions[w], cfg, ctx.Workloads[job.content], job.warm)
 		} else {
 			eq, err = sessions[w].SolveContext(cctx, ctx.Workloads[job.content], job.warm)
 		}
@@ -220,8 +198,8 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	// cached, so later epochs retry them from scratch.
 	for j, job := range jobs {
 		equilibria[job.content] = results[j]
-		if p.Cache != nil && results[j] != nil && results[j].Converged {
-			p.Cache.Put(cfg.Obs, job.key, results[j])
+		if ctx.Cache != nil && results[j] != nil && results[j].Converged {
+			ctx.Cache.Put(cfg.Obs, job.key, results[j])
 		}
 	}
 	for k, j := range alias {

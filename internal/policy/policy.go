@@ -13,13 +13,16 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mec"
+	"repro/internal/resilience"
 )
 
 // EpochContext carries everything a policy may need to prepare its strategy
-// for one optimisation epoch: the model constants, the catalogue state (with
+// for one optimisation epoch: the model constants (Params.M is the number of
+// EDPs whose strategies must be determined), the catalogue state (with
 // popularity and timeliness already refreshed from the workload), the
 // per-content workload descriptors, the MFG solver configuration, and the
-// population size. Seed derives any per-epoch randomness deterministically.
+// run's equilibrium cache and recovery ladder. Seed derives any per-epoch
+// randomness deterministically.
 type EpochContext struct {
 	Params    mec.Params
 	Catalog   *mec.Catalog
@@ -27,7 +30,16 @@ type EpochContext struct {
 	Solver    engine.Config
 	Epoch     int
 	Seed      int64
-	M         int // number of EDPs whose strategies must be determined
+
+	// Cache, when set, holds the run's solved equilibria keyed by the
+	// canonical (params, workload, grid) hash. MFG policies skip the solve of
+	// a content whose key hits; the equilibrium is unique (Theorem 2), so a
+	// cached fixed point answers regardless of how it was seeded.
+	Cache *engine.Cache
+	// Recovery, when set, retries diverged or non-converged solves under the
+	// bounded escalation ladder (deeper damping → scheme switch → time-mesh
+	// refinement) before the epoch is declared failed.
+	Recovery *resilience.Escalation
 
 	// Ctx optionally bounds the strategy determination: MFG policies check
 	// it at best-response-iteration granularity and abort Prepare promptly on
@@ -53,9 +65,6 @@ func (c *EpochContext) Validate() error {
 	}
 	if len(c.Workloads) != c.Params.K {
 		return fmt.Errorf("policy: %d workloads for %d contents", len(c.Workloads), c.Params.K)
-	}
-	if c.M < 1 {
-		return fmt.Errorf("policy: M must be ≥ 1, got %d", c.M)
 	}
 	return nil
 }

@@ -36,7 +36,6 @@ func testContext(t *testing.T, m int) *EpochContext {
 		Solver:    solver,
 		Epoch:     0,
 		Seed:      7,
-		M:         m,
 	}
 }
 
@@ -56,7 +55,7 @@ func TestEpochContextValidation(t *testing.T) {
 		t.Error("short workloads should be rejected")
 	}
 	bad = *ctx
-	bad.M = 0
+	bad.Params.M = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("M=0 should be rejected")
 	}
@@ -64,7 +63,7 @@ func TestEpochContextValidation(t *testing.T) {
 
 func ratesInRange(t *testing.T, p Policy, ctx *EpochContext) {
 	t.Helper()
-	for _, edp := range []int{0, ctx.M - 1} {
+	for _, edp := range []int{0, ctx.Params.M - 1} {
 		for k := 0; k < ctx.Params.K; k += 5 {
 			for _, q := range []float64{0, 30, 70, 100} {
 				x, err := p.Rate(edp, k, 0.3, 5, q)
@@ -291,7 +290,7 @@ func TestUDCSShape(t *testing.T) {
 
 func TestPrepareRejectsInvalidContext(t *testing.T) {
 	bad := testContext(t, 5)
-	bad.M = 0
+	bad.Params.M = 0
 	for _, p := range []Policy{NewMFGCP(), NewRR(), NewMPC(), NewUDCS()} {
 		if err := p.Prepare(bad); err == nil {
 			t.Errorf("%s accepted an invalid context", p.Name())

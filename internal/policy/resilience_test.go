@@ -17,16 +17,16 @@ import (
 // would otherwise silently answer every later epoch with the same key, turning
 // a one-epoch tolerance into a permanent wrong fixed point.
 func TestNonConvergedNeverCached(t *testing.T) {
-	ctx := testContext(t, 8)
-	ctx.Solver.MaxIters = 1 // every solve stops non-converged
-	ctx.Solver.Tol = 1e-12
-
 	cache, err := engine.NewCache(64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := testContext(t, 8)
+	ctx.Solver.MaxIters = 1 // every solve stops non-converged
+	ctx.Solver.Tol = 1e-12
+	ctx.Cache = cache
+
 	pol := NewMFGCP()
-	pol.SetEquilibriumCache(cache)
 	if err := pol.Prepare(ctx); err != nil {
 		t.Fatalf("tolerant Prepare failed: %v", err)
 	}
@@ -47,8 +47,8 @@ func TestNonConvergedNeverCached(t *testing.T) {
 
 	// Control: the same setup with a workable iteration budget does cache.
 	ctx2 := testContext(t, 8)
+	ctx2.Cache = cache
 	pol2 := NewMFGCP()
-	pol2.SetEquilibriumCache(cache)
 	if err := pol2.Prepare(ctx2); err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestPrepareWithRecoveryLadder(t *testing.T) {
 		GrowIterBudget: true,
 		AcceptPartial:  false,
 	}
-	recovered.SetRecovery(&e)
+	ctx.Recovery = &e
 	if err := recovered.Prepare(ctx); err != nil {
 		t.Fatalf("Prepare with recovery ladder failed: %v", err)
 	}

@@ -219,24 +219,23 @@ const (
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	burst  float64
 	ratio  float64
 }
 
-// newRetryBudget builds a budget of burst initial tokens refilling at ratio
-// per fresh request. ratio < 0 disables the budget (nil receiver admits
-// everything).
-func newRetryBudget(ratio, burst float64) *retryBudget {
+// retryBurst is a retry budget's initial and maximum token balance.
+const retryBurst = 20
+
+// newRetryBudget builds a full budget of retryBurst tokens refilling at
+// ratio per fresh request. ratio < 0 disables the budget (nil receiver
+// admits everything).
+func newRetryBudget(ratio float64) *retryBudget {
 	if ratio < 0 {
 		return nil
 	}
 	if ratio == 0 {
 		ratio = 0.1
 	}
-	if burst <= 0 {
-		burst = 20
-	}
-	return &retryBudget{tokens: burst, burst: burst, ratio: ratio}
+	return &retryBudget{tokens: retryBurst, ratio: ratio}
 }
 
 // admit charges the budget: fresh requests refill it and always pass, retry
@@ -248,7 +247,7 @@ func (b *retryBudget) admit(isRetry bool) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !isRetry {
-		b.tokens = min(b.burst, b.tokens+b.ratio)
+		b.tokens = min(retryBurst, b.tokens+b.ratio)
 		return true
 	}
 	if b.tokens >= 1 {

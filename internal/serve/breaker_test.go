@@ -141,9 +141,11 @@ func TestBreakerDisabled(t *testing.T) {
 // TestRetryBudget pins the token accounting: retries spend, fresh traffic
 // refills at the configured ratio, and a dry budget rejects retries only.
 func TestRetryBudget(t *testing.T) {
-	b := newRetryBudget(0.5, 2)
-	if !b.admit(true) || !b.admit(true) {
-		t.Fatal("burst tokens not spendable")
+	b := newRetryBudget(0.5)
+	for i := 0; i < retryBurst; i++ {
+		if !b.admit(true) {
+			t.Fatalf("burst token %d not spendable", i)
+		}
 	}
 	if b.admit(true) {
 		t.Fatal("dry budget admitted a retry")
@@ -163,7 +165,7 @@ func TestRetryBudget(t *testing.T) {
 	if !disabled.admit(true) {
 		t.Fatal("disabled (nil) budget rejected a retry")
 	}
-	if newRetryBudget(-1, 0) != nil {
+	if newRetryBudget(-1) != nil {
 		t.Fatal("negative ratio did not disable the budget")
 	}
 }

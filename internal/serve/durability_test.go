@@ -26,6 +26,13 @@ func startDaemon(t *testing.T, cfg Config) (base string, drain func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveDaemon(t, s)
+}
+
+// serveDaemon serves s as startDaemon does, for tests that adjust a server
+// between New and Serve.
+func serveDaemon(t *testing.T, s *Server) (base string, drain func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -106,20 +113,17 @@ func TestStoreTierWarmRestart(t *testing.T) {
 	}
 }
 
-// TestStoreTierReadsV1Records is the upgrade contract of the store: a daemon
-// started over a store whose records older builds wrote as equilibrium
-// archives — format v1 (gob of the whole equilibrium) and format v2 (the raw
-// float64 paths behind a gob header) — answers those keys from the store,
-// with the body a fresh solve gives, and persists what it solves itself as
-// an answer record.
-func TestStoreTierReadsV1Records(t *testing.T) {
-	v1Stored := []string{
-		`{"Workload": {"Requests": 11, "Pop": 0.35, "Timeliness": 3}}`,
-		`{"Workload": {"Requests": 7, "Pop": 0.2, "Timeliness": 1}}`,
-	}
+// TestStoreTierSupersedesUndecodableRecords: a record whose checksum holds
+// but whose blob is not an answer this build decodes — a newer answer
+// version, or an equilibrium archive (format v1 or v2) that a build before
+// answer records wrote — is a miss, and the re-solve's answer record
+// supersedes it on disk, so the next restart answers the key from the store
+// instead of solving it again.
+func TestStoreTierSupersedesUndecodableRecords(t *testing.T) {
+	newer := `{"Workload": {"Requests": 10, "Pop": 0.3, "Timeliness": 2}}`
+	v1Stored := `{"Workload": {"Requests": 11, "Pop": 0.35, "Timeliness": 3}}`
 	v2Stored := `{"Workload": {"Requests": 9, "Pop": 0.45, "Timeliness": 2}}`
-	later := `{"Workload": {"Requests": 13, "Pop": 0.4, "Timeliness": 2}}`
-	stored := append(v1Stored, v2Stored)
+	bodies := []string{newer, v1Stored, v2Stored}
 	// v1Archive is the layout every record of the oldest builds has.
 	type v1Archive struct {
 		Version int
@@ -133,139 +137,61 @@ func TestStoreTierReadsV1Records(t *testing.T) {
 		}
 		return req.Workload
 	}
-
-	// Fresh solves of every key, from a daemon without a store.
-	fresh := map[string][]byte{}
-	base, _ := startDaemon(t, cfg)
-	for _, body := range append(stored, later) {
-		resp, data := postSolve(t, http.DefaultClient, base, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("fresh solve: status %d body %s", resp.StatusCode, data)
-		}
-		fresh[body] = bodyWithoutSource(t, data)
-	}
-
-	// The store as older builds left it: a v1 or a v2 archive per key.
-	dir := t.TempDir()
-	st, err := store.Open(store.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, body := range stored {
+	keyOf := func(body string) string { return engine.CacheKey(cfg.Solver, workloadOf(body)) }
+	solved := func(body string) *engine.Equilibrium {
 		eq, err := engine.Solve(cfg.Solver, workloadOf(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var record []byte
-		if body == v2Stored {
-			if record, err = engine.MarshalEquilibrium(eq); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			var v1 bytes.Buffer
-			if err := gob.NewEncoder(&v1).Encode(v1Archive{Version: 1, Eq: eq}); err != nil {
-				t.Fatal(err)
-			}
-			record = v1.Bytes()
-		}
-		st.Put(engine.CacheKey(cfg.Solver, workloadOf(body)), record)
+		return eq
 	}
-	if err := st.Close(); err != nil {
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(v1Archive{Version: 1, Eq: solved(v1Stored)}); err != nil {
 		t.Fatal(err)
 	}
-
-	cfg2, reg2 := testConfig(t)
-	cfg2.CacheDir = dir
-	base2, drain2 := startDaemon(t, cfg2)
-	for _, body := range stored {
-		resp, data := postSolve(t, http.DefaultClient, base2, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("archive record: status %d body %s", resp.StatusCode, data)
-		}
-		if got := sourceOf(t, data); got != SourceStore {
-			t.Errorf("archive record answered from %q, want %q", got, SourceStore)
-		}
-		if !bytes.Equal(bodyWithoutSource(t, data), fresh[body]) {
-			t.Errorf("archive record body differs from a fresh solve:\n%s\nvs\n%s", data, fresh[body])
-		}
-	}
-	snap := reg2.Snapshot()
-	if got := snap.Counters["serve.solve.executed"]; got != 0 {
-		t.Errorf("archive records were re-solved: serve.solve.executed = %g, want 0", got)
-	}
-	if got := snap.Counters["serve.store.decode.errors"]; got != 0 {
-		t.Errorf("serve.store.decode.errors = %g, want 0", got)
-	}
-	if resp, data := postSolve(t, http.DefaultClient, base2, later); resp.StatusCode != http.StatusOK || sourceOf(t, data) != SourceSolve {
-		t.Fatalf("post-upgrade key: status %d body %s", resp.StatusCode, data)
-	}
-	drain2()
-
-	// The key solved after the upgrade is persisted as an answer record, not
-	// an archive, and it holds the body a fresh solve gives.
-	st2, err := store.Open(store.Config{Dir: dir})
+	v2, err := engine.MarshalEquilibrium(solved(v2Stored))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	blob, ok := st2.Get(engine.CacheKey(cfg.Solver, workloadOf(later)))
-	if !ok {
-		t.Fatal("the post-upgrade solve was not persisted")
-	}
-	if _, err := engine.UnmarshalEquilibrium(blob); err == nil {
-		t.Error("the post-upgrade record is an equilibrium archive")
-	}
-	ans, err := surrogate.DecodeAnswer(blob)
-	if err != nil {
-		t.Fatalf("decode the post-upgrade record: %v", err)
-	}
-	if got := bodyWithoutSource(t, mustJSON(t, response(ans, SourceStore))); !bytes.Equal(got, fresh[later]) {
-		t.Errorf("the post-upgrade record holds another answer:\n%s\nvs\n%s", got, fresh[later])
-	}
-}
-
-// TestStoreTierSupersedesUndecodableRecords: a record whose checksum holds
-// but whose blob this build cannot decode (here a newer answer version) is a
-// miss, and the re-solve's answer supersedes it on disk, so the next restart
-// answers the key from the store instead of solving it again.
-func TestStoreTierSupersedesUndecodableRecords(t *testing.T) {
-	body := `{"Workload": {"Requests": 10, "Pop": 0.3, "Timeliness": 2}}`
-	cfg, _ := testConfig(t)
 	dir := t.TempDir()
 	st, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put(engine.CacheKey(cfg.Solver, engine.Workload{Requests: 10, Pop: 0.3, Timeliness: 2}),
-		[]byte(`{"answer":2,"converged":true}`))
+	st.Put(keyOf(newer), []byte(`{"answer":2,"converged":true}`))
+	st.Put(keyOf(v1Stored), v1.Bytes())
+	st.Put(keyOf(v2Stored), v2)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var first []byte
+	first := map[string][]byte{}
+	n := float64(len(bodies))
 	for run, want := range []struct {
 		source                             Source
 		executed, decodeErrors, duplicates float64
 	}{
-		{SourceSolve, 1, 1, 0},
+		{SourceSolve, n, n, 0},
 		{SourceStore, 0, 0, 0},
 	} {
 		cfg, reg := testConfig(t)
 		cfg.CacheDir = dir
 		base, drain := startDaemon(t, cfg)
-		resp, data := postSolve(t, http.DefaultClient, base, body)
+		for _, body := range bodies {
+			resp, data := postSolve(t, http.DefaultClient, base, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("run %d: status %d body %s", run, resp.StatusCode, data)
+			}
+			if got := sourceOf(t, data); got != want.source {
+				t.Errorf("run %d: %s answered from %q, want %q", run, body, got, want.source)
+			}
+			if first[body] == nil {
+				first[body] = bodyWithoutSource(t, data)
+			} else if !bytes.Equal(bodyWithoutSource(t, data), first[body]) {
+				t.Errorf("run %d: %s: body differs from the re-solve's", run, body)
+			}
+		}
 		drain()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("run %d: status %d body %s", run, resp.StatusCode, data)
-		}
-		if got := sourceOf(t, data); got != want.source {
-			t.Errorf("run %d: source %q, want %q", run, got, want.source)
-		}
-		if first == nil {
-			first = bodyWithoutSource(t, data)
-		} else if !bytes.Equal(bodyWithoutSource(t, data), first) {
-			t.Errorf("run %d: body differs from the re-solve's", run)
-		}
 		snap := reg.Snapshot()
 		for _, c := range []struct {
 			name string
@@ -278,6 +204,30 @@ func TestStoreTierSupersedesUndecodableRecords(t *testing.T) {
 			if got := snap.Counters[c.name]; got != c.want {
 				t.Errorf("run %d: %s = %g, want %g", run, c.name, got, c.want)
 			}
+		}
+	}
+
+	// Each re-solve is persisted as an answer record, not an archive, and it
+	// holds the body the re-solve gave.
+	st2, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	for _, body := range bodies {
+		blob, ok := st2.Get(keyOf(body))
+		if !ok {
+			t.Fatalf("%s: the re-solve was not persisted", body)
+		}
+		if _, err := engine.UnmarshalEquilibrium(blob); err == nil {
+			t.Errorf("%s: the re-solve's record is an equilibrium archive", body)
+		}
+		ans, err := surrogate.DecodeAnswer(blob)
+		if err != nil {
+			t.Fatalf("%s: decode the re-solve's record: %v", body, err)
+		}
+		if got := bodyWithoutSource(t, mustJSON(t, response(ans, SourceStore))); !bytes.Equal(got, first[body]) {
+			t.Errorf("%s: the record holds another answer:\n%s\nvs\n%s", body, got, first[body])
 		}
 	}
 }
@@ -383,8 +333,13 @@ func TestStoreTierSurvivesCorruption(t *testing.T) {
 func TestRetryBudgetEndToEnd(t *testing.T) {
 	cfg, reg := testConfig(t)
 	cfg.RetryBudgetRatio = 0.1
-	cfg.RetryBudgetBurst = 1
-	base, _ := startDaemon(t, cfg)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One token instead of retryBurst, so the second retry finds it dry.
+	s.retries = &retryBudget{tokens: 1, ratio: cfg.RetryBudgetRatio}
+	base, _ := serveDaemon(t, s)
 
 	postRetry := func(body string) (*http.Response, []byte) {
 		t.Helper()

@@ -24,11 +24,11 @@
 //     drain: SIGTERM stops accepting work, finishes the in-flight requests
 //     and exits cleanly.
 //
-// The surrogate tier (Solver.Surrogate.Path / SurrogateTable) sits above the
-// ladder as tier 0: an in-trust-region request is answered in microseconds by
-// multilinear interpolation in a precomputed equilibrium table (source
-// "surrogate", with the cell's measured error bound attached); everything
-// else falls through to the exact ladder below.
+// The surrogate tier (a table file named by Solver.Surrogate.Path) sits
+// above the ladder as tier 0: an in-trust-region request is answered in
+// microseconds by multilinear interpolation in a precomputed equilibrium
+// table (source "surrogate", with the cell's measured error bound
+// attached); everything else falls through to the exact ladder below.
 //
 // The durable tier (CacheDir) extends the ladder below the LRU: an LRU miss
 // consults the append-only segment store (internal/store), promotes a hit
@@ -136,15 +136,8 @@ type Config struct {
 	Breaker BreakerConfig
 	// RetryBudgetRatio is the retry-budget refill per fresh solve admitted
 	// (default 0.1: retries may consume ~10% of solve capacity); negative
-	// disables the budget. RetryBudgetBurst is the initial/maximum token
-	// balance (default 20).
+	// disables the budget. The budget starts full at its 20-token maximum.
 	RetryBudgetRatio float64
-	RetryBudgetBurst float64
-	// SurrogateTable, when set, is a preloaded tier-0 interpolation table
-	// (tests inject one directly). When nil, Solver.Surrogate.Path — if
-	// non-empty — names a table file loaded at startup. Both unset disables
-	// the surrogate tier.
-	SurrogateTable *surrogate.Table
 	// Cluster configures the sharded-fleet tier: the static member list
 	// (including this replica's own advertised URL), the ring geometry and
 	// the peer-fill/probe timeouts. The zero value runs a single replica with
@@ -261,8 +254,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: open cache dir: %w", err)
 		}
 	}
-	tab := cfg.SurrogateTable
-	if tab == nil && cfg.Solver.Surrogate.Path != "" {
+	var tab *surrogate.Table // tier 0, from Solver.Surrogate.Path when set
+	if cfg.Solver.Surrogate.Path != "" {
 		if tab, err = surrogate.Load(cfg.Solver.Surrogate.Path); err != nil {
 			if disk != nil {
 				_ = disk.Close()
@@ -292,7 +285,7 @@ func New(cfg Config) (*Server, error) {
 		surrogate:  tab,
 		cluster:    fleet,
 		breaker:    newBreaker(cfg.Breaker, cfg.Obs),
-		retries:    newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
+		retries:    newRetryBudget(cfg.RetryBudgetRatio),
 		jobs:       make(chan *flight, cfg.QueueDepth),
 		inflight:   make(map[string]*flight),
 		fresh:      make(map[net.Conn]struct{}),
@@ -558,10 +551,10 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 
 // storeGet consults the persistent tier after an LRU miss and promotes a hit
 // back into the LRU so the next repeat is a memory hit. A record that does
-// not decode is treated as a miss and forgotten, so the re-solve's answer
-// supersedes it (the store already refuses CRC-invalid bytes, so such a
-// record is in a format this build cannot read, such as a newer build's, not
-// corrupt).
+// not decode as an answer is treated as a miss and forgotten, so the
+// re-solve's answer supersedes it (the store already refuses CRC-invalid
+// bytes, so such a record is in a format this build cannot read, such as a
+// newer build's or an older build's equilibrium archive, not corrupt).
 func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*surrogate.Summary, bool) {
 	if s.store == nil {
 		return nil, false
@@ -571,7 +564,7 @@ func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*surrogate.Summary, boo
 	var ans *surrogate.Summary
 	if ok {
 		var err error
-		if ans, err = decodeRecord(blob); err != nil {
+		if ans, err = surrogate.DecodeAnswer(blob); err != nil {
 			s.rec.Add("serve.store.decode.errors", 1)
 			s.store.Forget(key)
 			ok = false
@@ -585,19 +578,6 @@ func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*surrogate.Summary, boo
 	}
 	s.cache.Put(s.rec, key, ans)
 	return ans, true
-}
-
-// decodeRecord reads one store record: an encoded answer, or an equilibrium
-// archive (format v1 or v2) that an older build wrote, summarised here.
-func decodeRecord(blob []byte) (*surrogate.Summary, error) {
-	if ans, err := surrogate.DecodeAnswer(blob); err == nil {
-		return ans, nil
-	}
-	eq, err := engine.UnmarshalEquilibrium(blob)
-	if err != nil {
-		return nil, err
-	}
-	return surrogate.Summarize(eq), nil
 }
 
 // peerFill asks the key's ring owner for the answer via /v1/peer/get.

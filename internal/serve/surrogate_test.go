@@ -8,18 +8,20 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/surrogate"
 )
 
-// buildServeTable precomputes a tiny real lattice under the daemon's default
-// solver config: 2×2 over (Requests, Pop) with Timeliness frozen at 2.
-func buildServeTable(t testing.TB, solver engine.Config) *surrogate.Table {
+// serveTable precomputes a tiny real lattice under cfg's solver config —
+// 2×2 over (Requests, Pop) with Timeliness frozen at 2 — saves it in a test
+// directory and names the file in cfg.Solver.Surrogate.Path, the way
+// -surrogate hands a daemon its table.
+func serveTable(t testing.TB, cfg *Config) *surrogate.Table {
 	t.Helper()
 	tab, err := surrogate.Build(context.Background(), surrogate.BuildConfig{
-		Config:     solver,
+		Config:     cfg.Solver,
 		Requests:   surrogate.AxisSpec{Min: 8, Max: 12, N: 2},
 		Pop:        surrogate.AxisSpec{Min: 0.2, Max: 0.4, N: 2},
 		Timeliness: surrogate.AxisSpec{Min: 2, N: 1},
@@ -28,6 +30,11 @@ func buildServeTable(t testing.TB, solver engine.Config) *surrogate.Table {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	path := filepath.Join(t.TempDir(), "table.mfgt")
+	if err := tab.Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	cfg.Solver.Surrogate.Path = path
 	return tab
 }
 
@@ -36,7 +43,7 @@ func buildServeTable(t testing.TB, solver engine.Config) *surrogate.Table {
 // attached, legacy header derived — without the solver pool ever running.
 func TestSurrogateTierAnswersInRegion(t *testing.T) {
 	cfg, reg := testConfig(t)
-	cfg.SurrogateTable = buildServeTable(t, cfg.Solver)
+	serveTable(t, &cfg)
 	base, _ := startDaemon(t, cfg)
 
 	body := `{"Workload": {"Requests": 10, "Pop": 0.3, "Timeliness": 2}}`
@@ -75,7 +82,7 @@ func TestSurrogateTierAnswersInRegion(t *testing.T) {
 // engine ladder and answer byte-identically to a surrogate-free daemon.
 func TestSurrogateTierFallsThrough(t *testing.T) {
 	cfg, reg := testConfig(t)
-	cfg.SurrogateTable = buildServeTable(t, cfg.Solver)
+	tab := serveTable(t, &cfg)
 	base, _ := startDaemon(t, cfg)
 
 	plain, plainReg := testConfig(t)
@@ -113,7 +120,7 @@ func TestSurrogateTierFallsThrough(t *testing.T) {
 	// declares: the table must decline and the engine answer.
 	tight := fmt.Sprintf(
 		`{"Solver": {"Surrogate": {"MaxErrorBound": %g}}, "Workload": {"Requests": 10, "Pop": 0.3, "Timeliness": 2}}`,
-		cfg.SurrogateTable.Bounds[0]/2)
+		tab.Bounds[0]/2)
 	resp2, data2 := postSolve(t, http.DefaultClient, base, tight)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("tight-bound request: status %d body %s", resp2.StatusCode, data2)
@@ -133,7 +140,7 @@ func TestSurrogateTierFallsThrough(t *testing.T) {
 // never touch the worker pool, so the bare handler is the full hot path.
 func BenchmarkServeSurrogateHit(b *testing.B) {
 	cfg, _ := testConfig(b)
-	cfg.SurrogateTable = buildServeTable(b, cfg.Solver)
+	serveTable(b, &cfg)
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -66,12 +66,11 @@ type Config struct {
 	// mean-field interference approximation. Kept as an ablation.
 	ExactInterference bool
 
-	// EqCacheSize, when positive, installs a bounded equilibrium cache of
-	// that capacity on the policy (if it accepts one — see the
-	// equilibriumCaching interface) before the epoch loop. Epochs whose
-	// (params, workload) repeat then reuse the solved equilibrium instead of
-	// re-running Algorithm 2, which trace-driven demand with recurring daily
-	// shares hits often.
+	// EqCacheSize, when positive, bounds the run's equilibrium cache, which
+	// every epoch's context carries to the policy (EpochContext.Cache) and
+	// checkpoints hold. Epochs whose (params, workload) repeat then reuse the
+	// solved equilibrium instead of re-running Algorithm 2, which
+	// trace-driven demand with recurring daily shares hits often.
 	EqCacheSize int
 
 	// Area is the side length of the square deployment region.
@@ -90,20 +89,19 @@ type Config struct {
 	// error budget.
 	Faults *FaultPlan `json:",omitempty"`
 
-	// Recovery, when set, is installed on policies that support divergence
-	// recovery (see the recoverySetting interface): failing equilibrium
-	// solves are retried under the bounded escalation ladder before the
-	// epoch is declared failed.
+	// Recovery, when set, travels to the policy in every epoch's context
+	// (EpochContext.Recovery): failing equilibrium solves are retried under
+	// the bounded escalation ladder before the epoch is declared failed.
 	Recovery *resilience.Escalation `json:",omitempty"`
 
 	// Checkpoint configures epoch-boundary snapshots and resume (zero value
 	// disables both).
 	Checkpoint CheckpointConfig
 
-	// Context, when set, bounds Run with cancellation or a deadline; the
+	// Context, when set, bounds the run with cancellation or a deadline
+	// alongside RunContext's argument: the run stops when either ends. The
 	// epoch loop checks it at step granularity and the solver at iteration
-	// granularity. RunContext's argument takes precedence. Nil means
-	// context.Background().
+	// granularity.
 	Context context.Context `json:"-"`
 }
 
@@ -280,17 +278,14 @@ var ErrInterrupted = errors.New("sim: run interrupted")
 // Run executes the market simulation under Config.Context (or no deadline
 // when it is nil).
 func Run(cfg Config) (*Result, error) {
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return RunContext(ctx, cfg)
+	return RunContext(context.Background(), cfg)
 }
 
-// RunContext executes the market simulation under ctx: cancellation and
-// deadlines are honoured at simulation-step granularity (and forwarded to the
-// strategy-determination solves at best-response-iteration granularity). On
-// interruption the partial Result is returned with ErrInterrupted.
+// RunContext executes the market simulation under ctx and cfg.Context, until
+// either ends: cancellation and deadlines are honoured at simulation-step
+// granularity (and forwarded to the strategy-determination solves at
+// best-response-iteration granularity). On interruption the partial Result is
+// returned with ErrInterrupted, wrapping the cause of the context that ended.
 //
 // When the next epoch's workloads are known before an epoch trades — the
 // policy can freeze its strategy (see strategyFreezer) and demand is not
@@ -305,24 +300,27 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Context != nil {
+		// AfterFunc cancels on its own goroutine; a Context that has already
+		// ended is checked here, so the run stops before its first epoch.
+		var cancel context.CancelCauseFunc
+		ctx, cancel = context.WithCancelCause(ctx)
+		defer cancel(nil)
+		stop := context.AfterFunc(cfg.Context, func() { cancel(context.Cause(cfg.Context)) })
+		defer stop()
+		if cfg.Context.Err() != nil {
+			cancel(context.Cause(cfg.Context))
+		}
+	}
 	rec := obs.OrNop(cfg.Obs)
 	if cfg.Solver.Obs == nil {
 		cfg.Solver.Obs = cfg.Obs
 	}
 	var eqCache *engine.Cache
 	if cfg.EqCacheSize > 0 {
-		if ec, ok := cfg.Policy.(equilibriumCaching); ok {
-			cache, err := engine.NewCache(cfg.EqCacheSize)
-			if err != nil {
-				return nil, err
-			}
-			ec.SetEquilibriumCache(cache)
-			eqCache = cache
-		}
-	}
-	if cfg.Recovery != nil {
-		if rs, ok := cfg.Policy.(recoverySetting); ok {
-			rs.SetRecovery(cfg.Recovery)
+		var err error
+		if eqCache, err = engine.NewCache(cfg.EqCacheSize); err != nil {
+			return nil, err
 		}
 	}
 	p := cfg.Params
@@ -487,7 +485,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			Solver:    cfg.Solver,
 			Epoch:     epoch,
 			Seed:      cfg.Seed,
-			M:         p.M,
+			Cache:     eqCache,
+			Recovery:  cfg.Recovery,
 			Ctx:       ctx,
 		}
 		return pl, nil
@@ -914,19 +913,6 @@ func (t *serviceTally) flush(rec obs.Recorder) {
 		rec.Add("sim.serve.cloud_fetch", float64(t.cloud))
 	}
 	*t = serviceTally{}
-}
-
-// equilibriumCaching is implemented by policies that can consult a shared
-// equilibrium cache across epochs (policy.MFGCP). The simulator feature-tests
-// for it so cache plumbing stays optional for the baseline policies.
-type equilibriumCaching interface {
-	SetEquilibriumCache(*engine.Cache)
-}
-
-// recoverySetting is implemented by policies that accept a divergence-recovery
-// escalation ladder for their equilibrium solves (policy.MFGCP).
-type recoverySetting interface {
-	SetRecovery(*resilience.Escalation)
 }
 
 // strategyFreezer is implemented by policies whose prepared strategy can be

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/mec"
 	"repro/internal/numerics"
+	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 	"repro/internal/sde"
 	"repro/internal/trace"
 )
@@ -90,6 +92,43 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if a.MeanUtility() == c.MeanUtility() {
 		t.Error("different seeds should give different results")
+	}
+}
+
+// TestReusedPolicyStartsFromItsOwnRunConfig runs one MFG-CP policy through a
+// market with an equilibrium cache and the recovery ladder, then through a
+// second market with neither: the second run must not reach the first run's
+// cache, so none of its solves is a cache hit or even a lookup.
+func TestReusedPolicyStartsFromItsOwnRunConfig(t *testing.T) {
+	pol := policy.NewMFGCP()
+	market := func() Config {
+		cfg := quickConfig(t, pol)
+		cfg.Params.M = 20
+		cfg.Epochs = 2
+		return cfg
+	}
+	first := market()
+	first.EqCacheSize = 16
+	ladder := resilience.DefaultEscalation()
+	first.Recovery = &ladder
+	if _, err := Run(first); err != nil {
+		t.Fatal(err)
+	}
+
+	second := market()
+	reg := obs.NewRegistry(nil)
+	second.Obs = reg
+	if _, err := Run(second); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"engine.cache.hit", "engine.cache.miss"} {
+		if n := snap.Counters[name]; n != 0 {
+			t.Errorf("the second run, configured without a cache, recorded %s %g times", name, n)
+		}
+	}
+	if n := snap.Counters["core.solver.solves"]; n == 0 {
+		t.Error("the second run solved nothing: the scenario does not exercise the policy")
 	}
 }
 

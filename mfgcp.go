@@ -115,9 +115,10 @@ func OptimalControl(p Params, dVdq float64) float64 {
 }
 
 // EquilibriumCache is a bounded, concurrency-safe store of solved equilibria
-// keyed by the canonical (params, workload, grid, scheme) hash. Install one
-// on an MFG policy (policy.MFGCP.SetEquilibriumCache) or set
-// MarketConfig.EqCacheSize to let repeated epochs reuse fixed points.
+// keyed by the canonical (params, workload, grid, scheme) hash. A market run
+// installs one of its own, shared by its epochs, through
+// MarketConfig.EqCacheSize (WithEqCache), so repeated epochs reuse fixed
+// points and a policy reused for another run does not.
 type EquilibriumCache = engine.Cache
 
 // NewEquilibriumCache returns an equilibrium cache bounded to capacity
@@ -164,10 +165,11 @@ type Ledger = sim.Ledger
 // experiments.
 func DefaultMarketConfig(p Params, pol Policy) MarketConfig { return sim.DefaultConfig(p, pol) }
 
-// RunMarketContext executes a market simulation under ctx: cancellation and
-// deadlines are honoured at simulation-step granularity and forwarded into the
-// equilibrium solves. On interruption the partial result is returned together
-// with an error wrapping ErrMarketInterrupted.
+// RunMarketContext executes a market simulation under ctx and cfg.Context
+// (WithMarketContext), until either ends: cancellation and deadlines are
+// honoured at simulation-step granularity and forwarded into the equilibrium
+// solves. On interruption the partial result is returned together with an
+// error wrapping ErrMarketInterrupted and the cause of the context that ended.
 func RunMarketContext(ctx context.Context, cfg MarketConfig) (*MarketResult, error) {
 	return sim.RunContext(ctx, cfg)
 }

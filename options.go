@@ -201,9 +201,10 @@ func WithExactInterference(on bool) MarketOption {
 	return marketOption(func(c *MarketConfig) { c.ExactInterference = on })
 }
 
-// WithMarketContext bounds the market run. Equivalent to setting
-// MarketConfig.Context; prefer RunMarketContext when the context is known at
-// run time rather than configuration time.
+// WithMarketContext bounds the market run alongside RunMarketContext's
+// argument: the run stops when either ends. Equivalent to setting
+// MarketConfig.Context; prefer RunMarketContext's argument when the context
+// is known at run time rather than configuration time.
 func WithMarketContext(ctx context.Context) MarketOption {
 	return marketOption(func(c *MarketConfig) { c.Context = ctx })
 }

@@ -120,6 +120,47 @@ func TestSolveEquilibriumContext(t *testing.T) {
 	}
 }
 
+// TestWithMarketContext checks that a context installed with
+// WithMarketContext bounds a market run as RunMarketContext's own argument
+// does: the run stops when either ends, with the cause of the one that did.
+func TestWithMarketContext(t *testing.T) {
+	p := DefaultParams()
+	p.M, p.K = 10, 3
+	market := func(ctx context.Context) MarketConfig {
+		t.Helper()
+		cfg, err := NewMarketConfig(p, NewRRPolicy(), WithEpochs(2), WithStepsPerEpoch(10), WithMarketContext(ctx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+
+	stopped := errors.New("operator stop")
+	ended, end := context.WithCancelCause(context.Background())
+	end(stopped)
+	res, err := RunMarketContext(context.Background(), market(ended))
+	if !errors.Is(err, ErrMarketInterrupted) || !errors.Is(err, stopped) {
+		t.Errorf("run under an ended WithMarketContext: err = %v, want ErrMarketInterrupted wrapping %v", err, stopped)
+	}
+	if res == nil {
+		t.Error("run under an ended WithMarketContext returned no partial result")
+	} else if n := len(res.Stats); n != 0 {
+		t.Errorf("run under an ended WithMarketContext traded %d epochs, want 0", n)
+	}
+
+	// The argument still bounds a run whose configured context is live.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunMarketContext(cancelled, market(context.Background())); !errors.Is(err, ErrMarketInterrupted) || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled argument with a live WithMarketContext: err = %v, want ErrMarketInterrupted wrapping context.Canceled", err)
+	}
+
+	// Neither ends: the run completes.
+	if res, err := RunMarketContext(context.Background(), market(context.Background())); err != nil || len(res.Stats) != 2 {
+		t.Errorf("live contexts: err = %v, want a complete 2-epoch run", err)
+	}
+}
+
 // TestRunExperimentContext checks that the context argument reaches the
 // experiment and that an explicit opt.Context wins.
 func TestRunExperimentContext(t *testing.T) {
