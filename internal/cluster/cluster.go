@@ -304,14 +304,14 @@ func (e *peerError) Error() string {
 }
 
 // Fetch asks owner for the answer of req.Key via POST /v1/peer/get and
-// decodes the returned body. The round trip is bounded by PeerTimeout and the
-// caller's context, whichever ends first. Transport failures — no connection,
-// a read error, a body that ends before its declared length — mark the owner
-// down (fast failover) before returning; application-level refusals and a
-// body that arrives whole but is not an answer (an older owner's archive, an
-// over-size or undecodable body) do not. The returned source is the
-// owner-side provenance header.
-func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (ans *surrogate.Summary, source string, err error) {
+// validates the returned body, which becomes the answer's record. The round
+// trip is bounded by PeerTimeout and the caller's context, whichever ends
+// first. Transport failures — no connection, a read error, a body that ends
+// before its declared length — mark the owner down (fast failover) before
+// returning; application-level refusals and a body that arrives whole but is
+// not an answer (an older owner's archive, an over-size or undecodable body)
+// do not. The returned source is the owner-side provenance header.
+func (c *Cluster) Fetch(ctx context.Context, owner string, preq PeerRequest) (ans *surrogate.Answer, source string, err error) {
 	body, err := json.Marshal(preq)
 	if err != nil {
 		return nil, "", fmt.Errorf("cluster: encode peer request: %w", err)

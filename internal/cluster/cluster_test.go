@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -136,12 +137,12 @@ func TestProbeFlipsHealth(t *testing.T) {
 func answerBody(t *testing.T) []byte {
 	t.Helper()
 	two := func(a, b float64) []float64 { return []float64{a, b} }
-	body, err := surrogate.EncodeAnswer(&surrogate.Summary{Converged: true, Iterations: 3, Residual: 1e-7,
+	ans, err := surrogate.EncodeAnswer(&surrogate.Summary{Converged: true, Iterations: 3, Residual: 1e-7,
 		Time: two(0, 1), Price: two(1.5, 1.4), MeanControl: two(0.2, 0.25), MeanRemaining: two(3, 2.8), SharerFrac: two(0.1, 0.15)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body
+	return ans.Record()
 }
 
 func TestFetchRoundTrip(t *testing.T) {
@@ -169,8 +170,8 @@ func TestFetchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Converged || got.Iterations != 3 || got.Price[1] != 1.4 {
-		t.Errorf("fetched answer %+v, want converged 3-iteration", got)
+	if !got.Converged() || got.Iterations() != 3 || got.FinalPrice() != 1.4 || !bytes.Equal(got.Record(), blob) {
+		t.Errorf("fetched answer %s, want the owner's converged 3-iteration one", got.Record())
 	}
 	if source != "cache" {
 		t.Errorf("source = %q, want cache", source)
@@ -294,8 +295,8 @@ func TestFetchDeclaredBodyFaults(t *testing.T) {
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err = %v, want an error %v", err, tc.wantErr)
 			}
-			if err == nil && (len(ans.Time) != 2 || ans.SharerFrac[1] != 0.15) {
-				t.Errorf("fetched series %v / %v", ans.Time, ans.SharerFrac)
+			if err == nil && !bytes.Equal(ans.Record(), tc.body) {
+				t.Errorf("fetched record %s, want %s", ans.Record(), tc.body)
 			}
 			if down := !c.Healthy(owner.URL); down != tc.wantDown {
 				t.Errorf("owner marked down = %v, want %v (err %v)", down, tc.wantDown, err)

@@ -4,8 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -21,58 +20,64 @@ import (
 // unique (Theorem 2), so a cached solution for the same (params, workload,
 // grid, scheme) is the answer regardless of where the iteration started.
 func CacheKey(cfg Config, w Workload) string {
-	var b strings.Builder
-	b.Grow(512)
+	b := make([]byte, 0, 512)
 	p := cfg.Params
 	// Model constants.
-	fmt.Fprintf(&b, "M=%d;K=%d;", p.M, p.K)
-	putF(&b, "Qk", p.Qk)
-	putF(&b, "W1", p.W1)
-	putF(&b, "W2", p.W2)
-	putF(&b, "W3", p.W3)
-	putF(&b, "Xi", p.Xi)
-	putF(&b, "SigmaQ", p.SigmaQ)
-	putF(&b, "ChRate", p.ChRate)
-	putF(&b, "ChMean", p.ChMean)
-	putF(&b, "ChSigma", p.ChSigma)
-	putF(&b, "HMin", p.HMin)
-	putF(&b, "HMax", p.HMax)
-	putF(&b, "Bandwidth", p.Bandwidth)
-	putF(&b, "TxPower", p.TxPower)
-	putF(&b, "Noise", p.Noise)
-	putF(&b, "PathLoss", p.PathLoss)
-	putF(&b, "MeanDist", p.MeanDist)
-	fmt.Fprintf(&b, "Interfer=%d;", p.Interfer)
-	putF(&b, "HubRate", p.HubRate)
-	putF(&b, "RateFloor", p.RateFloor)
-	putF(&b, "PHat", p.PHat)
-	putF(&b, "Eta1", p.Eta1)
-	putF(&b, "Eta2", p.Eta2)
-	putF(&b, "SharePrice", p.SharePrice)
-	putF(&b, "W4", p.W4)
-	putF(&b, "W5", p.W5)
-	putF(&b, "Alpha", p.Alpha)
-	putF(&b, "SmoothL", p.SmoothL)
-	putF(&b, "ZipfSkew", p.ZipfSkew)
-	putF(&b, "LMax", p.LMax)
-	putF(&b, "Horizon", p.Horizon)
-	putF(&b, "InitMeanFrac", p.InitMeanFrac)
-	putF(&b, "InitStdFrac", p.InitStdFrac)
+	b = putI(b, "M", p.M)
+	b = putI(b, "K", p.K)
+	b = putF(b, "Qk", p.Qk)
+	b = putF(b, "W1", p.W1)
+	b = putF(b, "W2", p.W2)
+	b = putF(b, "W3", p.W3)
+	b = putF(b, "Xi", p.Xi)
+	b = putF(b, "SigmaQ", p.SigmaQ)
+	b = putF(b, "ChRate", p.ChRate)
+	b = putF(b, "ChMean", p.ChMean)
+	b = putF(b, "ChSigma", p.ChSigma)
+	b = putF(b, "HMin", p.HMin)
+	b = putF(b, "HMax", p.HMax)
+	b = putF(b, "Bandwidth", p.Bandwidth)
+	b = putF(b, "TxPower", p.TxPower)
+	b = putF(b, "Noise", p.Noise)
+	b = putF(b, "PathLoss", p.PathLoss)
+	b = putF(b, "MeanDist", p.MeanDist)
+	b = putI(b, "Interfer", p.Interfer)
+	b = putF(b, "HubRate", p.HubRate)
+	b = putF(b, "RateFloor", p.RateFloor)
+	b = putF(b, "PHat", p.PHat)
+	b = putF(b, "Eta1", p.Eta1)
+	b = putF(b, "Eta2", p.Eta2)
+	b = putF(b, "SharePrice", p.SharePrice)
+	b = putF(b, "W4", p.W4)
+	b = putF(b, "W5", p.W5)
+	b = putF(b, "Alpha", p.Alpha)
+	b = putF(b, "SmoothL", p.SmoothL)
+	b = putF(b, "ZipfSkew", p.ZipfSkew)
+	b = putF(b, "LMax", p.LMax)
+	b = putF(b, "Horizon", p.Horizon)
+	b = putF(b, "InitMeanFrac", p.InitMeanFrac)
+	b = putF(b, "InitStdFrac", p.InitStdFrac)
 	// Solver knobs.
-	fmt.Fprintf(&b, "NH=%d;NQ=%d;Steps=%d;MaxIters=%d;", cfg.NH, cfg.NQ, cfg.Steps, cfg.MaxIters)
-	putF(&b, "Tol", cfg.Tol)
-	putF(&b, "Damping", cfg.Damping)
-	fmt.Fprintf(&b, "Form=%d;Share=%t;", int(cfg.FPKForm), cfg.ShareEnabled)
+	b = putI(b, "NH", cfg.NH)
+	b = putI(b, "NQ", cfg.NQ)
+	b = putI(b, "Steps", cfg.Steps)
+	b = putI(b, "MaxIters", cfg.MaxIters)
+	b = putF(b, "Tol", cfg.Tol)
+	b = putF(b, "Damping", cfg.Damping)
+	b = putI(b, "Form", int(cfg.FPKForm))
+	b = strconv.AppendBool(append(b, "Share="...), cfg.ShareEnabled)
+	b = append(b, ";Scheme="...)
 	if sch, err := pde.ParseScheme(cfg.Scheme); err == nil {
-		fmt.Fprintf(&b, "Scheme=%s;", sch)
+		b = append(b, sch.String()...)
 	} else {
-		fmt.Fprintf(&b, "Scheme=%q;", cfg.Scheme)
+		b = strconv.AppendQuote(b, cfg.Scheme)
 	}
+	b = append(b, ';')
 	// A non-default divergence threshold decides whether a request gets an
 	// answer at all, so it keys; zero (the default) adds nothing, keeping
 	// default keys, store records and surrogate tables as they were.
 	if cfg.BlowupResidual != 0 {
-		putF(&b, "Blowup", cfg.BlowupResidual)
+		b = putF(b, "Blowup", cfg.BlowupResidual)
 	}
 	// The Surrogate routing config decides which tier answers, never what
 	// the equilibrium is, so it is not part of the key.
@@ -80,29 +85,36 @@ func CacheKey(cfg Config, w Workload) string {
 	// Section-V default, which the params above already determine).
 	if cfg.InitLambda != nil {
 		h := fnv.New64a()
+		var num [32]byte
 		for _, v := range cfg.InitLambda {
-			fmt.Fprintf(h, "%.9g;", v)
+			_, _ = h.Write(append(strconv.AppendFloat(num[:0], v, 'g', 9, 64), ';'))
 		}
-		fmt.Fprintf(&b, "Init=%d:%x;", len(cfg.InitLambda), h.Sum64())
+		b = strconv.AppendInt(append(b, "Init="...), int64(len(cfg.InitLambda)), 10)
+		b = strconv.AppendUint(append(b, ':'), h.Sum64(), 16)
+		b = append(b, ';')
 	}
 	// Workload.
-	putF(&b, "Requests", w.Requests)
-	putF(&b, "Pop", w.Pop)
-	putF(&b, "Timeliness", w.Timeliness)
-	return b.String()
+	b = putF(b, "Requests", w.Requests)
+	b = putF(b, "Pop", w.Pop)
+	b = putF(b, "Timeliness", w.Timeliness)
+	return string(b)
 }
 
-// putF appends one quantised float field. NaN and infinities format
-// distinctly, so invalid configurations never alias valid ones.
-func putF(b *strings.Builder, name string, v float64) {
+// putI appends one integer field.
+func putI(b []byte, name string, v int) []byte {
+	b = append(append(b, name...), '=')
+	return append(strconv.AppendInt(b, int64(v), 10), ';')
+}
+
+// putF appends one float field quantised to 9 significant digits. NaN and
+// infinities format distinctly, so invalid configurations never alias valid
+// ones.
+func putF(b []byte, name string, v float64) []byte {
 	if v == 0 {
 		v = 0 // normalise -0 and +0 onto one encoding
 	}
-	if math.IsNaN(v) {
-		fmt.Fprintf(b, "%s=NaN;", name)
-		return
-	}
-	fmt.Fprintf(b, "%s=%.9g;", name, v)
+	b = append(append(b, name...), '=')
+	return append(strconv.AppendFloat(b, v, 'g', 9, 64), ';')
 }
 
 // LRU is a bounded, concurrency-safe map from canonical keys to shared

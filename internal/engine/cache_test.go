@@ -2,11 +2,15 @@ package engine
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/pde"
 )
 
 // TestCacheKeyCanonical checks the canonicalisation contract: identical
@@ -88,6 +92,112 @@ func TestCacheKeyCanonical(t *testing.T) {
 	warm.WarmStart = &Equilibrium{}
 	if CacheKey(warm, w) != base {
 		t.Errorf("warm-start seed leaked into the cache key")
+	}
+}
+
+// fmtCacheKey is CacheKey as it was written with fmt, kept as the reference
+// its strconv rendering must reproduce: store records and surrogate BaseKeys
+// are named by these strings.
+func fmtCacheKey(cfg Config, w Workload) string {
+	var b strings.Builder
+	put := func(name string, v float64) {
+		if v == 0 {
+			v = 0
+		}
+		if math.IsNaN(v) {
+			fmt.Fprintf(&b, "%s=NaN;", name)
+			return
+		}
+		fmt.Fprintf(&b, "%s=%.9g;", name, v)
+	}
+	p := cfg.Params
+	fmt.Fprintf(&b, "M=%d;K=%d;", p.M, p.K)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Qk", p.Qk}, {"W1", p.W1}, {"W2", p.W2}, {"W3", p.W3}, {"Xi", p.Xi}, {"SigmaQ", p.SigmaQ},
+		{"ChRate", p.ChRate}, {"ChMean", p.ChMean}, {"ChSigma", p.ChSigma}, {"HMin", p.HMin}, {"HMax", p.HMax},
+		{"Bandwidth", p.Bandwidth}, {"TxPower", p.TxPower}, {"Noise", p.Noise}, {"PathLoss", p.PathLoss},
+		{"MeanDist", p.MeanDist},
+	} {
+		put(f.name, f.v)
+	}
+	fmt.Fprintf(&b, "Interfer=%d;", p.Interfer)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"HubRate", p.HubRate}, {"RateFloor", p.RateFloor}, {"PHat", p.PHat}, {"Eta1", p.Eta1}, {"Eta2", p.Eta2},
+		{"SharePrice", p.SharePrice}, {"W4", p.W4}, {"W5", p.W5}, {"Alpha", p.Alpha}, {"SmoothL", p.SmoothL},
+		{"ZipfSkew", p.ZipfSkew}, {"LMax", p.LMax}, {"Horizon", p.Horizon}, {"InitMeanFrac", p.InitMeanFrac},
+		{"InitStdFrac", p.InitStdFrac},
+	} {
+		put(f.name, f.v)
+	}
+	fmt.Fprintf(&b, "NH=%d;NQ=%d;Steps=%d;MaxIters=%d;", cfg.NH, cfg.NQ, cfg.Steps, cfg.MaxIters)
+	put("Tol", cfg.Tol)
+	put("Damping", cfg.Damping)
+	fmt.Fprintf(&b, "Form=%d;Share=%t;", int(cfg.FPKForm), cfg.ShareEnabled)
+	if sch, err := pde.ParseScheme(cfg.Scheme); err == nil {
+		fmt.Fprintf(&b, "Scheme=%s;", sch)
+	} else {
+		fmt.Fprintf(&b, "Scheme=%q;", cfg.Scheme)
+	}
+	if cfg.BlowupResidual != 0 {
+		put("Blowup", cfg.BlowupResidual)
+	}
+	if cfg.InitLambda != nil {
+		h := fnv.New64a()
+		for _, v := range cfg.InitLambda {
+			fmt.Fprintf(h, "%.9g;", v)
+		}
+		fmt.Fprintf(&b, "Init=%d:%x;", len(cfg.InitLambda), h.Sum64())
+	}
+	put("Requests", w.Requests)
+	put("Pop", w.Pop)
+	put("Timeliness", w.Timeliness)
+	return b.String()
+}
+
+// TestCacheKeyMatchesFmtRendering pins CacheKey's strings to the fmt
+// rendering over the values where the two formatters could part: signed
+// zeros, NaN, infinities, subnormals, 9-digit rounding boundaries, and every
+// optional branch (Blowup, Scheme, InitLambda).
+func TestCacheKeyMatchesFmtRendering(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 2.2250738585072009e-308,
+		math.MaxFloat64, 1, -1, 0.1, 1e-7, 1e21, 123456789, 1234567885, 1234567895, 123456789.5, 999999999.5,
+		9999999995, 0.99999999949, 0.9999999995, 1.0000000005, 2.5e-9, -0.0012345678949999, 3.14159265358979}
+	type keyCase struct {
+		cfg Config
+		w   Workload
+	}
+	cfg, w := smallConfig()
+	cases := map[string]keyCase{"default": {cfg, w}}
+	for i, v := range floats {
+		c, wl := cfg, w
+		c.Params.Eta1, c.Tol, c.BlowupResidual = v, v, v
+		wl.Requests, wl.Pop, wl.Timeliness = v, -v, v/3
+		cases[fmt.Sprintf("float %d (%g)", i, v)] = keyCase{c, wl}
+	}
+	for _, scheme := range []string{"", "implicit", "explicit", "Implicit", `we"ird\x00é`} {
+		c := cfg
+		c.Scheme = scheme
+		cases["scheme "+scheme] = keyCase{c, w}
+	}
+	for i, init := range [][]float64{{}, {1, 2, 3}, floats} {
+		c := cfg
+		c.InitLambda = init
+		cases[fmt.Sprintf("init %d", i)] = keyCase{c, w}
+	}
+	ints := cfg
+	ints.Params.M, ints.Params.K, ints.Params.Interfer, ints.MaxIters = -1, math.MaxInt, math.MinInt, 0
+	ints.FPKForm, ints.ShareEnabled = 7, !cfg.ShareEnabled
+	cases["ints"] = keyCase{ints, w}
+	for name, c := range cases {
+		if got, want := CacheKey(c.cfg, c.w), fmtCacheKey(c.cfg, c.w); got != want {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		}
 	}
 }
 

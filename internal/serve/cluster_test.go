@@ -301,19 +301,9 @@ func TestFleetPeerAnswerPromoted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("peer reply does not decode: %v", err)
 	}
-	if got := bodyWithoutSource(t, mustJSON(t, response(ans, SourcePeer))); !bytes.Equal(got, bodyWithoutSource(t, data)) {
+	if got := bodyWithoutSource(t, answerBody(ans, SourcePeer)); !bytes.Equal(got, bodyWithoutSource(t, data)) {
 		t.Errorf("peer reply answer differs from the served body:\n%s\nvs\n%s", got, data)
 	}
-}
-
-// mustJSON encodes v as a handler writes it.
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestLateRequestReusesFinishedFlight pins the singleflight's LRU re-check:
@@ -410,10 +400,11 @@ func TestLateRequestReusesFinishedFlight(t *testing.T) {
 }
 
 // TestExactRungsServeIdenticalBytes pins the response-bytes contract of the
-// exact rungs: for every key, the body a fresh single daemon's solve gives is
-// the body of a solve, a coalesced join, an LRU hit, a store hit after a
-// restart and a peer fill in a 3-replica fleet, byte for byte once the source
-// value is blanked.
+// exact rungs: for every key, encoderBody over a direct solve is the body of
+// a solve, a coalesced join, an LRU hit, a store hit after a restart and a
+// peer fill in a 3-replica fleet, byte for byte once the source value is
+// blanked, and the owner's /v1/peer/get body is the record it stored, which
+// is the reflection encoder's.
 func TestExactRungsServeIdenticalBytes(t *testing.T) {
 	workloads := []engine.Workload{
 		{Requests: 8, Pop: 0.25, Timeliness: 2},
@@ -434,16 +425,14 @@ func TestExactRungsServeIdenticalBytes(t *testing.T) {
 		return src, bytes.Replace(data, field, []byte(`"source":""`), 1)
 	}
 
-	// The reference: a fresh single daemon's cold solves.
+	// The reference: the old writer over a direct solve, source blanked.
+	sums := make([]*surrogate.Summary, len(bodies))
+	keys := make([]string, len(bodies))
 	want := make([][]byte, len(bodies))
 	cfg, _ := testConfig(t)
-	base, _ := startDaemon(t, cfg)
 	for i, body := range bodies {
-		resp, data := postSolve(t, http.DefaultClient, base, body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("reference %d: status %d body %s", i, resp.StatusCode, data)
-		}
-		_, want[i] = blank(t, data)
+		sums[i], keys[i] = directAnswer(t, cfg.Solver, body)
+		want[i] = encoderBody(t, sums[i], "")
 	}
 	seen := map[Source]int{}
 	check := func(t *testing.T, i int, resp *http.Response, data []byte, rungs ...Source) {
@@ -517,18 +506,30 @@ func TestExactRungsServeIdenticalBytes(t *testing.T) {
 	// Store: a restart over the same directory.
 	cfg, _ = testConfig(t)
 	cfg.CacheDir = dir
-	base, _ = startDaemon(t, cfg)
+	base, _ := startDaemon(t, cfg)
 	for i, body := range bodies {
 		resp, data := postSolve(t, http.DefaultClient, base, body)
 		check(t, i, resp, data, SourceStore)
 	}
 
-	// Peer: each key asked first of a replica that does not own it.
-	replicas := startFleet(t, 3, nil)
+	// Peer: each key asked first of a replica that does not own it; the
+	// owner then serves its stored record to /v1/peer/get.
+	replicas := startFleet(t, 3, func(_ int, cfg *Config) { cfg.CacheDir = t.TempDir() })
 	for i, body := range bodies {
-		j := firstVisitor(t, replicas, engine.CacheKey(replicas[0].srv.cfg.Solver, workloads[i]), false)
-		resp, data := postSolve(t, http.DefaultClient, replicas[j].base, body)
+		resp, data := postSolve(t, http.DefaultClient, replicas[firstVisitor(t, replicas, keys[i], false)].base, body)
 		check(t, i, resp, data, SourcePeer)
+		owner := replicas[firstVisitor(t, replicas, keys[i], true)]
+		owner.srv.Store().Flush()
+		record, ok := owner.srv.Store().Get(keys[i])
+		if !ok {
+			t.Fatalf("key %d: the owner did not persist its answer", i)
+		}
+		if !bytes.Equal(record, encoderRecord(t, sums[i])) {
+			t.Errorf("key %d: owner's record\n%s\nwant\n%s", i, record, encoderRecord(t, sums[i]))
+		}
+		if got := peerGet(t, owner.base, body, keys[i]); !bytes.Equal(got, record) {
+			t.Errorf("key %d: peer body\n%s\nwant the owner's record\n%s", i, got, record)
+		}
 	}
 
 	for _, src := range []Source{SourceSolve, SourceCoalesced, SourceCache, SourceStore, SourcePeer} {

@@ -226,7 +226,7 @@ func TestStoreTierSupersedesUndecodableRecords(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode the re-solve's record: %v", body, err)
 		}
-		if got := bodyWithoutSource(t, mustJSON(t, response(ans, SourceStore))); !bytes.Equal(got, first[body]) {
+		if got := bodyWithoutSource(t, answerBody(ans, SourceStore)); !bytes.Equal(got, first[body]) {
 			t.Errorf("%s: the record holds another answer:\n%s\nvs\n%s", body, got, first[body])
 		}
 	}

@@ -30,7 +30,8 @@ type SolveRequest struct {
 // SolveResponse summarises one mean-field equilibrium: the dynamic price path
 // p(t) (Eq. 17), the population-mean caching control and mean remaining cache
 // space, the convergence diagnostics of the best-response iteration, and the
-// provenance of the answer.
+// provenance of the answer. It is the shape clients decode; the daemon
+// writes its bytes from the answer's record (answerBody).
 type SolveResponse struct {
 	Converged  bool    `json:"converged"`
 	Iterations int     `json:"iterations"`
@@ -153,8 +154,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		obs.ReqTraceFrom(r.Context()).Observe("surrogate_lookup", lookup)
 		if ok {
 			s.rec.Add("serve.surrogate.hit", 1)
+			ans, err := surrogate.EncodeAnswer(sum)
+			if err != nil {
+				s.writeError(w, err)
+				return
+			}
 			writeSolveHeaders(w, false, lookup)
-			s.writeAnswer(w, response(sum, SourceSurrogate))
+			s.writeAnswer(w, ans, SourceSurrogate)
 			return
 		}
 		s.rec.Add("serve.surrogate.miss", 1)
@@ -174,16 +180,33 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	writeSolveHeaders(w, out.Source == SourceCoalesced, out.SolveTime)
-	s.writeAnswer(w, response(ans, out.Source))
+	s.writeAnswer(w, ans, out.Source)
 }
 
 // writeAnswer writes one /v1/solve 200 and counts it exactly once by the rung
 // its body names, in serve.solve.source.<source>. The per-rung hit counters
 // (engine.cache.hit, store.hit, ...) also count the lookups that answer
 // peer fills and epoch solves, so only these add up to the 200s.
-func (s *Server) writeAnswer(w http.ResponseWriter, resp SolveResponse) {
-	s.rec.Add("serve.solve.source."+string(resp.Source), 1)
-	writeJSON(w, http.StatusOK, resp)
+func (s *Server) writeAnswer(w http.ResponseWriter, ans *surrogate.Answer, src Source) {
+	s.rec.Add("serve.solve.source."+string(src), 1)
+	writeBody(w, http.StatusOK, answerBody(ans, src))
+}
+
+// answerBody renders an answer as its /v1/solve body by re-heading the
+// record the answer holds: the version member dropped, the source inserted
+// before any error bound, and the newline json.Encoder ends a value with.
+// The body is byte for byte what json.Encoder writes for the same answer as
+// a SolveResponse, with no float formatted again.
+func answerBody(ans *surrogate.Answer, src Source) []byte {
+	members, tail := ans.Members()
+	b := make([]byte, 0, len(members)+len(tail)+len(src)+len(`{,"source":""`+"\n"))
+	b = append(b, '{')
+	b = append(b, members...)
+	b = append(b, `,"source":"`...)
+	b = append(b, src...)
+	b = append(b, '"')
+	b = append(b, tail...)
+	return append(b, '\n')
 }
 
 // writeSolveHeaders emits the per-request coalescing and solve-time headers.
@@ -198,12 +221,13 @@ func writeSolveHeaders(w http.ResponseWriter, coalesced bool, solveTime time.Dur
 // store → singleflight → workers) with the cluster tier disabled, so every
 // cold solve for a key executes exactly once fleet-wide — concurrent fills
 // from many replicas coalesce on the owner's singleflight — and a fill never
-// re-forwards (no routing loops). The response body is the answer itself,
-// encoded whole (surrogate.EncodeAnswer) under cluster.AnswerContentType:
-// the requester serves and promotes exactly what the owner would serve, so
-// every replica's body for a key is byte-identical. The surrogate tier is
-// deliberately skipped: the requester already consulted its own copy of the
-// table, and an interpolated answer must not be promoted as an exact one.
+// re-forwards (no routing loops). The response body is the answer's record
+// as the owner holds it (surrogate.Answer.Record), under
+// cluster.AnswerContentType: the requester serves and promotes exactly what
+// the owner would serve, so every replica's body for a key is
+// byte-identical. The surrogate tier is deliberately skipped: the requester
+// already consulted its own copy of the table, and an interpolated answer
+// must not be promoted as an exact one.
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		s.writeError(w, badRequest(errors.New("serve: peer endpoint disabled (no -peers configured)")))
@@ -241,33 +265,13 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	body, err := surrogate.EncodeAnswer(ans)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+	body := ans.Record()
 	w.Header().Set("Content-Type", cluster.AnswerContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set(cluster.SourceHeader, string(out.Source))
-	w.Header().Set(cluster.ConvergedHeader, strconv.FormatBool(ans.Converged))
+	w.Header().Set(cluster.ConvergedHeader, strconv.FormatBool(ans.Converged()))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
-}
-
-// response shapes one answer as a /v1/solve body from the rung src.
-func response(sum *surrogate.Summary, src Source) SolveResponse {
-	return SolveResponse{
-		Converged:     sum.Converged,
-		Iterations:    sum.Iterations,
-		Residual:      sum.Residual,
-		Time:          sum.Time,
-		Price:         sum.Price,
-		MeanControl:   sum.MeanControl,
-		MeanRemaining: sum.MeanRemaining,
-		SharerFrac:    sum.SharerFrac,
-		Source:        src,
-		ErrorBound:    sum.ErrorBound,
-	}
 }
 
 // handleEpoch determines one epoch of per-content strategies (Algorithm 1's
@@ -324,7 +328,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	timeout := s.clampTimeout(req.TimeoutMs)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	answers := make([]*surrogate.Summary, p.K)
+	answers := make([]*surrogate.Answer, p.K)
 	s.rec.Add("serve.epoch.executed", 1)
 	start := time.Now()
 	if err := engine.Each(p.K, min(s.cfg.Workers, s.cfg.QueueDepth), func(_, k int) error {
@@ -353,12 +357,9 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		c := EpochContent{Content: k, Admission: 1}
 		if ans != nil {
 			c.Requested = true
-			c.Converged = ans.Converged
-			c.Iterations = ans.Iterations
-			if n := len(ans.Price); n > 0 {
-				// The last sample is the last time level's price.
-				c.FinalPrice = ans.Price[n-1]
-			}
+			c.Converged = ans.Converged()
+			c.Iterations = ans.Iterations()
+			c.FinalPrice = ans.FinalPrice()
 		}
 		resp.Contents[k] = c
 	}
@@ -438,7 +439,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":{"kind":"internal","message":"encode response"}}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody writes one rendered JSON response body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }

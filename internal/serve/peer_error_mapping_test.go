@@ -54,11 +54,11 @@ func peerEquilibrium(converged bool) *engine.Equilibrium {
 // peerAnswer encodes peerEquilibrium's answer.
 func peerAnswer(t *testing.T, converged bool) []byte {
 	t.Helper()
-	body, err := surrogate.EncodeAnswer(surrogate.Summarize(peerEquilibrium(converged)))
+	ans, err := surrogate.EncodeAnswer(surrogate.Summarize(peerEquilibrium(converged)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body
+	return ans.Record()
 }
 
 // peerReply is a fake owner's 200 carrying body under contentType.

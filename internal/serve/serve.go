@@ -10,9 +10,10 @@
 //
 //   - a shared bounded LRU of answers: a warm repeat of a solved (params,
 //     workload, grid, scheme) key answers without touching the solver. An
-//     answer (surrogate.Summary) is what a /v1/solve body carries — the
-//     sampled price, mean-control and q̄ paths plus convergence diagnostics,
-//     a few KB — so every rung below the surrogate table holds answers, not
+//     answer (surrogate.Answer) is the encoded record of what a /v1/solve
+//     body carries — the sampled price, mean-control and q̄ paths plus
+//     convergence diagnostics, a few KB — rendered once by the solve, so
+//     every rung below the surrogate table holds and serves those bytes, not
 //     equilibria;
 //   - per-worker engine.Sessions behind a bounded worker pool, so steady
 //     traffic runs on pre-allocated PDE workspaces;
@@ -197,7 +198,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg       Config
 	rec       obs.Recorder
-	cache     *engine.LRU[surrogate.Summary]
+	cache     *engine.LRU[surrogate.Answer]
 	store     *store.Store     // nil when CacheDir is unset
 	surrogate *surrogate.Table // nil when the tier-0 table is disabled
 	cluster   *cluster.Cluster // nil when the fleet tier is disabled
@@ -238,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Solver.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: default solver config: %w", err)
 	}
-	cache, err := engine.NewLRU[surrogate.Summary](cfg.CacheSize)
+	cache, err := engine.NewLRU[surrogate.Answer](cfg.CacheSize)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +296,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Cache exposes the shared LRU of answers (tests use it).
-func (s *Server) Cache() *engine.LRU[surrogate.Summary] { return s.cache }
+func (s *Server) Cache() *engine.LRU[surrogate.Answer] { return s.cache }
 
 // Store exposes the persistent disk tier (nil when CacheDir is unset); tests
 // use it to flush and inspect the write-behind queue.
@@ -430,7 +431,7 @@ type flight struct {
 	probe     bool          // this flight holds the breaker's half-open probe slot
 
 	done      chan struct{}
-	ans       *surrogate.Summary // the solve's answer, summarised once for every waiter
+	ans       *surrogate.Answer // the solve's answer, encoded once for every waiter
 	err       error
 	solveTime time.Duration
 }
@@ -451,7 +452,7 @@ type solveOutcome struct {
 // free). docs carries the original client request documents for peer
 // forwarding; nil disables the cluster tier for this call — peer-originated
 // requests pass nil so a fill is answered locally and never re-forwarded.
-func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload, timeout time.Duration, isRetry bool, docs *cluster.PeerRequest) (*surrogate.Summary, solveOutcome, error) {
+func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload, timeout time.Duration, isRetry bool, docs *cluster.PeerRequest) (*surrogate.Answer, solveOutcome, error) {
 	tr := obs.ReqTraceFrom(ctx)
 	key := engine.CacheKey(cfg, w)
 	lookupStart := time.Now()
@@ -550,18 +551,20 @@ func (s *Server) solve(ctx context.Context, cfg engine.Config, w engine.Workload
 }
 
 // storeGet consults the persistent tier after an LRU miss and promotes a hit
-// back into the LRU so the next repeat is a memory hit. A record that does
-// not decode as an answer is treated as a miss and forgotten, so the
-// re-solve's answer supersedes it (the store already refuses CRC-invalid
-// bytes, so such a record is in a format this build cannot read, such as a
-// newer build's or an older build's equilibrium archive, not corrupt).
-func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*surrogate.Summary, bool) {
+// back into the LRU so the next repeat is a memory hit. The record's bytes
+// are the answer: DecodeAnswer validates them and the hit serves them. A
+// record that does not decode as an answer is treated as a miss and
+// forgotten, so the re-solve's answer supersedes it (the store already
+// refuses CRC-invalid bytes, so such a record is in a format this build
+// cannot read, such as a newer build's or an older build's equilibrium
+// archive, not corrupt).
+func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*surrogate.Answer, bool) {
 	if s.store == nil {
 		return nil, false
 	}
 	start := time.Now()
 	blob, ok := s.store.Get(key)
-	var ans *surrogate.Summary
+	var ans *surrogate.Answer
 	if ok {
 		var err error
 		if ans, err = surrogate.DecodeAnswer(blob); err != nil {
@@ -588,7 +591,7 @@ func (s *Server) storeGet(key string, tr *obs.ReqTrace) (*surrogate.Summary, boo
 // partial is served to the client that asked (matching local ladder
 // semantics) but caching it would replay an unconverged fixed point to every
 // future repeat.
-func (s *Server) peerFill(ctx context.Context, owner, key string, preq cluster.PeerRequest, timeout time.Duration, tr *obs.ReqTrace) (*surrogate.Summary, bool) {
+func (s *Server) peerFill(ctx context.Context, owner, key string, preq cluster.PeerRequest, timeout time.Duration, tr *obs.ReqTrace) (*surrogate.Answer, bool) {
 	preq.Key = key
 	preq.TimeoutMs = timeout.Milliseconds()
 	start := time.Now()
@@ -601,7 +604,7 @@ func (s *Server) peerFill(ctx context.Context, owner, key string, preq cluster.P
 		return nil, false
 	}
 	s.rec.Add("cluster.peer_hit", 1)
-	if ans.Converged {
+	if ans.Converged() {
 		s.cache.Put(s.rec, key, ans)
 	}
 	return ans, true
@@ -622,7 +625,8 @@ func (s *Server) worker() {
 
 // runFlight executes one coalesced solve on this worker's warm session and
 // publishes its answer to every waiter. The equilibrium itself is dropped
-// here: only the answer is served, cached and persisted.
+// here: its answer is encoded once, and those bytes are served, cached and
+// persisted.
 func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
 	defer func() {
 		s.mu.Lock()
@@ -674,11 +678,16 @@ func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
 	f.solveTime = time.Since(start)
 	s.rec.Observe("serve.solve.seconds", f.solveTime.Seconds())
 	f.err = err
-	if eq != nil {
-		f.ans = surrogate.Summarize(eq)
-	}
 	s.breaker.onResult(classifySolve(err), f.probe)
-	if err == nil && f.ans != nil && f.ans.Converged {
+	if eq != nil {
+		var encErr error
+		if f.ans, encErr = surrogate.EncodeAnswer(surrogate.Summarize(eq)); encErr != nil {
+			// A non-finite answer has no JSON form: it fails its requests
+			// as an internal error.
+			f.err = encErr
+		}
+	}
+	if f.err == nil && f.ans != nil && f.ans.Converged() {
 		s.cache.Put(s.rec, f.key, f.ans)
 		s.persist(f.key, f.ans)
 	}
@@ -699,21 +708,15 @@ func classifySolve(err error) solveVerdict {
 	}
 }
 
-// persist hands one converged answer to the disk tier as an encoded answer
-// record, write-behind. Only converged answers ever reach the store: a
+// persist hands one converged answer's record to the disk tier,
+// write-behind. Only converged answers ever reach the store: a
 // non-converged partial answer is a 200 for the client that asked, but
 // persisting it would replay an unconverged fixed point to every future
 // restart.
-func (s *Server) persist(key string, ans *surrogate.Summary) {
-	if s.store == nil {
-		return
+func (s *Server) persist(key string, ans *surrogate.Answer) {
+	if s.store != nil {
+		s.store.Put(key, ans.Record())
 	}
-	blob, err := surrogate.EncodeAnswer(ans)
-	if err != nil {
-		s.rec.Add("serve.store.encode.errors", 1)
-		return
-	}
-	s.store.Put(key, blob)
 }
 
 // clampTimeout resolves a request's timeout_ms against the server bounds.

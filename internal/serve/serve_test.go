@@ -799,3 +799,46 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// BenchmarkServeHit times one /v1/solve answered from the LRU on the default
+// grid, through Server.Handler from request decode to response body with no
+// network in between: what every warm repeat costs the daemon.
+func BenchmarkServeHit(b *testing.B) {
+	reg := obs.NewRegistry(nil)
+	s, err := New(Config{Obs: reg, Registry: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ctx, ln) }()
+	defer func() { cancel(); <-done }()
+	const body = `{"Workload": {"Requests": 10, "Pop": 0.3, "Timeliness": 2}}`
+	// The first request solves and fills the LRU.
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b.Fatalf("warm-up solve: status %d", resp.StatusCode)
+	}
+	h := s.Handler()
+	var rec *httptest.ResponseRecorder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body)))
+	}
+	b.StopTimer()
+	var sr SolveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil || rec.Code != http.StatusOK || sr.Source != SourceCache {
+		b.Fatalf("status %d, source %q, err %v: not an LRU hit", rec.Code, sr.Source, err)
+	}
+}

@@ -119,10 +119,16 @@ func OptimalControl(p Params, dVdq float64) float64 {
 // installs one of its own, shared by its epochs, through
 // MarketConfig.EqCacheSize (WithEqCache), so repeated epochs reuse fixed
 // points and a policy reused for another run does not.
+//
+// Deprecated: no entry point accepts a cache; bound a market run's own cache
+// with WithEqCache.
 type EquilibriumCache = engine.Cache
 
 // NewEquilibriumCache returns an equilibrium cache bounded to capacity
 // entries with least-recently-used eviction.
+//
+// Deprecated: no entry point accepts the cache it returns; bound a market
+// run's own cache with WithEqCache.
 func NewEquilibriumCache(capacity int) (*EquilibriumCache, error) {
 	return engine.NewCache(capacity)
 }
