@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mec"
@@ -256,5 +260,86 @@ func BenchmarkEngineSolveWarm(b *testing.B) {
 		if _, err := s.Solve(w, base); err != nil {
 			b.Fatalf("warm solve: %v", err)
 		}
+	}
+}
+
+// iterCtx is a context that is cancelled from its n-th Err check on.
+// SolveContext checks once before each iteration, so a solve under it stops
+// mid-loop after n−1 iterations.
+type iterCtx struct {
+	context.Context
+	n int
+}
+
+func (c *iterCtx) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSessionReusableAfterInterruptedSolve pins SolveContext's promise to
+// leave the session reusable for solves that stop early: after a solve
+// cancelled mid-loop, or one stopped at MaxIters, the session's next solve
+// matches a fresh session's bit for bit. A daemon's pooled session passes to
+// the next flight of its configuration whatever its last solve's outcome.
+func TestSessionReusableAfterInterruptedSolve(t *testing.T) {
+	cfg, w := smallConfig()
+	first, err := Solve(cfg, w)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	// Capped at w's own iteration count, w still converges, and the harder
+	// workload below stops at the cap.
+	cfg.MaxIters = first.Iterations
+	hard := Workload{Requests: 25, Pop: 0.8, Timeliness: 4}
+	want, err := Solve(cfg, w)
+	if err != nil {
+		t.Fatalf("fresh capped Solve: %v", err)
+	}
+	interrupts := map[string]func(*Session) error{
+		"cancelled mid-loop": func(s *Session) error {
+			_, err := s.SolveContext(&iterCtx{Context: context.Background(), n: 3}, hard, nil)
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "iteration 3") {
+				return fmt.Errorf("got %v, want a cancellation at iteration 3", err)
+			}
+			return nil
+		},
+		"stopped at MaxIters": func(s *Session) error {
+			eq, err := s.Solve(hard, nil)
+			if !errors.Is(err, ErrNotConverged) || eq.Iterations != cfg.MaxIters {
+				return fmt.Errorf("got %v, want ErrNotConverged after %d iterations", err, cfg.MaxIters)
+			}
+			return nil
+		},
+	}
+	for name, interrupt := range interrupts {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewSession(cfg)
+			if err != nil {
+				t.Fatalf("NewSession: %v", err)
+			}
+			if err := interrupt(s); err != nil {
+				t.Fatalf("interrupted solve: %v", err)
+			}
+			got, err := s.Solve(w, nil)
+			if err != nil {
+				t.Fatalf("next solve: %v", err)
+			}
+			samePathBits(t, got, want)
+			if got.Iterations != want.Iterations || got.Converged != want.Converged {
+				t.Errorf("iterations %d, converged %v; a fresh session gives %d, %v",
+					got.Iterations, got.Converged, want.Iterations, want.Converged)
+			}
+			for field, pair := range map[string][2]any{
+				"Snapshots": {got.Snapshots, want.Snapshots},
+				"Residuals": {got.Residuals, want.Residuals},
+				"RawMass":   {got.FPK.RawMass, want.FPK.RawMass},
+			} {
+				if !sameBits(reflect.ValueOf(pair[0]), reflect.ValueOf(pair[1])) {
+					t.Errorf("%s differ from a fresh session's", field)
+				}
+			}
+		})
 	}
 }

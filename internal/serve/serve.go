@@ -15,8 +15,9 @@
 //     convergence diagnostics, a few KB — rendered once by the solve, so
 //     every rung below the surrogate table holds and serves those bytes, not
 //     equilibria;
-//   - per-worker engine.Sessions behind a bounded worker pool, so steady
-//     traffic runs on pre-allocated PDE workspaces;
+//   - warm engine.Sessions pooled per solver configuration and shared by
+//     a bounded worker pool, so steady traffic runs on pre-allocated PDE
+//     workspaces and an idle daemon lets them go;
 //   - singleflight coalescing: concurrent identical requests share one solve
 //     (the mean-field equilibrium is unique, so one answer serves them all);
 //   - load shedding: a full queue answers 429 + Retry-After instead of
@@ -83,9 +84,10 @@ type Config struct {
 	// Addr is the listen address (default "127.0.0.1:8080"; use ":0" in
 	// tests to pick a free port).
 	Addr string
-	// Workers bounds the solver worker pool (default GOMAXPROCS). Each
-	// worker owns reusable engine sessions, so memory scales with
-	// Workers × distinct grid configurations.
+	// Workers bounds the solver worker pool (default GOMAXPROCS). Workers
+	// borrow warm engine sessions from one pool per solver configuration,
+	// so session memory follows the solves running at once, and a session
+	// left idle across two garbage collections is released.
 	Workers int
 	// QueueDepth bounds the pending-solve queue; a full queue sheds load
 	// with 429 (default 64).
@@ -210,6 +212,11 @@ type Server struct {
 	inflight map[string]*flight
 	fresh    map[net.Conn]struct{} // accepted connections without a request yet
 	stopped  bool                  // jobs is closed: no flight may start
+	// sessions holds the idle warm engine sessions, one sync.Pool per
+	// solver configuration (engine.CacheKey(cfg, engine.Workload{})): any
+	// worker reuses any idle session of its flight's configuration, and one
+	// idle across two garbage collections is collected instead of pinned.
+	sessions map[string]*sync.Pool
 
 	// lifeCtx outlives the run context so SIGTERM drains in-flight solves
 	// instead of cancelling them; lifeCancel fires only when the drain
@@ -290,6 +297,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:       make(chan *flight, cfg.QueueDepth),
 		inflight:   make(map[string]*flight),
 		fresh:      make(map[net.Conn]struct{}),
+		sessions:   make(map[string]*sync.Pool, maxSessionConfigs),
 		lifeCtx:    lifeCtx,
 		lifeCancel: lifeCancel,
 	}, nil
@@ -610,24 +618,42 @@ func (s *Server) peerFill(ctx context.Context, owner, key string, preq cluster.P
 	return ans, true
 }
 
-// maxSessionsPerWorker bounds the per-worker session memo: serving traffic
-// overwhelmingly repeats a handful of grid configurations, and a session's
-// buffers are the dominant per-config cost.
-const maxSessionsPerWorker = 4
+// maxSessionConfigs bounds the solver configurations the session pool
+// holds: serving traffic overwhelmingly repeats a handful of grid
+// configurations, and a session's buffers are the dominant per-config cost.
+const maxSessionConfigs = 4
+
+// sessionPool returns the pool of idle warm sessions for one solver
+// configuration. A new configuration beyond maxSessionConfigs clears the map
+// first; a session lent out at that moment goes back to its old pool and is
+// collected with it.
+func (s *Server) sessionPool(key string) *sync.Pool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.sessions[key]
+	if p == nil {
+		if len(s.sessions) >= maxSessionConfigs {
+			clear(s.sessions)
+			s.rec.Add("serve.session.reset", 1)
+		}
+		p = new(sync.Pool)
+		s.sessions[key] = p
+	}
+	return p
+}
 
 func (s *Server) worker() {
 	defer s.workerWG.Done()
-	sessions := make(map[string]*engine.Session, maxSessionsPerWorker)
 	for f := range s.jobs {
-		s.runFlight(f, sessions)
+		s.runFlight(f)
 	}
 }
 
-// runFlight executes one coalesced solve on this worker's warm session and
-// publishes its answer to every waiter. The equilibrium itself is dropped
-// here: its answer is encoded once, and those bytes are served, cached and
-// persisted.
-func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
+// runFlight executes one coalesced solve on a warm session of its
+// configuration and publishes its answer to every waiter. The equilibrium
+// itself is dropped here: its answer is encoded once, and those bytes are
+// served, cached and persisted.
+func (s *Server) runFlight(f *flight) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.inflight, f.key)
@@ -635,15 +661,11 @@ func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
 		close(f.done)
 	}()
 
-	// One session per distinct solver configuration: the workload varies per
-	// solve, the buffers do not.
-	skey := engine.CacheKey(f.cfg, engine.Workload{})
-	sess := sessions[skey]
+	// Sessions are pooled per distinct solver configuration: the workload
+	// varies per solve, the buffers do not.
+	pool := s.sessionPool(engine.CacheKey(f.cfg, engine.Workload{}))
+	sess, _ := pool.Get().(*engine.Session)
 	if sess == nil {
-		if len(sessions) >= maxSessionsPerWorker {
-			clear(sessions)
-			s.rec.Add("serve.session.reset", 1)
-		}
 		var err error
 		sess, err = engine.NewSession(f.cfg)
 		if err != nil {
@@ -653,7 +675,6 @@ func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
 			s.breaker.abortProbe(f.probe)
 			return
 		}
-		sessions[skey] = sess
 		s.rec.Add("serve.session.built", 1)
 	}
 
@@ -676,6 +697,9 @@ func (s *Server) runFlight(f *flight, sessions map[string]*engine.Session) {
 	start := time.Now()
 	eq, err := sess.SolveContext(ctx, f.w, nil)
 	f.solveTime = time.Since(start)
+	// The equilibrium is the solve's own copy, and SolveContext leaves the
+	// session reusable whatever the outcome, so it goes back at once.
+	pool.Put(sess)
 	s.rec.Observe("serve.solve.seconds", f.solveTime.Seconds())
 	f.err = err
 	s.breaker.onResult(classifySolve(err), f.probe)

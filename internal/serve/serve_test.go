@@ -464,9 +464,10 @@ func TestRequestValidation(t *testing.T) {
 // decides whether a request gets an answer at all, is part of the answer's
 // identity: a request that diverges under a tight threshold keeps diverging
 // after the same workload has been solved under the default one, instead of
-// being answered from that solve's cache entry. One worker makes both
-// thresholds run on the same worker's session memo, which is keyed the same
-// way, so the default request must not inherit the tight threshold either.
+// being answered from that solve's cache entry. One worker runs both
+// thresholds back to back on the daemon's session pool, which is keyed the
+// same way, so the default request must not inherit the tight threshold
+// either.
 func TestBlowupResidualKeysAnswers(t *testing.T) {
 	cfg, _ := testConfig(t)
 	cfg.Workers = 1

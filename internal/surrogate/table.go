@@ -90,6 +90,11 @@ type Node struct {
 	SharerFrac    []float64
 }
 
+// series returns the node's four observable series in answer order.
+func (n *Node) series() [4][]float64 {
+	return [4][]float64{n.Price, n.MeanControl, n.MeanRemaining, n.SharerFrac}
+}
+
 // Table is a precomputed equilibrium surrogate: a lattice of solved nodes
 // over (Requests, Pop, Timeliness) for one fixed solver configuration, plus
 // one measured interpolation-error bound per lattice cell. Tables are
@@ -225,7 +230,7 @@ func (t *Table) Validate() error {
 	}
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		for _, s := range [][]float64{n.Price, n.MeanControl, n.MeanRemaining, n.SharerFrac} {
+		for _, s := range n.series() {
 			if len(s) != len(t.Time) {
 				return fmt.Errorf("surrogate: node %d series length %d, want %d", i, len(s), len(t.Time))
 			}
@@ -253,27 +258,26 @@ func (t *Table) Lookup(cfg engine.Config, w engine.Workload) (*Summary, bool) {
 		return nil, false
 	}
 	coords := [3]float64{w.Requests, w.Pop, w.Timeliness}
-	var cell [3]int
-	axes := make([][]float64, 3)
-	x := make([]float64, 3)
+	var (
+		cell [3]int
+		frac [3]float64 // a frozen axis locates at its one node, fraction 0
+	)
 	for k, ax := range t.Axes {
-		axes[k], x[k] = ax.Nodes, coords[k]
 		if len(ax.Nodes) == 1 {
 			// Frozen axis: in-region only at the node itself (quantised).
 			if Quantise(coords[k]) != ax.Nodes[0] {
 				return nil, false
 			}
-			cell[k] = 0
 			continue
 		}
 		if coords[k] < ax.Nodes[0] || coords[k] > ax.Nodes[len(ax.Nodes)-1] {
 			return nil, false
 		}
-		i, _, err := numerics.LocateNodes(ax.Nodes, coords[k])
+		i, f, err := numerics.LocateNodes(ax.Nodes, coords[k])
 		if err != nil {
 			return nil, false
 		}
-		cell[k] = i
+		cell[k], frac[k] = i, f
 	}
 	bound := t.Bounds[t.cellIndex(cell)]
 	if math.IsInf(bound, 1) {
@@ -283,37 +287,55 @@ func (t *Table) Lookup(cfg engine.Config, w engine.Workload) (*Summary, bool) {
 		return nil, false
 	}
 
-	sum := &Summary{
-		Converged:  true,
-		Time:       t.Time,
-		ErrorBound: bound,
+	// The cell's corner weights, formed as numerics.InterpMultilinear forms
+	// them: the same products in axis order, the same corner order, and
+	// zero-weight corners skipped. Every sample of every series then sums
+	// those corners from zero in that order, so each float is the one an
+	// InterpMultilinear call at this point returns, from one pass over the
+	// corners' series.
+	var corners [8]struct {
+		node int
+		w    float64
 	}
-	series := [4]struct {
-		dst   *[]float64
-		field func(*Node) []float64
-	}{
-		{&sum.Price, func(n *Node) []float64 { return n.Price }},
-		{&sum.MeanControl, func(n *Node) []float64 { return n.MeanControl }},
-		{&sum.MeanRemaining, func(n *Node) []float64 { return n.MeanRemaining }},
-		{&sum.SharerFrac, func(n *Node) []float64 { return n.SharerFrac }},
-	}
-	// Interpolate sample by sample: the lattice is tiny (≤ 8 corners per
-	// cell), so one InterpMultilinear per (series, time sample) keeps the
-	// code on the shared numerics path at microsecond cost.
-	vals := make([]float64, t.nodeCount())
-	for _, s := range series {
-		out := make([]float64, len(t.Time))
-		for j := range t.Time {
-			for i := range t.Nodes {
-				vals[i] = s.field(&t.Nodes[i])[j]
+	used := 0
+	for corner := range corners {
+		wt, flat := 1.0, 0
+		for k, ax := range t.Axes {
+			bit := (corner >> k) & 1
+			if bit == 1 {
+				wt *= frac[k]
+			} else {
+				wt *= 1 - frac[k]
 			}
-			v, err := numerics.InterpMultilinear(axes, vals, x)
-			if err != nil {
-				return nil, false
+			if wt == 0 {
+				break
 			}
-			out[j] = v
+			flat = flat*len(ax.Nodes) + cell[k] + bit
 		}
-		*s.dst = out
+		if wt != 0 {
+			corners[used].node, corners[used].w = flat, wt
+			used++
+		}
+	}
+	m := len(t.Time)
+	buf := make([]float64, 4*m) // the four series in one allocation
+	out := [4][]float64{buf[:m:m], buf[m : 2*m : 2*m], buf[2*m : 3*m : 3*m], buf[3*m:]}
+	for _, c := range corners[:used] {
+		for s, src := range t.Nodes[c.node].series() {
+			dst := out[s]
+			for j, v := range src {
+				dst[j] += c.w * v
+			}
+		}
+	}
+	sum := &Summary{
+		Converged:     true,
+		Time:          t.Time,
+		Price:         out[0],
+		MeanControl:   out[1],
+		MeanRemaining: out[2],
+		SharerFrac:    out[3],
+		ErrorBound:    bound,
 	}
 	// Diagnostics: the most pessimistic corner of the cell (the interpolated
 	// answer is no better-converged than its worst ingredient).
