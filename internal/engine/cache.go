@@ -121,7 +121,8 @@ func putF(b []byte, name string, v float64) []byte {
 // values with least-recently-used eviction. It is the one LRU of the module:
 // Cache instantiates it over equilibria for the policy layer's parallel
 // per-content solves and the simulator's epoch loop, and the serving daemon
-// instantiates it over the answers it serves. Values are shared, not copied,
+// instantiates it over the answers it serves and over its per-configuration
+// pools of solver sessions. Values are shared, not copied,
 // so callers must treat them as immutable. Lookups and insertions report
 // "engine.cache.hit", "engine.cache.miss" and "engine.cache.evictions" to the
 // given recorder.

@@ -119,7 +119,9 @@ type Config struct {
 	// strategy and density paths of a previously solved equilibrium on the
 	// same grid and time mesh (Algorithm 1 runs one solve per content per
 	// epoch; slowly-varying workloads converge in far fewer iterations from
-	// the previous epoch's fixed point).
+	// the previous epoch's fixed point). The seed is an input, not part of
+	// the result: a solved equilibrium's Config.WarmStart is always nil, so
+	// no equilibrium pins the ones it descends from.
 	WarmStart *Equilibrium `json:"-"`
 
 	// Obs receives solver telemetry — per-iteration residual events, HJB and

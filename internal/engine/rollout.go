@@ -48,6 +48,10 @@ func (eq *Equilibrium) SimulateRollout(h0, q0 float64, seed int64) (*Rollout, er
 	if eq.HJB == nil {
 		return nil, errors.New("core: equilibrium carries no HJB solution")
 	}
+	control, err := eq.HJB.ControlField()
+	if err != nil {
+		return nil, err
+	}
 	p := eq.Config.Params
 	if !eq.Grid.H.Contains(h0) {
 		return nil, fmt.Errorf("core: initial fading %g outside [%g, %g]", h0, eq.Grid.H.Min, eq.Grid.H.Max)
@@ -87,10 +91,7 @@ func (eq *Equilibrium) SimulateRollout(h0, q0 float64, seed int64) (*Rollout, er
 		r.H[n] = h
 		r.Q[n] = q
 
-		x, err := eq.HJB.ControlAt(t, h, q)
-		if err != nil {
-			return nil, err
-		}
+		x := control.At(t, h, q)
 		r.X[n] = x
 
 		snap := eq.SnapshotAt(t)

@@ -73,12 +73,9 @@ type legacyArchive struct {
 // MarshalEquilibrium returns eq's archive for storage and the wire. It drops
 // the runtime-only fields of the config first. The telemetry recorder (Obs)
 // is runtime wiring, not equilibrium state, and gob cannot encode arbitrary
-// Recorder implementations. The warm-start ancestry goes too: every solve
-// records the equilibrium it was seeded from in Config.WarmStart, so
-// epoch-over-epoch warm starting grows an unbounded chain that would bloat
-// snapshots without influencing any later computation (warm starts only read
-// the strategy and density paths of the equilibrium itself, never its
-// ancestor's).
+// Recorder implementations. A warm start goes too: a solved equilibrium
+// carries none, but an equilibrium assembled by hand may, and an archive
+// holds one equilibrium, not the ones it was seeded from.
 func MarshalEquilibrium(eq *Equilibrium) ([]byte, error) {
 	if eq == nil {
 		return nil, fmt.Errorf("core: marshal nil equilibrium")

@@ -125,6 +125,41 @@ func TestWarmStartValidation(t *testing.T) {
 	}
 }
 
+// TestWarmStartedSolveKeepsNoAncestry pins that a solved equilibrium does not
+// hold the equilibrium it was seeded from, whether the seed came with the
+// solve or with the session's config: its Config.WarmStart is nil, and its
+// archive round trip gives back an equal Config.
+func TestWarmStartedSolveKeepsNoAncestry(t *testing.T) {
+	seed := solveSmall(t)
+	w := defaultWorkload()
+	w.Requests = 11
+	cfg := solverConfig()
+	cfg.WarmStart = seed
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		warm *Equilibrium
+	}{{"config warm start", nil}, {"per-solve warm start", seed}} {
+		eq, err := s.Solve(w, tc.warm)
+		if err != nil {
+			t.Fatalf("%s: Solve: %v", tc.name, err)
+		}
+		if eq.Config.WarmStart != nil {
+			t.Errorf("%s: the solved equilibrium keeps its warm start", tc.name)
+		}
+		back, err := UnmarshalEquilibrium(mustMarshal(t, eq))
+		if err != nil {
+			t.Fatalf("%s: UnmarshalEquilibrium: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(back.Config, eq.Config) {
+			t.Errorf("%s: the archive round trip changed the config:\n%+v\nwant\n%+v", tc.name, back.Config, eq.Config)
+		}
+	}
+}
+
 // v1Archive encodes eq in format v1, which every build before format v2
 // wrote: gob of the version and the whole equilibrium.
 func v1Archive(t testing.TB, version int, eq *Equilibrium) []byte {

@@ -352,10 +352,12 @@ func (s *Session) iterate(iter int) (float64, error) {
 // export copies the session's reusable buffers into a standalone Equilibrium
 // (the session is immediately reusable for the next solve). The three paths
 // share one backing array, laid out as an archive's bulk, as the session's
-// own do.
-func (s *Session) export(warm *Equilibrium) *Equilibrium {
+// own do. The exported config carries no warm start: the seed is an input of
+// the solve, not part of its result, and keeping it would pin every
+// equilibrium the result descends from.
+func (s *Session) export() *Equilibrium {
 	cfg := s.cfg
-	cfg.WarmStart = warm
+	cfg.WarmStart = nil
 	v, x, lambda := splitPaths(slices.Clone(s.paths), len(s.hjb.V), s.g.Size())
 	eq := &Equilibrium{
 		Config:   cfg,
@@ -474,7 +476,7 @@ func (s *Session) SolveContext(ctx context.Context, w Workload, warm *Equilibriu
 		}
 	}
 
-	eq := s.export(warm)
+	eq := s.export()
 	eq.Converged = converged
 	s.solves++
 

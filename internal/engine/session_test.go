@@ -114,7 +114,7 @@ func TestExportAllocatesOneBackingArray(t *testing.T) {
 	// The equilibrium, its two solutions, the backing array, the level
 	// headers, RawMass, Snapshots and Residuals.
 	const want = 8
-	if allocs := testing.AllocsPerRun(10, func() { s.export(nil) }); allocs > want {
+	if allocs := testing.AllocsPerRun(10, func() { s.export() }); allocs > want {
 		t.Errorf("export allocates %.0f objects for %d time levels, want at most %d", allocs, cfg.Steps+1, want)
 	}
 }

@@ -71,9 +71,24 @@ func (a Axis) Clamp(x float64) float64 {
 // Locate returns the cell index i and fractional offset f in [0, 1] such that
 // x ≈ At(i) + f*Step(), with x clamped to the axis range first. The returned
 // i is always in [0, N-2] so (i, i+1) is a valid interpolation pair.
-func (a Axis) Locate(x float64) (i int, f float64) {
+func (a Axis) Locate(x float64) (i int, f float64) { return a.Locator().Locate(x) }
+
+// Locator returns the axis with its node spacing computed once, for callers
+// that locate many points on one axis.
+func (a Axis) Locator() Locator { return Locator{axis: a, step: a.Step()} }
+
+// Locator is an Axis with its node spacing computed once. Its Locate is the
+// axis's one locate formula: Axis.Locate reads through it.
+type Locator struct {
+	axis Axis
+	step float64
+}
+
+// Locate is Axis.Locate without recomputing the node spacing.
+func (l Locator) Locate(x float64) (i int, f float64) {
+	a := l.axis
 	x = a.Clamp(x)
-	t := (x - a.Min) / a.Step()
+	t := (x - a.Min) / l.step
 	i = int(math.Floor(t))
 	if i > a.N-2 {
 		i = a.N - 2

@@ -18,11 +18,19 @@ func InterpBilinear(g grid.Grid2D, field []float64, h, q float64) (float64, erro
 	}
 	i, fh := g.H.Locate(h)
 	j, fq := g.Q.Locate(q)
-	v00 := field[g.Idx(i, j)]
-	v01 := field[g.Idx(i, j+1)]
-	v10 := field[g.Idx(i+1, j)]
-	v11 := field[g.Idx(i+1, j+1)]
-	return v00*(1-fh)*(1-fq) + v01*(1-fh)*fq + v10*fh*(1-fq) + v11*fh*fq, nil
+	return Bilinear(field, g.Q.N, i, j, fh, fq), nil
+}
+
+// Bilinear is the corner-weight sum of bilinear interpolation in one cell of
+// a flattened field with nq values per row: the cell's lower corner is (i, j)
+// and (fh, fq) are the point's fractional offsets in it, as Axis.Locate
+// returns them. It is the one copy of the formula; InterpBilinear and pde's
+// control field read through it.
+func Bilinear(field []float64, nq, i, j int, fh, fq float64) float64 {
+	k := i*nq + j
+	v00, v01 := field[k], field[k+1]
+	v10, v11 := field[k+nq], field[k+nq+1]
+	return v00*(1-fh)*(1-fq) + v01*(1-fh)*fq + v10*fh*(1-fq) + v11*fh*fq
 }
 
 // LocateNodes brackets x in a strictly increasing node slice: it returns the

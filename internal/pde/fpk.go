@@ -97,14 +97,7 @@ type FPKSolution struct {
 
 // DensityAt bilinearly interpolates λ at (t, h, q).
 func (s *FPKSolution) DensityAt(t, h, q float64) (float64, error) {
-	dt := s.Time.Dt()
-	n := int(t/dt + 0.5)
-	if n < 0 {
-		n = 0
-	}
-	if n > s.Time.Steps {
-		n = s.Time.Steps
-	}
+	n := timeLevel(t, s.Time.Dt(), s.Time.Steps)
 	return numerics.InterpBilinear(s.Grid, s.Lambda[n], h, q)
 }
 
@@ -218,6 +211,7 @@ func SolveFPKInto(ws *Workspace, p *FPKProblem, lambda0 []float64, sol *FPKSolut
 	}
 	rec.Add("pde.fpk.solves", 1)
 	rec.Add("pde.fpk.steps", float64(steps))
+	rec.Add("pde.fpk.sweeps", float64(steps*(nh+nq)))
 	if rec.Enabled() {
 		span.End(slog.Int("steps", steps), slog.Int("nh", nh), slog.Int("nq", nq),
 			slog.Float64("final_mass", sol.RawMass[steps]))

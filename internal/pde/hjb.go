@@ -87,14 +87,15 @@ type HJBSolution struct {
 
 // ValueAt bilinearly interpolates V at (t, h, q).
 func (s *HJBSolution) ValueAt(t, h, q float64) (float64, error) {
-	n := s.timeIndex(t)
+	n := timeLevel(t, s.Time.Dt(), s.Time.Steps)
 	return numerics.InterpBilinear(s.Grid, s.V[n], h, q)
 }
 
 // ControlAt bilinearly interpolates the optimal caching rate at (t, h, q),
-// clamped to [0, 1].
+// clamped to [0, 1]. Callers that read one solution many times build its
+// ControlField once instead; its At returns the same bits.
 func (s *HJBSolution) ControlAt(t, h, q float64) (float64, error) {
-	n := s.timeIndex(t)
+	n := timeLevel(t, s.Time.Dt(), s.Time.Steps)
 	x, err := numerics.InterpBilinear(s.Grid, s.X[n], h, q)
 	if err != nil {
 		return 0, err
@@ -102,16 +103,64 @@ func (s *HJBSolution) ControlAt(t, h, q float64) (float64, error) {
 	return numerics.Clamp01(x), nil
 }
 
-func (s *HJBSolution) timeIndex(t float64) int {
-	dt := s.Time.Dt()
+// timeLevel is the time node nearest to t on a mesh of steps intervals of
+// dt, clamped to [0, steps]. It is the one time-level formula of the
+// solution readers.
+func timeLevel(t, dt float64, steps int) int {
 	n := int(t/dt + 0.5)
 	if n < 0 {
 		n = 0
 	}
-	if n > s.Time.Steps {
-		n = s.Time.Steps
+	if n > steps {
+		n = steps
 	}
 	return n
+}
+
+// ControlField is the read side of a solved control path: the levels of X
+// with the time step, the level count and both axes' node spacings computed
+// once, so a read divides three times where ControlAt divides six. It shares
+// the solution's levels and must not outlive writes into them.
+type ControlField struct {
+	x      [][]float64
+	dt     float64
+	steps  int
+	h, q   grid.Locator
+	stride int // values per h row
+}
+
+// ControlField checks that the solution's grid is well formed and that its
+// control path holds one level per time node and one value per grid node in
+// every level, so that no read of the field can fail, and returns it.
+func (s *HJBSolution) ControlField() (ControlField, error) {
+	if _, err := grid.NewGrid2D(s.Grid.H, s.Grid.Q); err != nil {
+		return ControlField{}, fmt.Errorf("pde: control field: %w", err)
+	}
+	if s.Time.Steps < 1 || len(s.X) != s.Time.Steps+1 {
+		return ControlField{}, fmt.Errorf("pde: control path has %d levels for %d steps", len(s.X), s.Time.Steps)
+	}
+	for n, level := range s.X {
+		if len(level) != s.Grid.Size() {
+			return ControlField{}, fmt.Errorf("pde: control level %d has %d values for %d nodes", n, len(level), s.Grid.Size())
+		}
+	}
+	return ControlField{
+		x:      s.X,
+		dt:     s.Time.Dt(),
+		steps:  s.Time.Steps,
+		h:      s.Grid.H.Locator(),
+		q:      s.Grid.Q.Locator(),
+		stride: s.Grid.Q.N,
+	}, nil
+}
+
+// At is ControlAt through the hoisted values: the same level, cell and
+// corner sum, clamped to [0, 1].
+func (f *ControlField) At(t, h, q float64) float64 {
+	level := f.x[timeLevel(t, f.dt, f.steps)]
+	i, fh := f.h.Locate(h)
+	j, fq := f.q.Locate(q)
+	return numerics.Clamp01(numerics.Bilinear(level, f.stride, i, j, fh, fq))
 }
 
 // NewHJBSolution preallocates a solution holder (every time level of V and X
@@ -223,6 +272,9 @@ func SolveHJBInto(ws *Workspace, p *HJBProblem, sol *HJBSolution) error {
 	copy(sol.X[steps], sol.X[steps-1])
 	rec.Add("pde.hjb.solves", 1)
 	rec.Add("pde.hjb.steps", float64(steps))
+	// Every step sweeps each of the nq columns in h and each of the nh rows
+	// in q.
+	rec.Add("pde.hjb.sweeps", float64(steps*(nh+nq)))
 	if rec.Enabled() {
 		span.End(slog.Int("steps", steps), slog.Int("nh", nh), slog.Int("nq", nq))
 	} else {

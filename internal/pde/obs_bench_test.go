@@ -7,17 +7,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Benchmarks bounding the telemetry cost inside the solver hot loops. The
-// no-op path adds two counter increments and one Enabled() branch per time
-// step (clock reads are skipped entirely), which must stay under 2% of a
-// solve; compare
+// Benchmarks bounding the telemetry cost of the solvers. The no-op path adds
+// a few counter increments and one Enabled() branch per solve, and the
+// sweeps themselves record nothing, which must stay under 2% of a solve;
+// compare
 //
 //	go test ./internal/pde -bench 'SolveHJBObs|SolveFPKObs' -count 10
 //
 // sub-benchmark "nop" (instrumented, recorder off — the default for every
 // library user) against "registry" (live metrics).
 
-func benchHJBProblem(b *testing.B, rec obs.Recorder) *HJBProblem {
+func benchHJBProblem(b testing.TB, rec obs.Recorder) *HJBProblem {
 	b.Helper()
 	h, err := grid.NewAxis(0.5, 1.5, 13)
 	if err != nil {
@@ -64,7 +64,10 @@ func BenchmarkSolveHJBObs(b *testing.B) {
 	b.Run("registry", func(b *testing.B) { benchmarkSolveHJB(b, obs.NewRegistry(nil)) })
 }
 
-func benchmarkSolveFPK(b *testing.B, rec obs.Recorder) {
+// benchFPKProblem is the forward problem on benchHJBProblem's mesh, with its
+// initial density.
+func benchFPKProblem(b testing.TB, rec obs.Recorder) (*FPKProblem, []float64) {
+	b.Helper()
 	hp := benchHJBProblem(b, rec)
 	p := &FPKProblem{
 		Grid:        hp.Grid,
@@ -80,6 +83,11 @@ func benchmarkSolveFPK(b *testing.B, rec obs.Recorder) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return p, lambda0
+}
+
+func benchmarkSolveFPK(b *testing.B, rec obs.Recorder) {
+	p, lambda0 := benchFPKProblem(b, rec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

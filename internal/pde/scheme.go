@@ -3,11 +3,9 @@ package pde
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/grid"
 	"repro/internal/linalg"
-	"repro/internal/obs"
 )
 
 // Workspace owns every reusable buffer the operator-split integrators need on
@@ -149,19 +147,12 @@ func (ws *Workspace) loadHDrift(t float64, driftH func(t, h float64) float64) {
 // place on src), then every h-row in q (stride 1, src → dst). The implicit
 // h-phase is batched (one factorisation for all columns) and the implicit
 // q-phase solves all rows in one lock-step sweep; the explicit phases sweep
-// one line at a time. It emits the per-dimension "pde.hjb.sweeps" counters
-// and sweep timings.
+// one line at a time. SolveHJBInto counts the sweeps once per solve.
 func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) error {
 	g := p.Grid
 	impl := p.Scheme == Implicit
 	nh, nq := g.H.N, g.Q.N
 	t, dt := p.Time.At(n), p.Time.Dt()
-	rec := obs.OrNop(p.Obs)
-	timed := rec.Enabled()
-	var sweepStart time.Time
-	if timed {
-		sweepStart = time.Now()
-	}
 	ws.loadHDrift(t, p.DriftH)
 	if impl {
 		if err := ws.hPhaseImplicit(src, opBackwardValue, dt, g.H.Step(), p.DiffH); err != nil {
@@ -176,11 +167,6 @@ func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) er
 			}
 			scatter(src, sw.sol, j, nq, nh)
 		}
-	}
-	rec.Add("pde.hjb.sweeps", float64(nq))
-	if timed {
-		rec.Observe("pde.hjb.sweep.h.seconds", time.Since(sweepStart).Seconds())
-		sweepStart = time.Now()
 	}
 
 	// The q-rows are built from the level's drift field, which the model
@@ -201,27 +187,17 @@ func stepBackward(ws *Workspace, p *HJBProblem, n int, x, src, dst []float64) er
 			copy(dst[row:row+nq], sw.sol)
 		}
 	}
-	rec.Add("pde.hjb.sweeps", float64(nh))
-	if timed {
-		rec.Observe("pde.hjb.sweep.q.seconds", time.Since(sweepStart).Seconds())
-	}
 	return nil
 }
 
 // stepForward transports the density field forward one step in place from
-// time level n with the problem's scheme, emitting the per-dimension
-// "pde.fpk.sweeps" counters and sweep timings.
+// time level n with the problem's scheme. SolveFPKInto counts the sweeps
+// once per solve.
 func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
 	g := p.Grid
 	impl := p.Scheme == Implicit
 	nh, nq := g.H.N, g.Q.N
 	t, dt := p.Time.At(n), p.Time.Dt()
-	rec := obs.OrNop(p.Obs)
-	timed := rec.Enabled()
-	var sweepStart time.Time
-	if timed {
-		sweepStart = time.Now()
-	}
 	op := opForwardConservative
 	if p.Form != Conservative {
 		op = opForwardAdvective
@@ -241,11 +217,6 @@ func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
 			scatter(lambda, sw.sol, j, nq, nh)
 		}
 	}
-	rec.Add("pde.fpk.sweeps", float64(nq))
-	if timed {
-		rec.Observe("pde.fpk.sweep.h.seconds", time.Since(sweepStart).Seconds())
-		sweepStart = time.Now()
-	}
 
 	p.DriftQ(n, ws.bQ)
 	if impl {
@@ -262,10 +233,6 @@ func stepForward(ws *Workspace, p *FPKProblem, n int, lambda []float64) error {
 			}
 			copy(lambda[row:row+nq], sw.sol)
 		}
-	}
-	rec.Add("pde.fpk.sweeps", float64(nh))
-	if timed {
-		rec.Observe("pde.fpk.sweep.q.seconds", time.Since(sweepStart).Seconds())
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 
 	"repro/internal/engine"
+	"repro/internal/pde"
 )
 
 // MFGCP is the proposed framework: one mean-field equilibrium per requested
@@ -43,17 +44,42 @@ type MFGCP struct {
 	mfgcpStrategy // what the last Prepare or RestoreState left for trading
 }
 
-// mfgcpStrategy is one prepared epoch of MFG-CP: the per-content equilibria
-// and knapsack admissions that Rate reads, and the sharing mode they were
-// solved under. Prepare and RestoreState build a whole new value and install
-// it only once it is complete, so a failed Prepare leaves the last prepared
-// strategy in place, and a copy taken between two Prepare calls stays valid
-// and unchanged while the next one runs.
+// mfgcpStrategy is one prepared epoch of MFG-CP: the per-content equilibria,
+// the control fields Rate reads them through, the knapsack admissions, and
+// the sharing mode they were solved under. Prepare and RestoreState build a
+// whole new value and install it only once it is complete, so a failed
+// Prepare leaves the last prepared strategy in place, and a copy taken
+// between two Prepare calls stays valid and unchanged while the next one
+// runs.
 type mfgcpStrategy struct {
 	equilibria []*engine.Equilibrium // per content; nil when not requested
+	fields     []*pde.ControlField   // per content, over equilibria[k].HJB; nil when not requested
 	admit      []float64             // knapsack admission fraction per content (nil = all 1)
 	k          int
 	share      bool
+}
+
+// newMFGCPStrategy builds the control field of every solved content once,
+// so the epoch's trading reads each equilibrium through values computed up
+// front. An equilibrium whose control path does not fit its grid, or
+// admissions that do not cover every content, are refused here rather than
+// on every read.
+func newMFGCPStrategy(equilibria []*engine.Equilibrium, admit []float64, k int, share bool) (mfgcpStrategy, error) {
+	if admit != nil && len(admit) != k {
+		return mfgcpStrategy{}, fmt.Errorf("%d admissions for %d contents", len(admit), k)
+	}
+	fields := make([]*pde.ControlField, len(equilibria))
+	for c, eq := range equilibria {
+		if eq == nil {
+			continue
+		}
+		f, err := eq.HJB.ControlField()
+		if err != nil {
+			return mfgcpStrategy{}, fmt.Errorf("content %d: %w", c, err)
+		}
+		fields[c] = &f
+	}
+	return mfgcpStrategy{equilibria: equilibria, fields: fields, admit: admit, k: k, share: share}, nil
 }
 
 // SharingEnabled implements Strategy.
@@ -209,7 +235,11 @@ func (p *MFGCP) Prepare(ctx *EpochContext) error {
 	if err != nil {
 		return err
 	}
-	p.mfgcpStrategy = mfgcpStrategy{equilibria: equilibria, admit: admit, k: ctx.Params.K, share: p.Share}
+	strategy, err := newMFGCPStrategy(equilibria, admit, ctx.Params.K, p.Share)
+	if err != nil {
+		return fmt.Errorf("policy: %s: %w", p.Name(), err)
+	}
+	p.mfgcpStrategy = strategy
 	return nil
 }
 
@@ -239,21 +269,19 @@ func (p *MFGCP) applyCapacity(equilibria []*engine.Equilibrium, seed int64) ([]f
 	return admit, nil
 }
 
-// Rate implements Strategy by evaluating the equilibrium feedback strategy,
-// scaled by the knapsack admission fraction when a capacity budget is set.
-// Contents outside K' are not cached.
+// Rate implements Strategy by evaluating the equilibrium feedback strategy
+// through the content's control field (the bits HJBSolution.ControlAt
+// returns), scaled by the knapsack admission fraction when a capacity budget
+// is set. Contents outside K' are not cached.
 func (p *mfgcpStrategy) Rate(_, k int, t, h, q float64) (float64, error) {
 	if err := checkContent(k, p.k); err != nil {
 		return 0, err
 	}
-	eq := p.equilibria[k]
-	if eq == nil {
+	f := p.fields[k]
+	if f == nil {
 		return 0, nil
 	}
-	x, err := eq.HJB.ControlAt(t, h, q)
-	if err != nil {
-		return 0, err
-	}
+	x := f.At(t, h, q)
 	if p.admit != nil {
 		x *= p.admit[k]
 	}
@@ -342,7 +370,11 @@ func (p *MFGCP) RestoreState(data []byte) error {
 	if len(st.Admit) > 0 {
 		admit = st.Admit
 	}
-	p.mfgcpStrategy = mfgcpStrategy{equilibria: equilibria, admit: admit, k: st.K, share: p.Share}
+	strategy, err := newMFGCPStrategy(equilibria, admit, st.K, p.Share)
+	if err != nil {
+		return fmt.Errorf("policy: %s: restore: %w", p.Name(), err)
+	}
+	p.mfgcpStrategy = strategy
 	return nil
 }
 

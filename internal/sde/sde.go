@@ -178,8 +178,16 @@ func ReflectInto(x, lo, hi float64) float64 {
 		return lo
 	}
 	width := hi - lo
+	y := x - lo
+	// A point already in range needs no fold: math.Mod returns a dividend
+	// smaller than its divisor exactly, so this is the fold's own result. A
+	// width that overflowed to +Inf takes the fold, which maps x = +Inf to
+	// NaN.
+	if 0 <= y && y <= width && width <= math.MaxFloat64 {
+		return lo + y
+	}
 	// Map into a 2*width sawtooth and fold.
-	y := math.Mod(x-lo, 2*width)
+	y = math.Mod(y, 2*width)
 	if y < 0 {
 		y += 2 * width
 	}

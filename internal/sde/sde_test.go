@@ -2,6 +2,7 @@ package sde
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -254,5 +255,57 @@ func TestSplitMixAdvances(t *testing.T) {
 	b := SplitMix(&s)
 	if a == b {
 		t.Error("SplitMix should produce different consecutive values")
+	}
+}
+
+// referenceReflectInto is ReflectInto folding every input through math.Mod,
+// as it did before in-range inputs skipped the fold.
+func referenceReflectInto(x, lo, hi float64) float64 {
+	if hi <= lo {
+		return lo
+	}
+	width := hi - lo
+	y := math.Mod(x-lo, 2*width)
+	if y < 0 {
+		y += 2 * width
+	}
+	if y > width {
+		y = 2*width - y
+	}
+	return lo + y
+}
+
+// TestReflectIntoMatchesModFold pins ReflectInto to the Mod-only fold bit for
+// bit: random inputs within one and a half widths of the interval, the
+// bounds and their neighbours, signed zeros, infinities, NaN, a
+// subnormal-width interval and one whose width overflows.
+func TestReflectIntoMatchesModFold(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	intervals := [][2]float64{
+		{0, 100}, {0.5, 9.5}, {-3, 2.5}, {negZero, 1}, {1, math.Nextafter(1, 2)},
+		{0, 3 * math.SmallestNonzeroFloat64}, {-math.MaxFloat64, math.MaxFloat64},
+		{2, 2}, {5, -5},
+	}
+	rng := rand.New(rand.NewSource(35))
+	for _, iv := range intervals {
+		lo, hi := iv[0], iv[1]
+		w := hi - lo
+		xs := []float64{0, negZero, inf, -inf, math.NaN(), lo, hi, 2*hi - lo, 2*lo - hi}
+		for _, b := range []float64{lo, hi} {
+			xs = append(xs, math.Nextafter(b, inf), math.Nextafter(b, -inf))
+		}
+		if !math.IsInf(w, 0) {
+			for i := 0; i < 50000; i++ {
+				xs = append(xs, lo-1.5*w+4*w*rng.Float64())
+			}
+		}
+		for _, x := range xs {
+			got, want := ReflectInto(x, lo, hi), referenceReflectInto(x, lo, hi)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ReflectInto(%v, %v, %v) = %v (%#x), want %v (%#x)",
+					x, lo, hi, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }

@@ -213,10 +213,11 @@ type Server struct {
 	fresh    map[net.Conn]struct{} // accepted connections without a request yet
 	stopped  bool                  // jobs is closed: no flight may start
 	// sessions holds the idle warm engine sessions, one sync.Pool per
-	// solver configuration (engine.CacheKey(cfg, engine.Workload{})): any
-	// worker reuses any idle session of its flight's configuration, and one
-	// idle across two garbage collections is collected instead of pinned.
-	sessions map[string]*sync.Pool
+	// solver configuration (engine.CacheKey(cfg, engine.Workload{})), for
+	// the maxSessionConfigs configurations used last: any worker reuses any
+	// idle session of its flight's configuration, and one idle across two
+	// garbage collections is collected instead of pinned.
+	sessions *engine.LRU[sync.Pool]
 
 	// lifeCtx outlives the run context so SIGTERM drains in-flight solves
 	// instead of cancelling them; lifeCancel fires only when the drain
@@ -247,6 +248,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: default solver config: %w", err)
 	}
 	cache, err := engine.NewLRU[surrogate.Answer](cfg.CacheSize)
+	if err != nil {
+		return nil, err
+	}
+	sessions, err := engine.NewLRU[sync.Pool](maxSessionConfigs)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +302,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:       make(chan *flight, cfg.QueueDepth),
 		inflight:   make(map[string]*flight),
 		fresh:      make(map[net.Conn]struct{}),
-		sessions:   make(map[string]*sync.Pool, maxSessionConfigs),
+		sessions:   sessions,
 		lifeCtx:    lifeCtx,
 		lifeCancel: lifeCancel,
 	}, nil
@@ -624,21 +629,21 @@ func (s *Server) peerFill(ctx context.Context, owner, key string, preq cluster.P
 const maxSessionConfigs = 4
 
 // sessionPool returns the pool of idle warm sessions for one solver
-// configuration. A new configuration beyond maxSessionConfigs clears the map
-// first; a session lent out at that moment goes back to its old pool and is
+// configuration. A new configuration beyond maxSessionConfigs evicts the
+// least recently used one's pool (counted in serve.session.reset); a session
+// lent out of it at that moment goes back to the evicted pool and is
 // collected with it.
 func (s *Server) sessionPool(key string) *sync.Pool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.sessions[key]
-	if p == nil {
-		if len(s.sessions) >= maxSessionConfigs {
-			clear(s.sessions)
-			s.rec.Add("serve.session.reset", 1)
-		}
-		p = new(sync.Pool)
-		s.sessions[key] = p
+	if p, ok := s.sessions.Get(nil, key); ok {
+		return p
 	}
+	if s.sessions.Len() == maxSessionConfigs {
+		s.rec.Add("serve.session.reset", 1)
+	}
+	p := new(sync.Pool)
+	s.sessions.Put(nil, key, p)
 	return p
 }
 

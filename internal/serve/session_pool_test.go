@@ -123,3 +123,35 @@ func TestSessionPoolReleasesIdleSessions(t *testing.T) {
 		t.Errorf("serve.session.built = %g after two collections, want %g: an idle session outlived them", after, before+1)
 	}
 }
+
+// TestSessionPoolEvictsLeastRecentlyUsed pins the bound on pooled
+// configurations: with configurations A–D pooled and A used again, a fifth
+// configuration E drops only B's pool, the least recently used one, and
+// counts one serve.session.reset; A, C and D keep theirs.
+func TestSessionPoolEvictsLeastRecentlyUsed(t *testing.T) {
+	cfg, reg := testConfig(t)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pools := map[string]*sync.Pool{}
+	for _, key := range []string{"A", "B", "C", "D"} {
+		pools[key] = s.sessionPool(key)
+	}
+	if s.sessionPool("A") != pools["A"] {
+		t.Fatal("a pooled configuration got a new pool")
+	}
+	s.sessionPool("E")
+	if got := reg.Snapshot().Counters["serve.session.reset"]; got != 1 {
+		t.Errorf("serve.session.reset = %g after a fifth configuration, want 1", got)
+	}
+	for _, key := range []string{"A", "C", "D"} {
+		if s.sessionPool(key) != pools[key] {
+			t.Errorf("configuration %s lost its pool to the fifth configuration", key)
+		}
+	}
+	if s.sessionPool("B") == pools["B"] {
+		t.Error("configuration B, the least recently used, kept its pool")
+	}
+}

@@ -647,8 +647,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		rates := make([]float64, p.M) // transmission rates of the active EDPs this step
 		var tally serviceTally
 
-		// ξ^L of the Eq. 4 cache drift is fixed for the epoch: per content,
-		// or per EDP and content when requesters declare their own timeliness.
+		// The strategy's sharing mode and ξ^L of the Eq. 4 cache drift are
+		// fixed for the epoch: ξ^L per content, or per EDP and content when
+		// requesters declare their own timeliness.
+		sharing := strategy.SharingEnabled()
 		xiPow := make([]float64, p.K)
 		for k := range xiPow {
 			xiPow[k] = math.Pow(p.Xi, workloads[k].Timeliness)
@@ -741,7 +743,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					default:
 						j := peerIndex(rng, p.M, i)
 						peer := &agents[j]
-						peerQualified := strategy.SharingEnabled() && peer.q[k] <= alphaQ &&
+						peerQualified := sharing && peer.q[k] <= alphaQ &&
 							(ef == nil || ef.active(j, s))
 						if peerQualified && ef != nil && ef.dropShare() {
 							// The share transaction is dropped on the wire: the
